@@ -27,7 +27,6 @@ from .linalg import (
     SpectrumReport,
     charpoly,
     cyclotomic_polynomial,
-    galois_apply,
     integer_spectrum,
 )
 

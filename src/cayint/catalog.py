@@ -13,7 +13,8 @@ or
     <one generator per line: d integers, a permutation of 0..d-1>
 
 With `perms`, the group is the closure of the generators under composition
-and n must equal the closure size.
+and n must equal the closure size. In both forms n is at most the element
+cap, DEFAULT_ELEMENT_CAP.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ def dicyclic_group(m: int) -> FiniteGroup:
     return build_group([[mul(x, y) for y in range(n)] for x in range(n)], name=name)
 
 
-def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
+def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) -> FiniteGroup:
+    """Closure of the generators; a ParseError at `line` as soon as it has
+    more than `limit` elements."""
     d = len(perms[0])
     ident = tuple(range(d))
     elems = {ident}
@@ -90,6 +93,8 @@ def _perm_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
                 if r not in elems:
                     elems.add(r)
                     fresh.append(r)
+                    if len(elems) > limit:
+                        raise ParseError(line, f"closure exceeds the {limit} elements the header declares")
         frontier = fresh
     order = sorted(elems)  # identity is lexicographically least
     pos = {p: i for i, p in enumerate(order)}
@@ -281,6 +286,8 @@ def load_group(path: str | Path) -> FiniteGroup:
         n = int(fields[2])
     except ValueError:
         raise ParseError(ln, f"order must be an integer, got {fields[2]!r}") from None
+    if n > DEFAULT_ELEMENT_CAP:
+        raise ParseError(ln, f"order {n} exceeds the element cap {DEFAULT_ELEMENT_CAP}")
     if len(lines) < 2:
         raise ParseError(ln, "missing 'table' or 'perms' section")
     ln2, kind = lines[1]
@@ -314,7 +321,7 @@ def load_group(path: str | Path) -> FiniteGroup:
             gens.append(p)
         if not gens:
             raise ParseError(ln2, "no permutation generators given")
-        g = _perm_group(gens, name)
+        g = _perm_group(gens, name, n, ln)
         if g.n != n:
             raise ParseError(ln, f"closure has {g.n} elements but header declares {n}")
         return g

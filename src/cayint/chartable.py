@@ -21,7 +21,7 @@ from pathlib import Path
 import sympy
 
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
-from .linalg import Cyclotomic, NotRational, _context
+from .linalg import Cyclotomic, IntMatrix, _context, charpoly
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -172,28 +172,6 @@ def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
-def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
-    """Descending-coefficient charpoly over F_p (Berkowitz, reduced mod p)."""
-    n = len(mat)
-    if n == 0:
-        return [1]
-    c = [1, (-mat[0][0]) % p]
-    for r in range(1, n):
-        t = [1, (-mat[r][r]) % p]
-        u = [mat[i][r] for i in range(r)]
-        for _ in range(r - 1):
-            t.append(-sum(mat[r][j] * u[j] for j in range(r)) % p)
-            u = [sum(mat[i][j] * u[j] for j in range(r)) % p for i in range(r)]
-        t.append(-sum(mat[r][j] * u[j] for j in range(r)) % p)
-        out = [0] * (r + 2)
-        for j, cj in enumerate(c):
-            if cj:
-                for i in range(min(len(t), r + 2 - j)):
-                    out[i + j] = (out[i + j] + t[i] * cj) % p
-        c = out
-    return c
-
-
 def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list[int]]:
     """Common eigenvectors of commuting matrices over F_p, via iterative
     splitting by each matrix in ascending index order."""
@@ -222,7 +200,8 @@ def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list
                         recon = [(x + f * y) % p for x, y in zip(recon, basis[l])]
                 if recon != imgs[j]:
                     raise VerificationFailed("class matrix does not stabilize a split subspace")
-            cp = _charpoly_mod(restr, p)
+            # descending coefficients of the characteristic polynomial mod p
+            cp = [c % p for c in reversed(charpoly(IntMatrix.from_rows(restr)).coeffs)]
             found = 0
             for lam in range(p):
                 acc = 0

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .catalog import catalog
 from .chartable import (
@@ -31,7 +32,6 @@ from .groups import (
     is_nilpotent,
     quotient,
 )
-from .linalg import NotRational
 from .spectra import (
     ConnectionFunction,
     eulerian_check,
@@ -123,6 +123,22 @@ def is_inverse_semi_rational(
 
 
 # ---------------------------------------------------------------------------
+# Shared enumeration helpers
+# ---------------------------------------------------------------------------
+
+
+def _subsets(items: list) -> Iterator[list]:
+    """Every sub-list of `items`, by ascending bitmask: bit i selects item i."""
+    for take in range(1 << len(items)):
+        yield [item for i, item in enumerate(items) if take >> i & 1]
+
+
+def _inverse_pairs(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The non-identity elements as sorted inverse pairs, by least member."""
+    return [tuple(sorted({x, g.inv[x]})) for x in range(1, g.n) if x <= g.inv[x]]
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive normal connection sets
 # ---------------------------------------------------------------------------
 
@@ -157,8 +173,7 @@ def normal_set_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurv
     as a union of real classes, with its Eulerian and integrality verdicts."""
     orbits = [rc for rc in part.real_classes if rc != (0,)]
     rows = []
-    for take in range(1 << len(orbits)):
-        chosen = [orbits[i] for i in range(len(orbits)) if take >> i & 1]
+    for chosen in _subsets(orbits):
         members = [x for orbit in chosen for j in orbit for x in part.classes[j]]
         f = ConnectionFunction.delta(g, members, part)
         rows.append(
@@ -299,12 +314,11 @@ def fcci_report(
         if len(orbits) <= caps.fcci_exhaustive_classes:
             mode = "exhaustive"
             route_c = True
-            for take in range(1 << len(orbits)):
+            for chosen in _subsets(orbits):
                 class_values = [0] * part.k
-                for i, orbit in enumerate(orbits):
-                    if take >> i & 1:
-                        for j in orbit:
-                            class_values[j] = 1
+                for orbit in chosen:
+                    for j in orbit:
+                        class_values[j] = 1
                 f = ConnectionFunction.from_class_values(g, part, class_values)
                 count += 1
                 if not spectrum_matrix(g, f).is_integral:
@@ -377,6 +391,12 @@ def is_hamiltonian_2_group(g: FiniteGroup) -> bool:
     return not g.is_abelian() and _cyclic_subgroups_all_normal(g)
 
 
+def _cci_structural(g: FiniteGroup) -> bool:
+    """Abelian of exponent dividing 6 or 4, or a Hamiltonian 2-group."""
+    exp = g.exponent()
+    return (g.is_abelian() and (6 % exp == 0 or 4 % exp == 0)) or is_hamiltonian_2_group(g)
+
+
 _SCHEDULE_HEAD = (1, 3, 7, 4, 5, 8, 2, 6, 9)
 
 
@@ -391,7 +411,6 @@ class CciReport:
     witness_values: tuple[int, ...] | None = None
     witness_residual: str | None = None
     candidates_tried: int = 0
-    search_ran: bool = False
     seed: str | None = None
     discrepancies: tuple[str, ...] = ()
 
@@ -409,8 +428,7 @@ def cci_report(
     inverse pair, so symmetric non-class functions exist): a deterministic
     colour schedule over inverse pairs first, then seeded random colours.
     """
-    exp = g.exponent()
-    structural = (g.is_abelian() and (6 % exp == 0 or 4 % exp == 0)) or is_hamiltonian_2_group(g)
+    structural = _cci_structural(g)
 
     trigger = any(
         set(cls) - {rep, g.inv[rep]}
@@ -420,13 +438,7 @@ def cci_report(
     tried = 0
     seed_used = None
     if trigger:
-        pairs = []
-        seen: set[int] = set()
-        for x in range(1, g.n):
-            if x not in seen:
-                pair = tuple(sorted({x, g.inv[x]}))
-                seen.update(pair)
-                pairs.append(pair)
+        pairs = _inverse_pairs(g)
 
         def try_candidate(values_per_pair: list[int]) -> bool:
             nonlocal witness_vals, witness_res, tried
@@ -465,7 +477,6 @@ def cci_report(
         witness_values=witness_vals,
         witness_residual=witness_res,
         candidates_tried=tried,
-        search_ran=trigger,
         seed=seed_used,
         discrepancies=tuple(disagreements),
     )
@@ -501,21 +512,8 @@ def ci_report(
     """Integrality of every Cayley graph: structural recognizers plus a
     brute-force sweep over inverse-closed connection sets (exhaustive for
     small groups, sampled up to the sampling cap)."""
-    exp = g.exponent()
-    structural = (
-        (g.is_abelian() and (6 % exp == 0 or 4 % exp == 0))
-        or is_hamiltonian_2_group(g)
-        or _is_s3_shape(g)
-        or _is_dic12_shape(g)
-    )
-
-    pairs = []
-    seen: set[int] = set()
-    for x in range(1, g.n):
-        if x not in seen:
-            pair = tuple(sorted({x, g.inv[x]}))
-            seen.update(pair)
-            pairs.append(pair)
+    structural = _cci_structural(g) or _is_s3_shape(g) or _is_dic12_shape(g)
+    pairs = _inverse_pairs(g)
 
     brute: bool | None = None
     mode = "skipped"
@@ -536,10 +534,7 @@ def ci_report(
 
     if g.n <= caps.ci_exhaustive and (1 << len(pairs)) <= caps.subset_budget:
         mode = "exhaustive"
-        brute = check_subsets(
-            [pairs[i] for i in range(len(pairs)) if take >> i & 1]
-            for take in range(1 << len(pairs))
-        )
+        brute = check_subsets(_subsets(pairs))
     elif g.n <= caps.ci_sampled:
         mode = "sampled"
         seed_used = f"{seed}:{g.name}:ci"
@@ -631,11 +626,9 @@ class ClassificationReport:
     rational_witness: int | None = None
     semi_rational_witness: int | None = None
     isr_failing_atom: Atom | None = None
-    gamma_chi_rows: tuple[CharColourRow, ...] = ()
     gamma_chi_all: bool | None = None
     discrepancies: tuple[str, ...] = ()
     caps_notes: tuple[str, ...] = ()
-    survey: NormalSetSurvey | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -731,10 +724,9 @@ def classify_group(
     cci = cci_report(g, part, caps=caps, seed=seed)
     ci = ci_report(g, part, caps=caps, seed=seed)
 
-    gamma_rows: tuple[CharColourRow, ...] = ()
     gamma_all: bool | None = None
     if table is not None:
-        gamma_rows, gamma_all = gamma_chi_conj_check(g, table)
+        _, gamma_all = gamma_chi_conj_check(g, table)
 
     discrepancies = list(nci.discrepancies) + list(fcci.discrepancies)
     discrepancies += list(cci.discrepancies) + list(ci.discrepancies)
@@ -769,11 +761,9 @@ def classify_group(
         rational_witness=rat_wit,
         semi_rational_witness=semi_wit,
         isr_failing_atom=nci.failing_atom,
-        gamma_chi_rows=gamma_rows,
         gamma_chi_all=gamma_all,
         discrepancies=tuple(discrepancies),
         caps_notes=tuple(caps_notes),
-        survey=survey,
     )
 
 
@@ -838,8 +828,6 @@ class AuditReport:
 
 
 def _verdict(report: ClassificationReport, key: str) -> bool:
-    if key == "semi_rational":
-        return report.semi_rational
     return getattr(report, key).verdict if key in ("nci", "fcci", "cci", "ci") else getattr(report, key)
 
 

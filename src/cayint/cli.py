@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -34,21 +33,8 @@ from .spectra import (
 
 FIXTURE_GROUPS = {"alpha": "s3", "beta": "dicyclic12"}
 
-_ENV_CAPS = {
-    "CAYINT_CAP_CHARTABLE": "chartable",
-    "CAYINT_CAP_EXHAUSTIVE": "normal_exhaustive",
-    "CAYINT_CAP_SPECTRAL": "fcci_spectral",
-    "CAYINT_CAP_CI_EXHAUSTIVE": "ci_exhaustive",
-    "CAYINT_CAP_CI_SAMPLED": "ci_sampled",
-    "CAYINT_WITNESS_BUDGET": "witness_budget",
-}
-
-
 def _caps_from(args: argparse.Namespace) -> Caps:
     caps = DEFAULT_CAPS
-    for env, field_name in _ENV_CAPS.items():
-        if os.environ.get(env):
-            caps = replace(caps, **{field_name: int(os.environ[env])})
     overrides = {
         "chartable": args.cap_chartable,
         "normal_exhaustive": args.cap_exhaustive,

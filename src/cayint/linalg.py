@@ -1,10 +1,12 @@
 """Exact linear algebra over the integers and the cyclotomic fields Q(zeta_e).
 
 Everything here is symbolic: characteristic polynomials come from a
-division-free Berkowitz recurrence on arbitrary-precision integers, integer
-eigenvalues are split off by synthetic division against a sound candidate
-set, and cyclotomic numbers are kept in canonical form (reduced modulo the
-e-th cyclotomic polynomial) so equality and rationality tests are decidable.
+division-free Berkowitz recurrence on arbitrary-precision integers (the
+character tables reduce its result mod p), integer eigenvalues are split
+off by synthetic division against a sound candidate set, the non-integral
+residual is split into squarefree parts by sympy, and cyclotomic numbers
+are kept in canonical form (reduced modulo the e-th cyclotomic polynomial)
+so equality and rationality tests are decidable.
 No floating point enters any code path.
 """
 
@@ -268,75 +270,26 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
 
 
 # ---------------------------------------------------------------------------
-# Squarefree structure of integer polynomials (for readable reports)
+# Squarefree parts of integer polynomials (for the residual factors in reports)
 # ---------------------------------------------------------------------------
 
-
-def _q_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _q_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            r[i + k] -= f * bc
-        _q_trim(r)
-    return q, r
-
-
-def _q_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _q_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _q_derivative(a: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(a)][1:]
-
-
-def _to_int_poly(a: Sequence[Fraction]) -> IntPolynomial:
-    assert all(c.denominator == 1 for c in a), "monic rational factor of an integer polynomial must be integral"
-    return IntPolynomial(tuple(int(c) for c in a))
-
-
-def _q_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    size = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(size)
-    ]
-    return _q_trim(out)
+_X = sympy.Symbol("x")
 
 
 def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
-    """Yun decomposition of a monic integer polynomial into squarefree parts."""
+    """Squarefree decomposition of a monic integer polynomial.
+
+    Returns (q_i, i) for every nonconstant part, ascending in i, so that p is
+    the product of the q_i^i with each q_i squarefree and the q_i pairwise
+    coprime. sympy's squarefree decomposition over ZZ does the work; by
+    Gauss's lemma the parts of a monic integer polynomial are monic.
+    """
     if not p.is_monic:
         raise ValueError("squarefree_factorization requires a monic polynomial")
-    a = [Fraction(c) for c in p.coeffs]
-    g = _q_gcd(a, _q_derivative(a))
-    b = _q_divmod(a, g)[0]
-    z = _q_sub(_q_divmod(_q_derivative(a), g)[0], _q_derivative(b))
-    out: list[tuple[IntPolynomial, int]] = []
-    i = 1
-    while len(b) > 1:
-        g = _q_gcd(b, z)
-        if len(g) > 1:
-            out.append((_to_int_poly(g), i))
-        b = _q_divmod(b, g)[0]
-        z = _q_sub(_q_divmod(z, g)[0], _q_derivative(b))
-        i += 1
-    return tuple(out)
+    _, parts = sympy.Poly(list(reversed(p.coeffs)), _X, domain="ZZ").sqf_list()
+    return tuple(
+        (IntPolynomial(tuple(int(c) for c in reversed(q.all_coeffs()))), m) for q, m in parts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +507,3 @@ class Cyclotomic:
                 base = "1" if m == 0 else (f"z{self.e}" if m == 1 else f"z{self.e}^{m}")
                 terms.append(f"{c}*{base}" if m else str(c))
         return " + ".join(terms)
-
-
-def galois_apply(c: Cyclotomic, h: int) -> Cyclotomic:
-    return c.galois(h)

@@ -68,9 +68,6 @@ class ConnectionFunction:
                 vals[x] = int(class_values[j])
         return cls(group, vals, part)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(g for g in self.group.elements() if self.values[g])
-
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.group.name}, {list(self.values)})"
 

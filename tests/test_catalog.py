@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cayint.catalog import (
+    DEFAULT_ELEMENT_CAP,
     ParamOutOfRange,
     ParseError,
     UnknownName,
@@ -99,6 +100,23 @@ class TestGroupFiles:
         path.write_text("group nope 5\nperms 3\n1 2 0\n1 0 2\n")
         with pytest.raises(ParseError):
             load_group(path)
+
+    def test_perm_closure_stops_past_declared_order(self, tmp_path):
+        path = tmp_path / "bad.grp"
+        # a 4-cycle and a transposition generate S4, not a group of order 3
+        path.write_text("group g 3\nperms 4\n1 2 3 0\n1 0 2 3\n")
+        with pytest.raises(ParseError) as err:
+            load_group(path)
+        assert err.value.line == 1
+        assert "exceeds the 3 elements" in str(err.value)
+
+    def test_declared_order_above_cap_rejected(self, tmp_path):
+        path = tmp_path / "big.grp"
+        path.write_text(f"group big {DEFAULT_ELEMENT_CAP + 1}\nperms 3\n1 2 0\n1 0 2\n")
+        with pytest.raises(ParseError) as err:
+            load_group(path)
+        assert err.value.line == 1
+        assert "element cap" in str(err.value)
 
     def test_malformed_row_length(self, tmp_path):
         path = tmp_path / "bad.grp"

@@ -64,10 +64,22 @@ class TestBuildGroup:
         with pytest.raises(NotAGroup):
             build_group([[0, 1], [1, 7]])
 
-    def test_large_group_uses_sampled_mode(self):
-        g = catalog("cyclic", 300)
-        assert g.validation == "sampled"
+    def test_large_group_validated_in_full(self):
+        assert catalog("cyclic", 300).validation == "full"
         assert catalog("cyclic", 12).validation == "full"
+
+    def test_large_non_associative_loop_rejected(self):
+        # Z2400 with one intercalate swapped: still a loop with two-sided
+        # inverses, but (1*2)*5 != 1*(2*5); random triples almost never see it
+        n = 2400
+        t = [[(a + b) % n for b in range(n)] for a in range(n)]
+        for r in (3, 1203):
+            t[r][5], t[r][1205] = t[r][1205], t[r][5]
+        assert t[t[1][2]][5] != t[1][t[2][5]]
+        with pytest.raises(NotAGroup) as err:
+            build_group(t)
+        a, b, c = err.value.witness
+        assert t[t[a][b]][c] != t[a][t[b][c]]
 
 
 class TestConjugacy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -142,6 +143,29 @@ class TestSquarefree:
     def test_squarefree_input(self):
         p = IntPolynomial((-12, 2, 1))
         assert squarefree_factorization(p) == ((p, 1),)
+
+    @given(
+        st.dictionaries(st.integers(-20, 20), st.integers(1, 3), max_size=4),
+        st.dictionaries(
+            st.integers(-30, 30).filter(lambda k: k < 0 or isqrt(k) ** 2 != k),
+            st.integers(1, 3),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_recovers_known_parts(self, roots, quads):
+        # distinct x - r and irreducible x^2 - k are squarefree and pairwise
+        # coprime, so the part of multiplicity i is the product of those given i
+        parts = {i: IntPolynomial((1,)) for i in (1, 2, 3)}
+        for r, i in roots.items():
+            parts[i] = parts[i] * IntPolynomial((-r, 1))
+        for k, i in quads.items():
+            parts[i] = parts[i] * IntPolynomial((-k, 0, 1))
+        p = IntPolynomial((1,))
+        for i, q in parts.items():
+            p = p * q**i
+        want = tuple((q, i) for i, q in parts.items() if q.degree > 0)
+        assert squarefree_factorization(p) == want
 
 
 class TestCyclotomic:
