@@ -21,7 +21,7 @@ from pathlib import Path
 import sympy
 
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
-from .linalg import Cyclotomic, IntMatrix, _context, charpoly
+from .linalg import Cyclotomic, IntMatrix, _context, charpoly_mod
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -201,7 +201,7 @@ def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list
                 if recon != imgs[j]:
                     raise VerificationFailed("class matrix does not stabilize a split subspace")
             # descending coefficients of the characteristic polynomial mod p
-            cp = [c % p for c in reversed(charpoly(IntMatrix.from_rows(restr)).coeffs)]
+            cp = list(reversed(charpoly_mod(IntMatrix.from_rows(restr), p)))
             found = 0
             for lam in range(p):
                 acc = 0

@@ -399,6 +399,10 @@ def _cci_structural(g: FiniteGroup) -> bool:
 
 _SCHEDULE_HEAD = (1, 3, 7, 4, 5, 8, 2, 6, 9)
 
+# Largest order whose CCI witness search runs: each candidate is an |G| x |G|
+# characteristic polynomial, and S5 (order 120) is the largest the audit needs.
+CCI_WITNESS_MAX_ORDER = 120
+
 
 def _deterministic_values() -> itertools.chain:
     return itertools.chain(_SCHEDULE_HEAD, itertools.count(10))
@@ -412,6 +416,7 @@ class CciReport:
     witness_residual: str | None = None
     candidates_tried: int = 0
     seed: str | None = None
+    skipped: tuple[str, ...] = ()
     discrepancies: tuple[str, ...] = ()
 
 
@@ -427,6 +432,7 @@ def cci_report(
     2-group. Witness route (only when some conjugacy class exceeds an
     inverse pair, so symmetric non-class functions exist): a deterministic
     colour schedule over inverse pairs first, then seeded random colours.
+    The witness route is skipped, and says so, above CCI_WITNESS_MAX_ORDER.
     """
     structural = _cci_structural(g)
 
@@ -437,7 +443,12 @@ def cci_report(
     witness_vals = witness_res = None
     tried = 0
     seed_used = None
-    if trigger:
+    skipped: list[str] = []
+    if trigger and g.n > CCI_WITNESS_MAX_ORDER:
+        skipped.append(
+            f"CCI witness search skipped: |G|={g.n} exceeds cap {CCI_WITNESS_MAX_ORDER}"
+        )
+    elif trigger:
         pairs = _inverse_pairs(g)
 
         def try_candidate(values_per_pair: list[int]) -> bool:
@@ -478,6 +489,7 @@ def cci_report(
         witness_residual=witness_res,
         candidates_tried=tried,
         seed=seed_used,
+        skipped=tuple(skipped),
         discrepancies=tuple(disagreements),
     )
 
@@ -722,6 +734,7 @@ def classify_group(
     nci = nci_report(g, part, table=table, survey=survey, caps=caps)
     fcci = fcci_report(g, part, caps=caps, seed=seed)
     cci = cci_report(g, part, caps=caps, seed=seed)
+    caps_notes.extend(cci.skipped)
     ci = ci_report(g, part, caps=caps, seed=seed)
 
     gamma_all: bool | None = None

@@ -1,12 +1,14 @@
 """Exact linear algebra over the integers and the cyclotomic fields Q(zeta_e).
 
-Everything here is symbolic: characteristic polynomials come from a
-division-free Berkowitz recurrence on arbitrary-precision integers (the
-character tables reduce its result mod p), integer eigenvalues are split
-off by synthetic division against a sound candidate set, the non-integral
-residual is split into squarefree parts by sympy, and cyclotomic numbers
-are kept in canonical form (reduced modulo the e-th cyclotomic polynomial)
-so equality and rationality tests are decidable.
+Everything here is exact: characteristic polynomials come from one
+multi-modular kernel (Hessenberg reduction modulo word-size primes in
+batched int64 numpy arrays, with every product kept below 2^63), lifted to
+the integers by the Chinese remainder theorem under Hadamard's bound; the
+character tables call the same kernel on their own prime. Integer
+eigenvalues are split off by synthetic division against a sound candidate
+set, the non-integral residual is split into squarefree parts by sympy, and
+cyclotomic numbers are kept in canonical form (reduced modulo the e-th
+cyclotomic polynomial) so equality and rationality tests are decidable.
 No floating point enters any code path.
 """
 
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul as _mul
 from typing import Iterable, Sequence
 
+import numpy as np
 import sympy
 
 
@@ -147,36 +150,153 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - M), by Berkowitz.
+# Word-size primes for the multi-modular kernel. Below 2^26 every product of
+# two residues fits in 52 bits; the prime limit also keeps n * p^2 < 2^63, so
+# a dot product of n such products cannot overflow int64.
+_PRIME_CAP = 2**26
+_INT64 = 2**63
+_CHUNK = 4  # primes per batched (k, n, n) stack; bounds the work arrays
+_PRIMES: dict[int, list[int]] = {}  # prime limit -> primes below it, descending
 
-    The recurrence extends the characteristic vector of each leading
-    principal submatrix by a lower-triangular Toeplitz multiply whose
-    column entries are -R A^j S for the new border row R and column S.
-    Division-free, so all intermediates stay integers.
+
+def _primes_beyond(limit: int, bound: int) -> tuple[list[int], int]:
+    """The fewest largest primes below `limit` whose product exceeds `bound`."""
+    cached = _PRIMES.setdefault(limit, [])
+    primes: list[int] = []
+    modulus = 1
+    while modulus <= bound:
+        if len(primes) == len(cached):
+            cached.append(sympy.prevprime(cached[-1] if cached else limit))
+        primes.append(cached[len(primes)])
+        modulus *= primes[-1]
+    return primes, modulus
+
+
+def _charpoly_stack(a: np.ndarray, ps: np.ndarray, prod: np.ndarray, polys: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials of a (k, n, n) int64 stack, a[i] reduced mod ps[i].
+
+    Reduces every a[i] to upper Hessenberg form by similarity mod ps[i]
+    (pivot: the first nonzero entry below the subdiagonal, swapped into
+    place by row and column; an all-zero column is left as it is), then
+    runs the Hessenberg recurrence for the leading principal charpolys p_m.
+    `a` is overwritten; `prod` (k, n, n) and `polys` (k, n+1, n+1) are work
+    buffers. Returns (k, n+1) ascending coefficients, each in [0, ps[i]).
+    Every intermediate is below n * p^2 < 2^63 in magnitude.
+    """
+    k, n, _ = a.shape
+    plist = ps.tolist()
+    pcol = ps.reshape(k, 1)
+    pmat = ps.reshape(k, 1, 1)
+    for j in range(n - 2):
+        pivots = a[:, j + 1, j].tolist()
+        if not all(pivots):
+            nonzero = a[:, j + 1 :, j] != 0
+            below = nonzero.argmax(axis=1) + (j + 1)
+            for i in np.flatnonzero(nonzero.any(axis=1) & (below != j + 1)).tolist():
+                r = int(below[i])
+                a[i, [j + 1, r], :] = a[i, [r, j + 1], :]
+                a[i, :, [j + 1, r]] = a[i, :, [r, j + 1]]
+            pivots = a[:, j + 1, j].tolist()
+        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivots, plist)], dtype=np.int64)
+        mult = a[:, j + 2 :, j] * inv[:, None]
+        mult %= pcol
+        # row i -= mult_i * row (j+1) for every i > j+1, which zeroes column j below j+1
+        lower = a[:, j + 2 :, j:]
+        step = prod[:, : n - j - 2, : n - j]
+        np.multiply(mult[:, :, None], a[:, j + 1 : j + 2, j:], out=step)
+        np.subtract(lower, step, out=lower)
+        np.remainder(lower, pmat, out=lower)
+        # the inverse column operation: column (j+1) += sum_i mult_i * column i
+        column = a[:, :, j + 1]
+        column += np.matmul(a[:, :, j + 2 :], mult[:, :, None])[:, :, 0]
+        column %= pcol
+    # p_m = x p_(m-1) - sum_(i<=m) h_im t_i p_(i-1), where t_i is the product of
+    # the subdiagonal entries h_(i+1,i) ... h_(m,m-1), kept incrementally (t_m = 1)
+    polys.fill(0)
+    polys[:, 0, 0] = 1
+    suffix = np.ones((k, n), dtype=np.int64)
+    for m in range(1, n + 1):
+        if m > 1:
+            tail = suffix[:, : m - 1]
+            tail *= a[:, m - 1, m - 2 : m - 1]
+            tail %= pcol
+        weights = a[:, :m, m - 1] * suffix[:, :m]
+        weights %= pcol
+        cur = polys[:, m, : m + 1]
+        cur[:, 1:] = polys[:, m - 1, :m]
+        cur[:, :m] -= np.matmul(weights[:, None, :], polys[:, :m, :m])[:, 0, :]
+        np.remainder(cur, pcol, out=cur)
+    return polys[:, n, :]
+
+
+def charpoly(m: IntMatrix) -> IntPolynomial:
+    """Exact monic characteristic polynomial det(xI - M), by multi-modular
+    Hessenberg reduction and the Chinese remainder theorem.
+
+    Bound: with r_i the ceiling of the Euclidean norm of row i, Hadamard's
+    inequality on the principal minors gives |c_k| <= e_k(r) <= B =
+    prod(1 + r_i) for every coefficient c_k. The kernel runs modulo the
+    fewest primes below 2^26 whose product exceeds 2B, taken in descending
+    order, in int64 stacks of a few primes at a time (see `_charpoly_stack`),
+    and the residues are lifted by CRT into the symmetric range. Overflow:
+    the prime limit is chosen from n so that n * p^2 < 2^63, which bounds
+    every int64 dot product. Entries that may reach 2^62 in magnitude are
+    reduced mod each prime with Python integers first. No float is used.
     """
     rows = m.entries
     n = m.n
     if n == 0:
         return IntPolynomial((1,))
-    # c holds coefficients of the leading r x r charpoly, descending powers.
-    c = [1, -rows[0][0]]
-    for r in range(1, n):
-        border = rows[r]
-        t = [1, -border[r]]
-        u = [rows[i][r] for i in range(r)]
-        for _ in range(r - 1):
-            # map/zip truncate at len(u) == r, giving the leading-submatrix action
-            t.append(-sum(map(_mul, border, u)))
-            u = [sum(map(_mul, rows[i], u)) for i in range(r)]
-        t.append(-sum(map(_mul, border, u)))
-        out = [0] * (r + 2)
-        for j, cj in enumerate(c):
-            if cj:
-                for i in range(min(len(t), r + 2 - j)):
-                    out[i + j] += t[i] * cj
-        c = out
-    return IntPolynomial(tuple(reversed(c)))
+    bound, max_sq = 1, 0
+    for row in rows:
+        sq = sum(map(_mul, row, row))
+        r = isqrt(sq)
+        bound *= 1 + r + (r * r != sq)
+        max_sq = max(max_sq, sq)
+    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
+    assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
+    if max_sq < 2**124:  # then every entry is below 2^62 in magnitude
+        entries = np.array(rows, dtype=np.int64)
+    else:
+        entries = np.array(rows, dtype=object)
+    chunk = min(_CHUNK, len(primes))
+    work = np.empty((chunk, n, n), dtype=np.int64)
+    prod = np.empty((chunk, n, n), dtype=np.int64)
+    polys = np.empty((chunk, n + 1, n + 1), dtype=np.int64)
+    residues: list[list[int]] = []
+    for start in range(0, len(primes), chunk):
+        ps = np.array(primes[start : start + chunk], dtype=np.int64)
+        k = len(ps)
+        a = work[:k]
+        if entries.dtype == object:
+            for i, p in enumerate(ps.tolist()):
+                a[i] = (entries % p).astype(np.int64)
+        else:
+            np.remainder(entries, ps.reshape(k, 1, 1), out=a)
+        residues.extend(_charpoly_stack(a, ps, prod[:k], polys[:k]).tolist())
+    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
+    coeffs = []
+    for column in zip(*residues):
+        c = sum(map(_mul, column, basis)) % modulus
+        coeffs.append(c - modulus if c > half else c)
+    return IntPolynomial(tuple(coeffs))
+
+
+def charpoly_mod(m: IntMatrix, p: int) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - M) modulo a prime p, each in [0, p).
+
+    Same kernel as `charpoly`, on one prime; p must be below 2^26 and satisfy
+    n * p^2 < 2^63.
+    """
+    n = m.n
+    if not (1 < p < _PRIME_CAP and n * p * p < _INT64):
+        raise ValueError(f"modulus {p} outside the int64 kernel's range for n={n}")
+    ps = np.array([p], dtype=np.int64)
+    a = np.array([[x % p for x in row] for row in m.entries], dtype=np.int64).reshape(1, n, n)
+    prod = np.empty((1, n, n), dtype=np.int64)
+    polys = np.empty((1, n + 1, n + 1), dtype=np.int64)
+    return tuple(_charpoly_stack(a, ps, prod, polys)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -233,7 +353,8 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
     candidates are every integer in [-bound, bound]; otherwise the divisors
     of the constant term, capped by the Cauchy root bound. Both candidate
     sets provably contain every integer root, so the residual is certified
-    to have none.
+    to have none. Candidates that do not divide the current constant term
+    are skipped without a division.
     """
     if not p.is_monic:
         raise ValueError("integer_spectrum requires a monic polynomial")
@@ -250,7 +371,8 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
             cauchy = 1 + max(abs(c) for c in work.coeffs)
             candidates = _divisor_candidates(work.coeffs[0], cauchy)
         for r in candidates:
-            if r == 0:
+            # an integer root divides the constant term, nonzero once zero roots are gone
+            if r == 0 or work.coeffs[0] % r:
                 continue
             while work.degree > 0:
                 q, rem = work.shift_root(r)

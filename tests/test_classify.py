@@ -166,6 +166,18 @@ class TestCci:
         f = ConnectionFunction(groups["Dic12"], rep.witness_values)
         assert not spectrum_matrix(groups["Dic12"], f).is_integral
 
+    def test_witness_search_capped_above_order_120(self, monkeypatch):
+        def no_charpoly(m):
+            raise AssertionError(f"charpoly of a {m.n}x{m.n} matrix ran")
+
+        monkeypatch.setattr("cayint.spectra.charpoly", no_charpoly)
+        g = catalog("dihedral", 61)
+        report = classify_group(g, Caps(chartable=100))  # the table is slow and not needed here
+        note = "CCI witness search skipped: |G|=122 exceeds cap 120"
+        assert report.cci.skipped == (note,)
+        assert note in report.caps_notes
+        assert report.cci.candidates_tried == 0 and report.cci.witness_values is None
+
     def test_shipped_alpha_accepted_as_witness(self, groups):
         # the shipped fixture is itself a valid non-integrality witness
         from cayint.linalg import IntPolynomial

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import sympy
+from conftest import SMALL_CATALOG
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import berkowitz, integer_roots_scan
 
+from cayint.chartable import _find_prime, class_matrices
 from cayint.linalg import (
     Cyclotomic,
     IntMatrix,
@@ -17,11 +21,13 @@ from cayint.linalg import (
     NotAUnit,
     NotRational,
     charpoly,
+    charpoly_mod,
     cyclotomic_polynomial,
     euler_phi,
     integer_spectrum,
     squarefree_factorization,
 )
+from cayint.spectra import ConnectionFunction, adjacency
 
 
 def circulant(n: int, offsets: set[int]) -> IntMatrix:
@@ -87,6 +93,108 @@ class TestCharpoly:
         assert p.coeffs[0] == (-1) ** n * det
 
 
+# the multi-modular kernel's first prime: the largest prime below 2^26
+FIRST_PRIME = sympy.prevprime(2**26)
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+def square_matrices(max_n: int):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def block_diagonal(*blocks: list[list[int]]) -> list[list[int]]:
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(row)] = row
+        at += len(b)
+    return rows
+
+
+def _edge_matrices() -> list[list[list[int]]]:
+    rng = random.Random(7)
+    out = []
+    for n in (1, 2, 3, 5, 8, 12):
+        # strictly triangular: every pivot column is zero
+        out.append([[rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)])
+        out.append([[rng.randint(-9, 9) if j < i else 0 for j in range(n)] for i in range(n)])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        # multiples of the first prime vanish under it, but not under the others
+        out.append([[FIRST_PRIME * rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        out.append(
+            [[FIRST_PRIME * rng.randint(-3, 3) + (i == j) for j in range(n)] for i in range(n)]
+        )
+    out.append(block_diagonal([[0, 1], [1, 0]], [[0]], [[2, 3, 0], [0, 0, 1], [5, 0, 0]]))
+    out.append(block_diagonal([[0] * 3] * 3, [[1, 2], [3, 4]], [[0] * 2] * 2))
+    out.append(block_diagonal([[7]], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[-7]]))
+    return out
+
+
+class TestCharpolyAgainstBerkowitz:
+    """The multi-modular kernel must equal the Berkowitz oracle exactly."""
+
+    @given(square_matrices(12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_signed_matrices(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert charpoly(m) == berkowitz(m)
+
+    @pytest.mark.parametrize("rows", _edge_matrices())
+    def test_zero_pivots_and_prime_multiples(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert charpoly(m) == berkowitz(m)
+
+    @pytest.mark.parametrize("d", [1, 3, 2**20, 2**61, 2**62, 2**100])
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_scalar_matrix_meets_the_bound(self, n, d):
+        # every coefficient of (x - d)^n reaches its Hadamard bound binom(n, k) d^k
+        for s in (d, -d):
+            m = IntMatrix.from_rows([[s if i == j else 0 for j in range(n)] for i in range(n)])
+            assert charpoly(m) == IntPolynomial((-s, 1)) ** n == berkowitz(m)
+
+    def test_colour_functions_on_small_catalog(self, groups):
+        rng = random.Random(2024)
+        for label, _ in SMALL_CATALOG:
+            g = groups[label]
+            for symmetric in (True, False):
+                vals = [rng.randint(-9, 9) for _ in g.elements()]
+                if symmetric:
+                    vals = [vals[min(x, g.inv[x])] for x in g.elements()]
+                m = adjacency(g, ConnectionFunction(g, vals))
+                assert charpoly(m) == berkowitz(m), (label, vals)
+
+    @given(square_matrices(10), st.sampled_from([7, 13, 97, 65537, 999983]))
+    @settings(max_examples=80, deadline=None)
+    def test_mod_p_kernel(self, rows, p):
+        m = IntMatrix.from_rows(rows)
+        assert charpoly_mod(m, p) == tuple(c % p for c in berkowitz(m).coeffs)
+
+    def test_mod_p_kernel_on_class_matrices(self, groups, partitions):
+        # the prime and the matrices the character tables split eigenspaces with
+        for label, g in groups.items():
+            p = _find_prime(g.exponent(), g.n, 1_000_000)
+            for mat in class_matrices(g, partitions[label]):
+                m = IntMatrix.from_rows(mat)
+                assert charpoly_mod(m, p) == tuple(c % p for c in berkowitz(m).coeffs)
+
+    def test_mod_p_rejects_unsafe_modulus(self):
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError):
+            charpoly_mod(m, 2**26 + 15)
+
+
 class TestIntegerSpectrum:
     def test_alpha_shaped_polynomial(self):
         # oracle: exact 6x6 charpoly of the S3 alpha adjacency matrix
@@ -132,6 +240,40 @@ class TestIntegerSpectrum:
     def test_requires_monic(self):
         with pytest.raises(ValueError):
             integer_spectrum(IntPolynomial((1, 2)))
+
+    @given(
+        st.lists(st.integers(min_value=-40, max_value=40), max_size=6),
+        st.lists(
+            st.tuples(st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20)),
+            max_size=2,
+        ),
+        st.integers(min_value=40, max_value=2000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_large_bound_matches_unfiltered_scan(self, roots, quads, bound):
+        p = IntPolynomial((1,))
+        for r in roots:
+            p = p * IntPolynomial((-r, 1))
+        for b, c in quads:
+            p = p * IntPolynomial((c, b, 1))
+        rep = integer_spectrum(p, bound=bound)
+        assert rep.integer_eigenvalues == integer_roots_scan(p, bound)
+        assert rep.reconstruct() == p
+
+    def test_gershgorin_bound_far_above_the_roots(self):
+        # a bound of 20000 against roots of size at most 360: most candidates
+        # do not divide the constant term and are skipped
+        p = (
+            IntPolynomial((-360, 1))
+            * IntPolynomial((360, 1))
+            * (IntPolynomial((-1, 1)) ** 3)
+            * IntPolynomial((0, 1))
+            * IntPolynomial((-7, 0, 1))
+        )
+        rep = integer_spectrum(p, bound=20000)
+        assert rep.integer_eigenvalues == integer_roots_scan(p, 20000)
+        assert rep.integer_eigenvalues == ((360, 1), (1, 3), (0, 1), (-360, 1))
+        assert rep.residual == IntPolynomial((-7, 0, 1))
 
 
 class TestSquarefree:
