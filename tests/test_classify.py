@@ -302,6 +302,15 @@ class TestAudit:
         assert any("Q8xZ3" in f and "disagreement" in f for f in audit.findings)
         assert audit.exit_code == 3
 
+    def test_json_matches_golden(self, audit):
+        # serialised exactly as `cayint audit --seed 0 --format json` writes it
+        import json
+        from pathlib import Path
+
+        text = json.dumps({"command": "audit", **audit.to_dict()}, indent=2, sort_keys=True) + "\n"
+        golden = Path(__file__).parent / "golden" / "audit_seed_0.json"
+        assert text == golden.read_text(encoding="utf-8")
+
     def test_fixture_notes_present(self, audit):
         assert any("alpha" in n and "-12" in n for n in audit.notes)
         assert any("beta" in n for n in audit.notes)

@@ -4,6 +4,8 @@ The files under `tests/golden/` were written by the command lines below.
 Any change to a verdict, witness, count, residual factor or key order
 shows up here as a byte difference. Regenerate a file only when its change
 is intended, with the same command line and `--out tests/golden/<name>.json`.
+`audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
+in `tests/test_classify.py::TestAudit`, which already holds that audit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ CASES = {
     "classify_a4": (["classify", "--catalog", "a4", "--seed", "0"], 0),
     "classify_cyclic_12": (["classify", "--catalog", "cyclic", "12", "--seed", "0"], 0),
     "classify_z2z4_1_1": (["classify", "--catalog", "z2z4", "1", "1", "--seed", "0"], 0),
+    # CI brute force in sampled mode
+    "classify_dihedral_7": (["classify", "--catalog", "dihedral", "7", "--seed", "0"], 0),
+    # every size-capped route skipped
+    "classify_dihedral_13": (["classify", "--catalog", "dihedral", "13", "--seed", "0"], 0),
     "spectrum_alpha": (["spectrum", "--fixture", "alpha"], 1),
     "spectrum_beta": (["spectrum", "--fixture", "beta"], 1),
 }
