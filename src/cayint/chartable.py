@@ -25,7 +25,7 @@ from .linalg import Cyclotomic, IntMatrix, _context, charpoly_mod
 
 
 class PrimeSearchFailed(RuntimeError):
-    """No usable prime found below the configured bound."""
+    """No usable prime found below PRIME_BOUND."""
 
 
 class VerificationFailed(RuntimeError):
@@ -36,7 +36,10 @@ class GaloisMismatch(RuntimeError):
     """Bug guard: a Galois-twisted row disagreed with the power-mapped row."""
 
 
+# The one character-table cap: `character_table` refuses larger groups and
+# `classify_group` skips the table above it (CLI `--cap-chartable`).
 DEFAULT_ORDER_CAP = 2000
+PRIME_BOUND = 1_000_000  # the prime search gives up above this
 
 
 @dataclass(frozen=True)
@@ -326,7 +329,6 @@ def character_table(
     part: ConjugacyPartition | None = None,
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
-    prime_bound: int = 1_000_000,
 ) -> CharacterTable:
     """Exact character table; deterministic for a given group."""
     if g.n > order_cap:
@@ -334,7 +336,7 @@ def character_table(
     part = part or conjugacy_classes(g)
     k = part.k
     e = g.exponent()
-    p = _find_prime(e, g.n, prime_bound)
+    p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
     mats = class_matrices(g, part)
     mats_p = [[[v % p for v in row] for row in m] for m in mats]

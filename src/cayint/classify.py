@@ -4,6 +4,17 @@ Every predicate that admits several independent computations runs them all
 and records each one; a disagreement between routes is never resolved
 silently but surfaces as a report entry. Negative verdicts always carry a
 concrete re-checkable witness (an element, a colour function, or a set).
+
+`classify_group` builds the conjugacy partition, the character table and
+the normal-set survey once and hands them to the routes that read them.
+The survey is the only enumeration of 0/1 functions on real classes: NCI
+reads its spectra as they are, and FCCI reads them with the identity on or
+off. Adding 1 at the identity turns the adjacency matrix A into A + I,
+which shifts every eigenvalue by 1 and so keeps integrality; the 2^r
+functions FCCI needs therefore have the spectra of the survey's 2^(r-1).
+
+Work limits are module constants. A route above its limit is skipped, and
+the skip is written into the report's `skipped` and `caps_notes`.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from typing import Iterator
 
 from .catalog import catalog
 from .chartable import (
+    DEFAULT_ORDER_CAP,
     CharacterTable,
     character_table,
     chi_plus_conj_integral,
@@ -40,24 +52,18 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Work limits; routes above a cap are skipped and say so."""
-
-    chartable: int = 2000
-    normal_exhaustive: int = 24      # exhaustive normal-set enumeration
-    fcci_spectral: int = 24          # matrix-route sampling of class functions
-    fcci_exhaustive_classes: int = 12
-    fcci_samples: int = 200
-    ci_exhaustive: int = 12
-    ci_sampled: int = 24
-    ci_samples: int = 1000
-    subset_budget: int = 2**16
-    witness_budget: int = 500
-    product_order: int = 48
-
-
-DEFAULT_CAPS = Caps()
+# Work limits. Each spectrum below is an |G| x |G| characteristic polynomial.
+SURVEY_MAX_ORDER = 24            # normal-set survey: 2^(r-1) spectra; NCI and FCCI read it
+FCCI_EXHAUSTIVE_MAX_ORBITS = 12  # FCCI reads the whole survey up to this many real classes
+FCCI_SAMPLES = 200               # seeded integer class functions above it
+CI_EXHAUSTIVE_MAX_ORDER = 12     # every inverse-closed set (at most 2^11)
+CI_SAMPLED_MAX_ORDER = 24
+CI_SAMPLES = 1000
+CCI_WITNESS_BUDGET = 500         # candidates in the CCI witness search
+# Largest order whose CCI witness search runs: S5 (order 120) is the largest
+# the audit needs.
+CCI_WITNESS_MAX_ORDER = 120
+PRODUCT_MAX_ORDER = 48           # direct products in the audit's closure checks
 
 ALLOWED_ORDERS = {1, 2, 3, 4, 6}
 
@@ -164,8 +170,9 @@ class NormalSetSurvey:
     def all_integral(self) -> bool:
         return all(r.integral for r in self.rows)
 
-    def first_non_integral(self) -> NormalSetRow | None:
-        return next((r for r in self.rows if not r.integral), None)
+    def first_non_integral(self) -> int | None:
+        """Index of the first non-integral row, in ascending mask order."""
+        return next((i for i, r in enumerate(self.rows) if not r.integral), None)
 
 
 def normal_set_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
@@ -208,36 +215,32 @@ class NciReport:
 def nci_report(
     g: FiniteGroup,
     part: ConjugacyPartition,
-    table: CharacterTable | None = None,
-    survey: NormalSetSurvey | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    table: CharacterTable | None,
+    survey: NormalSetSurvey | None,
 ) -> NciReport:
     """Normal-Cayley integrality by three routes: the atom/class scan, the
-    character-sum scan, and (small groups) exhaustive normal-set spectra."""
+    character-sum scan over `table`, and the exhaustive normal-set spectra
+    of `survey`. A `None` table or survey was not built because the group
+    is above its cap, and its route is skipped; the missing table is noted
+    by the caller, which also uses it for other checks."""
     route1, failing = is_inverse_semi_rational(g, part)
     skipped: list[str] = []
 
     route2: bool | None = None
-    if table is None and g.n <= caps.chartable:
-        table = character_table(g, part, order_cap=caps.chartable)
     if table is not None:
         route2 = all(all(row) for row in chi_plus_conj_integral(table))
-    else:
-        skipped.append(f"character route skipped: |G|={g.n} exceeds cap {caps.chartable}")
 
     route3: bool | None = None
     witness_set = None
-    if g.n <= caps.normal_exhaustive:
-        if survey is None:
-            survey = normal_set_survey(g, part)
+    if survey is not None:
         route3 = survey.all_integral
         bad = survey.first_non_integral()
         if bad is not None:
             witness_set = tuple(
-                x for j in bad.class_indices for x in part.classes[j]
+                x for j in survey.rows[bad].class_indices for x in part.classes[j]
             )
     else:
-        skipped.append(f"exhaustive route skipped: |G|={g.n} exceeds cap {caps.normal_exhaustive}")
+        skipped.append(f"exhaustive route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}")
 
     disagreements = []
     for name, other in (("characters", route2), ("exhaustive", route3)):
@@ -276,7 +279,7 @@ class FcciReport:
 def fcci_report(
     g: FiniteGroup,
     part: ConjugacyPartition,
-    caps: Caps = DEFAULT_CAPS,
+    survey: NormalSetSurvey | None,
     seed: int = 0,
 ) -> FcciReport:
     """Integrality of every integer symmetric class function, three ways.
@@ -284,9 +287,19 @@ def fcci_report(
     Route "orders": every element order lies in {1, 2, 3, 4, 6}. Route
     "criterion": every unit power map fixes each real class setwise, which
     is equivalent to f^h = f for every integer symmetric class function f.
-    Route "spectra": matrix-route spectra of 0/1 class functions on real
-    classes, exhaustive when few enough, else random samples. The criterion
-    route is the primary verdict; disagreements are recorded, not resolved.
+    Route "spectra": the 0/1 functions on real classes, read off `survey`
+    when there are at most FCCI_EXHAUSTIVE_MAX_ORBITS real classes, else
+    FCCI_SAMPLES seeded integer class functions; skipped when `survey` is
+    `None` (the group is above SURVEY_MAX_ORDER). The criterion route is
+    the primary verdict; disagreements are recorded, not resolved.
+
+    Reading the survey is exact. Mask bit 0 is the identity's real class
+    and bits 1 and up are the survey's mask, so masks 2i and 2i + 1 are
+    survey row i without and with the identity. With the identity the
+    adjacency matrix is A + I, whose eigenvalues are those of A plus 1, so
+    both masks are integral exactly when row i is. In ascending mask order
+    the first non-integral function is mask 2i for the first non-integral
+    row i, after 2i + 1 spectra.
     """
     route_a = all(o in ALLOWED_ORDERS for o in g.ord)
     order_witness = None if route_a else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
@@ -309,41 +322,35 @@ def fcci_report(
     route_c: bool | None = None
     mode, count, witness, seed_used = "skipped", 0, None, None
     skipped: list[str] = []
-    if g.n <= caps.fcci_spectral:
-        orbits = list(part.real_classes)
-        if len(orbits) <= caps.fcci_exhaustive_classes:
-            mode = "exhaustive"
-            route_c = True
-            for chosen in _subsets(orbits):
-                class_values = [0] * part.k
-                for orbit in chosen:
-                    for j in orbit:
-                        class_values[j] = 1
-                f = ConnectionFunction.from_class_values(g, part, class_values)
-                count += 1
-                if not spectrum_matrix(g, f).is_integral:
-                    route_c = False
-                    witness = f.values
-                    break
+    if survey is None:
+        skipped.append(f"spectral route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}")
+    elif len(part.real_classes) <= FCCI_EXHAUSTIVE_MAX_ORBITS:
+        mode = "exhaustive"
+        route_c = survey.all_integral
+        bad = survey.first_non_integral()
+        if bad is None:
+            count = 2 * len(survey.rows)
         else:
-            mode = "sampled"
-            seed_used = f"{seed}:{g.name}:fcci"
-            rng = random.Random(seed_used)
-            route_c = True
-            for _ in range(caps.fcci_samples):
-                class_values = [0] * part.k
-                for orbit in orbits:
-                    v = rng.randint(-9, 9)
-                    for j in orbit:
-                        class_values[j] = v
-                f = ConnectionFunction.from_class_values(g, part, class_values)
-                count += 1
-                if not spectrum_matrix(g, f).is_integral:
-                    route_c = False
-                    witness = f.values
-                    break
+            count = 2 * bad + 1
+            on = set(survey.rows[bad].class_indices)
+            witness = tuple(int(part.class_of[x] in on) for x in g.elements())
     else:
-        skipped.append(f"spectral route skipped: |G|={g.n} exceeds cap {caps.fcci_spectral}")
+        mode = "sampled"
+        seed_used = f"{seed}:{g.name}:fcci"
+        rng = random.Random(seed_used)
+        route_c = True
+        for _ in range(FCCI_SAMPLES):
+            class_values = [0] * part.k
+            for orbit in part.real_classes:
+                v = rng.randint(-9, 9)
+                for j in orbit:
+                    class_values[j] = v
+            f = ConnectionFunction.from_class_values(g, part, class_values)
+            count += 1
+            if not spectrum_matrix(g, f).is_integral:
+                route_c = False
+                witness = f.values
+                break
 
     disagreements = []
     if route_a != route_b:
@@ -399,10 +406,6 @@ def _cci_structural(g: FiniteGroup) -> bool:
 
 _SCHEDULE_HEAD = (1, 3, 7, 4, 5, 8, 2, 6, 9)
 
-# Largest order whose CCI witness search runs: each candidate is an |G| x |G|
-# characteristic polynomial, and S5 (order 120) is the largest the audit needs.
-CCI_WITNESS_MAX_ORDER = 120
-
 
 def _deterministic_values() -> itertools.chain:
     return itertools.chain(_SCHEDULE_HEAD, itertools.count(10))
@@ -420,12 +423,7 @@ class CciReport:
     discrepancies: tuple[str, ...] = ()
 
 
-def cci_report(
-    g: FiniteGroup,
-    part: ConjugacyPartition,
-    caps: Caps = DEFAULT_CAPS,
-    seed: int = 0,
-) -> CciReport:
+def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciReport:
     """Integrality of every integer symmetric colour function.
 
     Structural route: abelian of exponent dividing 6 or 4, or a Hamiltonian
@@ -473,7 +471,7 @@ def cci_report(
         if not found:
             seed_used = f"{seed}:{g.name}:cci"
             rng = random.Random(seed_used)
-            while tried < caps.witness_budget:
+            while tried < CCI_WITNESS_BUDGET:
                 if try_candidate([rng.randint(0, 9) for _ in pairs]):
                     break
 
@@ -515,12 +513,7 @@ def _is_dic12_shape(g: FiniteGroup) -> bool:
     return g.n == 12 and not g.is_abelian() and sum(1 for o in g.ord if o == 2) == 1
 
 
-def ci_report(
-    g: FiniteGroup,
-    part: ConjugacyPartition,
-    caps: Caps = DEFAULT_CAPS,
-    seed: int = 0,
-) -> CiReport:
+def ci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CiReport:
     """Integrality of every Cayley graph: structural recognizers plus a
     brute-force sweep over inverse-closed connection sets (exhaustive for
     small groups, sampled up to the sampling cap)."""
@@ -544,18 +537,18 @@ def ci_report(
                 return False
         return True
 
-    if g.n <= caps.ci_exhaustive and (1 << len(pairs)) <= caps.subset_budget:
+    if g.n <= CI_EXHAUSTIVE_MAX_ORDER:
         mode = "exhaustive"
         brute = check_subsets(_subsets(pairs))
-    elif g.n <= caps.ci_sampled:
+    elif g.n <= CI_SAMPLED_MAX_ORDER:
         mode = "sampled"
         seed_used = f"{seed}:{g.name}:ci"
         rng = random.Random(seed_used)
         brute = check_subsets(
-            [p for p in pairs if rng.random() < 0.5] for _ in range(caps.ci_samples)
+            [p for p in pairs if rng.random() < 0.5] for _ in range(CI_SAMPLES)
         )
     else:
-        skipped.append(f"brute force skipped: |G|={g.n} exceeds cap {caps.ci_sampled}")
+        skipped.append(f"brute force skipped: |G|={g.n} exceeds cap {CI_SAMPLED_MAX_ORDER}")
 
     disagreements = []
     if brute is not None and brute != structural:
@@ -717,25 +710,29 @@ class ClassificationReport:
 
 
 def classify_group(
-    g: FiniteGroup, caps: Caps = DEFAULT_CAPS, seed: int = 0
+    g: FiniteGroup, chartable_cap: int = DEFAULT_ORDER_CAP, seed: int = 0
 ) -> ClassificationReport:
+    """Every predicate and route on one group. The partition, the character
+    table (up to `chartable_cap`) and the normal-set survey (up to
+    SURVEY_MAX_ORDER) are built once here; every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
     table: CharacterTable | None = None
     caps_notes: list[str] = []
-    if g.n <= caps.chartable:
-        table = character_table(g, part, order_cap=caps.chartable)
+    if g.n <= chartable_cap:
+        table = character_table(g, part, order_cap=chartable_cap)
     else:
-        caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {caps.chartable}")
+        caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 
-    survey = normal_set_survey(g, part) if g.n <= caps.normal_exhaustive else None
+    survey = normal_set_survey(g, part) if g.n <= SURVEY_MAX_ORDER else None
 
     rat, rat_wit = is_rational(g, part)
     semi, r_map, semi_wit = is_semi_rational(g, part)
-    nci = nci_report(g, part, table=table, survey=survey, caps=caps)
-    fcci = fcci_report(g, part, caps=caps, seed=seed)
-    cci = cci_report(g, part, caps=caps, seed=seed)
-    caps_notes.extend(cci.skipped)
-    ci = ci_report(g, part, caps=caps, seed=seed)
+    nci = nci_report(g, part, table, survey)
+    fcci = fcci_report(g, part, survey, seed=seed)
+    cci = cci_report(g, part, seed=seed)
+    ci = ci_report(g, part, seed=seed)
+    for route in (nci, fcci, cci, ci):
+        caps_notes.extend(route.skipped)
 
     gamma_all: bool | None = None
     if table is not None:
@@ -882,7 +879,7 @@ def _fixture_notes() -> tuple[list[str], list[str]]:
 
 def hierarchy_audit(
     groups: list[FiniteGroup] | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    chartable_cap: int = DEFAULT_ORDER_CAP,
     seed: int = 0,
 ) -> AuditReport:
     """Classify a catalog and check the structural implications over it.
@@ -895,7 +892,7 @@ def hierarchy_audit(
     """
     if groups is None:
         groups = default_suite_groups()
-    reports = [classify_group(g, caps=caps, seed=seed) for g in groups]
+    reports = [classify_group(g, chartable_cap=chartable_cap, seed=seed) for g in groups]
 
     chain_violations = []
     for rep in reports:
@@ -952,7 +949,7 @@ def hierarchy_audit(
     for ra in rational_reports:
         for rb in nci_reports:
             ga, gb = by_name[ra.name], by_name[rb.name]
-            if ga.n * gb.n <= caps.product_order:
+            if ga.n * gb.n <= PRODUCT_MAX_ORDER:
                 prod = direct_product(ga, gb)
                 ok = is_inverse_semi_rational(prod, conjugacy_classes(prod))[0]
                 closure_checks.append(f"product {prod.name} (order {prod.n})")

@@ -8,6 +8,12 @@ give byte-identical structured output.
 
 Exit codes: spectrum 0 = integral, 1 = not integral; audit 0 = no findings,
 3 = findings; 2 = usage or data error anywhere.
+
+The one work limit on the command line is `--cap-chartable` (default
+2000): `chartable` refuses a larger group, and `classify` and `audit` skip
+its character table, with a note. Every other limit is a constant in
+`cayint.classify`; a route above its limit is skipped and noted in the
+report's `caps_notes`.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from .catalog import ParamOutOfRange, ParseError, UnknownName, load_group, resolve_group
-from .chartable import character_table, save_table
-from .classify import Caps, DEFAULT_CAPS, classify_group, default_suite_groups, hierarchy_audit
+from .chartable import DEFAULT_ORDER_CAP, character_table, save_table
+from .classify import classify_group, default_suite_groups, hierarchy_audit
 from .groups import FiniteGroup, NotAGroup, conjugacy_classes
 from .linalg import SpectrumReport
 from .spectra import (
@@ -32,19 +37,6 @@ from .spectra import (
 )
 
 FIXTURE_GROUPS = {"alpha": "s3", "beta": "dicyclic12"}
-
-def _caps_from(args: argparse.Namespace) -> Caps:
-    caps = DEFAULT_CAPS
-    overrides = {
-        "chartable": args.cap_chartable,
-        "normal_exhaustive": args.cap_exhaustive,
-        "fcci_spectral": args.cap_spectral,
-        "witness_budget": args.witness_budget,
-    }
-    for field_name, value in overrides.items():
-        if value is not None:
-            caps = replace(caps, **{field_name: value})
-    return caps
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,7 +161,7 @@ def _classify_text(doc: dict) -> str:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
-    report = classify_group(g, caps=_caps_from(args), seed=args.seed)
+    report = classify_group(g, chartable_cap=args.cap_chartable, seed=args.seed)
     doc = report.to_dict()
     if args.format == "json":
         _emit(json.dumps({"command": "classify", **doc}, indent=2, sort_keys=True), args.out)
@@ -180,8 +172,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_chartable(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
-    caps = _caps_from(args)
-    table = character_table(g, order_cap=caps.chartable)
+    table = character_table(g, order_cap=args.cap_chartable)
     if args.save:
         save_table(table, args.save)
     if args.format == "json":
@@ -219,7 +210,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         groups = default_suite_groups()
     else:
         raise ParamOutOfRange(f"unknown suite {args.suite!r}; only 'default' is built in")
-    audit = hierarchy_audit(groups, caps=_caps_from(args), seed=args.seed)
+    audit = hierarchy_audit(groups, chartable_cap=args.cap_chartable, seed=args.seed)
     if args.format == "json":
         _emit(json.dumps({"command": "audit", **audit.to_dict()}, indent=2, sort_keys=True), args.out)
         return audit.exit_code
@@ -261,10 +252,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized searches")
-    p.add_argument("--cap-chartable", type=int, default=None)
-    p.add_argument("--cap-exhaustive", type=int, default=None)
-    p.add_argument("--cap-spectral", type=int, default=None)
-    p.add_argument("--witness-budget", type=int, default=None)
+    p.add_argument(
+        "--cap-chartable",
+        type=int,
+        default=DEFAULT_ORDER_CAP,
+        metavar="N",
+        help="largest group order that gets a character table (default: %(default)s)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

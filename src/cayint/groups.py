@@ -83,16 +83,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, n={self.n})"
 
 
-def _relabel(table: list[list[int]], perm: list[int]) -> list[list[int]]:
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        pa = perm[a]
-        for b in range(n):
-            out[pa][perm[b]] = perm[table[a][b]]
-    return out
-
-
 def _generating_set(arr: np.ndarray) -> list[int]:
     """Greedy generators: each element outside the closure so far (under
     right multiplication by the generators, from the identity) joins them."""
@@ -137,55 +127,62 @@ def build_group(table: list[list[int]] | tuple, name: str = "G") -> FiniteGroup:
 
     Every axiom is checked exactly at every order; associativity by Light's
     test over a generating set, recorded on the group as validation "full".
-    The identity is relocated to index 0 if found elsewhere.
+    The identity is relocated to index 0 if found elsewhere. The searches
+    run in numpy on one int32 copy of the table; each failure names the
+    first violating element, as a scan in index order would.
     """
-    rows = [list(map(int, row)) for row in table]
-    n = len(rows)
+    n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
-    for g, row in enumerate(rows):
+    for g, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup("table is not square", (g, len(row), n))
-        for h, v in enumerate(row):
-            if not 0 <= v < n:
-                raise NotAGroup("entry out of range", (g, h, v))
+        if min(row) < 0 or max(row) >= n:
+            h = next(h for h, v in enumerate(row) if not 0 <= v < n)
+            raise NotAGroup("entry out of range", (g, h, int(row[h])))
+    arr = np.array(table, dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)
 
-    ident = None
-    idx = list(range(n))
-    for e in range(n):
-        if rows[e] == idx and all(rows[x][e] == x for x in range(n)):
-            ident = e
-            break
-    if ident is None:
+    two_sided = (arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NotAGroup("no two-sided identity")
+    ident = int(np.argmax(two_sided))
     if ident != 0:
-        perm = idx[:]
+        # swap labels 0 and ident: the relabelled product of perm[a], perm[b] is perm[a b]
+        perm = idx.copy()
         perm[0], perm[ident] = ident, 0
-        rows = _relabel(rows, perm)
+        arr = perm[arr[np.ix_(perm, perm)]]
 
-    inv = [-1] * n
-    for g in range(n):
-        h = next((h for h in range(n) if rows[g][h] == 0), None)
-        if h is None or rows[h][g] != 0:
-            raise NotAGroup("missing two-sided inverse", (g,))
-        inv[g] = h
+    is_e = arr == 0
+    inv = np.argmax(is_e, axis=1)  # the first h with g h = e
+    good = is_e.any(axis=1) & (arr[inv, idx] == 0)
+    if not good.all():
+        raise NotAGroup("missing two-sided inverse", (int(np.argmin(good)),))
 
-    witness = _check_associativity(np.array(rows, dtype=np.int32))
+    witness = _check_associativity(arr)
     if witness is not None:
         raise NotAGroup("associativity fails", witness)
 
-    ord_map = [0] * n
-    for g in range(n):
-        k, x = 1, g
-        while x != 0:
-            x = rows[x][g]
-            k += 1
-        ord_map[g] = k
-        if n % k != 0:
-            raise NotAGroup("element order does not divide group order", (g, k))
+    # x holds g^k for every g at once; an element stays live until its power is e
+    ords = np.ones(n, dtype=np.int64)
+    x, live = idx, idx != 0
+    while live.any():
+        x = arr[x, idx]
+        ords += live
+        live &= x != 0
+    bad = n % ords != 0
+    if bad.any():
+        g = int(np.argmax(bad))
+        raise NotAGroup("element order does not divide group order", (g, int(ords[g])))
 
+    # the caller's int objects are shared when no relabelling was needed
+    rows = table if ident == 0 else arr.tolist()
     return FiniteGroup(
-        tuple(tuple(r) for r in rows), tuple(inv), tuple(ord_map), name, "full"
+        tuple(tuple(map(int, row)) for row in rows),
+        tuple(inv.tolist()),
+        tuple(ords.tolist()),
+        name,
+        "full",
     )
 
 

@@ -2,14 +2,18 @@
 
 `berkowitz` is the division-free Berkowitz recurrence on Python integers that
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
-is `integer_spectrum`'s candidate scan without the divisibility filter.
+is `integer_spectrum`'s candidate scan without the divisibility filter;
+`fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
+it was read off the normal-set survey.
 """
 
 from __future__ import annotations
 
 from operator import mul as _mul
 
+from cayint.groups import ConjugacyPartition, FiniteGroup
 from cayint.linalg import IntMatrix, IntPolynomial
+from cayint.spectra import ConnectionFunction, spectrum_matrix
 
 
 def berkowitz(m: IntMatrix) -> IntPolynomial:
@@ -57,3 +61,22 @@ def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], .
             work = q
             found[r] = found.get(r, 0) + 1
     return tuple(sorted(found.items(), key=lambda kv: -kv[0]))
+
+
+def fcci_spectra_direct(
+    g: FiniteGroup, part: ConjugacyPartition
+) -> tuple[bool, int, tuple[int, ...] | None]:
+    """Every 0/1 function on real classes, the identity's included, by
+    ascending bitmask (bit i selects `part.real_classes[i]`), until the first
+    non-integral spectrum: (all integral, spectra computed, that function)."""
+    orbits = part.real_classes
+    for take in range(1 << len(orbits)):
+        class_values = [0] * part.k
+        for i, orbit in enumerate(orbits):
+            if take >> i & 1:
+                for j in orbit:
+                    class_values[j] = 1
+        f = ConnectionFunction.from_class_values(g, part, class_values)
+        if not spectrum_matrix(g, f).is_integral:
+            return False, take + 1, f.values
+    return True, 1 << len(orbits), None

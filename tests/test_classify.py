@@ -6,7 +6,6 @@ import pytest
 
 from cayint.catalog import catalog
 from cayint.classify import (
-    Caps,
     cci_report,
     ci_report,
     classify_group,
@@ -22,6 +21,9 @@ from cayint.classify import (
 )
 from cayint.groups import conjugacy_classes, direct_product
 from cayint.spectra import ConnectionFunction, spectrum_matrix
+
+from conftest import SMALL_CATALOG
+from oracle import fcci_spectra_direct
 
 
 class TestRationalityPredicates:
@@ -105,32 +107,49 @@ class TestNci:
 class TestFcci:
     def test_elementary(self, partitions, groups):
         g = catalog("z2z3", 2, 1)
-        rep = fcci_report(g, conjugacy_classes(g))
+        part = conjugacy_classes(g)
+        rep = fcci_report(g, part, normal_set_survey(g, part))
         assert rep.verdict and rep.route_orders and rep.route_criterion
         assert rep.route_spectra and rep.spectra_mode == "exhaustive"
 
-    def test_a4(self, groups, partitions):
-        rep = fcci_report(groups["A4"], partitions["A4"])
+    def test_a4(self, groups, partitions, surveys):
+        rep = fcci_report(groups["A4"], partitions["A4"], surveys["A4"])
         assert rep.verdict and rep.route_orders and not rep.discrepancies
 
-    def test_z12_fails_everywhere(self, groups, partitions):
-        rep = fcci_report(groups["Z12"], partitions["Z12"])
+    def test_z12_fails_everywhere(self, groups, partitions, surveys):
+        rep = fcci_report(groups["Z12"], partitions["Z12"], surveys["Z12"])
         assert not rep.verdict
         assert not rep.route_orders and not rep.route_criterion
         assert rep.route_spectra is False
         assert rep.order_witness is not None
         assert rep.criterion_witness is not None
 
-    def test_q8z3_route_disagreement_is_a_finding(self, groups, partitions):
+    def test_q8z3_route_disagreement_is_a_finding(self, groups, partitions, surveys):
         # the probe computes, it does not assume: orders route and criterion
         # route genuinely disagree here and both are reported
-        rep = fcci_report(groups["Q8xZ3"], partitions["Q8xZ3"])
+        rep = fcci_report(groups["Q8xZ3"], partitions["Q8xZ3"], surveys["Q8xZ3"])
         assert not rep.route_orders
         assert rep.route_criterion
         assert rep.route_spectra is not None  # exhaustive run happened
         assert rep.spectra_mode == "exhaustive" and rep.spectra_count == 1024
         assert rep.route_spectra == rep.route_criterion
         assert any("disagreement" in d for d in rep.discrepancies)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [(name, *params) for _, (name, params) in SMALL_CATALOG]
+    + [("dihedral", 5), ("dihedral", 6), ("dihedral", 7), ("z2z3", 1, 1)],
+    ids=lambda t: " ".join(map(str, t)),
+)
+def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
+    # the survey reading against all 2^r spectra, run one by one
+    g = catalog(*tokens)
+    part = conjugacy_classes(g)
+    rep = fcci_report(g, part, normal_set_survey(g, part))
+    assert rep.spectra_mode == "exhaustive"
+    route, count, witness = fcci_spectra_direct(g, part)
+    assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
 
 
 class TestCci:
@@ -172,7 +191,7 @@ class TestCci:
 
         monkeypatch.setattr("cayint.spectra.charpoly", no_charpoly)
         g = catalog("dihedral", 61)
-        report = classify_group(g, Caps(chartable=100))  # the table is slow and not needed here
+        report = classify_group(g, chartable_cap=100)  # the table is slow and not needed here
         note = "CCI witness search skipped: |G|=122 exceeds cap 120"
         assert report.cci.skipped == (note,)
         assert note in report.caps_notes
@@ -276,6 +295,16 @@ class TestClassificationReport:
         doc = classify_group(groups["S3"]).to_dict()
         json.dumps(doc)  # must be JSON-clean
         assert doc["verdicts"]["ci"] is True
+
+    def test_every_skip_reaches_caps_notes(self):
+        rep = classify_group(catalog("dihedral", 13))
+        assert rep.caps_notes == (
+            "exhaustive route skipped: |G|=26 exceeds cap 24",
+            "spectral route skipped: |G|=26 exceeds cap 24",
+            "brute force skipped: |G|=26 exceeds cap 24",
+        )
+        assert rep.nci.route_exhaustive is None and rep.fcci.route_spectra is None
+        assert rep.ci.brute is None
 
     def test_negative_verdicts_carry_witnesses(self, groups):
         rep = classify_group(groups["Z12"])

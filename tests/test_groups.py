@@ -38,7 +38,8 @@ class TestBuildGroup:
         # Z3 with identity at index 2
         g = build_group([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
         assert g.table[0] == (0, 1, 2)
-        assert g.ord[0] == 1
+        assert g.ord == (1, 3, 3)
+        assert g.table[1][g.inv[1]] == 0 == g.table[2][g.inv[2]]
 
     def test_non_associative_rejected(self):
         # latin square with two-sided identity that is not a group table
@@ -57,12 +58,46 @@ class TestBuildGroup:
         assert t[t[a][b]][c] != t[a][t[b][c]]
 
     def test_missing_inverse_rejected(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup) as err:
             build_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        assert (err.value.reason, err.value.witness) == ("missing two-sided inverse", (1,))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup) as err:
             build_group([[0, 1], [1, 7]])
+        assert (err.value.reason, err.value.witness) == ("entry out of range", (1, 1, 7))
+
+    @pytest.mark.parametrize(
+        "table, reason, witness",
+        [
+            ([], "empty table", None),
+            ([[0, 1], [1]], "table is not square", (1, 1, 2)),
+            ([[0, -1, 0], [3], [0, 0, 0]], "entry out of range", (0, 1, -1)),
+            ([[1, 0], [0, 0]], "no two-sided identity", None),
+            ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], "missing two-sided inverse", (1,)),
+        ],
+    )
+    def test_rejection_reason_and_witness(self, table, reason, witness):
+        with pytest.raises(NotAGroup) as err:
+            build_group(table)
+        assert (err.value.reason, err.value.witness) == (reason, witness)
+
+    def test_element_order_check_backs_up_associativity(self, monkeypatch):
+        # A loop passes every other check; with Light's test switched off the
+        # order check still rejects it, since 1 * 1 = 0 gives an element of
+        # order 2 in a table of order 5.
+        monkeypatch.setattr("cayint.groups._check_associativity", lambda arr: None)
+        table = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(NotAGroup) as err:
+            build_group(table)
+        assert err.value.reason == "element order does not divide group order"
+        assert err.value.witness == (1, 2)
 
     def test_large_group_validated_in_full(self):
         assert catalog("cyclic", 300).validation == "full"
