@@ -6,15 +6,13 @@ silently but surfaces as a report entry. Negative verdicts always carry a
 concrete re-checkable witness (an element, a colour function, or a set).
 
 `classify_group` builds the conjugacy partition, the character table and
-the normal-set survey once and hands them to the routes that read them.
-The survey is the only enumeration of 0/1 functions on real classes: NCI
-reads its spectra as they are, and FCCI reads them with the identity on or
-off. Adding 1 at the identity turns the adjacency matrix A into A + I,
-which shifts every eigenvalue by 1 and so keeps integrality; the 2^r
-functions FCCI needs therefore have the spectra of the survey's 2^(r-1).
+the normal-set survey once and hands them to the routes. The survey is the
+only enumeration of 0/1 functions on real classes: NCI reads its spectra,
+and FCCI reads them again with 1 added at the identity, which turns the
+adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
 
-Work limits are module constants. A route above its limit is skipped, and
-the skip is written into the report's `skipped` and `caps_notes`.
+Work limits are module constants; a route above its limit is skipped and
+says so in its report's `skipped` and in `caps_notes`.
 """
 
 from __future__ import annotations

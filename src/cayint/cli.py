@@ -10,10 +10,10 @@ Exit codes: spectrum 0 = integral, 1 = not integral; audit 0 = no findings,
 3 = findings; 2 = usage or data error anywhere.
 
 The one work limit on the command line is `--cap-chartable` (default
-2000): `chartable` refuses a larger group, and `classify` and `audit` skip
-its character table, with a note. Every other limit is a constant in
-`cayint.classify`; a route above its limit is skipped and noted in the
-report's `caps_notes`.
+`chartable.DEFAULT_ORDER_CAP`): `chartable` refuses a larger group, and
+`classify` and `audit` skip its character table, with a note. Every other
+limit is a constant in `cayint.classify`; a route above its limit is
+skipped and noted in the report's `caps_notes`.
 """
 
 from __future__ import annotations
