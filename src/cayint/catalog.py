@@ -22,6 +22,8 @@ from __future__ import annotations
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
+
 from .groups import FiniteGroup, build_group, direct_product
 
 DEFAULT_ELEMENT_CAP = 5040
@@ -43,39 +45,33 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _rotation_parts(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For x = i + m*j (j in {0, 1}) in 0..n-1, x down and y = k + m*l
+    across: the int32 arrays i ± k (+ when j = 0) and j + l."""
+    x = np.arange(n, dtype=np.int32)
+    i, j = x % m, x // m
+    return i[:, None] + (1 - 2 * j)[:, None] * i, j[:, None] + j
+
+
 def cyclic_group(m: int) -> FiniteGroup:
-    table = [[(a + b) % m for b in range(m)] for a in range(m)]
-    return build_group(table, name=f"Z{m}")
+    a = np.arange(m, dtype=np.int32)
+    return build_group((a[:, None] + a) % m, name=f"Z{m}")
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """<a, b | a^m = b^2 = 1, b a b = a^-1>, order 2m; index = i + m*j for a^i b^j."""
-    n = 2 * m
-
-    def mul(x: int, y: int) -> int:
-        i, j = x % m, x // m
-        k, l = y % m, y // m
-        return ((i + k) % m if j == 0 else (i - k) % m) + m * ((j + l) % 2)
-
-    return build_group([[mul(x, y) for y in range(n)] for x in range(n)], name=f"D{m}")
+    i2, j2 = _rotation_parts(2 * m, m)
+    return build_group(i2 % m + m * (j2 % 2), name=f"D{m}")
 
 
 def dicyclic_group(m: int) -> FiniteGroup:
     """<a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>, order 4m; index = i + 2m*j."""
     mm = 2 * m
-    n = 2 * mm
-
-    def mul(x: int, y: int) -> int:
-        i, j = x % mm, x // mm
-        k, l = y % mm, y // mm
-        i2 = (i + k) % mm if j == 0 else (i - k) % mm
-        j2 = j + l
-        if j2 == 2:
-            return (i2 + m) % mm
-        return i2 + mm * j2
-
+    i2, j2 = _rotation_parts(2 * mm, mm)
+    i2 %= mm
+    table = np.where(j2 == 2, (i2 + m) % mm, i2 + mm * j2)
     name = "Q8" if m == 2 else f"Dic{4 * m}"
-    return build_group([[mul(x, y) for y in range(n)] for x in range(n)], name=name)
+    return build_group(table, name=name)
 
 
 def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) -> FiniteGroup:
@@ -330,5 +326,5 @@ def load_group(path: str | Path) -> FiniteGroup:
 
 def save_group(g: FiniteGroup, path: str | Path) -> None:
     out = [f"group {g.name.replace(' ', '_')} {g.n}", "table"]
-    out.extend(" ".join(str(v) for v in row) for row in g.table)
+    out.extend(" ".join(map(str, row)) for row in g.table.tolist())
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import sympy
 
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
@@ -73,17 +74,11 @@ def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[i
     nonnegative integers.
     """
     k = part.k
-    reps = part.reps()
-    class_of = part.class_of
-    t, inv = g.table, g.inv
-    out = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i, cls in enumerate(part.classes):
-        mat = out[i]
-        for x in cls:
-            row = t[inv[x]]
-            for tt in range(k):
-                mat[class_of[row[reps[tt]]]][tt] += 1
-    return out
+    class_of = np.array(part.class_of)
+    # class of x^-1 rep_t, x down and t across; counted by (class of x, that class, t)
+    target = class_of[g.products(g.inv, part.reps())]
+    cells = (class_of[:, None] * k + target) * k + np.arange(k)
+    return np.bincount(cells.ravel(), minlength=k**3).reshape(k, k, k).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +257,8 @@ def _lift_value(
     o = g.ord[rep]
     theta_o = pow(theta, e // o, p)
     inv_o = pow(o, p - 2, p)
-    residues = []
-    x = 0
-    for _ in range(o):
-        residues.append(c_row[class_of[x]])
-        x = g.table[x][rep]
     # residues[s] = chi(rep^s) mod p, s = 0..o-1
+    residues = [c_row[class_of[x]] for x in g.powers(rep)]
     coeffs = [0] * _context(e).phi
     ctx = _context(e)
     for m in range(o):

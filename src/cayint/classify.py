@@ -376,16 +376,9 @@ def fcci_report(
 
 
 def _cyclic_subgroups_all_normal(g: FiniteGroup) -> bool:
-    t, inv = g.table, g.inv
-    for x in range(1, g.n):
-        powers = set()
-        y = x
-        while y != 0:
-            powers.add(y)
-            y = t[y][x]
-        if any(t[t[a][x]][inv[a]] not in powers for a in g.elements()):
-            return False
-    return True
+    """<x> is normal exactly when the conjugacy class of x lies inside it."""
+    part = conjugacy_classes(g)
+    return all(set(part.classes[part.class_of[x]]) <= set(g.powers(x)) for x in range(1, g.n))
 
 
 def is_hamiltonian_2_group(g: FiniteGroup) -> bool:
@@ -918,12 +911,9 @@ def hierarchy_audit(
                         f"center of inverse semi-rational {rep.name} is not inverse semi-rational"
                     )
         if rep.nci.verdict:
-            t, inv = g.table, g.inv
-            comm = {
-                t[t[a][b]][t[inv[a]][inv[b]]] for a in g.elements() for b in g.elements()
-            }
+            comm = g.commutators()
             subgroups = {"center": set(center(g))}
-            if comm != {0}:
+            if comm != (0,):
                 subgroups["derived"] = set(generated_subgroup(g, comm)[1])
             for label, sub in subgroups.items():
                 if 1 < len(sub) < g.n:

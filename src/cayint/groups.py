@@ -1,15 +1,27 @@
-"""Finite group engine on dense 0-based multiplication tables.
+"""Finite group engine on one dense multiplication table.
 
 Elements are indices 0..n-1 with 0 always the identity; every higher layer
 works with indices only. Groups are immutable after construction.
+
+The multiplication table has one representation: `FiniteGroup.table`, the
+read-only, C-contiguous (n, n) int32 array that `build_group` validates,
+with table[a, b] = a b. This module does every walk over it, as array
+code. `catalog` builds and saves tables; `spectra`, `chartable` and
+`classify` never read the table itself but ask for powers, products,
+conjugacy classes, centres and commutators here. Nothing returned from
+here is a numpy scalar: elements are Python ints, and the gathers that
+`spectra` and `chartable` need come back as int32 arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+_BLOCK_CELLS = 1 << 20  # cells per block of rows in the O(n^2) scans, so memory stays O(n)
 
 
 class NotAGroup(ValueError):
@@ -31,19 +43,25 @@ class NotNormal(ValueError):
 
 
 class FiniteGroup:
-    """Finite group as an n x n index table; identity is element 0."""
+    """Finite group on its multiplication table; identity is element 0.
+
+    `table` is the read-only, C-contiguous (n, n) int32 array of products,
+    table[a, b] = a b; it is the only copy of the product. `inv` and `ord`
+    are tuples of Python ints. Only `groups` and `catalog` read `table`;
+    every other module goes through the methods and functions of `groups`.
+    """
 
     __slots__ = ("n", "table", "inv", "ord", "name", "validation")
 
     def __init__(
         self,
-        table: tuple[tuple[int, ...], ...],
+        table: np.ndarray,
         inv: tuple[int, ...],
         ord_map: tuple[int, ...],
         name: str,
         validation: str,
     ):
-        self.n = len(table)
+        self.n = table.shape[0]
         self.table = table
         self.inv = inv
         self.ord = ord_map
@@ -51,23 +69,40 @@ class FiniteGroup:
         self.validation = validation
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table.item(a, b)
 
     def conjugate(self, x: int, g: int) -> int:
         """x g x^-1."""
         t = self.table
-        return t[t[x][g]][self.inv[x]]
+        return t.item(t.item(x, g), self.inv[x])
 
     def power(self, g: int, k: int) -> int:
         o = self.ord[g]
         k %= o
+        t = self.table
         acc, base = 0, g
         while k:
             if k & 1:
-                acc = self.table[acc][base]
-            base = self.table[base][base]
+                acc = t.item(acc, base)
+            base = t.item(base, base)
             k >>= 1
         return acc
+
+    def powers(self, g: int) -> tuple[int, ...]:
+        """g^0, g^1, ..., g^(o-1) for o the order of g."""
+        t = self.table
+        out, y = [0], g
+        while y:
+            out.append(y)
+            y = t.item(y, g)
+        return tuple(out)
+
+    def products(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """The int32 array of products r c, r in `rows` down, c in `cols` across."""
+        return self.table[np.ix_(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))]
+
+    def same_table(self, other: FiniteGroup) -> bool:
+        return np.array_equal(self.table, other.table)
 
     def elements(self) -> range:
         return range(self.n)
@@ -76,27 +111,48 @@ class FiniteGroup:
         return lcm(*self.ord) if self.n else 1
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.n) for b in range(a))
+        return len(center(self)) == self.n
+
+    def commutators(self) -> tuple[int, ...]:
+        """Every commutator a b a^-1 b^-1, ascending, each once."""
+        seen = np.zeros(self.n, dtype=bool)
+        for block in _commutators(self):
+            seen[block] = True
+        return tuple(np.flatnonzero(seen).tolist())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, n={self.n})"
 
 
-def _generating_set(arr: np.ndarray) -> list[int]:
-    """Greedy generators: each element outside the closure so far (under
-    right multiplication by the generators, from the identity) joins them."""
-    n = arr.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
+def _row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of 0..n-1 covering about _BLOCK_CELLS cells of rows `width` wide."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+def _closure(t: np.ndarray, gens: Sequence[int], inside: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the subgroup generated by `gens` and the members of `inside`
+    (default: the identity alone), which already holds a subgroup: its
+    closure under right multiplication by the generators."""
+    if inside is None:
+        inside = np.zeros(t.shape[0], dtype=bool)
+        inside[0] = True
+    frontier = np.flatnonzero(inside)
+    while frontier.size:
+        products = np.unique(t[np.ix_(frontier, gens)])
+        frontier = products[~inside[products]]
+        inside[frontier] = True
+    return inside
+
+
+def _generating_set(t: np.ndarray) -> list[int]:
+    """Greedy generators: each element outside the closure so far joins them."""
+    inside = _closure(t, [0])
     gens: list[int] = []
     while not inside.all():
         gens.append(int(np.argmin(inside)))
-        frontier = np.flatnonzero(inside)
-        while frontier.size:
-            products = np.unique(arr[np.ix_(frontier, gens)])
-            frontier = products[~inside[products]]
-            inside[frontier] = True
+        inside = _closure(t, gens, inside)
     return gens
 
 
@@ -108,39 +164,49 @@ def _check_associativity(arr: np.ndarray) -> tuple | None:
     product, so if they include a generating set they are everything.
     """
     n = arr.shape[0]
-    step = max(1, (1 << 20) // n)  # rows per chunk: about 2^20 cells, so memory stays O(n)
     for a in _generating_set(arr):
         col_a, row_a = arr[:, a], arr[a, :]
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
+        for rows in _row_blocks(n, n):
             left = arr[col_a[rows]]          # (x, y) -> (x a) y
             right = arr[rows][:, row_a]      # (x, y) -> x (a y)
             bad = np.argwhere(left != right)
             if bad.size:
                 x, y = map(int, bad[0])
-                return lo + x, a, y
+                return rows.start + x, a, y
     return None
 
 
-def build_group(table: list[list[int]] | tuple, name: str = "G") -> FiniteGroup:
+def _entry_error(table: Sequence[Sequence[int]], n: int) -> NotAGroup:
+    """The first row, in order, that is not n long or holds an entry outside 0..n-1."""
+    for g, row in enumerate(table):
+        if len(row) != n:
+            return NotAGroup("table is not square", (g, len(row), n))
+        bad = [h for h, v in enumerate(row) if not 0 <= v < n]
+        if bad:
+            return NotAGroup("entry out of range", (g, bad[0], int(row[bad[0]])))
+    raise AssertionError("no faulty row found")
+
+
+def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    Every axiom is checked exactly at every order; associativity by Light's
-    test over a generating set, recorded on the group as validation "full".
-    The identity is relocated to index 0 if found elsewhere. The searches
-    run in numpy on one int32 copy of the table; each failure names the
-    first violating element, as a scan in index order would.
+    `table` is a list of rows or an (n, n) integer array; an int32 array is
+    kept, not copied, and becomes read-only. Every axiom is checked exactly
+    at every order; associativity by Light's test over a generating set,
+    recorded on the group as validation "full". The identity is relocated
+    to index 0 if found elsewhere. Each failure names the first violating
+    element, as a scan in index order would.
     """
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
-    for g, row in enumerate(table):
-        if len(row) != n:
-            raise NotAGroup("table is not square", (g, len(row), n))
-        if min(row) < 0 or max(row) >= n:
-            h = next(h for h, v in enumerate(row) if not 0 <= v < n)
-            raise NotAGroup("entry out of range", (g, h, int(row[h])))
-    arr = np.array(table, dtype=np.int32)
+    try:
+        arr = np.asarray(table)
+    except ValueError:  # ragged rows
+        raise _entry_error(table, n) from None
+    if arr.shape != (n, n) or not ((arr >= 0) & (arr < n)).all():
+        raise _entry_error(table, n)
+    arr = np.ascontiguousarray(arr, dtype=np.int32)
     idx = np.arange(n, dtype=np.int32)
 
     two_sided = (arr == idx).all(axis=1) & (arr == idx[:, None]).all(axis=0)
@@ -175,15 +241,8 @@ def build_group(table: list[list[int]] | tuple, name: str = "G") -> FiniteGroup:
         g = int(np.argmax(bad))
         raise NotAGroup("element order does not divide group order", (g, int(ords[g])))
 
-    # the caller's int objects are shared when no relabelling was needed
-    rows = table if ident == 0 else arr.tolist()
-    return FiniteGroup(
-        tuple(tuple(map(int, row)) for row in rows),
-        tuple(inv.tolist()),
-        tuple(ords.tolist()),
-        name,
-        "full",
-    )
+    arr.flags.writeable = False
+    return FiniteGroup(arr, tuple(inv.tolist()), tuple(ords.tolist()), name, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +271,18 @@ class ConjugacyPartition:
 
 
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
-    n, t, inv = g.n, g.table, g.inv
+    n, t = g.n, g.table
+    inv = np.asarray(g.inv, dtype=np.intp)
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for a in range(n):
         if class_of[a] >= 0:
             continue
-        orbit = sorted({t[t[x][a]][inv[x]] for x in range(n)})
-        idx = len(classes)
+        orbit = np.unique(t[t[:, a], inv]).tolist()  # x a x^-1 for every x
         for y in orbit:
-            class_of[y] = idx
+            class_of[y] = len(classes)
         classes.append(tuple(orbit))
-    inverse_class = tuple(class_of[inv[c[0]]] for c in classes)
+    inverse_class = tuple(class_of[g.inv[c[0]]] for c in classes)
     seen = [False] * len(classes)
     real: list[tuple[int, ...]] = []
     for j in range(len(classes)):
@@ -244,8 +303,9 @@ class Atom:
 
 
 def atom(g: FiniteGroup, x: int) -> Atom:
-    o = g.ord[x]
-    members = sorted({g.power(x, k) for k in range(1, o + 1) if gcd(k, o) == 1})
+    powers = g.powers(x)
+    o = len(powers)
+    members = sorted({powers[k % o] for k in range(1, o + 1) if gcd(k, o) == 1})
     return Atom(x, tuple(members))
 
 
@@ -276,88 +336,87 @@ def generated_subgroup(g: FiniteGroup, gens: list[int] | set[int]) -> tuple[Fini
     """
     if not gens:
         raise ValueError("generating set must be nonempty")
-    t = g.table
-    elems = {0} | set(gens)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for a in list(elems):
-            for b in frontier:
-                for p in (t[a][b], t[b][a]):
-                    if p not in elems:
-                        elems.add(p)
-                        fresh.append(p)
-        frontier = fresh
-    order = sorted(elems)
-    pos = {e: i for i, e in enumerate(order)}
-    sub = [[pos[t[a][b]] for b in order] for a in order]
-    return build_group(sub, name=f"<{len(gens)} gens in {g.name}>"), tuple(order)
+    order = np.flatnonzero(_closure(g.table, sorted(set(gens))))
+    pos = np.zeros(g.n, dtype=np.int32)
+    pos[order] = np.arange(order.size, dtype=np.int32)
+    sub = pos[g.products(order, order)]
+    return build_group(sub, name=f"<{len(gens)} gens in {g.name}>"), tuple(order.tolist())
 
 
 def center(g: FiniteGroup) -> tuple[int, ...]:
     t = g.table
-    return tuple(z for z in g.elements() if all(t[z][x] == t[x][z] for x in g.elements()))
+    return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+
+
+def _first_escape(members: list[int], n: int, blocks: Iterable[tuple[slice, np.ndarray]]) -> tuple | None:
+    """The first (row, column) whose entry lies outside `members`, over row
+    blocks in order, as (row index, column index, entry); None if none."""
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    for rows, block in blocks:
+        bad = np.argwhere(~inside[block])
+        if bad.size:
+            i, j = map(int, bad[0])
+            return rows.start + i, j, int(block[i, j])
+    return None
 
 
 def _check_subgroup(g: FiniteGroup, members: frozenset[int]) -> None:
     if 0 not in members:
         raise NotAGroup("subset does not contain the identity")
-    t = g.table
-    for a in members:
-        for b in members:
-            if t[a][b] not in members:
-                raise NotAGroup("subset is not closed", (a, b, t[a][b]))
+    m = list(members)
+    escape = _first_escape(m, g.n, [(slice(0, len(m)), g.products(m, m))])
+    if escape is not None:
+        i, j, p = escape
+        raise NotAGroup("subset is not closed", (m[i], m[j], p))
 
 
 def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None = None) -> FiniteGroup:
     """Quotient by a normal subgroup; cosets are labelled by their least member."""
     members = frozenset(normal)
     _check_subgroup(g, members)
-    t, inv = g.table, g.inv
-    for x in g.elements():
-        for a in members:
-            y = t[t[x][a]][inv[x]]
-            if y not in members:
-                raise NotNormal((x, a, y))
-    coset_rep: dict[int, int] = {}
-    reps: list[int] = []
-    for x in g.elements():
-        if x in coset_rep:
-            continue
-        coset = sorted(t[x][a] for a in members)
-        for y in coset:
-            coset_rep[y] = coset[0]
-        reps.append(coset[0])
-    reps.sort()
-    pos = {r: i for i, r in enumerate(reps)}
-    table = [[pos[coset_rep[t[a][b]]] for b in reps] for a in reps]
-    return build_group(table, name=name or f"{g.name}/N{len(members)}")
+    m = list(members)
+    t = g.table
+    inv = np.asarray(g.inv, dtype=np.intp)
+    conjugates = (  # x a x^-1, x down and a across
+        (rows, t[t[rows][:, m], inv[rows, None]]) for rows in _row_blocks(g.n, len(m))
+    )
+    escape = _first_escape(m, g.n, conjugates)
+    if escape is not None:
+        x, j, y = escape
+        raise NotNormal((x, m[j], y))
+    # x lies in its coset x N, so the least of x N labels x
+    coset_rep = np.concatenate([t[rows][:, m].min(axis=1) for rows in _row_blocks(g.n, len(m))])
+    reps = np.unique(coset_rep)
+    pos = np.zeros(g.n, dtype=np.int32)
+    pos[reps] = np.arange(reps.size, dtype=np.int32)
+    return build_group(pos[coset_rep[g.products(reps, reps)]], name=name or f"{g.name}/N{len(members)}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Componentwise product on pairs, encoded as i*|b| + j."""
-    nb = b.n
-    ta, tb = a.table, b.table
-    table = [
-        [ta[i][k] * nb + tb[j][l] for k in range(a.n) for l in range(nb)]
-        for i in range(a.n)
-        for j in range(nb)
-    ]
-    return build_group(table, name=name or f"{a.name}x{b.name}")
+    n = a.n * b.n
+    table = a.table[:, None, :, None] * b.n + b.table[None, :, None, :]
+    return build_group(table.reshape(n, n), name=name or f"{a.name}x{b.name}")
+
+
+def _commutators(g: FiniteGroup) -> Iterator[np.ndarray]:
+    """The commutators z x z^-1 x^-1, z down and x across, in blocks of rows z."""
+    t = g.table
+    inv = np.asarray(g.inv, dtype=np.intp)
+    for rows in _row_blocks(g.n, g.n):
+        yield t[t[rows], t[inv[rows]][:, inv]]
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:
     """Upper central series reaches the whole group."""
-    t, inv = g.table, g.inv
-    current: set[int] = {0}
+    current = np.zeros(g.n, dtype=bool)
+    current[0] = True
     while True:
-        nxt = {
-            z
-            for z in g.elements()
-            if all(t[t[z][x]][t[inv[z]][inv[x]]] in current for x in g.elements())
-        }
-        if len(nxt) == g.n:
+        # z is central modulo the current term when every [z, x] lies in it
+        nxt = np.concatenate([current[block].all(axis=1) for block in _commutators(g)])
+        if nxt.all():
             return True
-        if nxt == current:
+        if (nxt == current).all():
             return False
         current = nxt

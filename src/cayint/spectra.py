@@ -16,6 +16,8 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .chartable import CharacterTable
 from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes
 from .linalg import Cyclotomic, IntMatrix, IntPolynomial, SpectrumReport, charpoly, integer_spectrum
@@ -86,10 +88,8 @@ class ConnectionSet:
                 raise ValueError(f"connection set is not inverse-closed at {s}")
         self.group = group
         self.elements = elems
-        t, inv = group.table, group.inv
-        self.normal = all(
-            t[t[x][s]][inv[x]] in elems for s in elems for x in group.elements()
-        )
+        part = part or conjugacy_classes(group)
+        self.normal = all(x in elems for s in elems for x in part.classes[part.class_of[s]])
         self.eulerian = eulerian_check(group, elems)[0]
 
     def delta(self) -> ConnectionFunction:
@@ -120,8 +120,8 @@ def eulerian_check(g: FiniteGroup, subset: Iterable[int]) -> tuple[bool, tuple[A
 
 def adjacency(g: FiniteGroup, f: ConnectionFunction) -> IntMatrix:
     """The matrix [f(a b^-1)] over all ordered pairs; symmetric iff f is."""
-    t, inv, vals = g.table, g.inv, f.values
-    return IntMatrix(tuple(tuple(vals[t[a][inv[b]]] for b in g.elements()) for a in g.elements()))
+    vals = np.array(f.values, dtype=object)
+    return IntMatrix(tuple(map(tuple, vals[g.products(g.elements(), g.inv)].tolist())))
 
 
 def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
@@ -143,7 +143,7 @@ def spectrum_characters(
     character chi, value (1/chi(1)) sum_g f(g) chi(g), multiplicity chi(1)^2."""
     if not f.class_function:
         raise NotAClassFunction("character-route spectrum needs a class function")
-    if table.group is not g and table.group.table != g.table:
+    if table.group is not g and not g.same_table(table.group):
         raise ValueError("character table does not belong to this group")
     part = table.partition
     sizes = part.sizes()

@@ -5,13 +5,17 @@
 is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
 it was read off the normal-set survey.
+
+The group-table oracles below are the scalar loops over a tuple-of-tuples
+table that the array code in `cayint.groups` replaced. Each reads the table
+as nested lists (`g.table.tolist()`) and otherwise runs as it did.
 """
 
 from __future__ import annotations
 
 from operator import mul as _mul
 
-from cayint.groups import ConjugacyPartition, FiniteGroup
+from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, build_group
 from cayint.linalg import IntMatrix, IntPolynomial
 from cayint.spectra import ConnectionFunction, spectrum_matrix
 
@@ -80,3 +84,202 @@ def fcci_spectra_direct(
         if not spectrum_matrix(g, f).is_integral:
             return False, take + 1, f.values
     return True, 1 << len(orbits), None
+
+
+# ---------------------------------------------------------------------------
+# Group-table loops
+# ---------------------------------------------------------------------------
+
+
+def cyclic_table(m: int) -> list[list[int]]:
+    return [[(a + b) % m for b in range(m)] for a in range(m)]
+
+
+def dihedral_table(m: int) -> list[list[int]]:
+    """<a, b | a^m = b^2 = 1, b a b = a^-1>, order 2m; index = i + m*j for a^i b^j."""
+    n = 2 * m
+
+    def mul(x: int, y: int) -> int:
+        i, j = x % m, x // m
+        k, l = y % m, y // m
+        return ((i + k) % m if j == 0 else (i - k) % m) + m * ((j + l) % 2)
+
+    return [[mul(x, y) for y in range(n)] for x in range(n)]
+
+
+def dicyclic_table(m: int) -> list[list[int]]:
+    """<a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>, order 4m; index = i + 2m*j."""
+    mm = 2 * m
+    n = 2 * mm
+
+    def mul(x: int, y: int) -> int:
+        i, j = x % mm, x // mm
+        k, l = y % mm, y // mm
+        i2 = (i + k) % mm if j == 0 else (i - k) % mm
+        j2 = j + l
+        if j2 == 2:
+            return (i2 + m) % mm
+        return i2 + mm * j2
+
+    return [[mul(x, y) for y in range(n)] for x in range(n)]
+
+
+def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
+    n, t, inv = g.n, g.table.tolist(), g.inv
+    class_of = [-1] * n
+    classes: list[tuple[int, ...]] = []
+    for a in range(n):
+        if class_of[a] >= 0:
+            continue
+        orbit = sorted({t[t[x][a]][inv[x]] for x in range(n)})
+        idx = len(classes)
+        for y in orbit:
+            class_of[y] = idx
+        classes.append(tuple(orbit))
+    inverse_class = tuple(class_of[inv[c[0]]] for c in classes)
+    seen = [False] * len(classes)
+    real: list[tuple[int, ...]] = []
+    for j in range(len(classes)):
+        if not seen[j]:
+            orbit_j = tuple(sorted({j, inverse_class[j]}))
+            for x in orbit_j:
+                seen[x] = True
+            real.append(orbit_j)
+    return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real))
+
+
+def is_abelian(g: FiniteGroup) -> bool:
+    t = g.table.tolist()
+    return all(t[a][b] == t[b][a] for a in range(g.n) for b in range(a))
+
+
+def center(g: FiniteGroup) -> tuple[int, ...]:
+    t = g.table.tolist()
+    return tuple(z for z in g.elements() if all(t[z][x] == t[x][z] for x in g.elements()))
+
+
+def generated_subgroup(g: FiniteGroup, gens: list[int] | set[int]) -> tuple[FiniteGroup, tuple[int, ...]]:
+    if not gens:
+        raise ValueError("generating set must be nonempty")
+    t = g.table.tolist()
+    elems = {0} | set(gens)
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for a in list(elems):
+            for b in frontier:
+                for p in (t[a][b], t[b][a]):
+                    if p not in elems:
+                        elems.add(p)
+                        fresh.append(p)
+        frontier = fresh
+    order = sorted(elems)
+    pos = {e: i for i, e in enumerate(order)}
+    sub = [[pos[t[a][b]] for b in order] for a in order]
+    return build_group(sub, name=f"<{len(gens)} gens in {g.name}>"), tuple(order)
+
+
+def _check_subgroup(g: FiniteGroup, members: frozenset[int]) -> None:
+    if 0 not in members:
+        raise NotAGroup("subset does not contain the identity")
+    t = g.table.tolist()
+    for a in members:
+        for b in members:
+            if t[a][b] not in members:
+                raise NotAGroup("subset is not closed", (a, b, t[a][b]))
+
+
+def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None = None) -> FiniteGroup:
+    members = frozenset(normal)
+    _check_subgroup(g, members)
+    t, inv = g.table.tolist(), g.inv
+    for x in g.elements():
+        for a in members:
+            y = t[t[x][a]][inv[x]]
+            if y not in members:
+                raise NotNormal((x, a, y))
+    coset_rep: dict[int, int] = {}
+    reps: list[int] = []
+    for x in g.elements():
+        if x in coset_rep:
+            continue
+        coset = sorted(t[x][a] for a in members)
+        for y in coset:
+            coset_rep[y] = coset[0]
+        reps.append(coset[0])
+    reps.sort()
+    pos = {r: i for i, r in enumerate(reps)}
+    table = [[pos[coset_rep[t[a][b]]] for b in reps] for a in reps]
+    return build_group(table, name=name or f"{g.name}/N{len(members)}")
+
+
+def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
+    nb = b.n
+    ta, tb = a.table.tolist(), b.table.tolist()
+    table = [
+        [ta[i][k] * nb + tb[j][l] for k in range(a.n) for l in range(nb)]
+        for i in range(a.n)
+        for j in range(nb)
+    ]
+    return build_group(table, name=name or f"{a.name}x{b.name}")
+
+
+def is_nilpotent(g: FiniteGroup) -> bool:
+    t, inv = g.table.tolist(), g.inv
+    current: set[int] = {0}
+    while True:
+        nxt = {
+            z
+            for z in g.elements()
+            if all(t[t[z][x]][t[inv[z]][inv[x]]] in current for x in g.elements())
+        }
+        if len(nxt) == g.n:
+            return True
+        if nxt == current:
+            return False
+        current = nxt
+
+
+def commutators(g: FiniteGroup) -> set[int]:
+    """The commutator set of `hierarchy_audit`'s derived-subgroup check."""
+    t, inv = g.table.tolist(), g.inv
+    return {t[t[a][b]][t[inv[a]][inv[b]]] for a in g.elements() for b in g.elements()}
+
+
+def is_normal_set(g: FiniteGroup, elems: frozenset[int]) -> bool:
+    """`ConnectionSet.normal`: every conjugate of every member is a member."""
+    t, inv = g.table.tolist(), g.inv
+    return all(t[t[x][s]][inv[x]] in elems for s in elems for x in g.elements())
+
+
+def cyclic_subgroups_all_normal(g: FiniteGroup) -> bool:
+    t, inv = g.table.tolist(), g.inv
+    for x in range(1, g.n):
+        powers = set()
+        y = x
+        while y != 0:
+            powers.add(y)
+            y = t[y][x]
+        if any(t[t[a][x]][inv[a]] not in powers for a in g.elements()):
+            return False
+    return True
+
+
+def adjacency(g: FiniteGroup, f: ConnectionFunction) -> IntMatrix:
+    t, inv, vals = g.table.tolist(), g.inv, f.values
+    return IntMatrix(tuple(tuple(vals[t[a][inv[b]]] for b in g.elements()) for a in g.elements()))
+
+
+def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[int]]]:
+    k = part.k
+    reps = part.reps()
+    class_of = part.class_of
+    t, inv = g.table.tolist(), g.inv
+    out = [[[0] * k for _ in range(k)] for _ in range(k)]
+    for i, cls in enumerate(part.classes):
+        mat = out[i]
+        for x in cls:
+            row = t[inv[x]]
+            for tt in range(k):
+                mat[class_of[row[reps[tt]]]][tt] += 1
+    return out

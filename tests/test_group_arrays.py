@@ -1,0 +1,215 @@
+"""Differential tests: the array code in `cayint.groups` against the scalar
+table loops it replaced (`tests/oracle.py`), on the whole small catalog,
+on relabelled tables whose identity is not at index 0, and on
+hypothesis-built direct products of catalog factors."""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
+from cayint.catalog import catalog, cyclic_group, dicyclic_group, dihedral_group
+from cayint.chartable import class_matrices
+from cayint.classify import _cyclic_subgroups_all_normal
+from cayint.groups import (
+    FiniteGroup,
+    NotAGroup,
+    NotNormal,
+    build_group,
+    center,
+    conjugacy_classes,
+    direct_product,
+    generated_subgroup,
+    is_nilpotent,
+    quotient,
+)
+from cayint.spectra import ConnectionFunction, ConnectionSet, adjacency
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG
+
+
+def _all_ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def assert_table_array(g: FiniteGroup) -> None:
+    t = g.table
+    assert isinstance(t, np.ndarray) and t.dtype == np.int32 and t.shape == (g.n, g.n)
+    assert t.flags.c_contiguous
+    assert not t.flags.writeable
+    assert _all_ints(g.inv) and _all_ints(g.ord)
+
+
+def assert_same_group(got: FiniteGroup, want: FiniteGroup) -> None:
+    assert_table_array(got)
+    assert got.table.tolist() == want.table.tolist()
+    assert (got.inv, got.ord, got.name) == (want.inv, want.ord, want.name)
+
+
+def _raised(fn, *args):
+    try:
+        return fn(*args), None
+    except (NotAGroup, NotNormal) as exc:
+        return None, (type(exc), str(exc), exc.witness)
+
+
+def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
+    """Every array kernel of `groups` (and the gathers of `spectra` and
+    `chartable`) against its oracle loop on one group."""
+    rng = random.Random(seed)
+    assert_table_array(g)
+
+    part = conjugacy_classes(g)
+    assert part == oracle.conjugacy_classes(g)
+    assert _all_ints(part.class_of) and all(_all_ints(c) for c in part.classes)
+    z = center(g)
+    assert z == oracle.center(g) and _all_ints(z)
+    assert g.is_abelian() is oracle.is_abelian(g)
+    assert is_nilpotent(g) is oracle.is_nilpotent(g)
+    comm = g.commutators()
+    assert comm == tuple(sorted(oracle.commutators(g))) and _all_ints(comm)
+    assert _cyclic_subgroups_all_normal(g) is oracle.cyclic_subgroups_all_normal(g)
+
+    picks = sorted(rng.sample(range(g.n), min(g.n, 4)))
+    for gens in [[x] for x in picks] + [picks, list(z), list(comm)]:
+        sub, emb = generated_subgroup(g, gens)
+        want_sub, want_emb = oracle.generated_subgroup(g, gens)
+        assert emb == want_emb and _all_ints(emb)
+        assert_same_group(sub, want_sub)
+
+    derived = oracle.generated_subgroup(g, oracle.commutators(g))[1]
+    for normal in (set(z), set(derived)):
+        assert_same_group(quotient(g, normal), oracle.quotient(g, normal))
+    # rejections: the same reason and witness as the loops, in the same order
+    subsets = [set(oracle.generated_subgroup(g, [x])[1]) for x in picks]
+    subsets += [{0} | set(picks), set(picks)]
+    for subset in subsets:
+        got, got_err = _raised(quotient, g, subset)
+        want, want_err = _raised(oracle.quotient, g, subset)
+        assert got_err == want_err
+        if got_err is None:
+            assert_same_group(got, want)
+        else:
+            assert _all_ints(got_err[2] or ())
+
+    z2 = cyclic_group(2)
+    assert_same_group(direct_product(g, z2), oracle.direct_product(g, z2))
+    assert_same_group(direct_product(z2, g), oracle.direct_product(z2, g))
+
+    assert class_matrices(g, part) == oracle.class_matrices(g, part)
+
+    values = [rng.randint(-9, 9) for _ in g.elements()]
+    values[rng.randrange(g.n)] = 10**30  # beyond int64: the gather must stay exact
+    f = ConnectionFunction(g, values, part)
+    got = adjacency(g, f)
+    assert got == oracle.adjacency(g, f)
+    assert all(_all_ints(row) for row in got.entries)
+
+    orbits = [{x for j in orbit for x in part.classes[j]} for orbit in part.real_classes[1:]]
+    pairs = [{x, g.inv[x]} for x in picks if x]
+    for elems in orbits[:3] + pairs:
+        s = frozenset(elems)
+        assert ConnectionSet(g, s, part).normal is oracle.is_normal_set(g, s)
+
+
+def relabel(g: FiniteGroup, perm: list[int]) -> list[list[int]]:
+    """The table of g with element a renamed perm[a]; the identity moves to perm[0]."""
+    t = g.table.tolist()
+    out = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            out[perm[a]][perm[b]] = perm[t[a][b]]
+    return out
+
+
+@pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
+def test_catalog_group_agrees_with_oracle(groups, label):
+    assert_agrees(groups[label])
+
+
+@pytest.mark.parametrize("label", ["S3", "Q8", "Dic12", "A4", "S4", "Q8xZ3"])
+def test_relabelled_table_agrees_with_oracle(groups, label):
+    g = groups[label]
+    rng = random.Random(label)
+    perm = list(range(g.n))
+    while perm[0] == 0:
+        rng.shuffle(perm)
+    h = build_group(relabel(g, perm), name=label)
+    assert h.n == g.n and sorted(h.ord) == sorted(g.ord)
+    assert_agrees(h, seed=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 30])
+def test_arithmetic_constructors_match_scalar_tables(m):
+    for build, scalar in (
+        (cyclic_group, oracle.cyclic_table),
+        (dihedral_group, oracle.dihedral_table),
+    ):
+        g = build(m)
+        assert_table_array(g)
+        assert g.table.tolist() == scalar(m)
+    if m >= 2:
+        g = dicyclic_group(m)
+        assert_table_array(g)
+        assert g.table.tolist() == oracle.dicyclic_table(m)
+
+
+FACTORS = (
+    ("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5),
+    ("s3",), ("q8",), ("d4",), ("dihedral", 5), ("a4",),
+)
+
+
+@lru_cache(maxsize=None)
+def _factor(tokens: tuple) -> FiniteGroup:
+    return catalog(*tokens)
+
+
+@st.composite
+def small_products(draw):
+    """A direct product of catalog factors of order at most 48, its table
+    relabelled by a random permutation half of the time."""
+    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+    g = _factor(factors[0])
+    for tokens in factors[1:]:
+        h = _factor(tokens)
+        if g.n * h.n > 48:
+            break
+        g = direct_product(g, h)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(g.n)))
+        g = build_group(relabel(g, perm), name=g.name)
+    return g
+
+
+@given(small_products(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=30, deadline=None)
+def test_products_agree_with_oracle(g, seed):
+    assert_agrees(g, seed)
+
+
+def test_every_construction_keeps_a_read_only_array(tmp_path):
+    from cayint.catalog import load_group, save_group
+
+    g = catalog("q8z3")
+    path = tmp_path / "g.grp"
+    save_group(g, path)
+    built = [
+        g,
+        catalog("z2z4", 1, 1),
+        catalog("s4"),
+        load_group(path),
+        build_group([[0, 1], [1, 0]]),
+        generated_subgroup(g, [1])[0],
+        quotient(g, set(center(g))),
+        direct_product(g, cyclic_group(2)),
+    ]
+    for h in built:
+        assert_table_array(h)
+        with pytest.raises(ValueError):
+            h.table[0, 0] = 1

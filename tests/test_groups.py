@@ -37,9 +37,9 @@ class TestBuildGroup:
     def test_identity_relocated(self):
         # Z3 with identity at index 2
         g = build_group([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-        assert g.table[0] == (0, 1, 2)
+        assert g.table[0].tolist() == [0, 1, 2]
         assert g.ord == (1, 3, 3)
-        assert g.table[1][g.inv[1]] == 0 == g.table[2][g.inv[2]]
+        assert g.table[1, g.inv[1]] == 0 == g.table[2, g.inv[2]]
 
     def test_non_associative_rejected(self):
         # latin square with two-sided identity that is not a group table
