@@ -52,8 +52,6 @@ from .spectra import (
 
 # Work limits. Each spectrum below is an |G| x |G| characteristic polynomial.
 SURVEY_MAX_ORDER = 24            # normal-set survey: 2^(r-1) spectra; NCI and FCCI read it
-FCCI_EXHAUSTIVE_MAX_ORBITS = 12  # FCCI reads the whole survey up to this many real classes
-FCCI_SAMPLES = 200               # seeded integer class functions above it
 CI_EXHAUSTIVE_MAX_ORDER = 12     # every inverse-closed set (at most 2^11)
 CI_SAMPLED_MAX_ORDER = 24
 CI_SAMPLES = 1000
@@ -269,27 +267,22 @@ class FcciReport:
     spectra_count: int = 0
     spectral_witness: tuple[int, ...] | None = None
     order_witness: int | None = None
-    seed: str | None = None
     skipped: tuple[str, ...] = ()
     discrepancies: tuple[str, ...] = ()
 
 
 def fcci_report(
-    g: FiniteGroup,
-    part: ConjugacyPartition,
-    survey: NormalSetSurvey | None,
-    seed: int = 0,
+    g: FiniteGroup, part: ConjugacyPartition, survey: NormalSetSurvey | None
 ) -> FcciReport:
     """Integrality of every integer symmetric class function, three ways.
 
     Route "orders": every element order lies in {1, 2, 3, 4, 6}. Route
     "criterion": every unit power map fixes each real class setwise, which
     is equivalent to f^h = f for every integer symmetric class function f.
-    Route "spectra": the 0/1 functions on real classes, read off `survey`
-    when there are at most FCCI_EXHAUSTIVE_MAX_ORBITS real classes, else
-    FCCI_SAMPLES seeded integer class functions; skipped when `survey` is
-    `None` (the group is above SURVEY_MAX_ORDER). The criterion route is
-    the primary verdict; disagreements are recorded, not resolved.
+    Route "spectra": every 0/1 function on real classes, read off `survey`;
+    skipped when `survey` is `None` (the group is above SURVEY_MAX_ORDER).
+    The criterion route is the primary verdict; disagreements are
+    recorded, not resolved.
 
     Reading the survey is exact. Mask bit 0 is the identity's real class
     and bits 1 and up are the survey's mask, so masks 2i and 2i + 1 are
@@ -298,6 +291,10 @@ def fcci_report(
     both masks are integral exactly when row i is. In ascending mask order
     the first non-integral function is mask 2i for the first non-integral
     row i, after 2i + 1 spectra.
+
+    Nothing is lost against all integer class functions: the adjacency
+    matrices of class functions commute, so when every real-class indicator
+    has an integral spectrum, so has every integer combination of them.
     """
     route_a = all(o in ALLOWED_ORDERS for o in g.ord)
     order_witness = None if route_a else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
@@ -318,11 +315,11 @@ def fcci_report(
             break
 
     route_c: bool | None = None
-    mode, count, witness, seed_used = "skipped", 0, None, None
+    mode, count, witness = "skipped", 0, None
     skipped: list[str] = []
     if survey is None:
         skipped.append(f"spectral route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}")
-    elif len(part.real_classes) <= FCCI_EXHAUSTIVE_MAX_ORBITS:
+    else:
         mode = "exhaustive"
         route_c = survey.all_integral
         bad = survey.first_non_integral()
@@ -332,23 +329,6 @@ def fcci_report(
             count = 2 * bad + 1
             on = set(survey.rows[bad].class_indices)
             witness = tuple(int(part.class_of[x] in on) for x in g.elements())
-    else:
-        mode = "sampled"
-        seed_used = f"{seed}:{g.name}:fcci"
-        rng = random.Random(seed_used)
-        route_c = True
-        for _ in range(FCCI_SAMPLES):
-            class_values = [0] * part.k
-            for orbit in part.real_classes:
-                v = rng.randint(-9, 9)
-                for j in orbit:
-                    class_values[j] = v
-            f = ConnectionFunction.from_class_values(g, part, class_values)
-            count += 1
-            if not spectrum_matrix(g, f).is_integral:
-                route_c = False
-                witness = f.values
-                break
 
     disagreements = []
     if route_a != route_b:
@@ -369,7 +349,6 @@ def fcci_report(
         spectra_count=count,
         spectral_witness=witness,
         order_witness=order_witness,
-        seed=seed_used,
         skipped=tuple(skipped),
         discrepancies=tuple(disagreements),
     )
@@ -690,7 +669,6 @@ class ClassificationReport:
                 "ci_witness_set": list(self.ci.witness_set) if self.ci.witness_set else None,
                 "gamma_chi_conj_all_integral": self.gamma_chi_all,
                 "seeds": {
-                    "fcci": self.fcci.seed,
                     "cci": self.cci.seed,
                     "ci": self.ci.seed,
                 },
@@ -719,7 +697,7 @@ def classify_group(
     rat, rat_wit = is_rational(g, part)
     semi, r_map, semi_wit = is_semi_rational(g, part)
     nci = nci_report(g, part, table, survey)
-    fcci = fcci_report(g, part, survey, seed=seed)
+    fcci = fcci_report(g, part, survey)
     cci = cci_report(g, part, seed=seed)
     ci = ci_report(g, part, seed=seed)
     for route in (nci, fcci, cci, ci):

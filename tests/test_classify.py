@@ -6,6 +6,8 @@ import pytest
 
 from cayint.catalog import catalog
 from cayint.classify import (
+    NormalSetRow,
+    NormalSetSurvey,
     cci_report,
     ci_report,
     classify_group,
@@ -150,6 +152,41 @@ def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
     assert rep.spectra_mode == "exhaustive"
     route, count, witness = fcci_spectra_direct(g, part)
     assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
+
+
+def _synthetic_survey(part, bad_rows: set[int]) -> NormalSetSurvey:
+    """A survey in `normal_set_survey`'s row order (ascending mask over the
+    non-identity real classes) whose rows in `bad_rows` are non-integral;
+    no spectrum is computed."""
+    orbits = [rc for rc in part.real_classes if rc != (0,)]
+    rows = []
+    for take in range(1 << len(orbits)):
+        chosen = [j for i, orbit in enumerate(orbits) if take >> i & 1 for j in orbit]
+        size = sum(len(part.classes[j]) for j in chosen)
+        rows.append(NormalSetRow(tuple(chosen), size, eulerian=True, integral=take not in bad_rows))
+    return NormalSetSurvey(tuple(rows), ())
+
+
+@pytest.mark.parametrize("bad_rows", [set(), {37, 100}, {4095}], ids=["integral", "row37", "last_row"])
+def test_fcci_reads_any_survey_exhaustively_on_z24(bad_rows):
+    # Z24 has 13 real classes; the survey it is handed is read in full,
+    # never sampled: masks 2i and 2i + 1 share row i's verdict
+    g = catalog("cyclic", 24)
+    part = conjugacy_classes(g)
+    assert len(part.real_classes) == 13
+    survey = _synthetic_survey(part, bad_rows)
+    assert len(survey.rows) == 4096
+    rep = fcci_report(g, part, survey)
+    assert rep.spectra_mode == "exhaustive"
+    if not bad_rows:
+        assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (True, 8192, None)
+        return
+    first = min(bad_rows)
+    assert rep.route_spectra is False and rep.spectra_count == 2 * first + 1
+    # FCCI mask 2 * first: bit i selects part.real_classes[i], the identity's is off
+    mask = 2 * first
+    on = {j for i, orbit in enumerate(part.real_classes) if mask >> i & 1 for j in orbit}
+    assert rep.spectral_witness == tuple(int(part.class_of[x] in on) for x in g.elements())
 
 
 class TestCci:
