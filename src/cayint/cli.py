@@ -10,8 +10,9 @@ Exit codes: spectrum 0 = integral, 1 = not integral; audit 0 = no findings,
 3 = findings; 2 = usage or data error anywhere.
 
 The one work limit on the command line is `--cap-chartable` (default
-`chartable.DEFAULT_ORDER_CAP`): `chartable` refuses a larger group, and
-`classify` and `audit` skip its character table, with a note. Every other
+`chartable.DEFAULT_ORDER_CAP`), taken by the three commands that read it:
+`chartable` refuses a larger group, and `classify` and `audit` skip its
+character table, with a note. Every other
 limit is a constant in `cayint.classify`; a route above its limit is
 skipped and noted in the report's `caps_notes`.
 """
@@ -252,6 +253,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomized searches")
+
+
+def _add_chartable_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap-chartable",
         type=int,
@@ -279,18 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full classification report for one group")
     _add_group_source(p)
     _add_common(p)
+    _add_chartable_cap(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("chartable", help="exact character table of one group")
     _add_group_source(p)
     p.add_argument("--save", help="also write the reloadable table dump to this path")
     _add_common(p)
+    _add_chartable_cap(p)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("audit", help="classify a catalog and check the implication chain and closure properties")
     _add_group_source(p)
     p.add_argument("--suite", default="default", help="named catalog suite (default: 'default')")
     _add_common(p)
+    _add_chartable_cap(p)
     p.set_defaults(func=cmd_audit)
 
     return parser

@@ -116,6 +116,13 @@ class TestChartableCommand:
         code, _, err = run(capsys, "chartable", "--catalog", "s5", "--cap-chartable", "100")
         assert code == 2 and "cap" in err
 
+    def test_spectrum_takes_no_chartable_cap(self, capsys):
+        # only classify, chartable and audit build a character table
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--catalog", "cyclic", "6", "--set", "1,5", "--cap-chartable", "5"])
+        assert exc.value.code == 2
+        assert "--cap-chartable" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_single_group_no_findings(self, capsys):
