@@ -74,11 +74,12 @@ def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[i
     nonnegative integers.
     """
     k = part.k
-    class_of = np.array(part.class_of)
-    # class of x^-1 rep_t, x down and t across; counted by (class of x, that class, t)
-    target = class_of[g.products(g.inv, part.reps())]
-    cells = (class_of[:, None] * k + target) * k + np.arange(k)
-    return np.bincount(cells.ravel(), minlength=k**3).reshape(k, k, k).tolist()
+    # cell (class of x^-1 rep_t, t) of matrix i, for x down and t across
+    cells = np.array(part.class_of)[g.products(g.inv, part.reps())] * k + np.arange(k)
+    return [
+        np.bincount(cells[list(cls)].ravel(), minlength=k * k).reshape(k, k).tolist()
+        for cls in part.classes
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def _closure(t: np.ndarray, gens: Sequence[int], inside: np.ndarray | None = Non
 
 def _generating_set(t: np.ndarray) -> list[int]:
     """Greedy generators: each element outside the closure so far joins them."""
-    inside = _closure(t, [0])
+    inside = _closure(t, [0])  # the trivial subgroup
     gens: list[int] = []
     while not inside.all():
         gens.append(int(np.argmin(inside)))
