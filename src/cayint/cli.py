@@ -12,9 +12,9 @@ Exit codes: spectrum 0 = integral, 1 = not integral; audit 0 = no findings,
 The one work limit on the command line is `--cap-chartable` (default
 `chartable.DEFAULT_ORDER_CAP`), taken by the three commands that read it:
 `chartable` refuses a larger group, and `classify` and `audit` skip its
-character table, with a note. Every other
-limit is a constant in `cayint.classify`; a route above its limit is
-skipped and noted in the report's `caps_notes`.
+character table, with a note. Every other limit is a constant in
+`cayint.classify`; a route above its limit is skipped and noted in the
+report's `caps_notes`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_BLOCK_CELLS = 1 << 20  # cells per block of rows in the O(n^2) scans, so memory stays O(n)
+_BLOCK_CELLS = 1 << 20  # cells per block of rows in the O(n^2) scans, so their temporaries stay small
 
 
 class NotAGroup(ValueError):
@@ -176,17 +176,6 @@ def _check_associativity(arr: np.ndarray) -> tuple | None:
     return None
 
 
-def _entry_error(table: Sequence[Sequence[int]], n: int) -> NotAGroup:
-    """The first row, in order, that is not n long or holds an entry outside 0..n-1."""
-    for g, row in enumerate(table):
-        if len(row) != n:
-            return NotAGroup("table is not square", (g, len(row), n))
-        bad = [h for h, v in enumerate(row) if not 0 <= v < n]
-        if bad:
-            return NotAGroup("entry out of range", (g, bad[0], int(row[bad[0]])))
-    raise AssertionError("no faulty row found")
-
-
 def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
@@ -203,9 +192,15 @@ def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") ->
     try:
         arr = np.asarray(table)
     except ValueError:  # ragged rows
-        raise _entry_error(table, n) from None
-    if arr.shape != (n, n) or not ((arr >= 0) & (arr < n)).all():
-        raise _entry_error(table, n)
+        arr = None
+    if arr is None or arr.shape != (n, n) or not ((arr >= 0) & (arr < n)).all():
+        # find the first faulty row, as a scan in row order would
+        for g, row in enumerate(table):
+            if len(row) != n:
+                raise NotAGroup("table is not square", (g, len(row), n))
+            if min(row) < 0 or max(row) >= n:
+                h = next(h for h, v in enumerate(row) if not 0 <= v < n)
+                raise NotAGroup("entry out of range", (g, h, int(row[h])))
     arr = np.ascontiguousarray(arr, dtype=np.int32)
     idx = np.arange(n, dtype=np.int32)
 
