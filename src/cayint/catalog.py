@@ -15,16 +15,23 @@ or
 With `perms`, the group is the closure of the generators under composition
 and n must equal the closure size. In both forms n is at most the element
 cap, DEFAULT_ELEMENT_CAP.
+
+Permutation groups (`symmetric_group`, `alternating_group`, the `perms`
+form) have one table builder, `_perm_table`. Its elements are the
+permutations in ascending lexicographic order, so the identity is element
+0 and a group's labels do not depend on how it was generated; the product
+of elements a and b is the permutation i -> p_a[p_b[i]].
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 
-from .groups import FiniteGroup, build_group, direct_product
+from .groups import FiniteGroup, _row_blocks, build_group, direct_product
 
 DEFAULT_ELEMENT_CAP = 5040
 
@@ -74,6 +81,31 @@ def dicyclic_group(m: int) -> FiniteGroup:
     return build_group(table, name=name)
 
 
+def _perm_table(perms: np.ndarray) -> np.ndarray:
+    """The (n, n) int32 table of the group whose elements are the rows of
+    `perms`, an (n, d) integer array of permutations of 0..d-1 listed in
+    ascending lexicographic order (so the identity is row 0); table[a, b]
+    is the row index of the composite i -> p_a[p_b[i]].
+
+    Composites are formed by fancy indexing a block of rows at a time and
+    ranked by binary search over the rows read as big-endian unsigned byte
+    strings, whose byte order is the lexicographic order at any degree d.
+    """
+    n, d = perms.shape
+    perms = perms.astype(np.min_scalar_type(d - 1))
+    key_type = perms.dtype.newbyteorder(">")
+    word = np.dtype((np.void, d * key_type.itemsize))
+
+    def keys(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(a, dtype=key_type).view(word)[..., 0]
+
+    ranks = keys(perms)
+    table = np.empty((n, n), dtype=np.int32)
+    for rows in _row_blocks(n, n * d):
+        table[rows] = np.searchsorted(ranks, keys(perms[rows][:, perms]))
+    return table
+
+
 def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) -> FiniteGroup:
     """Closure of the generators; a ParseError at `line` as soon as it has
     more than `limit` elements."""
@@ -92,39 +124,22 @@ def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) 
                     if len(elems) > limit:
                         raise ParseError(line, f"closure exceeds the {limit} elements the header declares")
         frontier = fresh
-    order = sorted(elems)  # identity is lexicographically least
-    pos = {p: i for i, p in enumerate(order)}
-    table = [
-        [pos[tuple(p[q[i]] for i in range(d))] for q in order]
-        for p in order
-    ]
-    return build_group(table, name=name)
+    return build_group(_perm_table(np.array(sorted(elems))), name=name)
+
+
+def _all_perms(m: int) -> np.ndarray:
+    """Every permutation of 0..m-1 as an (m!, m) array, in lexicographic order."""
+    return np.array(list(permutations(range(m))))
 
 
 def symmetric_group(m: int) -> FiniteGroup:
-    order = list(permutations(range(m)))
-    pos = {p: i for i, p in enumerate(order)}
-    table = [[pos[tuple(p[q[i]] for i in range(m))] for q in order] for p in order]
-    return build_group(table, name=f"S{m}")
+    return build_group(_perm_table(_all_perms(m)), name=f"S{m}")
 
 
 def alternating_group(m: int) -> FiniteGroup:
-    def parity(p: tuple[int, ...]) -> int:
-        seen, out = [False] * len(p), 0
-        for i in range(len(p)):
-            if not seen[i]:
-                j, ln = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    ln += 1
-                out += ln - 1
-        return out % 2
-
-    order = [p for p in permutations(range(m)) if parity(p) == 0]
-    pos = {p: i for i, p in enumerate(order)}
-    table = [[pos[tuple(p[q[i]] for i in range(m))] for q in order] for p in order]
-    return build_group(table, name=f"A{m}")
+    perms = _all_perms(m)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    return build_group(_perm_table(perms[inversions % 2 == 0]), name=f"A{m}")
 
 
 def elementary_product(base_a: int, na: int, base_b: int, nb: int) -> FiniteGroup:
@@ -152,13 +167,6 @@ _ALIASES = {
     "d4": ("dihedral", (4,)),
     "d8": ("dihedral", (8,)),
 }
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def catalog(name: str, *params: int, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
@@ -210,13 +218,13 @@ def catalog(name: str, *params: int, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGr
         (m,) = need(1)
         if m < 1:
             raise ParamOutOfRange("symmetric needs m >= 1")
-        check(_factorial(m))
+        check(factorial(m))
         return symmetric_group(m)
     if key == "alternating":
         (m,) = need(1)
         if m < 3:
             raise ParamOutOfRange("alternating needs m >= 3")
-        check(_factorial(m) // 2)
+        check(factorial(m) // 2)
         return alternating_group(m)
     if key == "z2z3":
         a, b = need(2)
@@ -303,9 +311,9 @@ def load_group(path: str | Path) -> FiniteGroup:
         return build_group(rows, name=name)
     if kind.startswith("perms"):
         fields = kind.split()
-        if len(fields) != 2 or not fields[1].isdigit():
+        d = int(fields[1]) if len(fields) == 2 and fields[1].isdecimal() else 0
+        if d < 1:
             raise ParseError(ln2, f"expected 'perms <d>', got {kind!r}")
-        d = int(fields[1])
         gens = []
         for ln3, line in body:
             try:

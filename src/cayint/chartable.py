@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import sympy
 
+from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
 from .linalg import Cyclotomic, IntMatrix, _context, charpoly_mod
 
@@ -65,8 +66,9 @@ class CharacterTable:
         return self.partition.reps()
 
 
-def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[int]]]:
-    """Structure constants of the class-sum algebra.
+def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[np.ndarray]:
+    """Structure constants of the class-sum algebra, one (k, k) int64 array
+    per class.
 
     With K_i the sum of class i in the group algebra, K_i K_j =
     sum_t a[i][j][t] K_t; matrix i is (a[i][j][t])_{j,t}, computed as the
@@ -77,7 +79,7 @@ def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[i
     # cell (class of x^-1 rep_t, t) of matrix i, for x down and t across
     cells = np.array(part.class_of)[g.products(g.inv, part.reps())] * k + np.arange(k)
     return [
-        np.bincount(cells[list(cls)].ravel(), minlength=k * k).reshape(k, k).tolist()
+        np.bincount(cells[list(cls)].ravel(), minlength=k * k).reshape(k, k)
         for cls in part.classes
     ]
 
@@ -98,41 +100,15 @@ def _find_prime(exponent: int, order: int, bound: int) -> int:
 
 
 def _primitive_root_of_unity(p: int, e: int) -> int:
-    factors = list(sympy.factorint(p - 1))
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            break
-        g += 1
-    return pow(g, (p - 1) // e, p)
+    """theta = g^((p-1)/e) for g the least primitive root mod p."""
+    return pow(sympy.primitive_root(p), (p - 1) // e, p)
 
 
 def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks; p an odd prime, a a quadratic residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
+    root = sympy.sqrt_mod(a, p)
+    if root is None:
         raise VerificationFailed(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    return root
 
 
 def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -171,9 +147,13 @@ def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
     return out
 
 
-def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list[int]]:
+def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
     """Common eigenvectors of commuting matrices over F_p, via iterative
-    splitting by each matrix in ascending index order."""
+    splitting by each matrix in ascending index order. The matrices are
+    int64 arrays reduced mod p, and p <= PRIME_BOUND = 10^6: a product of
+    two residues is below 10^12, so the k-term dot products of the matmuls
+    below stay under k * p^2 <= 5040 * 10^12 < 2^63 for any group under the
+    element cap, and are exact."""
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
     for mat in mats[1:]:  # matrix of the identity class is the identity
         if all(len(b) == 1 for b in spaces):
@@ -185,22 +165,14 @@ def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list
                 nxt.append(basis)
                 continue
             basis, pivots = _rref_mod(basis, p)
-            imgs = [
-                [sum(mat[i][j] * v[j] for j in range(k)) % p for i in range(k)]
-                for v in basis
-            ]
+            vecs = np.array(basis, dtype=np.int64)
+            imgs = vecs @ mat.T % p  # row j: mat applied to basis vector j
             # coordinates in an RREF basis can be read off the pivot columns
-            restr = [[imgs[j][pivots[l]] for j in range(d)] for l in range(d)]
-            for j in range(d):
-                recon = [0] * k
-                for l in range(d):
-                    f = restr[l][j]
-                    if f:
-                        recon = [(x + f * y) % p for x, y in zip(recon, basis[l])]
-                if recon != imgs[j]:
-                    raise VerificationFailed("class matrix does not stabilize a split subspace")
+            restr = imgs[:, pivots].T
+            if not np.array_equal(restr.T @ vecs % p, imgs):
+                raise VerificationFailed("class matrix does not stabilize a split subspace")
             # descending coefficients of the characteristic polynomial mod p
-            cp = list(reversed(charpoly_mod(IntMatrix.from_rows(restr), p)))
+            cp = list(reversed(charpoly_mod(IntMatrix(restr), p)))
             found = 0
             for lam in range(p):
                 acc = 0
@@ -208,21 +180,10 @@ def _split_eigenspaces(mats: list[list[list[int]]], k: int, p: int) -> list[list
                     acc = (acc * lam + co) % p
                 if acc:
                     continue
-                shifted = [
-                    [(restr[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                    for i in range(d)
-                ]
-                ker = _kernel_mod(shifted, p)
+                ker = _kernel_mod(((restr - lam * np.eye(d, dtype=np.int64)) % p).tolist(), p)
                 if not ker:
                     continue
-                amb = []
-                for coord in ker:
-                    v = [0] * k
-                    for l, f in enumerate(coord):
-                        if f:
-                            v = [(x + f * y) % p for x, y in zip(v, basis[l])]
-                    amb.append(v)
-                nxt.append(amb)
+                nxt.append((np.array(ker, dtype=np.int64) @ vecs % p).tolist())
                 found += len(ker)
                 if found == d:
                     break
@@ -260,8 +221,8 @@ def _lift_value(
     inv_o = pow(o, p - 2, p)
     # residues[s] = chi(rep^s) mod p, s = 0..o-1
     residues = [c_row[class_of[x]] for x in g.powers(rep)]
-    coeffs = [0] * _context(e).phi
     ctx = _context(e)
+    coeffs = [0] * ctx.phi
     for m in range(o):
         tm = pow(theta_o, (-m) % (p - 1), p) if o > 1 else 1
         acc, w = 0, 1
@@ -330,9 +291,7 @@ def character_table(
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
-    mats = class_matrices(g, part)
-    mats_p = [[[v % p for v in row] for row in m] for m in mats]
-    vecs = _split_eigenspaces(mats_p, k, p)
+    vecs = _split_eigenspaces([m % p for m in class_matrices(g, part)], k, p)
 
     sizes = part.sizes()
     inv_cls = part.inverse_class
@@ -432,27 +391,42 @@ def save_table(table: CharacterTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
-    """Reload a dump produced by save_table; re-verifies before returning."""
-    lines = [
-        l.strip()
-        for l in Path(path).read_text(encoding="utf-8").splitlines()
-        if l.strip() and not l.strip().startswith("#")
-    ]
-    head = lines[0].split()
-    if head[0] != "chartable":
-        raise ValueError(f"not a character table dump: {lines[0]!r}")
-    k, e = int(head[2]), int(head[3])
+    """Reload a dump produced by save_table; re-verifies before returning.
+
+    A malformed dump, or one of another group, raises ParseError, a
+    ValueError that names the line; a well-formed table that fails an exact
+    identity raises VerificationFailed.
+    """
+    lines = _content_lines(Path(path).read_text(encoding="utf-8"))
     part = conjugacy_classes(g)
-    if part.k != k or part.sizes() != tuple(int(x) for x in lines[1].split()[1:]):
-        raise ValueError("dump does not match the supplied group")
-    degrees: list[int] = []
-    rows: list[list[Cyclotomic]] = []
-    for line in lines[3:]:
-        fields = line.split()
-        degrees.append(int(fields[1]))
-        rows.append(
-            [Cyclotomic(e, [Fraction(c) for c in entry.split(",")]) for entry in fields[2:]]
-        )
+    ln, degrees, rows = 1, [], []
+    try:
+        if not lines:
+            raise ValueError("empty file")
+        ln, header = lines[0]
+        head = header.split()
+        if len(head) != 4 or head[0] != "chartable":
+            raise ValueError(f"expected 'chartable <name> <k> <conductor>', got {header!r}")
+        k, e = int(head[2]), int(head[3])
+        if (k, e) != (part.k, g.exponent()):
+            raise ValueError("dump does not match the supplied group")
+        if len(lines) != k + 3:
+            ln = lines[-1][0]
+            raise ValueError(f"expected sizes, reps and {k} rows, found {len(lines) - 1} lines")
+        for (ln, line), tag in zip(lines[1:], ["sizes", "reps"] + ["row"] * k):
+            fields = line.split()
+            want = k + 1 + (tag == "row")
+            if fields[0] != tag or len(fields) != want:
+                raise ValueError(f"expected {tag!r} and {want - 1} fields, got {len(fields) - 1}")
+            if tag == "row":
+                degrees.append(int(fields[1]))
+                if degrees[-1] < 1:
+                    raise ValueError(f"degree {degrees[-1]} is not positive")
+                rows.append([Cyclotomic(e, [Fraction(c) for c in v.split(",")]) for v in fields[2:]])
+            elif tuple(map(int, fields[1:])) != (part.sizes() if tag == "sizes" else part.reps()):
+                raise ValueError("dump does not match the supplied group")
+    except (ValueError, ZeroDivisionError) as err:
+        raise ParseError(ln, str(err)) from None
     _verify_table(g, part, degrees, rows)
     return CharacterTable(
         group=g,

@@ -1,5 +1,8 @@
 """Exact linear algebra over the integers and the cyclotomic fields Q(zeta_e).
 
+An integer matrix is an `IntMatrix`: one read-only ndarray, int64 when every
+entry is below 2^62 in magnitude and Python ints otherwise (`exact_array`).
+
 Everything here is exact: characteristic polynomials come from one
 multi-modular kernel (Hessenberg reduction modulo word-size primes in
 batched int64 numpy arrays, with every product kept below 2^63), lifted to
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import mul as _mul
+from math import gcd, isqrt, lcm
+from operator import index as _index, mul as _mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,38 +44,86 @@ class NotAUnit(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Square matrix of exact (arbitrary precision) integers."""
+_INT64 = 2**63
+_SMALL = 2**62  # entries below this in magnitude are stored as int64
 
-    entries: tuple[tuple[int, ...], ...]
+
+def exact_array(values) -> np.ndarray:
+    """`values`, an integer ndarray or an iterable of ints, as an exact array.
+
+    The dtype rule: int64 when every |x| < 2^62, object (Python ints)
+    otherwise; numpy is never left to infer it. Non-integers raise TypeError.
+    """
+    is_array = isinstance(values, np.ndarray)
+    if is_array and values.dtype.kind in "iu":
+        small = values.size == 0 or (-_SMALL < int(values.min()) and int(values.max()) < _SMALL)
+        return values.astype(np.int64 if small else object)
+    flat = [_index(x) for x in (values.flat if is_array else values)]
+    small = all(-_SMALL < x < _SMALL for x in flat)
+    out = np.array(flat, dtype=np.int64 if small else object)
+    return out.reshape(values.shape) if is_array else out
+
+
+def _summable(a: np.ndarray, terms: int, magnitude: int) -> np.ndarray:
+    """`a`, as Python ints if a sum of `terms` values of up to `magnitude`
+    could leave int64."""
+    return a.astype(object) if a.dtype != object and terms * magnitude >= _INT64 else a
+
+
+@dataclass(frozen=True, eq=False)
+class IntMatrix:
+    """Square matrix of exact integers on one read-only 2-D ndarray.
+
+    `entries` is int64 when every |x| < 2^62, which the charpoly kernel
+    reduces mod its primes directly, and object (Python ints) otherwise;
+    this module alone reads it and makes that choice. Built from an
+    integer ndarray (copied) or from rows of ints. Equality is by value.
+    """
+
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError(f"matrix is not square: row of length {len(row)}, expected {n}")
+        data = self.entries
+        if isinstance(data, np.ndarray):
+            if data.ndim != 2 or data.shape[0] != data.shape[1]:
+                raise ValueError(f"matrix is not square: shape {data.shape}")
+            arr = exact_array(data)
+        else:
+            rows = [list(row) for row in data]
+            n = len(rows)
+            if any(len(row) != n for row in rows):
+                raise ValueError(f"matrix is not square: {n} rows of lengths {sorted({len(r) for r in rows})}")
+            arr = exact_array([x for row in rows for x in row]).reshape(n, n)
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+    def from_rows(cls, rows: Iterable[Iterable[int]] | np.ndarray) -> "IntMatrix":
+        return cls(rows)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.entries.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return np.array_equal(self.entries, other.entries)
+
+    __hash__ = None
 
     def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.n))
+        return sum(self.entries.diagonal().tolist())
 
     def is_symmetric(self) -> bool:
-        m = self.entries
-        return all(m[i][j] == m[j][i] for i in range(self.n) for j in range(i))
+        return np.array_equal(self.entries, self.entries.T)
 
     def gershgorin_bound(self) -> int:
         """Max absolute row sum; bounds every real eigenvalue in magnitude."""
         if self.n == 0:
             return 0
-        return max(sum(abs(x) for x in row) for row in self.entries)
+        a = np.abs(self.entries)
+        return int(_summable(a, self.n, int(a.max())).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -154,7 +205,6 @@ class IntPolynomial:
 # two residues fits in 52 bits; the prime limit also keeps n * p^2 < 2^63, so
 # a dot product of n such products cannot overflow int64.
 _PRIME_CAP = 2**26
-_INT64 = 2**63
 _CHUNK = 4  # primes per batched (k, n, n) stack; bounds the work arrays
 _PRIMES: dict[int, list[int]] = {}  # prime limit -> primes below it, descending
 
@@ -240,25 +290,22 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     order, in int64 stacks of a few primes at a time (see `_charpoly_stack`),
     and the residues are lifted by CRT into the symmetric range. Overflow:
     the prime limit is chosen from n so that n * p^2 < 2^63, which bounds
-    every int64 dot product. Entries that may reach 2^62 in magnitude are
-    reduced mod each prime with Python integers first. No float is used.
+    every int64 dot product. Entries that reach 2^62 in magnitude are
+    stored as Python integers (see `IntMatrix`) and reduced mod each prime
+    before the kernel. No float is used.
     """
-    rows = m.entries
+    entries = m.entries
     n = m.n
     if n == 0:
         return IntPolynomial((1,))
-    bound, max_sq = 1, 0
-    for row in rows:
-        sq = sum(map(_mul, row, row))
+    big = int(np.abs(entries).max())
+    wide = _summable(entries, n, big * big)
+    bound = 1
+    for sq in (wide * wide).sum(axis=1).tolist():
         r = isqrt(sq)
         bound *= 1 + r + (r * r != sq)
-        max_sq = max(max_sq, sq)
     primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
     assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
-    if max_sq < 2**124:  # then every entry is below 2^62 in magnitude
-        entries = np.array(rows, dtype=np.int64)
-    else:
-        entries = np.array(rows, dtype=object)
     chunk = min(_CHUNK, len(primes))
     work = np.empty((chunk, n, n), dtype=np.int64)
     prod = np.empty((chunk, n, n), dtype=np.int64)
@@ -268,11 +315,8 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
         ps = np.array(primes[start : start + chunk], dtype=np.int64)
         k = len(ps)
         a = work[:k]
-        if entries.dtype == object:
-            for i, p in enumerate(ps.tolist()):
-                a[i] = (entries % p).astype(np.int64)
-        else:
-            np.remainder(entries, ps.reshape(k, 1, 1), out=a)
+        for i, p in enumerate(ps.tolist()):
+            a[i] = entries % p
         residues.extend(_charpoly_stack(a, ps, prod[:k], polys[:k]).tolist())
     basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
     half = modulus // 2
@@ -293,7 +337,7 @@ def charpoly_mod(m: IntMatrix, p: int) -> tuple[int, ...]:
     if not (1 < p < _PRIME_CAP and n * p * p < _INT64):
         raise ValueError(f"modulus {p} outside the int64 kernel's range for n={n}")
     ps = np.array([p], dtype=np.int64)
-    a = np.array([[x % p for x in row] for row in m.entries], dtype=np.int64).reshape(1, n, n)
+    a = (m.entries % p).astype(np.int64).reshape(1, n, n)
     prod = np.empty((1, n, n), dtype=np.int64)
     polys = np.empty((1, n + 1, n + 1), dtype=np.int64)
     return tuple(_charpoly_stack(a, ps, prod, polys)[0].tolist())
@@ -419,21 +463,6 @@ def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int
 # ---------------------------------------------------------------------------
 
 
-def euler_phi(e: int) -> int:
-    out, m, q = 1, e, 2
-    while q * q <= m:
-        if m % q == 0:
-            out *= q - 1
-            m //= q
-            while m % q == 0:
-                out *= q
-                m //= q
-        q += 1
-    if m > 1:
-        out *= m - 1
-    return out
-
-
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 
 
@@ -442,22 +471,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     got = _PHI_CACHE.get(e)
     if got is not None:
         return got
-    poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
-    for d in range(1, e):
-        if e % d == 0:
-            div = cyclotomic_polynomial(d)
-            # exact division of integer polynomials, divisor monic
-            q = [0] * (len(poly) - len(div) + 1)
-            r = list(poly)
-            for k in range(len(q) - 1, -1, -1):
-                f = r[k + len(div) - 1]
-                q[k] = f
-                if f:
-                    for i, c in enumerate(div):
-                        r[k + i] -= f * c
-            assert not any(r), f"cyclotomic division left a remainder for e={e}"
-            poly = q
-    result = tuple(poly)
+    coeffs = sympy.cyclotomic_poly(e, _X, polys=True).all_coeffs()
+    result = tuple(int(c) for c in reversed(coeffs))
     _PHI_CACHE[e] = result  # idempotent fill; safe under concurrent init
     return result
 
@@ -492,10 +507,6 @@ def _context(e: int) -> _CycloContext:
         ctx = _CycloContext(e)
         _CONTEXTS[e] = ctx
     return ctx
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class Cyclotomic:
@@ -540,7 +551,7 @@ class Cyclotomic:
     def _pair(self, other: "Cyclotomic | int | Fraction") -> tuple["Cyclotomic", "Cyclotomic"]:
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.rational(other)
-        e = _lcm(self.e, other.e)
+        e = lcm(self.e, other.e)
         return self.lift(e), other.lift(e)
 
     def __add__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
@@ -598,9 +609,6 @@ class Cyclotomic:
         if self.e <= 2:
             return self
         return self.galois(self.e - 1)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])

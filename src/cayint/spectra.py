@@ -1,26 +1,24 @@
-"""Cayley and Cayley colour graph spectra, decided exactly by two routes.
+"""Cayley and Cayley colour graph spectra, by two exact routes.
 
 Route one builds the integer adjacency matrix [f(g h^-1)] and factors its
 exact characteristic polynomial. Route two, available when the colour
 function is constant on conjugacy classes, evaluates the closed-form
 eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
-each with multiplicity chi(1)^2. The two are compared by expanding the
-character-route product polynomial in Q(zeta_e)[x].
+each with multiplicity chi(1)^2. The comparison of the two routes, by
+expanding the character-route product polynomial in Q(zeta_e)[x], lives in
+the tests (`tests/oracle.py`), since no verdict reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .chartable import CharacterTable
 from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes
-from .linalg import Cyclotomic, IntMatrix, IntPolynomial, SpectrumReport, charpoly, integer_spectrum
+from .linalg import Cyclotomic, IntMatrix, SpectrumReport, charpoly, exact_array, integer_spectrum
 
 
 class NotSymmetricFunction(ValueError):
@@ -120,8 +118,7 @@ def eulerian_check(g: FiniteGroup, subset: Iterable[int]) -> tuple[bool, tuple[A
 
 def adjacency(g: FiniteGroup, f: ConnectionFunction) -> IntMatrix:
     """The matrix [f(a b^-1)] over all ordered pairs; symmetric iff f is."""
-    vals = np.array(f.values, dtype=object)
-    return IntMatrix(tuple(map(tuple, vals[g.products(g.elements(), g.inv)].tolist())))
+    return IntMatrix(exact_array(f.values)[g.products(g.elements(), g.inv)])
 
 
 def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
@@ -157,30 +154,6 @@ def spectrum_characters(
                 acc = acc + w * row[j]
         out.append((acc * Fraction(1, d), d * d))
     return tuple(out)
-
-
-def expand_character_poly(pairs: Sequence[tuple[Cyclotomic, int]]) -> list[Cyclotomic]:
-    """Expand prod (x - lambda)^mult as ascending coefficients in Q(zeta)."""
-    coeffs: list[Cyclotomic] = [Cyclotomic.rational(1)]
-    for lam, mult in pairs:
-        for _ in range(mult):
-            nxt = [(-lam) * coeffs[0]]
-            for i in range(1, len(coeffs)):
-                nxt.append(coeffs[i - 1] + (-lam) * coeffs[i])
-            nxt.append(coeffs[-1])
-            coeffs = nxt
-    return coeffs
-
-
-def routes_agree(g: FiniteGroup, f: ConnectionFunction, table: CharacterTable) -> bool:
-    """Exact dual-route check: the character-route product polynomial must
-    equal the matrix-route characteristic polynomial coefficient by coefficient."""
-    pairs = spectrum_characters(g, f, table)
-    expanded = expand_character_poly(pairs)
-    p = charpoly(adjacency(g, f))
-    if len(expanded) != len(p.coeffs):
-        return False
-    return all(c == want for c, want in zip(expanded, p.coeffs))
 
 
 def integrality_by_criterion(

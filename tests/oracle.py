@@ -4,7 +4,9 @@
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
 is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
-it was read off the normal-set survey.
+it was read off the normal-set survey; `routes_agree` compares the matrix
+route of a class function's spectrum with its character route, expanded
+by `expand_character_poly` in Q(zeta_e)[x].
 
 The group-table oracles below are the scalar loops over a tuple-of-tuples
 table that the array code in `cayint.groups` replaced. Each reads the table
@@ -13,11 +15,15 @@ as nested lists (`g.table.tolist()`) and otherwise runs as it did.
 
 from __future__ import annotations
 
+from itertools import permutations
 from operator import mul as _mul
 
+from typing import Sequence
+
+from cayint.chartable import CharacterTable
 from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, build_group
-from cayint.linalg import IntMatrix, IntPolynomial
-from cayint.spectra import ConnectionFunction, spectrum_matrix
+from cayint.linalg import Cyclotomic, IntMatrix, IntPolynomial, charpoly
+from cayint.spectra import ConnectionFunction, adjacency as _adjacency, spectrum_characters, spectrum_matrix
 
 
 def berkowitz(m: IntMatrix) -> IntPolynomial:
@@ -28,7 +34,7 @@ def berkowitz(m: IntMatrix) -> IntPolynomial:
     column entries are -R A^j S for the new border row R and column S.
     Division-free, so all intermediates stay integers.
     """
-    rows = m.entries
+    rows = m.entries.tolist()
     n = m.n
     if n == 0:
         return IntPolynomial((1,))
@@ -65,6 +71,30 @@ def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], .
             work = q
             found[r] = found.get(r, 0) + 1
     return tuple(sorted(found.items(), key=lambda kv: -kv[0]))
+
+
+def expand_character_poly(pairs: Sequence[tuple[Cyclotomic, int]]) -> list[Cyclotomic]:
+    """Expand prod (x - lambda)^mult as ascending coefficients in Q(zeta)."""
+    coeffs: list[Cyclotomic] = [Cyclotomic.rational(1)]
+    for lam, mult in pairs:
+        for _ in range(mult):
+            nxt = [(-lam) * coeffs[0]]
+            for i in range(1, len(coeffs)):
+                nxt.append(coeffs[i - 1] + (-lam) * coeffs[i])
+            nxt.append(coeffs[-1])
+            coeffs = nxt
+    return coeffs
+
+
+def routes_agree(g: FiniteGroup, f: ConnectionFunction, table: CharacterTable) -> bool:
+    """Exact dual-route check: the character-route product polynomial must
+    equal the matrix-route characteristic polynomial coefficient by coefficient."""
+    pairs = spectrum_characters(g, f, table)
+    expanded = expand_character_poly(pairs)
+    p = charpoly(_adjacency(g, f))
+    if len(expanded) != len(p.coeffs):
+        return False
+    return all(c == want for c, want in zip(expanded, p.coeffs))
 
 
 def fcci_spectra_direct(
@@ -283,3 +313,51 @@ def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[i
             for tt in range(k):
                 mat[class_of[row[reps[tt]]]][tt] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Permutation-group tables
+# ---------------------------------------------------------------------------
+
+
+def _compose_table(order: list[tuple[int, ...]]) -> list[list[int]]:
+    d = len(order[0])
+    pos = {p: i for i, p in enumerate(order)}
+    return [[pos[tuple(p[q[i]] for i in range(d))] for q in order] for p in order]
+
+
+def symmetric_table(m: int) -> list[list[int]]:
+    return _compose_table(list(permutations(range(m))))
+
+
+def alternating_table(m: int) -> list[list[int]]:
+    def parity(p: tuple[int, ...]) -> int:
+        seen, out = [False] * len(p), 0
+        for i in range(len(p)):
+            if not seen[i]:
+                j, ln = i, 0
+                while not seen[j]:
+                    seen[j] = True
+                    j = p[j]
+                    ln += 1
+                out += ln - 1
+        return out % 2
+
+    return _compose_table([p for p in permutations(range(m)) if parity(p) == 0])
+
+
+def perm_closure_table(gens: list[tuple[int, ...]]) -> list[list[int]]:
+    """The `perms` file form: closure of the generators, elements sorted."""
+    d = len(gens[0])
+    ident = tuple(range(d))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in gens:
+                r = tuple(p[q[i]] for i in range(d))
+                if r not in elems:
+                    elems.add(r)
+                    fresh.append(r)
+        frontier = fresh
+    return _compose_table(sorted(elems))

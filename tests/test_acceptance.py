@@ -11,6 +11,7 @@ import time
 from math import gcd
 
 import pytest
+from oracle import routes_agree
 
 from cayint.catalog import catalog
 from cayint.chartable import character_table
@@ -29,7 +30,6 @@ from cayint.spectra import (
     adjacency,
     eulerian_check,
     integrality_by_criterion,
-    routes_agree,
     spectrum_matrix,
 )
 

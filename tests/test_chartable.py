@@ -7,9 +7,10 @@ from math import gcd
 
 import pytest
 
-from cayint.catalog import catalog
+from cayint.catalog import ParseError, catalog
 from cayint.chartable import (
     GaloisMismatch,
+    VerificationFailed,
     character_table,
     chi_plus_conj_integral,
     class_matrices,
@@ -27,7 +28,7 @@ class TestClassMatrices:
         for label in ("S3", "Q8", "A4"):
             part = partitions[label]
             m0 = class_matrices(groups[label], part)[0]
-            assert m0 == [[1 if i == j else 0 for j in range(part.k)] for i in range(part.k)]
+            assert m0.tolist() == [[1 if i == j else 0 for j in range(part.k)] for i in range(part.k)]
 
     def test_z3_structure(self):
         g = catalog("cyclic", 3)
@@ -211,3 +212,48 @@ class TestDumpLoad:
         save_table(tables["S3"], path)
         with pytest.raises(ValueError):
             load_table(path, groups["Q8"])
+
+
+def _s3_dump_lines(tables, tmp_path) -> list[str]:
+    path = tmp_path / "s3.ct"
+    save_table(tables["S3"], path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+# (line number named by the error, how the S3 dump is damaged)
+MALFORMED_DUMPS = {
+    "empty": (1, lambda lines: []),
+    "comments only": (1, lambda lines: ["# nothing here"]),
+    "short header": (1, lambda lines: ["chartable S3 3"] + lines[1:]),
+    "wrong tag": (1, lambda lines: ["table S3 3 6"] + lines[1:]),
+    "non-integer k": (1, lambda lines: ["chartable S3 three 6"] + lines[1:]),
+    "non-integer size": (2, lambda lines: lines[:1] + ["sizes 1 3 x"] + lines[2:]),
+    "short sizes": (2, lambda lines: lines[:1] + ["sizes 1 3"] + lines[2:]),
+    "short reps": (3, lambda lines: lines[:2] + ["reps 0 1"] + lines[3:]),
+    "missing row": (5, lambda lines: lines[:-1]),
+    "extra row": (7, lambda lines: lines + lines[-1:]),
+    "short row": (6, lambda lines: lines[:-1] + ["row 2 2,0 0,0"]),
+    "long row": (6, lambda lines: lines[:-1] + [lines[-1] + " 1,0"]),
+    "non-integer degree": (6, lambda lines: lines[:-1] + ["row two 2,0 0,0 -1,0"]),
+    "zero degree": (6, lambda lines: lines[:-1] + ["row 0 2,0 0,0 -1,0"]),
+    "bad rational": (6, lambda lines: lines[:-1] + ["row 2 2,0 0,0 -1/0,0"]),
+    "coefficient count": (6, lambda lines: lines[:-1] + ["row 2 2 0,0 -1,0"]),
+}
+
+
+class TestLoadTableRejectsMalformedDumps:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+    def test_value_error_names_the_line(self, case, groups, tables, tmp_path):
+        line, damage = MALFORMED_DUMPS[case]
+        path = tmp_path / "bad.ct"
+        body = "\n".join(damage(_s3_dump_lines(tables, tmp_path)))
+        path.write_text(body + "\n" if body else "", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^line {line}:"):
+            load_table(path, groups["S3"])
+
+    def test_wrong_values_still_fail_verification(self, groups, tables, tmp_path):
+        lines = _s3_dump_lines(tables, tmp_path)
+        path = tmp_path / "bad.ct"
+        path.write_text("\n".join(lines[:-1] + ["row 2 2,0 0,0 1,0"]) + "\n", encoding="utf-8")
+        with pytest.raises(VerificationFailed):
+            load_table(path, groups["S3"])

@@ -101,14 +101,14 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
     assert_same_group(direct_product(g, z2), oracle.direct_product(g, z2))
     assert_same_group(direct_product(z2, g), oracle.direct_product(z2, g))
 
-    assert class_matrices(g, part) == oracle.class_matrices(g, part)
+    assert [m.tolist() for m in class_matrices(g, part)] == oracle.class_matrices(g, part)
 
     values = [rng.randint(-9, 9) for _ in g.elements()]
     values[rng.randrange(g.n)] = 10**30  # beyond int64: the gather must stay exact
     f = ConnectionFunction(g, values, part)
     got = adjacency(g, f)
     assert got == oracle.adjacency(g, f)
-    assert all(_all_ints(row) for row in got.entries)
+    assert got.entries.dtype == object  # the 10^30 value puts it beyond int64
 
     orbits = [{x for j in orbit for x in part.classes[j]} for orbit in part.real_classes[1:]]
     pairs = [{x, g.inv[x]} for x in picks if x]

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 import sympy
 from conftest import SMALL_CATALOG
@@ -23,7 +24,6 @@ from cayint.linalg import (
     charpoly,
     charpoly_mod,
     cyclotomic_polynomial,
-    euler_phi,
     integer_spectrum,
     squarefree_factorization,
 )
@@ -193,6 +193,67 @@ class TestCharpolyAgainstBerkowitz:
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             charpoly_mod(m, 2**26 + 15)
+
+
+class TestIntMatrixDtype:
+    """`IntMatrix.entries` is int64 below 2^62 in magnitude and Python ints
+    otherwise, whatever numpy would have inferred; charpolys stay exact."""
+
+    @staticmethod
+    def check(m: IntMatrix, wide: bool) -> None:
+        assert isinstance(m.entries, np.ndarray) and m.entries.ndim == 2
+        assert m.entries.dtype == (object if wide else np.int64)
+        assert not m.entries.flags.writeable
+        if wide:
+            assert all(type(x) is int for x in m.entries.flat)
+        assert charpoly(m) == berkowitz(m)
+
+    @pytest.mark.parametrize("values", [(-1, 2**63), (-(2**63),), (10**30,)])
+    def test_colour_functions_beyond_int64(self, groups, values):
+        # np.array([-1, 2**63]) is float64 and np.array([2**63]) uint64
+        g = groups["S3"]
+        vals = [values[min(x, g.inv[x]) % len(values)] for x in g.elements()]
+        m = adjacency(g, ConnectionFunction(g, vals))
+        self.check(m, wide=True)
+        assert m.gershgorin_bound() == max(sum(abs(vals[g.mul(a, g.inv[b])]) for b in g.elements()) for a in g.elements())
+
+    @pytest.mark.parametrize("big", [2**31, 2**62, 2**63])
+    def test_entries_at_word_boundaries(self, big):
+        rows = [[big, -1, 0, 1], [1, -big, big, 0], [0, big, 0, 2], [big, 0, 0, big]]
+        for data in (rows, np.array(rows, dtype=object)):
+            m = IntMatrix.from_rows(data)
+            self.check(m, wide=big >= 2**62)
+            assert m == IntMatrix(rows)
+            assert m.trace() == big and type(m.trace()) is int
+            assert m.gershgorin_bound() == 2 * big + 1 and type(m.gershgorin_bound()) is int
+        if big < 2**63:
+            self.check(IntMatrix(np.array(rows, dtype=np.int64)), wide=big >= 2**62)
+        self.check(IntMatrix(np.array([[big, 1], [0, big]], dtype=np.uint64)), wide=big >= 2**62)
+
+    def test_int64_sums_do_not_overflow(self):
+        # every entry is int64, but a row sum and a sum of squares are not
+        top = 2**62 - 1
+        m = IntMatrix.from_rows([[top, top, -top], [top, 0, top], [1, 2, 3]])
+        assert m.entries.dtype == np.int64
+        assert m.gershgorin_bound() == 3 * top
+        assert charpoly(m) == berkowitz(m)
+
+    def test_rejects_non_square_and_non_integers(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(ValueError):
+            IntMatrix(np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(TypeError):
+            IntMatrix(np.array([[0.5]]))
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1.0]])
+
+    def test_equality_by_value(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert a == IntMatrix(np.array([[1, 2], [3, 4]], dtype=np.int32))
+        assert a != IntMatrix.from_rows([[1, 2], [3, 5]])
+        assert a != IntMatrix.from_rows([[1]])
+        assert IntMatrix.from_rows([]) == IntMatrix(np.zeros((0, 0), dtype=np.int64))
 
 
 class TestIntegerSpectrum:
@@ -393,6 +454,3 @@ class TestCyclotomic:
         assert a.conj().conj() == a
         assert (a * b).conj() == a.conj() * b.conj()
         assert (a + b).conj() == a.conj() + b.conj()
-
-    def test_euler_phi(self):
-        assert [euler_phi(e) for e in (1, 2, 3, 4, 6, 12, 60)] == [1, 1, 2, 2, 2, 4, 16]
