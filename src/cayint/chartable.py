@@ -9,12 +9,25 @@ values mod p follow, and each value is lifted to its exact cyclotomic form
 by a discrete Fourier inversion over F_p of the root-of-unity multiplicity
 vector. The finished table is verified against both orthogonality relations
 before it is returned.
+
+Integer format: a character value is an algebraic integer of Q(zeta_e), e
+the group exponent, and the power basis 1, zeta_e, ..., zeta_e^(phi-1) is a
+Z-basis of Z[zeta_e], so a table is exactly one (k, k, phi) integer array of
+power-basis coefficients, rows indexed by characters and columns by classes.
+Complex conjugation, the Galois twists and the reduction of a product of two
+coefficient vectors are fixed integer matrices of the conductor's context
+(`linalg._context`). Overflow rule: the array is int64 when every
+coefficient is below 2^62 in magnitude and Python ints otherwise
+(`linalg.exact_array`); every product is bounded in Python ints before it is
+taken, and runs on Python ints when the bound reaches 2^63, so int64 never
+wraps. Verification costs O(k^3 phi^2) time and keeps every intermediate at
+O(k^2 phi) entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from pathlib import Path
 
@@ -23,7 +36,7 @@ import sympy
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
-from .linalg import Cyclotomic, IntMatrix, _context, charpoly_mod
+from .linalg import _INT64, Cyclotomic, IntMatrix, _context, _summable, charpoly_mod, exact_array
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -44,20 +57,33 @@ DEFAULT_ORDER_CAP = 2000
 PRIME_BOUND = 1_000_000  # the prime search gives up above this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Rows are irreducible characters, columns are conjugacy classes."""
+    """Rows are irreducible characters, columns are conjugacy classes.
+
+    `coeffs[r, j]` is chi_r(rep_j) over the power basis of Z[zeta_conductor]:
+    one read-only (k, k, phi) array, int64 or Python ints by the module's
+    overflow rule. `values` wraps each cell in a `Cyclotomic`.
+    """
 
     group: FiniteGroup
     partition: ConjugacyPartition
     conductor: int
     prime: int
     degrees: tuple[int, ...]
-    values: tuple[tuple[Cyclotomic, ...], ...]
+    coeffs: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.coeffs.flags.writeable = False
 
     @property
     def k(self) -> int:
         return len(self.degrees)
+
+    @cached_property
+    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
+        e = self.conductor
+        return tuple(tuple(Cyclotomic(e, cell) for cell in row) for row in self.coeffs.tolist())
 
     def class_sizes(self) -> tuple[int, ...]:
         return self.partition.sizes()
@@ -200,81 +226,126 @@ def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]
 # ---------------------------------------------------------------------------
 
 
-def _lift_value(
-    c_row: list[int],
-    rep: int,
+def _lift_values(
+    c_rows: np.ndarray,
+    degrees: np.ndarray,
     g: FiniteGroup,
-    class_of: tuple[int, ...],
+    part: ConjugacyPartition,
     e: int,
     p: int,
     theta: int,
-    degree: int,
-) -> Cyclotomic:
-    """Exact chi(rep) from its residues at all powers of rep.
+) -> np.ndarray:
+    """Exact chi_r(rep_j) for every row r and class j, as a (k, k, phi) int64
+    array of power-basis coefficients, from the residues c_rows[r, t] =
+    chi_r(rep_t) mod p.
 
     chi(rep) = sum_m a_m zeta_o^m where a_m counts eigenvalue zeta_o^m of a
-    representing matrix, o = ord(rep); the a_m are recovered by an inverse
-    DFT over F_p and are exact because 0 <= a_m <= degree < p.
+    representing matrix, o = ord(rep). For each class the a_m of all rows
+    come from one inverse DFT over F_p: the (k x o) residues chi_r(rep^s)
+    times F[s, m] = theta_o^(-m s) / o mod p. They are exact because
+    0 <= a_m <= degree < p, and the matmul is exact in int64 because its
+    entries are below p <= PRIME_BOUND = 10^6 and o <= |G| <= 5040, the
+    element cap, so every dot product is below o * p^2 <= 5040 * 10^12 <
+    2^63. A second (k x o)(o x phi) matmul maps the multiplicities onto the
+    power basis.
     """
-    o = g.ord[rep]
-    theta_o = pow(theta, e // o, p)
-    inv_o = pow(o, p - 2, p)
-    # residues[s] = chi(rep^s) mod p, s = 0..o-1
-    residues = [c_row[class_of[x]] for x in g.powers(rep)]
+    k = part.k
     ctx = _context(e)
-    coeffs = [0] * ctx.phi
-    for m in range(o):
-        tm = pow(theta_o, (-m) % (p - 1), p) if o > 1 else 1
-        acc, w = 0, 1
-        for s in range(o):
-            acc = (acc + residues[s] * w) % p
-            w = w * tm % p
-        a_m = acc * inv_o % p
-        if a_m > degree:
-            raise VerificationFailed(f"root-of-unity multiplicity {a_m} exceeds degree {degree}")
-        if a_m:
-            for i, t in enumerate(ctx.powers[(m * (e // o)) % e]):
-                if t:
-                    coeffs[i] += a_m * t
-    return Cyclotomic(e, [Fraction(c) for c in coeffs])
+    out = np.empty((k, k, ctx.phi), dtype=np.int64)
+    inverse_dft: dict[int, np.ndarray] = {}
+    for j, rep in enumerate(part.reps()):
+        orbit = g.powers(rep)
+        o = len(orbit)
+        if o not in inverse_dft:
+            theta_o = pow(theta, e // o, p)
+            twiddle = [1] * o
+            for t in range(1, o):
+                twiddle[t] = twiddle[t - 1] * theta_o % p
+            s = np.arange(o)
+            dft = np.array(twiddle, dtype=np.int64)[np.outer(s, -s) % o]
+            inverse_dft[o] = dft * pow(o, -1, p) % p
+        residues = c_rows[:, [part.class_of[x] for x in orbit]]
+        mult = residues @ inverse_dft[o] % p
+        over = np.argwhere(mult > degrees[:, None])
+        if len(over):
+            r, m = over[0].tolist()
+            raise VerificationFailed(f"root-of-unity multiplicity {mult[r, m]} exceeds degree {degrees[r]}")
+        out[:, j] = mult @ ctx.power_array[np.arange(o) * (e // o)]
+    return out
+
+
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m over the last axis of x, in Python ints if a dot product could
+    reach 2^63."""
+    return _summable(x, m.shape[0], _absmax(x) * _absmax(m)) @ m
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, reduction: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum_t left[t, i] * right[t, j] in Z[zeta_e], for (t, ., phi)
+    coefficient arrays: a convolution accumulated one coefficient of `left`
+    at a time, so no intermediate exceeds O(k^2 phi) entries, then reduced
+    onto the power basis. The caller picks the dtype (see `_verify_table`)."""
+    t, ni, phi = left.shape
+    nj = right.shape[1]
+    flat = right.reshape(t, nj * phi)
+    conv = np.zeros((ni, nj, 2 * phi - 1), dtype=left.dtype)
+    for a in range(phi):
+        conv[:, :, a : a + phi] += (left[:, :, a].T @ flat).reshape(ni, nj, phi)
+    return conv @ reduction
+
+
+def _first_mismatch(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
+    bad = np.argwhere((got != want).any(axis=2))
+    return tuple(bad[0].tolist()) if len(bad) else None
 
 
 def _verify_table(
     g: FiniteGroup,
     part: ConjugacyPartition,
     degrees: list[int],
-    rows: list[list[Cyclotomic]],
+    x: np.ndarray,
 ) -> None:
+    """Check the degree equation, chi(g^-1) = conj(chi(g)) and both
+    orthogonality relations exactly on the (k, k, phi) coefficient array x.
+
+    The dtype of the orthogonality sums is chosen before any product: each
+    output coordinate is a sum of at most (2 phi - 1) phi |G| products
+    |x| |conj x| |reduction|, and with |conj x| <= phi max|x| max|conj_map|
+    the bound 2 |G| phi^2 max|x| (phi max|x| max|conj_map|) max|reduction|
+    decides between int64 and Python ints.
+    """
     n = g.n
     k = part.k
-    sizes = part.sizes()
-    inv_cls = part.inverse_class
+    sizes = np.array(part.sizes(), dtype=np.int64)
     if sum(d * d for d in degrees) != n:
         raise VerificationFailed(f"degree equation failed: {degrees} for |G|={n}")
     for d in degrees:
         if n % d != 0:
             raise VerificationFailed(f"degree {d} does not divide |G|={n}")
-    conj_rows = [[v.conj() for v in row] for row in rows]
-    for r, row in enumerate(rows):
-        for j in range(k):
-            if row[inv_cls[j]] != conj_rows[r][j]:
-                raise VerificationFailed(f"chi(g^-1) != conj(chi(g)) at row {r}, class {j}")
-    for r in range(k):
-        for s in range(r, k):
-            acc = Cyclotomic.rational(0)
-            for j in range(k):
-                acc = acc + sizes[j] * (rows[r][j] * conj_rows[s][j])
-            want = n if r == s else 0
-            if acc != want:
-                raise VerificationFailed(f"row orthogonality failed at ({r},{s})")
-    for i in range(k):
-        for j in range(i, k):
-            acc = Cyclotomic.rational(0)
-            for r in range(k):
-                acc = acc + rows[r][i] * conj_rows[r][j]
-            want = Fraction(n, sizes[i]) if i == j else Fraction(0)
-            if acc != Cyclotomic.rational(want):
-                raise VerificationFailed(f"column orthogonality failed at ({i},{j})")
+    ctx = _context(g.exponent())
+    phi = ctx.phi
+    big = _absmax(x)
+    bound = 2 * n * phi * phi * big * (phi * big * _absmax(ctx.conj_map)) * _absmax(ctx.reduction)
+    if bound >= _INT64:
+        x = x.astype(object)
+    conj = _apply(x, ctx.conj_map)
+    bad = _first_mismatch(x[:, part.inverse_class], conj)
+    if bad is not None:
+        raise VerificationFailed("chi(g^-1) != conj(chi(g)) at row {}, class {}".format(*bad))
+    want = np.zeros((k, k, phi), dtype=x.dtype)
+    want[:, :, 0] = np.diag(np.full(k, n))
+    weighted = (x * sizes[:, None]).transpose(1, 0, 2)  # |C_j| chi_r(j), j first
+    bad = _first_mismatch(_pair_sums(weighted, conj.transpose(1, 0, 2), ctx.reduction), want)
+    if bad is not None:
+        raise VerificationFailed("row orthogonality failed at ({},{})".format(*bad))
+    want[:, :, 0] = np.diag(n // sizes)
+    bad = _first_mismatch(_pair_sums(x, conj, ctx.reduction), want)
+    if bad is not None:
+        raise VerificationFailed("column orthogonality failed at ({},{})".format(*bad))
 
 
 def character_table(
@@ -297,7 +368,7 @@ def character_table(
     inv_cls = part.inverse_class
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     n_mod = g.n % p
-    rows: list[list[Cyclotomic]] = []
+    c_rows: list[list[int]] = []
     degrees: list[int] = []
     sqrt_cap = isqrt(g.n)
     for v in vecs:
@@ -313,28 +384,23 @@ def character_table(
         d = min(d, p - d)
         if not (1 <= d <= sqrt_cap):
             raise VerificationFailed(f"recovered degree {d} outside 1..sqrt(|G|)")
-        c_row = [d * u[t] % p * inv_sizes[t] % p for t in range(k)]
-        lifted = [
-            _lift_value(c_row, rep, g, part.class_of, e, p, theta, d)
-            for rep in part.reps()
-        ]
+        c_rows.append([d * u[t] % p * inv_sizes[t] % p for t in range(k)])
         degrees.append(d)
-        rows.append(lifted)
-
-    order = sorted(
-        range(k),
-        key=lambda r: (degrees[r], [tuple(v.coeffs) for v in rows[r]]),
+    x = _lift_values(
+        np.array(c_rows, dtype=np.int64), np.array(degrees, dtype=np.int64), g, part, e, p, theta
     )
+
+    order = sorted(range(k), key=lambda r: (degrees[r], x[r].ravel().tolist()))
     degrees = [degrees[r] for r in order]
-    rows = [rows[r] for r in order]
-    _verify_table(g, part, degrees, rows)
+    x = x[order]
+    _verify_table(g, part, degrees, x)
     return CharacterTable(
         group=g,
         partition=part,
         conductor=e,
         prime=p,
         degrees=tuple(degrees),
-        values=tuple(tuple(row) for row in rows),
+        coeffs=x,
     )
 
 
@@ -349,15 +415,21 @@ def galois_on_characters(table: CharacterTable, h: int) -> tuple[int, ...]:
     g = table.group
     part = table.partition
     perm = tuple(part.class_of[g.power(rep, h)] for rep in part.reps())
-    for r, row in enumerate(table.values):
-        for j in range(table.k):
-            if row[j].galois(h) != row[perm[j]]:
-                raise GaloisMismatch(f"row {r}, class {j}, twist {h}")
+    x = table.coeffs
+    bad = _first_mismatch(_apply(x, _context(table.conductor).galois_map(h)), x[:, perm])
+    if bad is not None:
+        raise GaloisMismatch("row {}, class {}, twist {}".format(*bad, h))
     return perm
 
 
 def is_rational_class(table: CharacterTable, j: int) -> bool:
-    return all(row[j].is_rational() for row in table.values)
+    return not table.coeffs[:, j, 1:].any()
+
+
+def chi_plus_conj(table: CharacterTable) -> np.ndarray:
+    """The (k, k, phi) coefficients of chi(g) + conj(chi(g)) for every cell."""
+    x = table.coeffs
+    return x + _apply(x, _context(table.conductor).conj_map)
 
 
 def chi_plus_conj_integral(table: CharacterTable) -> tuple[tuple[bool, ...], ...]:
@@ -365,10 +437,7 @@ def chi_plus_conj_integral(table: CharacterTable) -> tuple[tuple[bool, ...], ...
 
     Rational here implies integer, because the sum is an algebraic integer.
     """
-    out = []
-    for row in table.values:
-        out.append(tuple((v + v.conj()).is_rational() for v in row))
-    return tuple(out)
+    return tuple(map(tuple, (chi_plus_conj(table)[:, :, 1:] == 0).all(axis=2).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +447,40 @@ def chi_plus_conj_integral(table: CharacterTable) -> tuple[tuple[bool, ...], ...
 
 def save_table(table: CharacterTable, path: str | Path) -> None:
     """Text dump: header, class data, then one row per character with each
-    value as comma-joined rationals over the power basis of Q(zeta_e)."""
+    value as comma-joined integers over the power basis of Q(zeta_e)."""
     lines = [
         f"chartable {table.group.name.replace(' ', '_')} {table.k} {table.conductor}",
         "sizes " + " ".join(str(s) for s in table.class_sizes()),
         "reps " + " ".join(str(r) for r in table.reps()),
     ]
-    for d, row in zip(table.degrees, table.values):
-        vals = " ".join(",".join(str(c) for c in v.coeffs) for v in row)
+    for d, row in zip(table.degrees, table.coeffs.tolist()):
+        vals = " ".join(",".join(map(str, cell)) for cell in row)
         lines.append(f"row {d} {vals}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _parse_value(field: str, phi: int) -> list[int]:
+    coeffs = field.split(",")
+    if len(coeffs) != phi:
+        raise ValueError(f"value {field!r} needs {phi} coefficients, got {len(coeffs)}")
+    try:
+        return [int(c) for c in coeffs]
+    except ValueError:
+        raise ValueError(f"value {field!r} has a non-integer coefficient; character values are algebraic integers") from None
 
 
 def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
     """Reload a dump produced by save_table; re-verifies before returning.
 
-    A malformed dump, or one of another group, raises ParseError, a
-    ValueError that names the line; a well-formed table that fails an exact
-    identity raises VerificationFailed.
+    A malformed dump (including a coefficient that is not an integer), or
+    one of another group, raises ParseError, a ValueError that names the
+    line; a well-formed table that fails an exact identity raises
+    VerificationFailed. The coefficients take their dtype by the overflow
+    rule, so a huge coefficient is checked in Python ints.
     """
     lines = _content_lines(Path(path).read_text(encoding="utf-8"))
     part = conjugacy_classes(g)
-    ln, degrees, rows = 1, [], []
+    ln, degrees, cells = 1, [], []
     try:
         if not lines:
             raise ValueError("empty file")
@@ -410,6 +491,7 @@ def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
         k, e = int(head[2]), int(head[3])
         if (k, e) != (part.k, g.exponent()):
             raise ValueError("dump does not match the supplied group")
+        phi = _context(e).phi
         if len(lines) != k + 3:
             ln = lines[-1][0]
             raise ValueError(f"expected sizes, reps and {k} rows, found {len(lines) - 1} lines")
@@ -422,17 +504,19 @@ def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
                 degrees.append(int(fields[1]))
                 if degrees[-1] < 1:
                     raise ValueError(f"degree {degrees[-1]} is not positive")
-                rows.append([Cyclotomic(e, [Fraction(c) for c in v.split(",")]) for v in fields[2:]])
+                for v in fields[2:]:
+                    cells.extend(_parse_value(v, phi))
             elif tuple(map(int, fields[1:])) != (part.sizes() if tag == "sizes" else part.reps()):
                 raise ValueError("dump does not match the supplied group")
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         raise ParseError(ln, str(err)) from None
-    _verify_table(g, part, degrees, rows)
+    x = exact_array(cells).reshape(k, k, phi)
+    _verify_table(g, part, degrees, x)
     return CharacterTable(
         group=g,
         partition=part,
         conductor=e,
         prime=0,
         degrees=tuple(degrees),
-        values=tuple(tuple(r) for r in rows),
+        coeffs=x,
     )

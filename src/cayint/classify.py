@@ -28,6 +28,7 @@ from .chartable import (
     DEFAULT_ORDER_CAP,
     CharacterTable,
     character_table,
+    chi_plus_conj,
     chi_plus_conj_integral,
 )
 from .groups import (
@@ -557,21 +558,16 @@ def gamma_chi_conj_check(
     """Integrality of the colour graph of chi + conj(chi) per character.
 
     Rational values of chi + conj(chi) are algebraic integers, hence
-    integers, and give a genuine integer class function; any irrational
-    value makes the colour function leave the integer setting and the
-    character is reported as not formable (and not integral).
+    integers (the constant coordinates of the sums), and give a genuine
+    integer class function; any irrational value makes the colour function
+    leave the integer setting and the character is reported as not
+    formable (and not integral).
     """
     part = table.partition
     rows = []
-    for r, row in enumerate(table.values):
-        sums = [v + v.conj() for v in row]
-        if all(s.is_rational() for s in sums):
-            rationals = [s.to_rational() for s in sums]
-            scale = 1
-            for q in rationals:
-                scale = scale * q.denominator // gcd(scale, q.denominator)
-            class_values = [int(q * scale) for q in rationals]
-            f = ConnectionFunction.from_class_values(g, part, class_values)
+    for r, sums in enumerate(chi_plus_conj(table)):
+        if not sums[:, 1:].any():
+            f = ConnectionFunction.from_class_values(g, part, sums[:, 0].tolist())
             ok, _ = integrality_by_criterion(g, f)
             rows.append(CharColourRow(r, table.degrees[r], True, ok))
         else:
@@ -710,7 +706,7 @@ def classify_group(
     discrepancies = list(nci.discrepancies) + list(fcci.discrepancies)
     discrepancies += list(cci.discrepancies) + list(ci.discrepancies)
     if table is not None:
-        table_rational = all(v.is_rational() for row in table.values for v in row)
+        table_rational = not table.coeffs[:, :, 1:].any()
         if table_rational != rat:
             discrepancies.append(
                 f"rationality disagreement on {g.name}: atom route {rat}, table scan {table_rational}"

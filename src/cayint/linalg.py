@@ -478,9 +478,14 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 class _CycloContext:
-    """Per-conductor data: Phi_e and the canonical vectors of zeta^j."""
+    """Per-conductor data: Phi_e, the canonical vectors of zeta^j, and the
+    fixed integer maps on power-basis coefficient vectors (row vectors,
+    applied on the right): `conj_map` (row m is zeta^-m), `galois_map(h)`
+    (row m is zeta^(m h)) and `reduction`, which takes the 2 phi - 1
+    coefficients of a product of two vectors back onto phi (row j is
+    zeta^j). The arrays follow the `exact_array` dtype rule."""
 
-    __slots__ = ("e", "phi", "modulus", "powers")
+    __slots__ = ("e", "phi", "modulus", "powers", "power_array", "conj_map", "reduction")
 
     def __init__(self, e: int):
         self.e = e
@@ -496,6 +501,16 @@ class _CycloContext:
             if carry:
                 vec = [v + carry * t for v, t in zip(vec, top)]
         self.powers = tuple(powers)
+        self.power_array = exact_array([x for vec in powers for x in vec]).reshape(len(powers), self.phi)
+        self.power_array.flags.writeable = False
+        self.conj_map = self.galois_map(-1)
+        self.reduction = self.power_array[: 2 * self.phi - 1]
+
+    def galois_map(self, h: int) -> np.ndarray:
+        """The phi x phi matrix of zeta -> zeta^h, h a unit mod e."""
+        if gcd(h, self.e) != 1:
+            raise NotAUnit(f"{h} is not a unit modulo {self.e}")
+        return self.power_array[np.arange(self.phi) * h % self.e]
 
 
 _CONTEXTS: dict[int, _CycloContext] = {}

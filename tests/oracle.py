@@ -6,7 +6,9 @@ is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
 it was read off the normal-set survey; `routes_agree` compares the matrix
 route of a class function's spectrum with its character route, expanded
-by `expand_character_poly` in Q(zeta_e)[x].
+by `expand_character_poly` in Q(zeta_e)[x]; `verify_table_fraction` is the
+character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
+`Fraction`s ran before `chartable._verify_table` became integer contractions.
 
 The group-table oracles below are the scalar loops over a tuple-of-tuples
 table that the array code in `cayint.groups` replaced. Each reads the table
@@ -15,12 +17,13 @@ as nested lists (`g.table.tolist()`) and otherwise runs as it did.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from operator import mul as _mul
 
 from typing import Sequence
 
-from cayint.chartable import CharacterTable
+from cayint.chartable import CharacterTable, VerificationFailed
 from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, build_group
 from cayint.linalg import Cyclotomic, IntMatrix, IntPolynomial, charpoly
 from cayint.spectra import ConnectionFunction, adjacency as _adjacency, spectrum_characters, spectrum_matrix
@@ -95,6 +98,46 @@ def routes_agree(g: FiniteGroup, f: ConnectionFunction, table: CharacterTable) -
     if len(expanded) != len(p.coeffs):
         return False
     return all(c == want for c, want in zip(expanded, p.coeffs))
+
+
+def verify_table_fraction(
+    g: FiniteGroup,
+    part: ConjugacyPartition,
+    degrees: Sequence[int],
+    rows: Sequence[Sequence[Cyclotomic]],
+) -> None:
+    """The degree equation, chi(g^-1) = conj(chi(g)) and both orthogonality
+    relations, one `Cyclotomic` product at a time; raises VerificationFailed."""
+    n = g.n
+    k = part.k
+    sizes = part.sizes()
+    inv_cls = part.inverse_class
+    if sum(d * d for d in degrees) != n:
+        raise VerificationFailed(f"degree equation failed: {degrees} for |G|={n}")
+    for d in degrees:
+        if n % d != 0:
+            raise VerificationFailed(f"degree {d} does not divide |G|={n}")
+    conj_rows = [[v.conj() for v in row] for row in rows]
+    for r, row in enumerate(rows):
+        for j in range(k):
+            if row[inv_cls[j]] != conj_rows[r][j]:
+                raise VerificationFailed(f"chi(g^-1) != conj(chi(g)) at row {r}, class {j}")
+    for r in range(k):
+        for s in range(r, k):
+            acc = Cyclotomic.rational(0)
+            for j in range(k):
+                acc = acc + sizes[j] * (rows[r][j] * conj_rows[s][j])
+            want = n if r == s else 0
+            if acc != want:
+                raise VerificationFailed(f"row orthogonality failed at ({r},{s})")
+    for i in range(k):
+        for j in range(i, k):
+            acc = Cyclotomic.rational(0)
+            for r in range(k):
+                acc = acc + rows[r][i] * conj_rows[r][j]
+            want = Fraction(n, sizes[i]) if i == j else Fraction(0)
+            if acc != Cyclotomic.rational(want):
+                raise VerificationFailed(f"column orthogonality failed at ({i},{j})")
 
 
 def fcci_spectra_direct(

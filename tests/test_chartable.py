@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cayint.catalog import ParseError, catalog
+from cayint.catalog import ParseError, catalog, resolve_group
 from cayint.chartable import (
     GaloisMismatch,
     VerificationFailed,
+    _verify_table,
     character_table,
     chi_plus_conj_integral,
     class_matrices,
@@ -21,6 +25,7 @@ from cayint.chartable import (
 )
 from cayint.groups import conjugacy_classes
 from cayint.linalg import Cyclotomic
+from oracle import verify_table_fraction
 
 
 class TestClassMatrices:
@@ -143,6 +148,69 @@ class TestCharacterTable:
         with pytest.raises(ValueError):
             character_table(groups["S5"], order_cap=100)
 
+    def test_integer_coefficient_array(self, tables):
+        for t in tables.values():
+            x = t.coeffs
+            assert x.dtype == np.int64 and not x.flags.writeable
+            assert x.shape == (t.k, t.k, len(t.values[0][0].coeffs))
+            assert [[list(v.coeffs) for v in row] for row in t.values] == x.tolist()
+
+
+def _cyclotomic_rows(e: int, x: np.ndarray) -> list[list[Cyclotomic]]:
+    return [[Cyclotomic(e, cell) for cell in row] for row in x.tolist()]
+
+
+def _both_verify(g, t, degrees, x) -> None:
+    """Run the integer verifier and the `Fraction` oracle; each must raise
+    VerificationFailed, or neither."""
+    outcomes = []
+    for verify, table in ((_verify_table, x), (verify_table_fraction, _cyclotomic_rows(t.conductor, x))):
+        try:
+            verify(g, t.partition, list(degrees), table)
+            outcomes.append(True)
+        except VerificationFailed:
+            outcomes.append(False)
+    assert outcomes[0] == outcomes[1], f"integer verifier {outcomes[0]}, oracle {outcomes[1]}"
+    if not outcomes[0]:
+        raise VerificationFailed("both verifiers rejected the table")
+
+
+STRUCTURE_GROUPS = ("symmetric 6", "alternating 6", "q8 x symmetric 4", "dicyclic 15", "dihedral 40")
+
+
+class TestVerifierAgainstOracle:
+    def test_catalog_tables_accepted(self, groups, tables):
+        for label, t in tables.items():
+            _both_verify(groups[label], t, t.degrees, t.coeffs)
+
+    @pytest.mark.parametrize("tokens", STRUCTURE_GROUPS)
+    def test_structure_tables_accepted(self, tokens):
+        g = resolve_group(tokens.split())
+        t = character_table(g)
+        _both_verify(g, t, t.degrees, t.coeffs)
+
+    @given(st.sampled_from(("S3", "Q8xZ3", "A5")), st.sampled_from(("coefficient", "swap", "degree")), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mutants_rejected(self, groups, tables, label, kind, data):
+        g, t = groups[label], tables[label]
+        x = t.coeffs.copy()
+        degrees = list(t.degrees)
+        k, _, phi = x.shape
+        r = data.draw(st.integers(0, k - 1), label="row")
+        if kind == "coefficient":
+            j = data.draw(st.integers(0, k - 1), label="class")
+            a = data.draw(st.integers(0, phi - 1), label="coordinate")
+            x[r, j, a] += data.draw(st.sampled_from((-1, 1)), label="step")
+        elif kind == "swap":
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True), label="classes")
+            assume(not np.array_equal(x[r, i], x[r, j]))
+            x[r, [i, j]] = x[r, [j, i]]
+        else:
+            d = data.draw(st.integers(1, isqrt(g.n)).filter(lambda d: d != degrees[r]), label="degree")
+            degrees[r] = d
+        with pytest.raises(VerificationFailed):
+            _both_verify(g, t, degrees, x)
+
 
 class TestGaloisAction:
     def test_identity_twist(self, tables):
@@ -237,6 +305,7 @@ MALFORMED_DUMPS = {
     "non-integer degree": (6, lambda lines: lines[:-1] + ["row two 2,0 0,0 -1,0"]),
     "zero degree": (6, lambda lines: lines[:-1] + ["row 0 2,0 0,0 -1,0"]),
     "bad rational": (6, lambda lines: lines[:-1] + ["row 2 2,0 0,0 -1/0,0"]),
+    "rational coefficient": (6, lambda lines: lines[:-1] + ["row 2 2,0 0,0 -1/2,0"]),
     "coefficient count": (6, lambda lines: lines[:-1] + ["row 2 2 0,0 -1,0"]),
 }
 
@@ -255,5 +324,15 @@ class TestLoadTableRejectsMalformedDumps:
         lines = _s3_dump_lines(tables, tmp_path)
         path = tmp_path / "bad.ct"
         path.write_text("\n".join(lines[:-1] + ["row 2 2,0 0,0 1,0"]) + "\n", encoding="utf-8")
+        with pytest.raises(VerificationFailed):
+            load_table(path, groups["S3"])
+
+    @pytest.mark.parametrize("big", [2**40, 10**30])
+    def test_huge_coefficient_fails_verification(self, big, groups, tables, tmp_path):
+        # 2^40 squared wraps int64 and 10^30 does not fit it: both must be
+        # checked exactly and rejected, never overflow or pass
+        lines = _s3_dump_lines(tables, tmp_path)
+        path = tmp_path / "big.ct"
+        path.write_text("\n".join(lines[:-1] + [f"row 2 2,0 {big},0 -1,0"]) + "\n", encoding="utf-8")
         with pytest.raises(VerificationFailed):
             load_table(path, groups["S3"])

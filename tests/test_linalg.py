@@ -17,6 +17,7 @@ from oracle import berkowitz, integer_roots_scan
 from cayint.chartable import _find_prime, class_matrices
 from cayint.linalg import (
     Cyclotomic,
+    _context,
     IntMatrix,
     IntPolynomial,
     NotAUnit,
@@ -454,3 +455,26 @@ class TestCyclotomic:
         assert a.conj().conj() == a
         assert (a * b).conj() == a.conj() * b.conj()
         assert (a + b).conj() == a.conj() + b.conj()
+
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=59),
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=60, max_size=60),
+        st.lists(st.integers(min_value=-5, max_value=5), min_size=60, max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_maps_match_cyclotomic_arithmetic(self, e, h, a, b):
+        # conj, Galois and product reduction as integer matrices on coefficient rows
+        from math import gcd
+
+        ctx = _context(e)
+        phi = ctx.phi
+        x, y = np.array(a[:phi]), np.array(b[:phi])
+        u, v = Cyclotomic(e, a[:phi]), Cyclotomic(e, b[:phi])
+        assert Cyclotomic(e, (x @ ctx.conj_map).tolist()) == u.conj()
+        if gcd(h, e) == 1:
+            assert Cyclotomic(e, (x @ ctx.galois_map(h)).tolist()) == u.galois(h)
+        else:
+            with pytest.raises(NotAUnit):
+                ctx.galois_map(h)
+        assert Cyclotomic(e, (np.convolve(x, y) @ ctx.reduction).tolist()) == u * v
