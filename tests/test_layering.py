@@ -14,8 +14,6 @@ from pathlib import Path
 import cayint
 
 TABLE_OWNERS = {"groups.py", "catalog.py"}
-
-
 SRC = Path(cayint.__file__).parent
 
 
@@ -51,5 +49,5 @@ def test_table_path_never_names_fraction():
                 or (isinstance(node, ast.alias) and "Fraction" in (node.name, node.asname))
             )
             if named:
-                uses.append(f"{name}:{getattr(node, 'lineno', '?')}")
+                uses.append(f"{name}:{node.lineno}")
     assert uses == []
