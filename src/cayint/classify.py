@@ -10,6 +10,9 @@ the normal-set survey once and hands them to the routes. The survey is the
 only enumeration of 0/1 functions on real classes: NCI reads its spectra,
 and FCCI reads them again with 1 added at the identity, which turns the
 adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
+The survey decides each row on a k x k class-algebra matrix with the
+distinct eigenvalues of the |G| x |G| adjacency matrix, and batches all
+rows' characteristic polynomials (see `normal_set_survey`).
 
 Work limits are module constants; a route above its limit is skipped and
 says so in its report's `skipped` and in `caps_notes`.
@@ -23,6 +26,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+import numpy as np
+
 from .catalog import catalog
 from .chartable import (
     DEFAULT_ORDER_CAP,
@@ -30,6 +35,7 @@ from .chartable import (
     character_table,
     chi_plus_conj,
     chi_plus_conj_integral,
+    class_matrices,
 )
 from .groups import (
     Atom,
@@ -42,7 +48,9 @@ from .groups import (
     generated_subgroup,
     is_nilpotent,
     quotient,
+    unit_power_classes,
 )
+from .linalg import IntMatrix, charpolys, integer_spectrum
 from .spectra import (
     ConnectionFunction,
     eulerian_check,
@@ -51,8 +59,10 @@ from .spectra import (
 )
 
 
-# Work limits. Each spectrum below is an |G| x |G| characteristic polynomial.
+# Work limits. The survey's spectra are k x k class-algebra characteristic
+# polynomials; every other spectrum below is an |G| x |G| one.
 SURVEY_MAX_ORDER = 24            # normal-set survey: 2^(r-1) spectra; NCI and FCCI read it
+_SURVEY_BATCH = 512              # survey rows per `charpolys` call: bounds the matrices held at once
 CI_EXHAUSTIVE_MAX_ORDER = 12     # every inverse-closed set (at most 2^11)
 CI_SAMPLED_MAX_ORDER = 24
 CI_SAMPLES = 1000
@@ -94,10 +104,11 @@ def is_semi_rational(
     """Atom(g) inside class(g) union class(g^r) for some unit r; returns the
     per-representative r map, or a witness element on failure."""
     e = g.exponent()
+    units, powers = unit_power_classes(g, part)
     r_map: dict[int, int] = {}
-    for rep in part.reps():
-        own = part.class_of[rep]
-        extra = {part.class_of[x] for x in atom(g, rep).members} - {own}
+    for j, rep in enumerate(part.reps()):
+        # the classes of the generators of <rep>, that is of Atom(rep)
+        extra = set(powers[:, j].tolist()) - {j}
         if not extra:
             r_map[rep] = 1
             continue
@@ -105,10 +116,7 @@ def is_semi_rational(
             return False, None, rep
         target = extra.pop()
         o = g.ord[rep]
-        k = next(
-            k for k in range(1, o + 1)
-            if gcd(k, o) == 1 and part.class_of[g.power(rep, k)] == target
-        )
+        k = min(h % o for h, c in zip(units, powers[:, j].tolist()) if c == target)
         r_map[rep] = _lift_unit(k, o, e)
     return True, r_map, None
 
@@ -174,20 +182,28 @@ class NormalSetSurvey:
 
 def normal_set_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
     """Every normal inverse-closed subset of G minus the identity, enumerated
-    as a union of real classes, with its Eulerian and integrality verdicts."""
+    as a union of real classes, with its Eulerian and integrality verdicts.
+
+    Integrality is decided in the class algebra. For f the 0/1 function of
+    a union S of classes, B_f = sum_(j in S) M_j of the k x k structure
+    constant matrices (`class_matrices`) is multiplication by sum_(j in S)
+    K_j on the centre of the group algebra. Its eigenvalues are the central
+    characters omega_chi(f) = sum_g f(g) chi(g) / chi(1), exactly the
+    distinct eigenvalues of the |G| x |G| adjacency matrix A_f (Babai), so
+    A_f is integral exactly when B_f is. Each is an eigenvalue of A_f, at
+    most its row sum sum_g |f(g)| = |S| in magnitude: the sound root bound.
+    """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
+    mats = np.stack(class_matrices(g, part))
+    chosen = [tuple(j for orbit in orbits_on for j in orbit) for orbits_on in _subsets(orbits)]
     rows = []
-    for chosen in _subsets(orbits):
-        members = [x for orbit in chosen for j in orbit for x in part.classes[j]]
-        f = ConnectionFunction.delta(g, members, part)
-        rows.append(
-            NormalSetRow(
-                class_indices=tuple(j for orbit in chosen for j in orbit),
-                size=len(members),
-                eulerian=eulerian_check(g, members)[0] if members else True,
-                integral=spectrum_matrix(g, f).is_integral,
-            )
-        )
+    for start in range(0, len(chosen), _SURVEY_BATCH):
+        batch = chosen[start : start + _SURVEY_BATCH]
+        for classes, poly in zip(batch, charpolys([IntMatrix(mats[list(c)].sum(axis=0)) for c in batch])):
+            members = [x for j in classes for x in part.classes[j]]
+            eulerian = eulerian_check(g, members)[0] if members else True
+            integral = integer_spectrum(poly, bound=len(members)).is_integral
+            rows.append(NormalSetRow(classes, len(members), eulerian, integral))
     rows_t = tuple(rows)
     return NormalSetSurvey(rows_t, tuple(r for r in rows_t if not r.match))
 
@@ -300,20 +316,11 @@ def fcci_report(
     route_a = all(o in ALLOWED_ORDERS for o in g.ord)
     order_witness = None if route_a else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
 
-    route_b = True
-    crit_witness = None
-    n = g.n
-    for h in range(2, n):
-        if gcd(h, n) != 1:
-            continue
-        for rep in part.reps():
-            allowed = part.class_of[rep], part.inverse_class[part.class_of[rep]]
-            if part.class_of[g.power(rep, h)] not in allowed:
-                route_b = False
-                crit_witness = (rep, h)
-                break
-        if not route_b:
-            break
+    units, powers = unit_power_classes(g, part)
+    moved = (powers != np.arange(part.k)) & (powers != np.array(part.inverse_class))
+    first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
+    route_b = not moved.any()
+    crit_witness = None if route_b else (part.reps()[j], units[first])
 
     route_c: bool | None = None
     mode, count, witness = "skipped", 0, None
@@ -568,7 +575,7 @@ def gamma_chi_conj_check(
     for r, sums in enumerate(chi_plus_conj(table)):
         if not sums[:, 1:].any():
             f = ConnectionFunction.from_class_values(g, part, sums[:, 0].tolist())
-            ok, _ = integrality_by_criterion(g, f)
+            ok, _ = integrality_by_criterion(g, f, part)
             rows.append(CharColourRow(r, table.degrees[r], True, ok))
         else:
             rows.append(CharColourRow(r, table.degrees[r], False, False))

@@ -289,6 +289,33 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real))
 
 
+def unit_power_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[tuple[int, ...], np.ndarray]:
+    """The units h mod e, e the exponent of g, ascending from 1, and the
+    (units, k) array whose row i, column j is the class of rep_j^(h_i). As
+    x^h depends only on h mod e, and e and |G| have the same prime divisors,
+    the first unit in [2, |G|) whose power map has a given property is one
+    of these."""
+    e = g.exponent()
+    reps = np.asarray(part.reps(), dtype=np.intp)
+    class_of = np.asarray(part.class_of, dtype=np.int32)
+    # unit -> class map. Power maps compose: a unit not yet reached is powered by squaring
+    # and multiplies the units so far into their next cosets.
+    maps = {1: np.arange(part.k, dtype=np.int32)}
+    for h in range(2, e):
+        if gcd(h, e) != 1 or h in maps:
+            continue
+        power, base, bits = np.zeros_like(reps), reps, h
+        while bits:
+            if bits & 1:
+                power = g.table[power, base]
+            base, bits = g.table[base, base], bits >> 1
+        coset, step = list(maps.items()), class_of[power]
+        while (coset := [(u * h % e, step[m]) for u, m in coset])[0][0] not in maps:
+            maps.update(coset)
+    units = tuple(sorted(maps))
+    return units, np.array([maps[h] for h in units], dtype=np.int32).reshape(len(units), part.k)
+
+
 @dataclass(frozen=True)
 class Atom:
     """The generators of <g>: every g^k with k coprime to the order of g."""

@@ -6,10 +6,12 @@ entry is below 2^62 in magnitude and Python ints otherwise (`exact_array`).
 Everything here is exact: characteristic polynomials come from one
 multi-modular kernel (Hessenberg reduction modulo word-size primes in
 batched int64 numpy arrays, with every product kept below 2^63), lifted to
-the integers by the Chinese remainder theorem under Hadamard's bound; the
-character tables call the same kernel on their own prime. Integer
-eigenvalues are split off by synthetic division against a sound candidate
-set, the non-integral residual is split into squarefree parts by sympy, and
+the integers by the Chinese remainder theorem under Hadamard's bound. A
+batch of matrices (`charpolys`) runs as stacks of (matrix, prime) slots of
+bounded size, so many small matrices cost a few kernel calls; `charpoly`
+is a batch of one, and the character tables call the same kernel on their
+own prime (`charpoly_mod`). Integer eigenvalues are split off by synthetic
+division against a sound candidate set, the non-integral residual is split into squarefree parts by sympy, and
 cyclotomic numbers are kept in canonical form (reduced modulo the e-th
 cyclotomic polynomial) so equality and rationality tests are decidable.
 No floating point enters any code path.
@@ -168,18 +170,6 @@ class IntPolynomial:
             out = out * self
         return out
 
-    def shift_root(self, r: int) -> tuple["IntPolynomial", int]:
-        """Synthetic division by (x - r): returns (quotient, remainder)."""
-        c = self.coeffs
-        if not c:
-            return IntPolynomial(()), 0
-        q: list[int] = [0] * (len(c) - 1)
-        acc = c[-1]
-        for k in range(len(c) - 2, -1, -1):
-            q[k] = acc
-            acc = c[k] + r * acc
-        return IntPolynomial(tuple(q)), acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -205,7 +195,7 @@ class IntPolynomial:
 # two residues fits in 52 bits; the prime limit also keeps n * p^2 < 2^63, so
 # a dot product of n such products cannot overflow int64.
 _PRIME_CAP = 2**26
-_CHUNK = 4  # primes per batched (k, n, n) stack; bounds the work arrays
+_STACK_CELLS = 2**16  # matrix cells per batched (k, n, n) stack; bounds the work arrays
 _PRIMES: dict[int, list[int]] = {}  # prime limit -> primes below it, descending
 
 
@@ -279,52 +269,70 @@ def _charpoly_stack(a: np.ndarray, ps: np.ndarray, prod: np.ndarray, polys: np.n
     return polys[:, n, :]
 
 
-def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - M), by multi-modular
-    Hessenberg reduction and the Chinese remainder theorem.
-
-    Bound: with r_i the ceiling of the Euclidean norm of row i, Hadamard's
-    inequality on the principal minors gives |c_k| <= e_k(r) <= B =
-    prod(1 + r_i) for every coefficient c_k. The kernel runs modulo the
-    fewest primes below 2^26 whose product exceeds 2B, taken in descending
-    order, in int64 stacks of a few primes at a time (see `_charpoly_stack`),
-    and the residues are lifted by CRT into the symmetric range. Overflow:
-    the prime limit is chosen from n so that n * p^2 < 2^63, which bounds
-    every int64 dot product. Entries that reach 2^62 in magnitude are
-    stored as Python integers (see `IntMatrix`) and reduced mod each prime
-    before the kernel. No float is used.
-    """
-    entries = m.entries
-    n = m.n
-    if n == 0:
-        return IntPolynomial((1,))
+def _hadamard_bound(entries: np.ndarray) -> int:
+    """prod(1 + r_i), r_i the ceiling of the Euclidean norm of row i."""
+    n = entries.shape[0]
     big = int(np.abs(entries).max())
     wide = _summable(entries, n, big * big)
     bound = 1
     for sq in (wide * wide).sum(axis=1).tolist():
         r = isqrt(sq)
         bound *= 1 + r + (r * r != sq)
-    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
-    assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
-    chunk = min(_CHUNK, len(primes))
-    work = np.empty((chunk, n, n), dtype=np.int64)
-    prod = np.empty((chunk, n, n), dtype=np.int64)
-    polys = np.empty((chunk, n + 1, n + 1), dtype=np.int64)
-    residues: list[list[int]] = []
-    for start in range(0, len(primes), chunk):
-        ps = np.array(primes[start : start + chunk], dtype=np.int64)
-        k = len(ps)
-        a = work[:k]
-        for i, p in enumerate(ps.tolist()):
-            a[i] = entries % p
-        residues.extend(_charpoly_stack(a, ps, prod[:k], polys[:k]).tolist())
-    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
-    half = modulus // 2
-    coeffs = []
-    for column in zip(*residues):
-        c = sum(map(_mul, column, basis)) % modulus
-        coeffs.append(c - modulus if c > half else c)
-    return IntPolynomial(tuple(coeffs))
+    return bound
+
+
+def charpolys(mats: Sequence[IntMatrix]) -> list[IntPolynomial]:
+    """Exact monic characteristic polynomials det(xI - M) of a batch of
+    matrices, by multi-modular Hessenberg reduction and the Chinese
+    remainder theorem.
+
+    Bound: with r_i the ceiling of the Euclidean norm of row i, Hadamard's
+    inequality on the principal minors gives |c_k| <= e_k(r) <= prod(1 + r_i)
+    for every coefficient c_k. The matrices of one size share one bound B,
+    the largest of theirs, and so the fewest primes below 2^26, descending,
+    whose product exceeds 2B. The (matrix, prime) slots run through
+    `_charpoly_stack` in int64 stacks of at most _STACK_CELLS cells (or one
+    slot), and CRT lifts each matrix's residues into the symmetric range.
+    Overflow: the prime limit is chosen from n so that n * p^2 < 2^63, which
+    bounds every int64 dot product; entries from 2^62 up are Python ints
+    (see `IntMatrix`), reduced mod each prime first. No float is used.
+    """
+    out: list[IntPolynomial] = [IntPolynomial((1,))] * len(mats)
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(mats):
+        by_size.setdefault(m.n, []).append(i)
+    for n, idx in by_size.items():
+        if n == 0:
+            continue
+        bound = max(_hadamard_bound(mats[i].entries) for i in idx)
+        primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
+        assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
+        slots = [(i, p) for i in idx for p in primes]
+        stack = min(len(slots), max(1, _STACK_CELLS // (n * n)))
+        work = np.empty((stack, n, n), dtype=np.int64)
+        prod = np.empty((stack, n, n), dtype=np.int64)
+        polys = np.empty((stack, n + 1, n + 1), dtype=np.int64)
+        residues = np.empty((len(slots), n + 1), dtype=np.int64)
+        for start in range(0, len(slots), stack):
+            chunk = slots[start : start + stack]
+            ps = np.array([p for _, p in chunk], dtype=np.int64)
+            a = work[: len(chunk)]
+            a[...] = np.stack([mats[i].entries for i, _ in chunk]) % ps[:, None, None]
+            residues[start : start + len(chunk)] = _charpoly_stack(a, ps, prod[: len(chunk)], polys[: len(chunk)])
+        basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+        half = modulus // 2
+        for r, i in enumerate(idx):
+            coeffs = []
+            for column in residues[r * len(primes) : (r + 1) * len(primes)].T.tolist():
+                c = sum(map(_mul, column, basis)) % modulus
+                coeffs.append(c - modulus if c > half else c)
+            out[i] = IntPolynomial(tuple(coeffs))
+    return out
+
+
+def charpoly(m: IntMatrix) -> IntPolynomial:
+    """Exact monic characteristic polynomial det(xI - M): `charpolys` on one matrix."""
+    return charpolys([m])[0]
 
 
 def charpoly_mod(m: IntMatrix, p: int) -> tuple[int, ...]:
@@ -404,34 +412,38 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
         raise ValueError("integer_spectrum requires a monic polynomial")
     degree = p.degree
     found: dict[int, int] = {}
-    work = p
-    while work.degree > 0 and work.coeffs[0] == 0:
-        work = IntPolynomial(work.coeffs[1:])
+    work = list(p.coeffs)  # ascending; divided in place, one IntPolynomial at the end
+    while len(work) > 1 and work[0] == 0:
+        del work[0]
         found[0] = found.get(0, 0) + 1
-    if work.degree > 0:
+    if len(work) > 1:
         if bound is not None:
             candidates: Iterable[int] = range(bound, -bound - 1, -1)
         else:
-            cauchy = 1 + max(abs(c) for c in work.coeffs)
-            candidates = _divisor_candidates(work.coeffs[0], cauchy)
+            cauchy = 1 + max(abs(c) for c in work)
+            candidates = _divisor_candidates(work[0], cauchy)
         for r in candidates:
             # an integer root divides the constant term, nonzero once zero roots are gone
-            if r == 0 or work.coeffs[0] % r:
+            if r == 0 or work[0] % r:
                 continue
-            while work.degree > 0:
-                q, rem = work.shift_root(r)
-                if rem != 0:
+            while len(work) > 1:
+                # synthetic division by (x - r): the quotient's coefficients are the running sums
+                quotient = work[1:]
+                acc = quotient[-1]
+                for j in range(len(quotient) - 2, -1, -1):
+                    acc = quotient[j] = quotient[j] + r * acc
+                if work[0] + r * acc != 0:
                     break
-                work = q
+                work = quotient
                 found[r] = found.get(r, 0) + 1
-            if work.degree == 0:
+            if len(work) == 1:
                 break
     eigen = tuple(sorted(found.items(), key=lambda kv: -kv[0]))
     return SpectrumReport(
         degree=degree,
         integer_eigenvalues=eigen,
-        residual=work,
-        is_integral=work.degree <= 0,
+        residual=IntPolynomial(tuple(work)),
+        is_integral=len(work) == 1,
     )
 
 

@@ -12,12 +12,11 @@ the tests (`tests/oracle.py`), since no verdict reads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chartable import CharacterTable
-from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes
+from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes, unit_power_classes
 from .linalg import Cyclotomic, IntMatrix, SpectrumReport, charpoly, exact_array, integer_spectrum
 
 
@@ -143,38 +142,33 @@ def spectrum_characters(
     if table.group is not g and not g.same_table(table.group):
         raise ValueError("character table does not belong to this group")
     part = table.partition
-    sizes = part.sizes()
-    reps = part.reps()
-    out = []
-    for d, row in zip(table.degrees, table.values):
-        acc = Cyclotomic.rational(0)
-        for j in range(table.k):
-            w = f.values[reps[j]] * sizes[j]
-            if w:
-                acc = acc + w * row[j]
-        out.append((acc * Fraction(1, d), d * d))
-    return tuple(out)
+    weights = exact_array([f.values[rep] * size for rep, size in zip(part.reps(), part.sizes())])
+    # power-basis coordinates of sum_j w_j chi(g_j), in Python ints, one row per character
+    sums = (table.coeffs.astype(object).transpose(0, 2, 1) @ weights).tolist()
+    return tuple(
+        (Cyclotomic(table.conductor, [Fraction(c, d) for c in row]), d * d)
+        for d, row in zip(table.degrees, sums)
+    )
 
 
 def integrality_by_criterion(
-    g: FiniteGroup, f: ConnectionFunction
+    g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartition | None = None
 ) -> tuple[bool, tuple[int, int] | None]:
     """Power-map fixedness test: the colour graph of an integer symmetric
     class function is integral iff f(g^h) = f(g) for every unit h mod |G|.
-    Returns (verdict, witness (g, h)) with the first failing pair."""
+    Returns (verdict, witness (g, h)) with the first failing pair, h first;
+    g is the least member of the first failing class, since classes are
+    ordered by least member (`unit_power_classes` gives h)."""
     if not f.class_function:
         raise NotAClassFunction("criterion applies to class functions")
     if not f.symmetric:
         raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
-    n = g.n
-    vals = f.values
-    for h in range(2, n):
-        if gcd(h, n) != 1:
-            continue
-        for x in g.elements():
-            if vals[g.power(x, h)] != vals[x]:
-                return False, (x, h)
-    return True, None
+    part = part or conjugacy_classes(g)
+    units, powers = unit_power_classes(g, part)
+    vals = exact_array(f.values)[list(part.reps())]
+    moved = vals[powers] != vals
+    first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
+    return (True, None) if not moved.any() else (False, (part.reps()[j], units[first]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,15 @@
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
 is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
-it was read off the normal-set survey; `routes_agree` compares the matrix
+it was read off the normal-set survey; `normal_set_survey_matrix` is the
+survey as it ran before it moved into the class algebra, one |G| x |G|
+charpoly per row; `criterion_scan`, `fcci_criterion_scan` and
+`semi_rational_scan` are the element-by-element power-map loops that
+`groups.unit_power_classes` replaced; `routes_agree` compares the matrix
 route of a class function's spectrum with its character route, expanded
-by `expand_character_poly` in Q(zeta_e)[x]; `verify_table_fraction` is the
+by `expand_character_coeffs` on power-basis integer coordinates in
+Z[zeta_e][x], which `expand_character_poly`, the same product in
+`Cyclotomic` arithmetic, checks; `verify_table_fraction` is the
 character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
 `Fraction`s ran before `chartable._verify_table` became integer contractions.
 
@@ -19,14 +25,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 from operator import mul as _mul
 
 from typing import Sequence
 
+import numpy as np
+
 from cayint.chartable import CharacterTable, VerificationFailed
-from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, build_group
-from cayint.linalg import Cyclotomic, IntMatrix, IntPolynomial, charpoly
-from cayint.spectra import ConnectionFunction, adjacency as _adjacency, spectrum_characters, spectrum_matrix
+from cayint.classify import NormalSetRow, NormalSetSurvey, _lift_unit
+from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
+from cayint.linalg import Cyclotomic, IntMatrix, IntPolynomial, _context, charpoly
+from cayint.spectra import (
+    ConnectionFunction,
+    adjacency as _adjacency,
+    eulerian_check,
+    spectrum_characters,
+    spectrum_matrix,
+)
 
 
 def berkowitz(m: IntMatrix) -> IntPolynomial:
@@ -61,6 +77,19 @@ def berkowitz(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(c)))
 
 
+def shift_root(p: IntPolynomial, r: int) -> tuple[IntPolynomial, int]:
+    """Synthetic division by (x - r): returns (quotient, remainder)."""
+    c = p.coeffs
+    if not c:
+        return IntPolynomial(()), 0
+    q: list[int] = [0] * (len(c) - 1)
+    acc = c[-1]
+    for k in range(len(c) - 2, -1, -1):
+        q[k] = acc
+        acc = c[k] + r * acc
+    return IntPolynomial(tuple(q)), acc
+
+
 def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], ...]:
     """Integer roots of a monic p with multiplicity, descending, by trying
     every integer in [-bound, bound] with synthetic division."""
@@ -68,7 +97,7 @@ def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], .
     work = p
     for r in range(bound, -bound - 1, -1):
         while work.degree > 0:
-            q, rem = work.shift_root(r)
+            q, rem = shift_root(work, r)
             if rem != 0:
                 break
             work = q
@@ -89,15 +118,40 @@ def expand_character_poly(pairs: Sequence[tuple[Cyclotomic, int]]) -> list[Cyclo
     return coeffs
 
 
+def expand_character_coeffs(pairs: Sequence[tuple[Cyclotomic, int]], e: int) -> np.ndarray:
+    """`expand_character_poly` on integers: prod (x - lambda)^mult as a
+    (degree + 1, phi(e)) array of Python ints, row i the power-basis
+    coordinates of the x^i coefficient in Z[zeta_e]. Each lambda must be an
+    algebraic integer of Q(zeta_e), as a central character value is; each
+    product of coordinate vectors is reduced by `_context(e).reduction`."""
+    ctx = _context(e)
+    phi = ctx.phi
+    reduction = ctx.reduction.astype(object)
+    coeffs = np.zeros((1, phi), dtype=object)
+    coeffs[0, 0] = 1
+    for lam, mult in pairs:
+        lifted = lam.lift(e).coeffs
+        if any(c.denominator != 1 for c in lifted):
+            raise ValueError(f"{lam!r} is not an algebraic integer")
+        for _ in range(mult):
+            # (x - lambda) * c: c shifted up one degree, minus lambda * c
+            conv = np.zeros((len(coeffs), 2 * phi - 1), dtype=object)
+            for t, a in enumerate(lifted):
+                if a:
+                    conv[:, t : t + phi] += int(a) * coeffs
+            nxt = np.zeros((len(coeffs) + 1, phi), dtype=object)
+            nxt[1:] = coeffs
+            nxt[:-1] -= conv.dot(reduction)
+            coeffs = nxt
+    return coeffs
+
+
 def routes_agree(g: FiniteGroup, f: ConnectionFunction, table: CharacterTable) -> bool:
     """Exact dual-route check: the character-route product polynomial must
     equal the matrix-route characteristic polynomial coefficient by coefficient."""
-    pairs = spectrum_characters(g, f, table)
-    expanded = expand_character_poly(pairs)
+    expanded = expand_character_coeffs(spectrum_characters(g, f, table), table.conductor)
     p = charpoly(_adjacency(g, f))
-    if len(expanded) != len(p.coeffs):
-        return False
-    return all(c == want for c, want in zip(expanded, p.coeffs))
+    return len(expanded) == len(p.coeffs) and expanded[:, 0].tolist() == list(p.coeffs) and not expanded[:, 1:].any()
 
 
 def verify_table_fraction(
@@ -157,6 +211,76 @@ def fcci_spectra_direct(
         if not spectrum_matrix(g, f).is_integral:
             return False, take + 1, f.values
     return True, 1 << len(orbits), None
+
+
+def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
+    """`classify.normal_set_survey` with each row decided by the spectrum of
+    its |G| x |G| adjacency matrix; rows by ascending mask over the
+    non-identity real-class orbits."""
+    orbits = [rc for rc in part.real_classes if rc != (0,)]
+    rows = []
+    for take in range(1 << len(orbits)):
+        chosen = [orbit for i, orbit in enumerate(orbits) if take >> i & 1]
+        members = [x for orbit in chosen for j in orbit for x in part.classes[j]]
+        f = ConnectionFunction.delta(g, members, part)
+        rows.append(
+            NormalSetRow(
+                class_indices=tuple(j for orbit in chosen for j in orbit),
+                size=len(members),
+                eulerian=eulerian_check(g, members)[0] if members else True,
+                integral=spectrum_matrix(g, f).is_integral,
+            )
+        )
+    return NormalSetSurvey(tuple(rows), tuple(r for r in rows if not r.match))
+
+
+def _units(n: int) -> list[int]:
+    return [h for h in range(2, n) if gcd(h, n) == 1]
+
+
+def criterion_scan(g: FiniteGroup, f: ConnectionFunction) -> tuple[bool, tuple[int, int] | None]:
+    """`spectra.integrality_by_criterion`'s verdict and witness: every unit
+    h in [2, |G|), then every element x, until f(x^h) != f(x)."""
+    for h in _units(g.n):
+        for x in g.elements():
+            if f.values[g.power(x, h)] != f.values[x]:
+                return False, (x, h)
+    return True, None
+
+
+def fcci_criterion_scan(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, tuple[int, int] | None]:
+    """FCCI's criterion route: the first (rep, h) whose power leaves the
+    real class of rep."""
+    for h in _units(g.n):
+        for rep in part.reps():
+            allowed = part.class_of[rep], part.inverse_class[part.class_of[rep]]
+            if part.class_of[g.power(rep, h)] not in allowed:
+                return False, (rep, h)
+    return True, None
+
+
+def semi_rational_scan(
+    g: FiniteGroup, part: ConjugacyPartition
+) -> tuple[bool, dict[int, int] | None, int | None]:
+    """`classify.is_semi_rational` by atoms and one power per exponent k."""
+    e = g.exponent()
+    r_map: dict[int, int] = {}
+    for rep in part.reps():
+        own = part.class_of[rep]
+        extra = {part.class_of[x] for x in atom(g, rep).members} - {own}
+        if not extra:
+            r_map[rep] = 1
+            continue
+        if len(extra) > 1:
+            return False, None, rep
+        target = extra.pop()
+        o = g.ord[rep]
+        k = next(
+            k for k in range(1, o + 1)
+            if gcd(k, o) == 1 and part.class_of[g.power(rep, k)] == target
+        )
+        r_map[rep] = _lift_unit(k, o, e)
+    return True, r_map, None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import random
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayint.catalog import catalog
 from cayint.classify import (
@@ -21,11 +27,17 @@ from cayint.classify import (
     nci_report,
     normal_set_survey,
 )
-from cayint.groups import conjugacy_classes, direct_product
-from cayint.spectra import ConnectionFunction, spectrum_matrix
+from cayint.groups import conjugacy_classes, direct_product, unit_power_classes
+from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
 
 from conftest import SMALL_CATALOG
-from oracle import fcci_spectra_direct
+from oracle import (
+    criterion_scan,
+    fcci_criterion_scan,
+    fcci_spectra_direct,
+    normal_set_survey_matrix,
+    semi_rational_scan,
+)
 
 
 class TestRationalityPredicates:
@@ -152,6 +164,59 @@ def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
     assert rep.spectra_mode == "exhaustive"
     route, count, witness = fcci_spectra_direct(g, part)
     assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG])
+def test_class_algebra_survey_equals_matrix_survey(label, groups, partitions, surveys):
+    assert surveys[label] == normal_set_survey_matrix(groups[label], partitions[label])
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_survey_batches_split_anywhere(batch, groups, partitions, surveys, monkeypatch):
+    monkeypatch.setattr("cayint.classify._SURVEY_BATCH", batch)
+    for label in ("S4", "Z12", "Dic12"):
+        assert normal_set_survey(groups[label], partitions[label]) == surveys[label]
+
+
+SURVEY_FACTORS = (("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5), ("s3",), ("d4",), ("q8",))
+
+
+@given(st.lists(st.sampled_from(SURVEY_FACTORS), min_size=1, max_size=3))
+@settings(max_examples=12, deadline=None)
+def test_class_algebra_survey_on_direct_products(factors):
+    g = functools.reduce(direct_product, (catalog(*tokens) for tokens in factors))
+    assume(g.n <= 48)
+    part = conjugacy_classes(g)
+    assume(len(part.real_classes) - 1 <= 8)
+    assert normal_set_survey(g, part) == normal_set_survey_matrix(g, part)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [(name, *params) for _, (name, params) in SMALL_CATALOG]
+    + [("cyclic", 1), ("d8",), ("a5",), ("s5",), ("cyclic", 15), ("cyclic", 360), ("dihedral", 9), ("dicyclic", 5), ("z2z3", 2, 1)],
+    ids=lambda t: " ".join(map(str, t)),
+)
+def test_power_map_routes_match_element_scans(tokens):
+    # the (units x k) class-of-power array against g.power, and its readers against
+    # the per-element loops it replaced
+    g = catalog(*tokens)
+    part = conjugacy_classes(g)
+    units, powers = unit_power_classes(g, part)
+    e = g.exponent()
+    assert units == tuple(h for h in range(1, max(e, 2)) if gcd(h, e) == 1)
+    assert powers.shape == (len(units), part.k)
+    assert powers.tolist() == [[part.class_of[g.power(rep, h)] for rep in part.reps()] for h in units]
+    assert is_semi_rational(g, part) == semi_rational_scan(g, part)
+    rep = fcci_report(g, part, None)
+    assert (rep.route_criterion, rep.criterion_witness) == fcci_criterion_scan(g, part)
+    rng = random.Random(g.n)
+    for _ in range(5):
+        values = [rng.randint(0, 2) for _ in range(part.k)]
+        for j, inv in enumerate(part.inverse_class):
+            values[inv] = values[j] = max(values[j], values[inv])
+        f = ConnectionFunction.from_class_values(g, part, values)
+        assert integrality_by_criterion(g, f) == criterion_scan(g, f)
 
 
 def _synthetic_survey(part, bad_rows: set[int]) -> NormalSetSurvey:

@@ -4,7 +4,8 @@ builds and saves tables, reads an attribute named `table`. The integer
 matrix array stays behind `linalg`, which alone chooses between int64 and
 Python ints: no other module reads an attribute named `entries`. Character
 tables stay on the integer path: `chartable` and `classify` never name
-`Fraction`."""
+`Fraction`. There is one charpoly path: `linalg._charpoly_stack`, the
+kernel, is called only from `charpolys` and `charpoly_mod`."""
 
 from __future__ import annotations
 
@@ -51,3 +52,27 @@ def test_table_path_never_names_fraction():
             if named:
                 uses.append(f"{name}:{node.lineno}")
     assert uses == []
+
+
+def _referrers(name: str) -> set[str]:
+    """`module:function` for every reference to `name` in a `cayint` module,
+    by innermost enclosing function (`<module>` outside any)."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    return found
+
+
+def test_charpoly_kernel_has_one_batched_entry():
+    assert _referrers("_charpoly_stack") == {"linalg.py:charpolys", "linalg.py:charpoly_mod"}

@@ -16,6 +16,7 @@ from oracle import berkowitz, integer_roots_scan
 
 from cayint.chartable import _find_prime, class_matrices
 from cayint.linalg import (
+    _STACK_CELLS,
     Cyclotomic,
     _context,
     IntMatrix,
@@ -24,6 +25,7 @@ from cayint.linalg import (
     NotRational,
     charpoly,
     charpoly_mod,
+    charpolys,
     cyclotomic_polynomial,
     integer_spectrum,
     squarefree_factorization,
@@ -194,6 +196,47 @@ class TestCharpolyAgainstBerkowitz:
         m = IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             charpoly_mod(m, 2**26 + 15)
+
+
+class TestCharpolysBatch:
+    """`charpolys` on a batch equals Berkowitz on each matrix, whatever the
+    sizes, magnitudes and stack boundaries in the batch."""
+
+    @staticmethod
+    def check(batch: list[IntMatrix]) -> None:
+        assert charpolys(batch) == [berkowitz(m) for m in batch]
+
+    @given(st.lists(square_matrices(6), max_size=12), st.integers(min_value=1, max_value=80))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_batches_across_small_stacks(self, batch, cells):
+        # a cap of a few cells puts one or a few slots in each stack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.linalg._STACK_CELLS", cells)
+            self.check([IntMatrix.from_rows(rows) for rows in batch])
+
+    def test_edge_shapes_and_wide_entries(self):
+        mats = [IntMatrix.from_rows(rows) for rows in _edge_matrices()]
+        mats += [
+            IntMatrix.from_rows([]),
+            IntMatrix.from_rows([[0]]),
+            IntMatrix.from_rows([[-(2**63)]]),
+            IntMatrix.from_rows([[0] * 4] * 4),
+            IntMatrix.from_rows([[2**62, 1], [-1, 2**62]]),
+            IntMatrix.from_rows([[2**70 * (i == j) - 5 for j in range(3)] for i in range(3)]),
+            IntMatrix.from_rows([]),
+        ]
+        assert any(m.entries.dtype == object for m in mats)
+        self.check(mats)
+        assert charpolys([]) == []
+
+    def test_batch_beyond_one_stack(self):
+        # 300 matrices of 15 x 15 under at least two primes fill several stacks at the default cap
+        rng = random.Random(11)
+        n = 15
+        mats = [IntMatrix.from_rows([[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]) for _ in range(300)]
+        assert 2 * len(mats) > _STACK_CELLS // (n * n)
+        self.check(mats)
+        assert [charpoly(m) for m in mats[:5]] == charpolys(mats)[:5]
 
 
 class TestIntMatrixDtype:

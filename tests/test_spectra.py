@@ -6,7 +6,7 @@ import random
 from math import gcd
 
 import pytest
-from oracle import expand_character_poly, routes_agree
+from oracle import expand_character_coeffs, expand_character_poly, routes_agree
 
 from cayint.catalog import catalog
 from cayint.groups import conjugacy_classes
@@ -175,6 +175,22 @@ class TestCharacterRoute:
         pairs = ((Cyclotomic.rational(2), 1), (Cyclotomic.rational(-1), 2))
         coeffs = expand_character_poly(pairs)
         assert [c.to_rational() for c in coeffs] == [int(c) for c in (IntPolynomial((-2, 1)) * IntPolynomial((1, 1)) ** 2).coeffs]
+
+    @pytest.mark.parametrize("label, count", [("S3", None), ("Q8xZ3", 16)])
+    def test_integer_expansion_matches_cyclotomic(self, groups, tables, partitions, label, count):
+        # the Cyclotomic product checks the integer one, on every 0/1 class function of S3
+        # and on the first 16 of Q8xZ3, in the probe's order
+        g, t, part = groups[label], tables[label], partitions[label]
+        orbits = part.real_classes
+        for take in range(count or 1 << len(orbits)):
+            class_values = [0] * part.k
+            for i, orbit in enumerate(orbits):
+                if take >> i & 1:
+                    for j in orbit:
+                        class_values[j] = 1
+            pairs = spectrum_characters(g, ConnectionFunction.from_class_values(g, part, class_values), t)
+            want = [c.lift(t.conductor).coeffs for c in expand_character_poly(pairs)]
+            assert expand_character_coeffs(pairs, t.conductor).tolist() == [list(c) for c in want]
 
     def test_dual_route_exhaustive_small(self, groups, tables, partitions):
         for label in ("S3", "Q8"):
