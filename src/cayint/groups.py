@@ -313,7 +313,7 @@ def unit_power_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[tuple[
         while (coset := [(u * h % e, step[m]) for u, m in coset])[0][0] not in maps:
             maps.update(coset)
     units = tuple(sorted(maps))
-    return units, np.array([maps[h] for h in units], dtype=np.int32).reshape(len(units), part.k)
+    return units, np.array([maps[h] for h in units], dtype=np.int32)
 
 
 @dataclass(frozen=True)

@@ -412,7 +412,7 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
         raise ValueError("integer_spectrum requires a monic polynomial")
     degree = p.degree
     found: dict[int, int] = {}
-    work = list(p.coeffs)  # ascending; divided in place, one IntPolynomial at the end
+    work = list(p.coeffs)  # ascending, as a plain list; one IntPolynomial for the residual
     while len(work) > 1 and work[0] == 0:
         del work[0]
         found[0] = found.get(0, 0) + 1

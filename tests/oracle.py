@@ -151,7 +151,9 @@ def routes_agree(g: FiniteGroup, f: ConnectionFunction, table: CharacterTable) -
     equal the matrix-route characteristic polynomial coefficient by coefficient."""
     expanded = expand_character_coeffs(spectrum_characters(g, f, table), table.conductor)
     p = charpoly(_adjacency(g, f))
-    return len(expanded) == len(p.coeffs) and expanded[:, 0].tolist() == list(p.coeffs) and not expanded[:, 1:].any()
+    if len(expanded) != len(p.coeffs) or expanded[:, 1:].any():
+        return False
+    return expanded[:, 0].tolist() == list(p.coeffs)
 
 
 def verify_table_fraction(

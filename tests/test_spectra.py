@@ -176,10 +176,11 @@ class TestCharacterRoute:
         coeffs = expand_character_poly(pairs)
         assert [c.to_rational() for c in coeffs] == [int(c) for c in (IntPolynomial((-2, 1)) * IntPolynomial((1, 1)) ** 2).coeffs]
 
-    @pytest.mark.parametrize("label, count", [("S3", None), ("Q8xZ3", 16)])
+    @pytest.mark.parametrize("label, count", [("S3", None), ("Q8xZ3", 16), ("Z5", None), ("Z12", None)])
     def test_integer_expansion_matches_cyclotomic(self, groups, tables, partitions, label, count):
         # the Cyclotomic product checks the integer one, on every 0/1 class function of S3
-        # and on the first 16 of Q8xZ3, in the probe's order
+        # and on the first 16 of Q8xZ3, in the probe's order; on Z5 and Z12 the
+        # eigenvalues are irrational, so products leave the power basis and are reduced
         g, t, part = groups[label], tables[label], partitions[label]
         orbits = part.real_classes
         for take in range(count or 1 << len(orbits)):
@@ -193,7 +194,7 @@ class TestCharacterRoute:
             assert expand_character_coeffs(pairs, t.conductor).tolist() == [list(c) for c in want]
 
     def test_dual_route_exhaustive_small(self, groups, tables, partitions):
-        for label in ("S3", "Q8"):
+        for label in ("S3", "Q8", "Z5", "Z12"):
             g, t, part = groups[label], tables[label], partitions[label]
             orbits = part.real_classes
             for take in range(1 << len(orbits)):
