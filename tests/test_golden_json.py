@@ -1,9 +1,10 @@
 """Byte-for-byte regression of the structured CLI output.
 
 The files under `tests/golden/` were written by the command lines below.
-Any change to a verdict, witness, count, residual factor or key order
-shows up here as a byte difference. Regenerate a file only when its change
-is intended, with the same command line and `--out tests/golden/<name>.json`.
+Any change to a verdict, witness, count, residual factor, character-table
+cell string or key order shows up here as a byte difference. Regenerate a
+file only when its change is intended, with the same command line and
+`--out tests/golden/<name>.json`.
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
 """
@@ -32,6 +33,10 @@ CASES = {
     "classify_dihedral_13": (["classify", "--catalog", "dihedral", "13", "--seed", "0"], 0),
     "spectrum_alpha": (["spectrum", "--fixture", "alpha"], 1),
     "spectrum_beta": (["spectrum", "--fixture", "beta"], 1),
+    # character tables with irrational cells: the cell strings byte for byte
+    "chartable_alternating_5": (["chartable", "--catalog", "alternating", "5"], 0),
+    "chartable_cyclic_5": (["chartable", "--catalog", "cyclic", "5"], 0),
+    "chartable_q8z3": (["chartable", "--catalog", "q8z3"], 0),
 }
 
 
