@@ -19,14 +19,11 @@ from .groups import (
 )
 from .catalog import catalog, load_group, resolve_group, save_group
 from .linalg import (
-    Cyclotomic,
     IntMatrix,
     IntPolynomial,
     NotAUnit,
-    NotRational,
     SpectrumReport,
     charpoly,
-    cyclotomic_polynomial,
     integer_spectrum,
 )
 

@@ -27,7 +27,6 @@ O(k^2 phi) entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 from pathlib import Path
 
@@ -36,7 +35,7 @@ import sympy
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
-from .linalg import _INT64, Cyclotomic, IntMatrix, _context, _summable, charpoly_mod, exact_array
+from .linalg import _INT64, IntMatrix, _context, _summable, charpoly_mod, exact_array
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -63,7 +62,7 @@ class CharacterTable:
 
     `coeffs[r, j]` is chi_r(rep_j) over the power basis of Z[zeta_conductor]:
     one read-only (k, k, phi) array, int64 or Python ints by the module's
-    overflow rule. `values` wraps each cell in a `Cyclotomic`.
+    overflow rule. `cell_strings` prints it.
     """
 
     group: FiniteGroup
@@ -80,10 +79,19 @@ class CharacterTable:
     def k(self) -> int:
         return len(self.degrees)
 
-    @cached_property
-    def values(self) -> tuple[tuple[Cyclotomic, ...], ...]:
-        e = self.conductor
-        return tuple(tuple(Cyclotomic(e, cell) for cell in row) for row in self.coeffs.tolist())
+    def cell_strings(self) -> tuple[tuple[str, ...], ...]:
+        """Each cell as text: the integer c_0 when every other coordinate is
+        0, else the `" + "`-joined terms `c_0`, `c_1*zE`, `c_m*zE^m` of its
+        nonzero coordinates, E the conductor."""
+        z = f"z{self.conductor}"
+        bases = ["", f"*{z}"] + [f"*{z}^{m}" for m in range(2, self.coeffs.shape[2])]
+
+        def text(cell: list[int]) -> str:
+            if not any(cell[1:]):
+                return str(cell[0])
+            return " + ".join(f"{c}{b}" for c, b in zip(cell, bases) if c)
+
+        return tuple(tuple(map(text, row)) for row in self.coeffs.tolist())
 
     def class_sizes(self) -> tuple[int, ...]:
         return self.partition.sizes()

@@ -438,9 +438,7 @@ def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciRe
             rep = spectrum_matrix(g, f)
             if not rep.is_integral:
                 witness_vals = f.values
-                witness_res = " ".join(
-                    f"({p})" if m == 1 else f"({p})^{m}" for p, m in rep.residual_factors()
-                )
+                witness_res = rep.factored_residual()
                 return True
             return False
 
@@ -834,7 +832,7 @@ def _fixture_notes() -> tuple[list[str], list[str]]:
     if rep.integer_eigenvalues == expected and not rep.is_integral:
         notes.append(
             "fixture alpha on S3: integer eigenvalues 16 and -12 with residual "
-            f"{rep.describe().split('residual ')[-1]}; the reference table prints +12, "
+            f"{rep.factored_residual()}; the reference table prints +12, "
             "but the adjacency trace is 0, which forces -12 (eigenvalue sum must vanish)"
         )
     else:

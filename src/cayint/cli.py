@@ -96,8 +96,7 @@ def _spectrum_text(g: FiniteGroup, f: ConnectionFunction, rep: SpectrumReport) -
     if rep.is_integral:
         lines.append("residual   1  (spectrum is fully integral)")
     else:
-        fac = " ".join(f"({p})" if m == 1 else f"({p})^{m}" for p, m in rep.residual_factors())
-        lines.append(f"residual   {fac}  (degree {rep.residual.degree}, no integer roots)")
+        lines.append(f"residual   {rep.factored_residual()}  (degree {rep.residual.degree}, no integer roots)")
     lines.append(f"integral   {'yes' if rep.is_integral else 'no'}")
     return "\n".join(lines)
 
@@ -185,11 +184,11 @@ def cmd_chartable(args: argparse.Namespace) -> int:
             "class_representatives": list(table.reps()),
             "class_sizes": list(table.class_sizes()),
             "degrees": list(table.degrees),
-            "rows": [[str(v) for v in row] for row in table.values],
+            "rows": table.cell_strings(),
         }
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
         return 0
-    cells = [[str(v) for v in row] for row in table.values]
+    cells = table.cell_strings()
     width = max(5, max(len(c) for row in cells for c in row))
     header = ["class rep "] + [f"{rep:>{width}}" for rep in table.reps()]
     sizes = ["class size"] + [f"{s:>{width}}" for s in table.class_sizes()]

@@ -11,30 +11,23 @@ batch of matrices (`charpolys`) runs as stacks of (matrix, prime) slots of
 bounded size, so many small matrices cost a few kernel calls; `charpoly`
 is a batch of one, and the character tables call the same kernel on their
 own prime (`charpoly_mod`). Integer eigenvalues are split off by synthetic
-division against a sound candidate set, the non-integral residual is split into squarefree parts by sympy, and
-cyclotomic numbers are kept in canonical form (reduced modulo the e-th
-cyclotomic polynomial) so equality and rationality tests are decidable.
-No floating point enters any code path.
+division against a sound candidate set, and the non-integral residual is
+split into squarefree parts by sympy. A cyclotomic integer of Z[zeta_e] is
+one integer vector of power-basis coordinates; the conductor's context
+(`_context`) holds the fixed integer maps on such vectors: complex
+conjugation, the Galois twists and the reduction of a product. No floating
+point enters any code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import index as _index, mul as _mul
 from typing import Iterable, Sequence
 
 import numpy as np
 import sympy
-
-
-class NotRational(ValueError):
-    """A cyclotomic number whose canonical form has positive degree."""
-
-    def __init__(self, value: "Cyclotomic"):
-        super().__init__(f"not rational: {value!r}")
-        self.value = value
 
 
 class NotAUnit(ValueError):
@@ -381,15 +374,17 @@ class SpectrumReport:
             return ()
         return squarefree_factorization(self.residual)
 
+    def factored_residual(self) -> str:
+        """The residual as its space-joined squarefree parts, `(q)` or
+        `(q)^m`; empty when the spectrum is integral."""
+        return " ".join(f"({p})" if m == 1 else f"({p})^{m}" for p, m in self.residual_factors())
+
     def describe(self) -> str:
         parts = [f"{v}" if m == 1 else f"{v}(x{m})" for v, m in self.integer_eigenvalues]
         s = ", ".join(parts) if parts else "(none)"
         if self.is_integral:
             return f"integral: {s}"
-        fac = " ".join(
-            f"({p})" if m == 1 else f"({p})^{m}" for p, m in self.residual_factors()
-        )
-        return f"not integral: integer part {s}; residual {fac}"
+        return f"not integral: integer part {s}; residual {self.factored_residual()}"
 
 
 def _divisor_candidates(constant: int, limit: int) -> list[int]:
@@ -471,49 +466,41 @@ def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic arithmetic
+# Algebraic integers of Q(zeta_e) as power-basis coordinate vectors
 # ---------------------------------------------------------------------------
 
 
-_PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the e-th cyclotomic polynomial, cached."""
-    got = _PHI_CACHE.get(e)
-    if got is not None:
-        return got
-    coeffs = sympy.cyclotomic_poly(e, _X, polys=True).all_coeffs()
-    result = tuple(int(c) for c in reversed(coeffs))
-    _PHI_CACHE[e] = result  # idempotent fill; safe under concurrent init
-    return result
+    """Coefficients (ascending) of the e-th cyclotomic polynomial."""
+    return tuple(int(c) for c in reversed(sympy.cyclotomic_poly(e, _X, polys=True).all_coeffs()))
 
 
 class _CycloContext:
-    """Per-conductor data: Phi_e, the canonical vectors of zeta^j, and the
-    fixed integer maps on power-basis coefficient vectors (row vectors,
+    """Per-conductor data: Phi_e, `power_array` (row j the power-basis
+    coordinates of zeta^j, for j below max(e, 2 phi - 1)) and the fixed
+    integer maps on power-basis coefficient vectors (row vectors,
     applied on the right): `conj_map` (row m is zeta^-m), `galois_map(h)`
     (row m is zeta^(m h)) and `reduction`, which takes the 2 phi - 1
     coefficients of a product of two vectors back onto phi (row j is
     zeta^j). The arrays follow the `exact_array` dtype rule."""
 
-    __slots__ = ("e", "phi", "modulus", "powers", "power_array", "conj_map", "reduction")
+    __slots__ = ("e", "phi", "modulus", "power_array", "conj_map", "reduction")
 
     def __init__(self, e: int):
         self.e = e
         self.modulus = cyclotomic_polynomial(e)
         self.phi = len(self.modulus) - 1
         top = [-c for c in self.modulus[: self.phi]]  # x^phi mod Phi_e
-        powers: list[tuple[int, ...]] = []
+        count = max(e, 2 * self.phi - 1)
+        flat: list[int] = []
         vec = [1] + [0] * (self.phi - 1)
-        for _ in range(max(e, 2 * self.phi - 1)):
-            powers.append(tuple(vec))
+        for _ in range(count):
+            flat.extend(vec)
             carry = vec[-1]
             vec = [0] + vec[:-1]
             if carry:
                 vec = [v + carry * t for v, t in zip(vec, top)]
-        self.powers = tuple(powers)
-        self.power_array = exact_array([x for vec in powers for x in vec]).reshape(len(powers), self.phi)
+        self.power_array = exact_array(flat).reshape(count, self.phi)
         self.power_array.flags.writeable = False
         self.conj_map = self.galois_map(-1)
         self.reduction = self.power_array[: 2 * self.phi - 1]
@@ -534,133 +521,3 @@ def _context(e: int) -> _CycloContext:
         ctx = _CycloContext(e)
         _CONTEXTS[e] = ctx
     return ctx
-
-
-class Cyclotomic:
-    """Element of Q(zeta_e) in canonical form: a length-phi(e) rational vector
-    over the power basis 1, zeta, ..., zeta^(phi(e)-1), reduced mod Phi_e."""
-
-    __slots__ = ("e", "coeffs")
-
-    def __init__(self, e: int, coeffs: Sequence[Fraction | int]):
-        ctx = _context(e)
-        if len(coeffs) != ctx.phi:
-            raise ValueError(f"conductor {e} needs {ctx.phi} coefficients, got {len(coeffs)}")
-        self.e = e
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @classmethod
-    def zeta(cls, e: int, k: int = 1) -> "Cyclotomic":
-        ctx = _context(e)
-        return cls(e, ctx.powers[k % e])
-
-    @classmethod
-    def rational(cls, x: Fraction | int, e: int = 1) -> "Cyclotomic":
-        ctx = _context(e)
-        return cls(e, (Fraction(x),) + (Fraction(0),) * (ctx.phi - 1))
-
-    def lift(self, big: int) -> "Cyclotomic":
-        """Re-express in Q(zeta_big) for a conductor multiple."""
-        if big == self.e:
-            return self
-        if big % self.e != 0:
-            raise ValueError(f"cannot lift conductor {self.e} into {big}")
-        ctx = _context(big)
-        step = big // self.e
-        acc = [Fraction(0)] * ctx.phi
-        for m, c in enumerate(self.coeffs):
-            if c:
-                for i, t in enumerate(ctx.powers[m * step]):
-                    if t:
-                        acc[i] += c * t
-        return Cyclotomic(big, acc)
-
-    def _pair(self, other: "Cyclotomic | int | Fraction") -> tuple["Cyclotomic", "Cyclotomic"]:
-        if not isinstance(other, Cyclotomic):
-            other = Cyclotomic.rational(other)
-        e = lcm(self.e, other.e)
-        return self.lift(e), other.lift(e)
-
-    def __add__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
-        a, b = self._pair(other)
-        return Cyclotomic(a.e, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.e, [-x for x in self.coeffs])
-
-    def __sub__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
-        return self + (-other if isinstance(other, Cyclotomic) else -Fraction(other))
-
-    def __rsub__(self, other: "int | Fraction") -> "Cyclotomic":
-        return (-self) + other
-
-    def __mul__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
-        if not isinstance(other, Cyclotomic):
-            f = Fraction(other)
-            return Cyclotomic(self.e, [c * f for c in self.coeffs])
-        a, b = self._pair(other)
-        ctx = _context(a.e)
-        conv = [Fraction(0)] * (2 * ctx.phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        acc = list(conv[: ctx.phi])
-        for j in range(ctx.phi, len(conv)):
-            c = conv[j]
-            if c:
-                for i, t in enumerate(ctx.powers[j]):
-                    if t:
-                        acc[i] += c * t
-        return Cyclotomic(a.e, acc)
-
-    __rmul__ = __mul__
-
-    def galois(self, h: int) -> "Cyclotomic":
-        """Image under the field automorphism zeta -> zeta^h, h a unit mod e."""
-        if gcd(h, self.e) != 1:
-            raise NotAUnit(f"{h} is not a unit modulo {self.e}")
-        ctx = _context(self.e)
-        acc = [Fraction(0)] * ctx.phi
-        for m, c in enumerate(self.coeffs):
-            if c:
-                for i, t in enumerate(ctx.powers[(m * h) % self.e]):
-                    if t:
-                        acc[i] += c * t
-        return Cyclotomic(self.e, acc)
-
-    def conj(self) -> "Cyclotomic":
-        if self.e <= 2:
-            return self
-        return self.galois(self.e - 1)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotRational(self)
-        return self.coeffs[0]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # equality coerces across conductors; do not hash
-
-    def __repr__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        terms = []
-        for m, c in enumerate(self.coeffs):
-            if c:
-                base = "1" if m == 0 else (f"z{self.e}" if m == 1 else f"z{self.e}^{m}")
-                terms.append(f"{c}*{base}" if m else str(c))
-        return " + ".join(terms)

@@ -4,20 +4,21 @@ Route one builds the integer adjacency matrix [f(g h^-1)] and factors its
 exact characteristic polynomial. Route two, available when the colour
 function is constant on conjugacy classes, evaluates the closed-form
 eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
-each with multiplicity chi(1)^2. The comparison of the two routes, by
-expanding the character-route product polynomial in Q(zeta_e)[x], lives in
-the tests (`tests/oracle.py`), since no verdict reads it.
+each with multiplicity chi(1)^2; each eigenvalue is an algebraic integer,
+returned as its integer power-basis coordinates in Z[zeta_e]. The
+comparison of the two routes, by expanding the character-route product
+polynomial on those coordinates in Z[zeta_e][x], lives in the tests
+(`tests/oracle.py`), since no verdict reads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .chartable import CharacterTable
+from .chartable import CharacterTable, VerificationFailed
 from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes, unit_power_classes
-from .linalg import Cyclotomic, IntMatrix, SpectrumReport, charpoly, exact_array, integer_spectrum
+from .linalg import IntMatrix, SpectrumReport, charpoly, exact_array, integer_spectrum
 
 
 class NotSymmetricFunction(ValueError):
@@ -134,9 +135,15 @@ def _asym_witness(f: ConnectionFunction) -> int:
 
 def spectrum_characters(
     g: FiniteGroup, f: ConnectionFunction, table: CharacterTable
-) -> tuple[tuple[Cyclotomic, int], ...]:
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Closed-form eigenvalues for a class function: one per irreducible
-    character chi, value (1/chi(1)) sum_g f(g) chi(g), multiplicity chi(1)^2."""
+    character chi, the power-basis coordinates in Z[zeta_conductor] of
+    omega_chi(f) = (1/chi(1)) sum_g f(g) chi(g), with multiplicity chi(1)^2.
+
+    The division by chi(1) is exact: omega_chi(f) is a sum of central
+    characters, so an algebraic integer, and the power basis is a Z-basis of
+    Z[zeta_e]. A remainder means a wrong table and raises VerificationFailed.
+    """
     if not f.class_function:
         raise NotAClassFunction("character-route spectrum needs a class function")
     if table.group is not g and not g.same_table(table.group):
@@ -145,10 +152,12 @@ def spectrum_characters(
     weights = exact_array([f.values[rep] * size for rep, size in zip(part.reps(), part.sizes())])
     # power-basis coordinates of sum_j w_j chi(g_j), in Python ints, one row per character
     sums = (table.coeffs.astype(object).transpose(0, 2, 1) @ weights).tolist()
-    return tuple(
-        (Cyclotomic(table.conductor, [Fraction(c, d) for c in row]), d * d)
-        for d, row in zip(table.degrees, sums)
-    )
+    out = []
+    for r, (d, row) in enumerate(zip(table.degrees, sums)):
+        if any(c % d for c in row):
+            raise VerificationFailed(f"character {r}: weighted sum {row} is not divisible by its degree {d}")
+        out.append((tuple(c // d for c in row), d * d))
+    return tuple(out)
 
 
 def integrality_by_criterion(

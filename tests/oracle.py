@@ -1,5 +1,11 @@
 """Reference implementations that the production kernels are tested against.
 
+`Cyclotomic` is the reference arithmetic of Q(zeta_e): a number as a
+vector of `Fraction`s over the power basis, reduced mod Phi_e, with field
+operations done one coordinate at a time. It lived in `cayint.linalg` until
+the integer power-basis arrays became the only form of a cyclotomic number
+in `cayint`; `cyclotomic_rows` wraps a table's coefficient cells in it, and
+its `str` is the cell text that `CharacterTable.cell_strings` prints.
 `berkowitz` is the division-free Berkowitz recurrence on Python integers that
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
 is `integer_spectrum`'s candidate scan without the divisibility filter;
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 from operator import mul as _mul
 
 from typing import Sequence
@@ -35,7 +41,7 @@ import numpy as np
 from cayint.chartable import CharacterTable, VerificationFailed
 from cayint.classify import NormalSetRow, NormalSetSurvey, _lift_unit
 from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
-from cayint.linalg import Cyclotomic, IntMatrix, IntPolynomial, _context, charpoly
+from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly
 from cayint.spectra import (
     ConnectionFunction,
     adjacency as _adjacency,
@@ -43,6 +49,150 @@ from cayint.spectra import (
     spectrum_characters,
     spectrum_matrix,
 )
+
+
+class NotRational(ValueError):
+    """A cyclotomic number whose canonical form has positive degree."""
+
+    def __init__(self, value: "Cyclotomic"):
+        super().__init__(f"not rational: {value!r}")
+        self.value = value
+
+
+class Cyclotomic:
+    """Element of Q(zeta_e) in canonical form: a length-phi(e) rational vector
+    over the power basis 1, zeta, ..., zeta^(phi(e)-1), reduced mod Phi_e."""
+
+    __slots__ = ("e", "coeffs")
+
+    def __init__(self, e: int, coeffs: Sequence[Fraction | int]):
+        ctx = _context(e)
+        if len(coeffs) != ctx.phi:
+            raise ValueError(f"conductor {e} needs {ctx.phi} coefficients, got {len(coeffs)}")
+        self.e = e
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @classmethod
+    def zeta(cls, e: int, k: int = 1) -> "Cyclotomic":
+        ctx = _context(e)
+        return cls(e, ctx.power_array[k % e].tolist())
+
+    @classmethod
+    def rational(cls, x: Fraction | int, e: int = 1) -> "Cyclotomic":
+        ctx = _context(e)
+        return cls(e, (Fraction(x),) + (Fraction(0),) * (ctx.phi - 1))
+
+    def lift(self, big: int) -> "Cyclotomic":
+        """Re-express in Q(zeta_big) for a conductor multiple."""
+        if big == self.e:
+            return self
+        if big % self.e != 0:
+            raise ValueError(f"cannot lift conductor {self.e} into {big}")
+        ctx = _context(big)
+        step = big // self.e
+        acc = [Fraction(0)] * ctx.phi
+        for m, c in enumerate(self.coeffs):
+            if c:
+                for i, t in enumerate(ctx.power_array[m * step].tolist()):
+                    if t:
+                        acc[i] += c * t
+        return Cyclotomic(big, acc)
+
+    def _pair(self, other: "Cyclotomic | int | Fraction") -> tuple["Cyclotomic", "Cyclotomic"]:
+        if not isinstance(other, Cyclotomic):
+            other = Cyclotomic.rational(other)
+        e = lcm(self.e, other.e)
+        return self.lift(e), other.lift(e)
+
+    def __add__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
+        a, b = self._pair(other)
+        return Cyclotomic(a.e, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Cyclotomic":
+        return Cyclotomic(self.e, [-x for x in self.coeffs])
+
+    def __sub__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
+        return self + (-other if isinstance(other, Cyclotomic) else -Fraction(other))
+
+    def __rsub__(self, other: "int | Fraction") -> "Cyclotomic":
+        return (-self) + other
+
+    def __mul__(self, other: "Cyclotomic | int | Fraction") -> "Cyclotomic":
+        if not isinstance(other, Cyclotomic):
+            f = Fraction(other)
+            return Cyclotomic(self.e, [c * f for c in self.coeffs])
+        a, b = self._pair(other)
+        ctx = _context(a.e)
+        conv = [Fraction(0)] * (2 * ctx.phi - 1)
+        for i, x in enumerate(a.coeffs):
+            if x:
+                for j, y in enumerate(b.coeffs):
+                    if y:
+                        conv[i + j] += x * y
+        acc = list(conv[: ctx.phi])
+        for j in range(ctx.phi, len(conv)):
+            c = conv[j]
+            if c:
+                for i, t in enumerate(ctx.power_array[j].tolist()):
+                    if t:
+                        acc[i] += c * t
+        return Cyclotomic(a.e, acc)
+
+    __rmul__ = __mul__
+
+    def galois(self, h: int) -> "Cyclotomic":
+        """Image under the field automorphism zeta -> zeta^h, h a unit mod e."""
+        if gcd(h, self.e) != 1:
+            raise NotAUnit(f"{h} is not a unit modulo {self.e}")
+        ctx = _context(self.e)
+        acc = [Fraction(0)] * ctx.phi
+        for m, c in enumerate(self.coeffs):
+            if c:
+                for i, t in enumerate(ctx.power_array[(m * h) % self.e].tolist()):
+                    if t:
+                        acc[i] += c * t
+        return Cyclotomic(self.e, acc)
+
+    def conj(self) -> "Cyclotomic":
+        if self.e <= 2:
+            return self
+        return self.galois(self.e - 1)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def to_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise NotRational(self)
+        return self.coeffs[0]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        if not isinstance(other, Cyclotomic):
+            return NotImplemented
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    __hash__ = None  # equality coerces across conductors; do not hash
+
+    def __repr__(self) -> str:
+        if self.is_rational():
+            return str(self.coeffs[0])
+        terms = []
+        for m, c in enumerate(self.coeffs):
+            if c:
+                base = "1" if m == 0 else (f"z{self.e}" if m == 1 else f"z{self.e}^{m}")
+                terms.append(f"{c}*{base}" if m else str(c))
+        return " + ".join(terms)
+
+
+def cyclotomic_rows(e: int, x: np.ndarray) -> list[list[Cyclotomic]]:
+    """Every cell of a (k, k, phi(e)) coefficient array, such as a character
+    table's `coeffs`, as a `Cyclotomic` of conductor e."""
+    return [[Cyclotomic(e, cell) for cell in row] for row in x.tolist()]
 
 
 def berkowitz(m: IntMatrix) -> IntPolynomial:
@@ -118,27 +268,25 @@ def expand_character_poly(pairs: Sequence[tuple[Cyclotomic, int]]) -> list[Cyclo
     return coeffs
 
 
-def expand_character_coeffs(pairs: Sequence[tuple[Cyclotomic, int]], e: int) -> np.ndarray:
+def expand_character_coeffs(pairs: Sequence[tuple[Sequence[int], int]], e: int) -> np.ndarray:
     """`expand_character_poly` on integers: prod (x - lambda)^mult as a
     (degree + 1, phi(e)) array of Python ints, row i the power-basis
-    coordinates of the x^i coefficient in Z[zeta_e]. Each lambda must be an
-    algebraic integer of Q(zeta_e), as a central character value is; each
-    product of coordinate vectors is reduced by `_context(e).reduction`."""
+    coordinates of the x^i coefficient in Z[zeta_e]. Each lambda is given by
+    its integer power-basis coordinates in Z[zeta_e], as
+    `spectrum_characters` returns them; each product of coordinate vectors
+    is reduced by `_context(e).reduction`."""
     ctx = _context(e)
     phi = ctx.phi
     reduction = ctx.reduction.astype(object)
     coeffs = np.zeros((1, phi), dtype=object)
     coeffs[0, 0] = 1
     for lam, mult in pairs:
-        lifted = lam.lift(e).coeffs
-        if any(c.denominator != 1 for c in lifted):
-            raise ValueError(f"{lam!r} is not an algebraic integer")
         for _ in range(mult):
             # (x - lambda) * c: c shifted up one degree, minus lambda * c
             conv = np.zeros((len(coeffs), 2 * phi - 1), dtype=object)
-            for t, a in enumerate(lifted):
+            for t, a in enumerate(lam):
                 if a:
-                    conv[:, t : t + phi] += int(a) * coeffs
+                    conv[:, t : t + phi] += a * coeffs
             nxt = np.zeros((len(coeffs) + 1, phi), dtype=object)
             nxt[1:] = coeffs
             nxt[:-1] -= conv.dot(reduction)

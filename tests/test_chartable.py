@@ -24,8 +24,8 @@ from cayint.chartable import (
     save_table,
 )
 from cayint.groups import conjugacy_classes
-from cayint.linalg import Cyclotomic
-from oracle import verify_table_fraction
+from cayint.linalg import _context
+from oracle import Cyclotomic, cyclotomic_rows, verify_table_fraction
 
 
 class TestClassMatrices:
@@ -66,10 +66,11 @@ class TestClassMatrices:
         g, part, table = groups[label], partitions[label], tables[label]
         mats = class_matrices(g, part)
         sizes = part.sizes()
+        rows = cyclotomic_rows(table.conductor, table.coeffs)
         for r in range(table.k):
             d = table.degrees[r]
             omega = [
-                table.values[r][t] * Fraction(sizes[t], d) for t in range(table.k)
+                rows[r][t] * Fraction(sizes[t], d) for t in range(table.k)
             ]
             for i in range(table.k):
                 lhs = [
@@ -84,13 +85,13 @@ class TestCharacterTable:
     def test_z2(self):
         t = character_table(catalog("cyclic", 2))
         assert t.degrees == (1, 1)
-        vals = [[v.to_rational() for v in row] for row in t.values]
+        vals = [[v.to_rational() for v in row] for row in cyclotomic_rows(t.conductor, t.coeffs)]
         assert sorted(vals) == [[1, -1], [1, 1]]
 
     def test_s3(self, tables):
         t = tables["S3"]
         assert t.degrees == (1, 1, 2)
-        two = t.values[2]
+        two = cyclotomic_rows(t.conductor, t.coeffs)[2]
         # classes ordered: identity, transpositions, 3-cycles
         assert [v.to_rational() for v in two] == [2, 0, -1]
 
@@ -100,8 +101,9 @@ class TestCharacterTable:
         minus_one = next(
             j for j, c in enumerate(t.partition.classes) if len(c) == 1 and c[0] != 0
         )
-        assert t.values[4][minus_one].to_rational() == -2
-        assert t.values[4][0].to_rational() == 2
+        two = cyclotomic_rows(t.conductor, t.coeffs)[4]
+        assert two[minus_one].to_rational() == -2
+        assert two[0].to_rational() == 2
 
     def test_a4_s4_s5_degrees(self, tables):
         assert tables["A4"].degrees == (1, 1, 1, 3)
@@ -119,11 +121,12 @@ class TestCharacterTable:
             t = tables[label]
             n = groups[label].n
             sizes = t.class_sizes()
+            rows = cyclotomic_rows(t.conductor, t.coeffs)
             for r in range(t.k):
                 for s in range(t.k):
                     acc = Cyclotomic.rational(0)
                     for j in range(t.k):
-                        acc = acc + sizes[j] * (t.values[r][j] * t.values[s][j].conj())
+                        acc = acc + sizes[j] * (rows[r][j] * rows[s][j].conj())
                     assert acc == (n if r == s else 0)
 
     def test_column_orthogonality_identity_column(self, groups, tables):
@@ -134,7 +137,7 @@ class TestCharacterTable:
     def test_inverse_class_conjugate(self, tables):
         for t in tables.values():
             inv_cls = t.partition.inverse_class
-            for row in t.values:
+            for row in cyclotomic_rows(t.conductor, t.coeffs):
                 for j in range(t.k):
                     assert row[inv_cls[j]] == row[j].conj()
 
@@ -142,7 +145,8 @@ class TestCharacterTable:
         a = character_table(groups["S4"])
         b = character_table(groups["S4"])
         assert a.degrees == b.degrees
-        assert all(x == y for ra, rb in zip(a.values, b.values) for x, y in zip(ra, rb))
+        rows_a, rows_b = cyclotomic_rows(a.conductor, a.coeffs), cyclotomic_rows(b.conductor, b.coeffs)
+        assert all(x == y for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb))
 
     def test_order_cap(self, groups):
         with pytest.raises(ValueError):
@@ -152,19 +156,21 @@ class TestCharacterTable:
         for t in tables.values():
             x = t.coeffs
             assert x.dtype == np.int64 and not x.flags.writeable
-            assert x.shape == (t.k, t.k, len(t.values[0][0].coeffs))
-            assert [[list(v.coeffs) for v in row] for row in t.values] == x.tolist()
+            assert x.shape == (t.k, t.k, _context(t.conductor).phi)
+            assert [[list(v.coeffs) for v in row] for row in cyclotomic_rows(t.conductor, t.coeffs)] == x.tolist()
 
-
-def _cyclotomic_rows(e: int, x: np.ndarray) -> list[list[Cyclotomic]]:
-    return [[Cyclotomic(e, cell) for cell in row] for row in x.tolist()]
+    def test_cell_strings_print_the_cyclotomic_cells(self, tables):
+        # the text of every cell is what the reference arithmetic prints for it
+        for t in tables.values():
+            want = [tuple(str(v) for v in row) for row in cyclotomic_rows(t.conductor, t.coeffs)]
+            assert t.cell_strings() == tuple(want)
 
 
 def _both_verify(g, t, degrees, x) -> None:
     """Run the integer verifier and the `Fraction` oracle; each must raise
     VerificationFailed, or neither."""
     outcomes = []
-    for verify, table in ((_verify_table, x), (verify_table_fraction, _cyclotomic_rows(t.conductor, x))):
+    for verify, table in ((_verify_table, x), (verify_table_fraction, cyclotomic_rows(t.conductor, x))):
         try:
             verify(g, t.partition, list(degrees), table)
             outcomes.append(True)
@@ -271,9 +277,8 @@ class TestDumpLoad:
         save_table(t, path)
         t2 = load_table(path, groups["Q8xZ3"])
         assert t2.degrees == t.degrees
-        assert all(
-            x == y for ra, rb in zip(t.values, t2.values) for x, y in zip(ra, rb)
-        )
+        rows, rows2 = cyclotomic_rows(t.conductor, t.coeffs), cyclotomic_rows(t2.conductor, t2.coeffs)
+        assert all(x == y for ra, rb in zip(rows, rows2) for x, y in zip(ra, rb))
 
     def test_wrong_group_rejected(self, groups, tables, tmp_path):
         path = tmp_path / "s3.ct"

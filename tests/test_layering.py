@@ -2,9 +2,11 @@
 stays behind `groups`: no other module of `cayint` except `catalog`, which
 builds and saves tables, reads an attribute named `table`. The integer
 matrix array stays behind `linalg`, which alone chooses between int64 and
-Python ints: no other module reads an attribute named `entries`. Character
-tables stay on the integer path: `chartable` and `classify` never name
-`Fraction`. There is one charpoly path: `linalg._charpoly_stack`, the
+Python ints: no other module reads an attribute named `entries`. A
+cyclotomic number has one form, its integer power-basis coordinates: no
+module of `cayint` names `Fraction` or `Cyclotomic`, the rational
+arithmetic that lives on in `tests/oracle.py` as the reference. There is
+one charpoly path: `linalg._charpoly_stack`, the
 kernel, is called only from `charpolys` and `charpoly_mod`."""
 
 from __future__ import annotations
@@ -40,17 +42,18 @@ def test_only_linalg_reads_matrix_entries():
 
 
 def test_table_path_never_names_fraction():
+    banned = {"Fraction", "Cyclotomic"}
     uses = []
-    for name in ("chartable.py", "classify.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            named = (
-                (isinstance(node, ast.Name) and node.id == "Fraction")
-                or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
-                or (isinstance(node, ast.alias) and "Fraction" in (node.name, node.asname))
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (
+                {node.id} if isinstance(node, ast.Name)
+                else {node.attr} if isinstance(node, ast.Attribute)
+                else {node.name, node.asname} if isinstance(node, ast.alias)
+                else {node.name} if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                else set()
             )
-            if named:
-                uses.append(f"{name}:{node.lineno}")
+            uses.extend(f"{path.name}:{node.lineno}:{name}" for name in sorted(names & banned))
     assert uses == []
 
 

@@ -12,17 +12,15 @@ import sympy
 from conftest import SMALL_CATALOG
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import berkowitz, integer_roots_scan
+from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan
 
 from cayint.chartable import _find_prime, class_matrices
 from cayint.linalg import (
     _STACK_CELLS,
-    Cyclotomic,
     _context,
     IntMatrix,
     IntPolynomial,
     NotAUnit,
-    NotRational,
     charpoly,
     charpoly_mod,
     charpolys,

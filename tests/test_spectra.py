@@ -6,9 +6,10 @@ import random
 from math import gcd
 
 import pytest
-from oracle import expand_character_coeffs, expand_character_poly, routes_agree
+from oracle import Cyclotomic, expand_character_coeffs, expand_character_poly, routes_agree
 
 from cayint.catalog import catalog
+from cayint.chartable import CharacterTable, VerificationFailed
 from cayint.groups import conjugacy_classes
 from cayint.linalg import IntMatrix, IntPolynomial, charpoly
 from cayint.spectra import (
@@ -135,23 +136,24 @@ class TestCharacterRoute:
         s = [x for x in g.elements() if g.ord[x] == 2]
         f = ConnectionFunction.delta(g, s, part)
         pairs = spectrum_characters(g, f, t)
-        row_idx = next(r for r in range(t.k) if all(v == 1 for v in t.values[r]))
-        assert pairs[row_idx][0].to_rational() == len(s)
+        one = (1,) + (0,) * (t.coeffs.shape[2] - 1)  # coordinates of 1 in Z[zeta_e]
+        row_idx = next(r for r in range(t.k) if all(tuple(v) == one for v in t.coeffs[r].tolist()))
+        assert pairs[row_idx][0] == (len(s),) + one[1:]
 
     def test_triangle(self):
         z3 = catalog("cyclic", 3)
         t = __import__("cayint.chartable", fromlist=["character_table"]).character_table(z3)
         f = ConnectionFunction.delta(z3, [1, 2])
         pairs = spectrum_characters(z3, f, t)
-        vals = sorted(lam.to_rational() for lam, _ in pairs)
-        assert vals == [-1, -1, 2]
+        # coordinates over 1, zeta_3: every eigenvalue is rational
+        assert sorted(lam for lam, _ in pairs) == [(-1, 0), (-1, 0), (2, 0)]
 
     def test_q8_pm_i(self, groups, tables):
         q8, t = groups["Q8"], tables["Q8"]
         f = ConnectionFunction.delta(q8, [1, 3])
         pairs = spectrum_characters(q8, f, t)
-        flat = sorted((lam.to_rational(), mult) for lam, mult in pairs)
-        assert flat == [(-2, 1), (-2, 1), (0, 4), (2, 1), (2, 1)]
+        # coordinates over 1, zeta_4: every eigenvalue is rational
+        assert sorted(pairs) == [((-2, 0), 1), ((-2, 0), 1), ((0, 0), 4), ((2, 0), 1), ((2, 0), 1)]
         # and the matrix route sees the same multiset
         rep = spectrum_matrix(q8, f)
         assert rep.integer_eigenvalues == ((2, 2), (0, 4), (-2, 2))
@@ -169,9 +171,20 @@ class TestCharacterRoute:
         with pytest.raises(NotAClassFunction):
             spectrum_characters(groups["S3"], ConnectionFunction(groups["S3"], ALPHA), tables["S3"])
 
-    def test_expand_character_poly(self):
-        from cayint.linalg import Cyclotomic
+    def test_rejects_table_with_indivisible_row_sum(self, groups, tables, partitions):
+        # a hand-built table whose degree-2 row of S3 reads 1 at the transpositions:
+        # the weighted sum 3 * 1 over that class is not divisible by the degree 2
+        g, t, part = groups["S3"], tables["S3"], partitions["S3"]
+        x = t.coeffs.copy()
+        trans = part.class_of[next(y for y in g.elements() if g.ord[y] == 2)]
+        assert t.degrees[2] == 2 and not x[2, trans].any()
+        x[2, trans, 0] = 1
+        bad = CharacterTable(g, part, t.conductor, t.prime, t.degrees, x)
+        f = ConnectionFunction.delta(g, part.classes[trans], part)
+        with pytest.raises(VerificationFailed):
+            spectrum_characters(g, f, bad)
 
+    def test_expand_character_poly(self):
         pairs = ((Cyclotomic.rational(2), 1), (Cyclotomic.rational(-1), 2))
         coeffs = expand_character_poly(pairs)
         assert [c.to_rational() for c in coeffs] == [int(c) for c in (IntPolynomial((-2, 1)) * IntPolynomial((1, 1)) ** 2).coeffs]
@@ -190,7 +203,8 @@ class TestCharacterRoute:
                     for j in orbit:
                         class_values[j] = 1
             pairs = spectrum_characters(g, ConnectionFunction.from_class_values(g, part, class_values), t)
-            want = [c.lift(t.conductor).coeffs for c in expand_character_poly(pairs)]
+            cyclotomic = [(Cyclotomic(t.conductor, lam), m) for lam, m in pairs]
+            want = [c.lift(t.conductor).coeffs for c in expand_character_poly(cyclotomic)]
             assert expand_character_coeffs(pairs, t.conductor).tolist() == [list(c) for c in want]
 
     def test_dual_route_exhaustive_small(self, groups, tables, partitions):
