@@ -1,10 +1,11 @@
-"""Byte-for-byte regression of the structured CLI output.
+"""Byte-for-byte regression of the CLI output.
 
-The files under `tests/golden/` were written by the command lines below.
+The files under `tests/golden/` were written by the command lines below:
+`CASES` with `--format json`, `TEXT_CASES` as the default text report.
 Any change to a verdict, witness, count, residual factor, character-table
 cell string or key order shows up here as a byte difference. Regenerate a
 file only when its change is intended, with the same command line and
-`--out tests/golden/<name>.json`.
+`--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
 """
@@ -39,6 +40,16 @@ CASES = {
     "chartable_q8z3": (["chartable", "--catalog", "q8z3"], 0),
 }
 
+# The text reports read the same report dictionaries as the JSON, through
+# their own formatting; these pin it.
+TEXT_CASES = {
+    "classify_s3": (["classify", "--catalog", "s3", "--seed", "0"], 0),
+    "classify_cyclic_12": (["classify", "--catalog", "cyclic", "12", "--seed", "0"], 0),
+    # every size-capped skip note
+    "classify_dihedral_13": (["classify", "--catalog", "dihedral", "13", "--seed", "0"], 0),
+    "audit_seed_0": (["audit", "--seed", "0"], 3),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_output_matches_golden(name, tmp_path):
@@ -46,3 +57,11 @@ def test_json_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == want_code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_output_matches_golden(name, tmp_path):
+    argv, want_code = TEXT_CASES[name]
+    out = tmp_path / f"{name}.txt"
+    assert main(argv + ["--out", str(out)]) == want_code
+    assert out.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()
