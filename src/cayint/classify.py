@@ -16,6 +16,14 @@ rows' characteristic polynomials (see `normal_set_survey`).
 
 Work limits are module constants; a route above its limit is skipped and
 says so in its report's `skipped` and in `caps_notes`.
+
+Each predicate report names its JSON keys once. Its route and witness
+attributes carry the names they have in the JSON, and the report declares
+which of them form its `routes` block and which reach `evidence` (see
+`RouteReport`). `ClassificationReport.to_dict` builds the predicates'
+verdicts, routes and witnesses from those declarations and names none of
+them by hand. Inverse semi-rationality is the one element-level verdict a
+predicate decides: it is NCI's verdict, with NCI's failing atom as witness.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -213,16 +221,43 @@ def normal_set_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurv
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NciReport:
+@dataclass(kw_only=True)
+class RouteReport:
+    """One predicate's verdict, with the routes that decided it.
+
+    KEY is the predicate's key under `verdicts` and `routes`; ROUTES are
+    the attributes (fields or properties) that form its `routes` block,
+    and WITNESSES the attributes written to `evidence` as
+    `<KEY>_<attribute>`. `skipped` holds the routes skipped above their
+    caps, `discrepancies` the disagreements between routes.
+    """
+
+    KEY: ClassVar[str]
+    ROUTES: ClassVar[tuple[str, ...]]
+    WITNESSES: ClassVar[tuple[str, ...]]
+
     verdict: bool
-    route_atoms: bool
-    route_characters: bool | None
-    route_exhaustive: bool | None
-    failing_atom: Atom | None = None
-    witness_set: tuple[int, ...] | None = None
     skipped: tuple[str, ...] = ()
     discrepancies: tuple[str, ...] = ()
+
+    def routes(self) -> dict:
+        return {name: getattr(self, name) for name in self.ROUTES}
+
+    def evidence(self) -> dict:
+        return {f"{self.KEY}_{name}": getattr(self, name) for name in self.WITNESSES}
+
+
+@dataclass(kw_only=True)
+class NciReport(RouteReport):
+    KEY = "nci"
+    ROUTES = ("atoms", "characters", "exhaustive")
+    WITNESSES = ("witness_set",)
+
+    atoms: bool                      # the inverse semi-rationality scan, the verdict
+    characters: bool | None = None
+    exhaustive: bool | None = None
+    failing_atom: Atom | None = None
+    witness_set: list[int] | None = None
 
 
 def nci_report(
@@ -236,56 +271,39 @@ def nci_report(
     of `survey`. A `None` table or survey was not built because the group
     is above its cap, and its route is skipped; the missing table is noted
     by the caller, which also uses it for other checks."""
-    route1, failing = is_inverse_semi_rational(g, part)
-    skipped: list[str] = []
-
-    route2: bool | None = None
+    atoms, failing = is_inverse_semi_rational(g, part)
+    report = NciReport(verdict=atoms, atoms=atoms, failing_atom=failing)
     if table is not None:
-        route2 = all(all(row) for row in chi_plus_conj_integral(table))
-
-    route3: bool | None = None
-    witness_set = None
-    if survey is not None:
-        route3 = survey.all_integral
+        report.characters = all(all(row) for row in chi_plus_conj_integral(table))
+    if survey is None:
+        report.skipped = (f"exhaustive route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}",)
+    else:
+        report.exhaustive = survey.all_integral
         bad = survey.first_non_integral()
         if bad is not None:
-            witness_set = tuple(
-                x for j in survey.rows[bad].class_indices for x in part.classes[j]
-            )
-    else:
-        skipped.append(f"exhaustive route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}")
-
-    disagreements = []
-    for name, other in (("characters", route2), ("exhaustive", route3)):
-        if other is not None and other != route1:
-            disagreements.append(
-                f"NCI route disagreement on {g.name}: atoms={route1}, {name}={other}"
-            )
-    return NciReport(
-        verdict=route1,
-        route_atoms=route1,
-        route_characters=route2,
-        route_exhaustive=route3,
-        failing_atom=failing,
-        witness_set=witness_set,
-        skipped=tuple(skipped),
-        discrepancies=tuple(disagreements),
+            report.witness_set = [x for j in survey.rows[bad].class_indices for x in part.classes[j]]
+    report.discrepancies = tuple(
+        f"NCI route disagreement on {g.name}: atoms={atoms}, {name}={other}"
+        for name, other in (("characters", report.characters), ("exhaustive", report.exhaustive))
+        if other is not None and other != atoms
     )
+    return report
 
 
-@dataclass
-class FcciReport:
-    verdict: bool                      # the power-map criterion route
-    route_orders: bool
-    route_criterion: bool
-    route_spectra: bool | None
-    criterion_witness: tuple[int, int] | None = None
+@dataclass(kw_only=True)
+class FcciReport(RouteReport):
+    KEY = "fcci"
+    ROUTES = ("orders", "criterion", "spectra", "spectra_mode", "spectra_count")
+    WITNESSES = ("criterion_witness", "spectral_witness")
+
+    orders: bool
+    criterion: bool                  # the power-map criterion, the verdict
+    spectra: bool | None = None
     spectra_mode: str = "skipped"
     spectra_count: int = 0
-    spectral_witness: tuple[int, ...] | None = None
+    criterion_witness: tuple[int, int] | None = None  # printed as a tuple
+    spectral_witness: list[int] | None = None
     order_witness: int | None = None
-    skipped: tuple[str, ...] = ()
-    discrepancies: tuple[str, ...] = ()
 
 
 def fcci_report(
@@ -313,73 +331,65 @@ def fcci_report(
     matrices of class functions commute, so when every real-class indicator
     has an integral spectrum, so has every integer combination of them.
     """
-    route_a = all(o in ALLOWED_ORDERS for o in g.ord)
-    order_witness = None if route_a else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
+    orders = all(o in ALLOWED_ORDERS for o in g.ord)
+    order_witness = None if orders else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
 
     units, powers = unit_power_classes(g, part)
     moved = (powers != np.arange(part.k)) & (powers != np.array(part.inverse_class))
     first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
-    route_b = not moved.any()
-    crit_witness = None if route_b else (part.reps()[j], units[first])
-
-    route_c: bool | None = None
-    mode, count, witness = "skipped", 0, None
-    skipped: list[str] = []
-    if survey is None:
-        skipped.append(f"spectral route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}")
-    else:
-        mode = "exhaustive"
-        route_c = survey.all_integral
-        bad = survey.first_non_integral()
-        if bad is None:
-            count = 2 * len(survey.rows)
-        else:
-            count = 2 * bad + 1
-            on = set(survey.rows[bad].class_indices)
-            witness = tuple(int(part.class_of[x] in on) for x in g.elements())
-
-    disagreements = []
-    if route_a != route_b:
-        disagreements.append(
-            f"F-route disagreement on {g.name}: orders={route_a}, criterion={route_b}"
-        )
-    if route_c is not None and route_c != route_b:
-        disagreements.append(
-            f"F-route disagreement on {g.name}: criterion={route_b}, spectra({mode})={route_c}"
-        )
-    return FcciReport(
-        verdict=route_b,
-        route_orders=route_a,
-        route_criterion=route_b,
-        route_spectra=route_c,
-        criterion_witness=crit_witness,
-        spectra_mode=mode,
-        spectra_count=count,
-        spectral_witness=witness,
+    criterion = not moved.any()
+    report = FcciReport(
+        verdict=criterion,
+        orders=orders,
+        criterion=criterion,
+        criterion_witness=None if criterion else (part.reps()[j], units[first]),
         order_witness=order_witness,
-        skipped=tuple(skipped),
-        discrepancies=tuple(disagreements),
     )
 
+    if survey is None:
+        report.skipped = (f"spectral route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}",)
+    else:
+        report.spectra_mode = "exhaustive"
+        report.spectra = survey.all_integral
+        bad = survey.first_non_integral()
+        if bad is None:
+            report.spectra_count = 2 * len(survey.rows)
+        else:
+            report.spectra_count = 2 * bad + 1
+            on = set(survey.rows[bad].class_indices)
+            report.spectral_witness = [int(part.class_of[x] in on) for x in g.elements()]
 
-def _cyclic_subgroups_all_normal(g: FiniteGroup) -> bool:
+    disagreements = []
+    if orders != criterion:
+        disagreements.append(
+            f"F-route disagreement on {g.name}: orders={orders}, criterion={criterion}"
+        )
+    if report.spectra is not None and report.spectra != criterion:
+        disagreements.append(
+            f"F-route disagreement on {g.name}: criterion={criterion}, "
+            f"spectra({report.spectra_mode})={report.spectra}"
+        )
+    report.discrepancies = tuple(disagreements)
+    return report
+
+
+def _cyclic_subgroups_all_normal(g: FiniteGroup, part: ConjugacyPartition) -> bool:
     """<x> is normal exactly when the conjugacy class of x lies inside it."""
-    part = conjugacy_classes(g)
     return all(set(part.classes[part.class_of[x]]) <= set(g.powers(x)) for x in range(1, g.n))
 
 
-def is_hamiltonian_2_group(g: FiniteGroup) -> bool:
+def is_hamiltonian_2_group(g: FiniteGroup, part: ConjugacyPartition) -> bool:
     """Nonabelian 2-group in which every cyclic subgroup is normal."""
     n = g.n
     if n < 8 or n & (n - 1):
         return False
-    return not g.is_abelian() and _cyclic_subgroups_all_normal(g)
+    return not g.is_abelian() and _cyclic_subgroups_all_normal(g, part)
 
 
-def _cci_structural(g: FiniteGroup) -> bool:
+def _cci_structural(g: FiniteGroup, part: ConjugacyPartition) -> bool:
     """Abelian of exponent dividing 6 or 4, or a Hamiltonian 2-group."""
     exp = g.exponent()
-    return (g.is_abelian() and (6 % exp == 0 or 4 % exp == 0)) or is_hamiltonian_2_group(g)
+    return (g.is_abelian() and (6 % exp == 0 or 4 % exp == 0)) or is_hamiltonian_2_group(g, part)
 
 
 _SCHEDULE_HEAD = (1, 3, 7, 4, 5, 8, 2, 6, 9)
@@ -389,16 +399,21 @@ def _deterministic_values() -> itertools.chain:
     return itertools.chain(_SCHEDULE_HEAD, itertools.count(10))
 
 
-@dataclass
-class CciReport:
-    verdict: bool                    # structural recognizer
-    structural: bool
-    witness_values: tuple[int, ...] | None = None
+@dataclass(kw_only=True)
+class CciReport(RouteReport):
+    KEY = "cci"
+    ROUTES = ("structural", "witness_found", "candidates_tried")
+    WITNESSES = ("witness_values", "witness_residual")
+
+    structural: bool                 # the structural recognizer, the verdict
+    witness_values: list[int] | None = None
     witness_residual: str | None = None
     candidates_tried: int = 0
     seed: str | None = None
-    skipped: tuple[str, ...] = ()
-    discrepancies: tuple[str, ...] = ()
+
+    @property
+    def witness_found(self) -> bool:
+        return self.witness_values is not None
 
 
 def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciReport:
@@ -410,75 +425,60 @@ def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciRe
     colour schedule over inverse pairs first, then seeded random colours.
     The witness route is skipped, and says so, above CCI_WITNESS_MAX_ORDER.
     """
-    structural = _cci_structural(g)
+    structural = _cci_structural(g, part)
+    report = CciReport(verdict=structural, structural=structural)
 
     trigger = any(
         set(cls) - {rep, g.inv[rep]}
         for cls, rep in zip(part.classes, part.reps())
     )
-    witness_vals = witness_res = None
-    tried = 0
-    seed_used = None
-    skipped: list[str] = []
     if trigger and g.n > CCI_WITNESS_MAX_ORDER:
-        skipped.append(
-            f"CCI witness search skipped: |G|={g.n} exceeds cap {CCI_WITNESS_MAX_ORDER}"
+        report.skipped = (
+            f"CCI witness search skipped: |G|={g.n} exceeds cap {CCI_WITNESS_MAX_ORDER}",
         )
     elif trigger:
         pairs = _inverse_pairs(g)
 
         def try_candidate(values_per_pair: list[int]) -> bool:
-            nonlocal witness_vals, witness_res, tried
             vals = [0] * g.n
             for pair, v in zip(pairs, values_per_pair):
                 for x in pair:
                     vals[x] = v
             f = ConnectionFunction(g, vals, part)
-            tried += 1
+            report.candidates_tried += 1
             rep = spectrum_matrix(g, f)
             if not rep.is_integral:
-                witness_vals = f.values
-                witness_res = rep.factored_residual()
-                return True
-            return False
+                report.witness_values = list(f.values)
+                report.witness_residual = rep.factored_residual()
+            return report.witness_found
 
         sched = _deterministic_values()
-        found = try_candidate([next(sched) for _ in pairs])
-        if not found:
-            seed_used = f"{seed}:{g.name}:cci"
-            rng = random.Random(seed_used)
-            while tried < CCI_WITNESS_BUDGET:
+        if not try_candidate([next(sched) for _ in pairs]):
+            report.seed = f"{seed}:{g.name}:cci"
+            rng = random.Random(report.seed)
+            while report.candidates_tried < CCI_WITNESS_BUDGET:
                 if try_candidate([rng.randint(0, 9) for _ in pairs]):
                     break
 
-    disagreements = []
-    if structural and witness_vals is not None:
-        disagreements.append(
-            f"CCI disagreement on {g.name}: structural=True but a non-integral colour function exists"
+    if structural and report.witness_found:
+        report.discrepancies = (
+            f"CCI disagreement on {g.name}: structural=True but a non-integral colour function exists",
         )
-    return CciReport(
-        verdict=structural,
-        structural=structural,
-        witness_values=witness_vals,
-        witness_residual=witness_res,
-        candidates_tried=tried,
-        seed=seed_used,
-        skipped=tuple(skipped),
-        discrepancies=tuple(disagreements),
-    )
+    return report
 
 
-@dataclass
-class CiReport:
-    verdict: bool                    # structural recognizer
-    structural: bool
-    brute: bool | None
-    mode: str
+@dataclass(kw_only=True)
+class CiReport(RouteReport):
+    KEY = "ci"
+    ROUTES = ("structural", "brute", "mode", "subsets_tried")
+    WITNESSES = ("witness_set",)
+
+    structural: bool                 # the structural recognizers, the verdict
+    brute: bool | None = None
+    mode: str = "skipped"
     subsets_tried: int = 0
-    witness_set: tuple[int, ...] | None = None
+    witness_set: list[int] | None = None
     seed: str | None = None
-    skipped: tuple[str, ...] = ()
-    discrepancies: tuple[str, ...] = ()
 
 
 def _is_s3_shape(g: FiniteGroup) -> bool:
@@ -493,55 +493,38 @@ def ci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CiRepo
     """Integrality of every Cayley graph: structural recognizers plus a
     brute-force sweep over inverse-closed connection sets (exhaustive for
     small groups, sampled up to the sampling cap)."""
-    structural = _cci_structural(g) or _is_s3_shape(g) or _is_dic12_shape(g)
+    structural = _cci_structural(g, part) or _is_s3_shape(g) or _is_dic12_shape(g)
+    report = CiReport(verdict=structural, structural=structural)
     pairs = _inverse_pairs(g)
 
-    brute: bool | None = None
-    mode = "skipped"
-    tried = 0
-    witness = None
-    seed_used = None
-    skipped: list[str] = []
-
     def check_subsets(subsets) -> bool:
-        nonlocal tried, witness
         for chosen in subsets:
             members = [x for pair in chosen for x in pair]
-            tried += 1
+            report.subsets_tried += 1
             if not spectrum_matrix(g, ConnectionFunction.delta(g, members, part)).is_integral:
-                witness = tuple(sorted(members))
+                report.witness_set = sorted(members)
                 return False
         return True
 
     if g.n <= CI_EXHAUSTIVE_MAX_ORDER:
-        mode = "exhaustive"
-        brute = check_subsets(_subsets(pairs))
+        report.mode = "exhaustive"
+        report.brute = check_subsets(_subsets(pairs))
     elif g.n <= CI_SAMPLED_MAX_ORDER:
-        mode = "sampled"
-        seed_used = f"{seed}:{g.name}:ci"
-        rng = random.Random(seed_used)
-        brute = check_subsets(
+        report.mode = "sampled"
+        report.seed = f"{seed}:{g.name}:ci"
+        rng = random.Random(report.seed)
+        report.brute = check_subsets(
             [p for p in pairs if rng.random() < 0.5] for _ in range(CI_SAMPLES)
         )
     else:
-        skipped.append(f"brute force skipped: |G|={g.n} exceeds cap {CI_SAMPLED_MAX_ORDER}")
+        report.skipped = (f"brute force skipped: |G|={g.n} exceeds cap {CI_SAMPLED_MAX_ORDER}",)
 
-    disagreements = []
-    if brute is not None and brute != structural:
-        disagreements.append(
-            f"CI route disagreement on {g.name}: structural={structural}, brute({mode})={brute}"
+    if report.brute is not None and report.brute != structural:
+        report.discrepancies = (
+            f"CI route disagreement on {g.name}: structural={structural}, "
+            f"brute({report.mode})={report.brute}",
         )
-    return CiReport(
-        verdict=structural,
-        structural=structural,
-        brute=brute,
-        mode=mode,
-        subsets_tried=tried,
-        witness_set=witness,
-        seed=seed_used,
-        skipped=tuple(skipped),
-        discrepancies=tuple(disagreements),
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +574,6 @@ class ClassificationReport:
     order: int
     rational: bool
     semi_rational: bool
-    inverse_semi_rational: bool
     nci: NciReport
     fcci: FcciReport
     cci: CciReport
@@ -601,78 +583,45 @@ class ClassificationReport:
     semi_rational_r_map: dict[int, int] | None = None
     rational_witness: int | None = None
     semi_rational_witness: int | None = None
-    isr_failing_atom: Atom | None = None
     gamma_chi_all: bool | None = None
     discrepancies: tuple[str, ...] = ()
     caps_notes: tuple[str, ...] = ()
 
+    @property
+    def predicates(self) -> tuple[RouteReport, ...]:
+        return self.nci, self.fcci, self.cci, self.ci
+
+    def verdicts(self) -> dict[str, bool]:
+        """Every verdict under its JSON key, as `to_dict` writes it. NCI
+        equals inverse semi-rationality, so both read the NCI verdict."""
+        return {
+            "rational": self.rational,
+            "semi_rational": self.semi_rational,
+            "inverse_semi_rational": self.nci.verdict,
+            **{p.KEY: p.verdict for p in self.predicates},
+            "nilpotent": self.nilpotent,
+        }
+
     def to_dict(self) -> dict:
+        isr_atom = self.nci.failing_atom
         return {
             "name": self.name,
             "order": self.order,
             "seed": self.seed,
-            "verdicts": {
-                "rational": self.rational,
-                "semi_rational": self.semi_rational,
-                "inverse_semi_rational": self.inverse_semi_rational,
-                "nci": self.nci.verdict,
-                "fcci": self.fcci.verdict,
-                "cci": self.cci.verdict,
-                "ci": self.ci.verdict,
-                "nilpotent": self.nilpotent,
-            },
-            "routes": {
-                "nci": {
-                    "atoms": self.nci.route_atoms,
-                    "characters": self.nci.route_characters,
-                    "exhaustive": self.nci.route_exhaustive,
-                },
-                "fcci": {
-                    "orders": self.fcci.route_orders,
-                    "criterion": self.fcci.route_criterion,
-                    "spectra": self.fcci.route_spectra,
-                    "spectra_mode": self.fcci.spectra_mode,
-                    "spectra_count": self.fcci.spectra_count,
-                },
-                "cci": {
-                    "structural": self.cci.structural,
-                    "witness_found": self.cci.witness_values is not None,
-                    "candidates_tried": self.cci.candidates_tried,
-                },
-                "ci": {
-                    "structural": self.ci.structural,
-                    "brute": self.ci.brute,
-                    "mode": self.ci.mode,
-                    "subsets_tried": self.ci.subsets_tried,
-                },
-            },
+            "verdicts": self.verdicts(),
+            "routes": {p.KEY: p.routes() for p in self.predicates},
             "evidence": {
                 "rational_witness": self.rational_witness,
                 "semi_rational_witness": self.semi_rational_witness,
                 "semi_rational_r_map": self.semi_rational_r_map,
                 "isr_failing_atom": (
                     None
-                    if self.isr_failing_atom is None
-                    else {
-                        "generator": self.isr_failing_atom.generator,
-                        "members": list(self.isr_failing_atom.members),
-                    }
+                    if isr_atom is None
+                    else {"generator": isr_atom.generator, "members": list(isr_atom.members)}
                 ),
-                "nci_witness_set": list(self.nci.witness_set) if self.nci.witness_set else None,
-                "fcci_criterion_witness": self.fcci.criterion_witness,
-                "fcci_spectral_witness": (
-                    list(self.fcci.spectral_witness) if self.fcci.spectral_witness else None
-                ),
-                "cci_witness_values": (
-                    list(self.cci.witness_values) if self.cci.witness_values else None
-                ),
-                "cci_witness_residual": self.cci.witness_residual,
-                "ci_witness_set": list(self.ci.witness_set) if self.ci.witness_set else None,
+                **{k: v for p in self.predicates for k, v in p.evidence().items()},
                 "gamma_chi_conj_all_integral": self.gamma_chi_all,
-                "seeds": {
-                    "cci": self.cci.seed,
-                    "ci": self.ci.seed,
-                },
+                "seeds": {p.KEY: p.seed for p in (self.cci, self.ci)},
             },
             "discrepancies": list(self.discrepancies),
             "caps_notes": list(self.caps_notes),
@@ -701,15 +650,15 @@ def classify_group(
     fcci = fcci_report(g, part, survey)
     cci = cci_report(g, part, seed=seed)
     ci = ci_report(g, part, seed=seed)
+    discrepancies: list[str] = []
     for route in (nci, fcci, cci, ci):
         caps_notes.extend(route.skipped)
+        discrepancies.extend(route.discrepancies)
 
     gamma_all: bool | None = None
     if table is not None:
         _, gamma_all = gamma_chi_conj_check(g, table)
 
-    discrepancies = list(nci.discrepancies) + list(fcci.discrepancies)
-    discrepancies += list(cci.discrepancies) + list(ci.discrepancies)
     if table is not None:
         table_rational = not table.coeffs[:, :, 1:].any()
         if table_rational != rat:
@@ -730,7 +679,6 @@ def classify_group(
         order=g.n,
         rational=rat,
         semi_rational=semi,
-        inverse_semi_rational=nci.route_atoms,
         nci=nci,
         fcci=fcci,
         cci=cci,
@@ -740,7 +688,6 @@ def classify_group(
         semi_rational_r_map=r_map,
         rational_witness=rat_wit,
         semi_rational_witness=semi_wit,
-        isr_failing_atom=nci.failing_atom,
         gamma_chi_all=gamma_all,
         discrepancies=tuple(discrepancies),
         caps_notes=tuple(caps_notes),
@@ -779,6 +726,14 @@ _CHAIN = (
     ("nci", "semi_rational"),
 )
 
+# The element-level verdicts that the centre inherits, with their names in
+# the closure messages, in the order `_predicates_on_subgroup` returns them.
+_ELEMENT_PREDICATES = (
+    ("rational", "rational"),
+    ("semi_rational", "semi-rational"),
+    ("inverse_semi_rational", "inverse semi-rational"),
+)
+
 
 @dataclass
 class AuditReport:
@@ -805,10 +760,6 @@ class AuditReport:
             "notes": list(self.notes),
             "exit_code": self.exit_code,
         }
-
-
-def _verdict(report: ClassificationReport, key: str) -> bool:
-    return getattr(report, key).verdict if key in ("nci", "fcci", "cci", "ci") else getattr(report, key)
 
 
 def _predicates_on_subgroup(g: FiniteGroup) -> tuple[bool, bool, bool]:
@@ -864,32 +815,24 @@ def hierarchy_audit(
         groups = default_suite_groups()
     reports = [classify_group(g, chartable_cap=chartable_cap, seed=seed) for g in groups]
 
-    chain_violations = []
-    for rep in reports:
-        for a, b in _CHAIN:
-            if _verdict(rep, a) and not _verdict(rep, b):
-                chain_violations.append(f"{rep.name}: {a} holds but {b} fails")
-
+    chain_violations: list[str] = []
     closure_checks: list[str] = []
     closure_violations: list[str] = []
-    by_name = dict(zip((g.name for g in groups), groups))
-    for rep in reports:
-        g = by_name[rep.name]
-        if rep.rational or rep.semi_rational or rep.inverse_semi_rational:
+    # each report with its own group: group names need not be unique
+    for rep, g in zip(reports, groups):
+        v = rep.verdicts()
+        chain_violations += [
+            f"{rep.name}: {a} holds but {b} fails" for a, b in _CHAIN if v[a] and not v[b]
+        ]
+        if any(v[key] for key, _ in _ELEMENT_PREDICATES):
             z = center(g)
             if 1 < len(z):
                 zg, _ = generated_subgroup(g, set(z))
-                z_rat, z_semi, z_isr = _predicates_on_subgroup(zg)
                 closure_checks.append(f"center of {rep.name} (order {zg.n})")
-                if rep.rational and not z_rat:
-                    closure_violations.append(f"center of rational {rep.name} is not rational")
-                if rep.semi_rational and not z_semi:
-                    closure_violations.append(f"center of semi-rational {rep.name} is not semi-rational")
-                if rep.inverse_semi_rational and not z_isr:
-                    closure_violations.append(
-                        f"center of inverse semi-rational {rep.name} is not inverse semi-rational"
-                    )
-        if rep.nci.verdict:
+                for (key, label), holds in zip(_ELEMENT_PREDICATES, _predicates_on_subgroup(zg)):
+                    if v[key] and not holds:
+                        closure_violations.append(f"center of {label} {rep.name} is not {label}")
+        if v["nci"]:
             comm = g.commutators()
             subgroups = {"center": set(center(g))}
             if comm != (0,):
@@ -911,11 +854,10 @@ def hierarchy_audit(
                     closure_violations.append(
                         f"nilpotent NCI {rep.name} has order {g.n}, not of the form 2^a 3^b"
                     )
-    rational_reports = [r for r in reports if r.rational]
-    nci_reports = [r for r in reports if r.nci.verdict]
-    for ra in rational_reports:
-        for rb in nci_reports:
-            ga, gb = by_name[ra.name], by_name[rb.name]
+    rational_pairs = [(r, g) for r, g in zip(reports, groups) if r.rational]
+    nci_pairs = [(r, g) for r, g in zip(reports, groups) if r.nci.verdict]
+    for ra, ga in rational_pairs:
+        for rb, gb in nci_pairs:
             if ga.n * gb.n <= PRODUCT_MAX_ORDER:
                 prod = direct_product(ga, gb)
                 ok = is_inverse_semi_rational(prod, conjugacy_classes(prod))[0]

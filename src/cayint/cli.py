@@ -216,11 +216,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return audit.exit_code
     lines = [f"audit of {len(audit.reports)} group(s), seed {audit.seed}", ""]
     for rep in audit.reports:
-        v = rep.to_dict()["verdicts"]
-        flags = " ".join(
-            f"{k}={'T' if val else 'F'}"
-            for k, val in v.items()
-        )
+        flags = " ".join(f"{k}={'T' if val else 'F'}" for k, val in rep.verdicts().items())
         lines.append(f"  {rep.name:<12} order {rep.order:>4}  {flags}")
     lines.append("")
     lines.append(f"chain violations    {len(audit.chain_violations)}")

@@ -346,10 +346,11 @@ def verify_table_fraction(
 
 def fcci_spectra_direct(
     g: FiniteGroup, part: ConjugacyPartition
-) -> tuple[bool, int, tuple[int, ...] | None]:
+) -> tuple[bool, int, list[int] | None]:
     """Every 0/1 function on real classes, the identity's included, by
     ascending bitmask (bit i selects `part.real_classes[i]`), until the first
-    non-integral spectrum: (all integral, spectra computed, that function)."""
+    non-integral spectrum: (all integral, spectra computed, that function's
+    values)."""
     orbits = part.real_classes
     for take in range(1 << len(orbits)):
         class_values = [0] * part.k
@@ -359,7 +360,7 @@ def fcci_spectra_direct(
                     class_values[j] = 1
         f = ConnectionFunction.from_class_values(g, part, class_values)
         if not spectrum_matrix(g, f).is_integral:
-            return False, take + 1, f.values
+            return False, take + 1, list(f.values)
     return True, 1 << len(orbits), None
 
 

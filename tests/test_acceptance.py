@@ -141,7 +141,7 @@ def test_acceptance_04_nci_three_routes(groups, partitions, tables, surveys):
         rep = nci_report(groups[label], partitions[label],
                          table=tables[label], survey=surveys[label])
         verdicts[label] = rep.verdict
-        if rep.route_characters is None or rep.route_exhaustive is None:
+        if rep.characters is None or rep.exhaustive is None:
             problems.append(f"{label}: a route did not run")
         if rep.discrepancies:
             problems.extend(rep.discrepancies)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 from math import gcd
 
@@ -27,7 +28,8 @@ from cayint.classify import (
     nci_report,
     normal_set_survey,
 )
-from cayint.groups import conjugacy_classes, direct_product, unit_power_classes
+from cayint.cli import main
+from cayint.groups import build_group, conjugacy_classes, direct_product, unit_power_classes
 from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
 
 from conftest import SMALL_CATALOG
@@ -85,7 +87,7 @@ class TestNci:
             table=tables["Q8xZ3"], survey=surveys["Q8xZ3"],
         )
         assert rep.verdict
-        assert rep.route_atoms and rep.route_characters and rep.route_exhaustive
+        assert rep.atoms and rep.characters and rep.exhaustive
         assert not rep.discrepancies
 
     def test_z12_not_nci_with_witness(self, groups, partitions, tables, surveys):
@@ -113,8 +115,8 @@ class TestNci:
                 groups[label], partitions[label],
                 table=tables[label], survey=surveys[label],
             )
-            assert rep.route_characters is not None
-            assert rep.route_exhaustive is not None
+            assert rep.characters is not None
+            assert rep.exhaustive is not None
             assert rep.discrepancies == (), f"route disagreement on {label}"
 
 
@@ -123,18 +125,18 @@ class TestFcci:
         g = catalog("z2z3", 2, 1)
         part = conjugacy_classes(g)
         rep = fcci_report(g, part, normal_set_survey(g, part))
-        assert rep.verdict and rep.route_orders and rep.route_criterion
-        assert rep.route_spectra and rep.spectra_mode == "exhaustive"
+        assert rep.verdict and rep.orders and rep.criterion
+        assert rep.spectra and rep.spectra_mode == "exhaustive"
 
     def test_a4(self, groups, partitions, surveys):
         rep = fcci_report(groups["A4"], partitions["A4"], surveys["A4"])
-        assert rep.verdict and rep.route_orders and not rep.discrepancies
+        assert rep.verdict and rep.orders and not rep.discrepancies
 
     def test_z12_fails_everywhere(self, groups, partitions, surveys):
         rep = fcci_report(groups["Z12"], partitions["Z12"], surveys["Z12"])
         assert not rep.verdict
-        assert not rep.route_orders and not rep.route_criterion
-        assert rep.route_spectra is False
+        assert not rep.orders and not rep.criterion
+        assert rep.spectra is False
         assert rep.order_witness is not None
         assert rep.criterion_witness is not None
 
@@ -142,11 +144,11 @@ class TestFcci:
         # the probe computes, it does not assume: orders route and criterion
         # route genuinely disagree here and both are reported
         rep = fcci_report(groups["Q8xZ3"], partitions["Q8xZ3"], surveys["Q8xZ3"])
-        assert not rep.route_orders
-        assert rep.route_criterion
-        assert rep.route_spectra is not None  # exhaustive run happened
+        assert not rep.orders
+        assert rep.criterion
+        assert rep.spectra is not None  # exhaustive run happened
         assert rep.spectra_mode == "exhaustive" and rep.spectra_count == 1024
-        assert rep.route_spectra == rep.route_criterion
+        assert rep.spectra == rep.criterion
         assert any("disagreement" in d for d in rep.discrepancies)
 
 
@@ -163,7 +165,7 @@ def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
     rep = fcci_report(g, part, normal_set_survey(g, part))
     assert rep.spectra_mode == "exhaustive"
     route, count, witness = fcci_spectra_direct(g, part)
-    assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
+    assert (rep.spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
 
 
 @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG])
@@ -209,7 +211,7 @@ def test_power_map_routes_match_element_scans(tokens):
     assert powers.tolist() == [[part.class_of[g.power(rep, h)] for rep in part.reps()] for h in units]
     assert is_semi_rational(g, part) == semi_rational_scan(g, part)
     rep = fcci_report(g, part, None)
-    assert (rep.route_criterion, rep.criterion_witness) == fcci_criterion_scan(g, part)
+    assert (rep.criterion, rep.criterion_witness) == fcci_criterion_scan(g, part)
     rng = random.Random(g.n)
     for _ in range(5):
         values = [rng.randint(0, 2) for _ in range(part.k)]
@@ -244,14 +246,14 @@ def test_fcci_reads_any_survey_exhaustively_on_z24(bad_rows):
     rep = fcci_report(g, part, survey)
     assert rep.spectra_mode == "exhaustive"
     if not bad_rows:
-        assert (rep.route_spectra, rep.spectra_count, rep.spectral_witness) == (True, 8192, None)
+        assert (rep.spectra, rep.spectra_count, rep.spectral_witness) == (True, 8192, None)
         return
     first = min(bad_rows)
-    assert rep.route_spectra is False and rep.spectra_count == 2 * first + 1
+    assert rep.spectra is False and rep.spectra_count == 2 * first + 1
     # FCCI mask 2 * first: bit i selects part.real_classes[i], the identity's is off
     mask = 2 * first
     on = {j for i, orbit in enumerate(part.real_classes) if mask >> i & 1 for j in orbit}
-    assert rep.spectral_witness == tuple(int(part.class_of[x] in on) for x in g.elements())
+    assert rep.spectral_witness == [int(part.class_of[x] in on) for x in g.elements()]
 
 
 class TestCci:
@@ -262,8 +264,9 @@ class TestCci:
 
     def test_q8z2_structural(self):
         g = direct_product(catalog("q8"), catalog("cyclic", 2))
-        assert is_hamiltonian_2_group(g)
-        rep = cci_report(g, conjugacy_classes(g))
+        part = conjugacy_classes(g)
+        assert is_hamiltonian_2_group(g, part)
+        rep = cci_report(g, part)
         assert rep.verdict
 
     def test_z2n_z3m(self):
@@ -405,12 +408,12 @@ class TestClassificationReport:
             "spectral route skipped: |G|=26 exceeds cap 24",
             "brute force skipped: |G|=26 exceeds cap 24",
         )
-        assert rep.nci.route_exhaustive is None and rep.fcci.route_spectra is None
+        assert rep.nci.exhaustive is None and rep.fcci.spectra is None
         assert rep.ci.brute is None
 
     def test_negative_verdicts_carry_witnesses(self, groups):
         rep = classify_group(groups["Z12"])
-        assert rep.isr_failing_atom is not None
+        assert rep.nci.failing_atom is not None
         assert rep.fcci.criterion_witness is not None
         assert rep.ci.witness_set is not None
 
@@ -467,3 +470,79 @@ class TestAudit:
         a = hierarchy_audit([groups["S3"], groups["Q8"]], seed=5)
         b = hierarchy_audit([groups["S3"], groups["Q8"]], seed=5)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+    def test_groups_sharing_a_name_keep_their_own_checks(self):
+        # S3 and Z6 both named G: each report is checked against its own group
+        s3, z6 = (build_group(catalog(*t).table, name="G") for t in (("s3",), ("cyclic", 6)))
+        audit = hierarchy_audit([s3, z6])
+        assert audit.closure_violations == () and audit.findings == ()
+        assert audit.closure_checks == (
+            "quotient G/derived (order 2)",
+            "center of G (order 6)",
+            "nilpotent NCI G order check",
+            "product GxG (order 36)",
+            "product GxG (order 36)",
+        )
+
+
+def _classify_s3_json(capsys) -> dict:
+    assert main(["classify", "--catalog", "s3", "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+# One injected route disagreement per predicate on S3, whose routes all agree
+# unpatched: (name patched in cayint.classify, its stand-in, the message).
+INJECTED_DISAGREEMENTS = {
+    "nci": (
+        "chi_plus_conj_integral",
+        lambda table: ((False,),),
+        "NCI route disagreement on S3: atoms=True, characters=False",
+    ),
+    "fcci": ("ALLOWED_ORDERS", {1}, "F-route disagreement on S3: orders=False, criterion=True"),
+    "cci": (
+        "_cci_structural",
+        lambda g, part: True,
+        "CCI disagreement on S3: structural=True but a non-integral colour function exists",
+    ),
+    "ci": (
+        "_is_s3_shape",
+        lambda g: False,
+        "CI route disagreement on S3: structural=False, brute(exhaustive)=True",
+    ),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(INJECTED_DISAGREEMENTS))
+def test_route_disagreement_reaches_json_and_findings(predicate, monkeypatch, capsys):
+    name, stand_in, message = INJECTED_DISAGREEMENTS[predicate]
+    monkeypatch.setattr(f"cayint.classify.{name}", stand_in)
+    doc = _classify_s3_json(capsys)
+    assert message in doc["discrepancies"]
+    audit = hierarchy_audit([catalog("s3")])
+    assert message in audit.findings and audit.exit_code == 3
+
+
+# One lowered cap per predicate on S3 (order 6): (caps set in
+# cayint.classify, the route that is skipped and what it then reads, the note).
+LOWERED_CAPS = {
+    "nci": (("SURVEY_MAX_ORDER",), ("exhaustive", None), "exhaustive route skipped: |G|=6 exceeds cap 5"),
+    "fcci": (("SURVEY_MAX_ORDER",), ("spectra_mode", "skipped"), "spectral route skipped: |G|=6 exceeds cap 5"),
+    "cci": (("CCI_WITNESS_MAX_ORDER",), ("candidates_tried", 0), "CCI witness search skipped: |G|=6 exceeds cap 5"),
+    "ci": (
+        ("CI_EXHAUSTIVE_MAX_ORDER", "CI_SAMPLED_MAX_ORDER"),
+        ("mode", "skipped"),
+        "brute force skipped: |G|=6 exceeds cap 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("predicate", sorted(LOWERED_CAPS))
+def test_route_skip_reaches_caps_notes(predicate, monkeypatch, capsys):
+    caps, (route, skipped_value), note = LOWERED_CAPS[predicate]
+    for cap in caps:
+        monkeypatch.setattr(f"cayint.classify.{cap}", 5)
+    doc = _classify_s3_json(capsys)
+    assert doc["routes"][predicate][route] == skipped_value
+    assert note in doc["caps_notes"]
+    audit = hierarchy_audit([catalog("s3")])
+    assert note in audit.to_dict()["groups"][0]["caps_notes"]

@@ -73,7 +73,7 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
     assert is_nilpotent(g) is oracle.is_nilpotent(g)
     comm = g.commutators()
     assert comm == tuple(sorted(oracle.commutators(g))) and _all_ints(comm)
-    assert _cyclic_subgroups_all_normal(g) is oracle.cyclic_subgroups_all_normal(g)
+    assert _cyclic_subgroups_all_normal(g, part) is oracle.cyclic_subgroups_all_normal(g)
 
     picks = sorted(rng.sample(range(g.n), min(g.n, 4)))
     for gens in [[x] for x in picks] + [picks, list(z), list(comm)]:
