@@ -6,13 +6,13 @@ silently but surfaces as a report entry. Negative verdicts always carry a
 concrete re-checkable witness (an element, a colour function, or a set).
 
 `classify_group` builds the conjugacy partition, the character table and
-the normal-set survey once and hands them to the routes. The survey is the
-only enumeration of 0/1 functions on real classes: NCI reads its spectra,
-and FCCI reads them again with 1 added at the identity, which turns the
-adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
-The survey decides each row on a k x k class-algebra matrix with the
-distinct eigenvalues of the |G| x |G| adjacency matrix, and batches all
-rows' characteristic polynomials (see `normal_set_survey`).
+the normal-set survey once and hands them to the routes. The survey, run
+wherever the table is, decides the 2^r unions of the r non-identity
+real-class orbits from r commuting k x k class-algebra spectra, and
+certifies on the table that the integral unions are the unions of atoms
+(see `normal_set_survey`). NCI reads its orbit verdicts, and FCCI reads
+them again with 1 added at the identity, which turns the adjacency matrix
+A into A + I and so keeps integrality (see `fcci_report`).
 
 Work limits are module constants; a route above its limit is skipped and
 says so in its report's `skipped` and in `caps_notes`.
@@ -35,11 +35,13 @@ from math import gcd
 from typing import ClassVar, Iterator
 
 import numpy as np
+from sympy.utilities.iterables import connected_components
 
 from .catalog import catalog
 from .chartable import (
     DEFAULT_ORDER_CAP,
     CharacterTable,
+    _rref_mod,
     character_table,
     chi_plus_conj,
     chi_plus_conj_integral,
@@ -61,16 +63,12 @@ from .groups import (
 from .linalg import IntMatrix, charpolys, integer_spectrum
 from .spectra import (
     ConnectionFunction,
-    eulerian_check,
     integrality_by_criterion,
     spectrum_matrix,
 )
 
 
-# Work limits. The survey's spectra are k x k class-algebra characteristic
-# polynomials; every other spectrum below is an |G| x |G| one.
-SURVEY_MAX_ORDER = 24            # normal-set survey: 2^(r-1) spectra; NCI and FCCI read it
-_SURVEY_BATCH = 512              # survey rows per `charpolys` call: bounds the matrices held at once
+# Work limits, each on |G| x |G| spectra; the normal-set survey has none.
 CI_EXHAUSTIVE_MAX_ORDER = 12     # every inverse-closed set (at most 2^11)
 CI_SAMPLED_MAX_ORDER = 24
 CI_SAMPLES = 1000
@@ -158,62 +156,72 @@ def _inverse_pairs(g: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive normal connection sets
+# Normal connection sets
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class NormalSetRow:
-    class_indices: tuple[int, ...]  # non-identity real-class orbits used
-    size: int
-    eulerian: bool
-    integral: bool
-
-    @property
-    def match(self) -> bool:
-        return self.eulerian == self.integral
-
-
-@dataclass(frozen=True)
 class NormalSetSurvey:
-    rows: tuple[NormalSetRow, ...]
-    mismatches: tuple[NormalSetRow, ...]
+    """The r non-identity real-class orbits' verdicts; `components` and
+    `mismatches` are atom components as classes (see `normal_set_survey`)."""
+
+    orbits: tuple[tuple[int, ...], ...]
+    integral: tuple[bool, ...]
+    components: tuple[tuple[int, ...], ...]
+    mismatches: tuple[tuple[int, ...], ...]
+    kernel: int
 
     @property
-    def all_integral(self) -> bool:
-        return all(r.integral for r in self.rows)
+    def undecided(self) -> bool:
+        return not self.mismatches and self.kernel > len(self.components)
 
     def first_non_integral(self) -> int | None:
-        """Index of the first non-integral row, in ascending mask order."""
-        return next((i for i, r in enumerate(self.rows) if not r.integral), None)
+        return next((i for i, ok in enumerate(self.integral) if not ok), None)
 
 
-def normal_set_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
-    """Every normal inverse-closed subset of G minus the identity, enumerated
-    as a union of real classes, with its Eulerian and integrality verdicts.
+def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> np.ndarray:
+    """Row i is v_i: the non-constant power-basis coordinates of
+    sum_(j in O_i) |C_j| chi(g_j), over every character chi."""
+    x = table.coeffs[:, :, 1:] * np.array(table.class_sizes())[:, None]
+    return np.array([x[:, list(o)].sum(axis=1).ravel() for o in orbits]).reshape(len(orbits), x[:, 0].size)
 
-    Integrality is decided in the class algebra. For f the 0/1 function of
-    a union S of classes, B_f = sum_(j in S) M_j of the k x k structure
-    constant matrices (`class_matrices`) is multiplication by sum_(j in S)
-    K_j on the centre of the group algebra. Its eigenvalues are the central
-    characters omega_chi(f) = sum_g f(g) chi(g) / chi(1), exactly the
-    distinct eigenvalues of the |G| x |G| adjacency matrix A_f (Babai), so
-    A_f is integral exactly when B_f is. Each is an eigenvalue of A_f, at
-    most its row sum sum_g |f(g)| = |S| in magnitude: the sound root bound.
+
+def normal_set_survey(
+    g: FiniteGroup, part: ConjugacyPartition, table: CharacterTable
+) -> NormalSetSurvey:
+    """Each non-identity real-class orbit's integrality, and a certificate
+    that the integral unions of orbits (the normal sets) are the Eulerian ones.
+
+    Orbit O is decided on B_O = sum_(j in O) M_j (`class_matrices`), whose
+    eigenvalues, the central characters, are the distinct eigenvalues of
+    the adjacency matrix (Babai), at most |O| in magnitude. The B_O commute
+    and add, so a union of orbits is integral whenever its orbits are: the
+    first non-integral union in mask order is the first such orbit alone.
+
+    Certificate: the power basis is a Q-basis, so a union S is integral
+    exactly when the v_i of `_orbit_coordinates` sum to 0 over S, and it is
+    Eulerian, a union of atoms, exactly when it is a union of components:
+    orbits joined when they meet a common atom, whose classes are read off
+    `unit_power_classes`. When each component sums to 0 and r - rank V mod
+    `table.prime` (at most the rank over Q) equals their number, the
+    component indicators span the kernel and the two kinds of union
+    coincide. A component with a non-zero sum is a mismatch; a larger
+    kernel mod p leaves the check undecided.
     """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
-    mats = np.stack(class_matrices(g, part))
-    chosen = [tuple(j for orbit in orbits_on for j in orbit) for orbits_on in _subsets(orbits)]
-    rows = []
-    for start in range(0, len(chosen), _SURVEY_BATCH):
-        batch = chosen[start : start + _SURVEY_BATCH]
-        for classes, poly in zip(batch, charpolys([IntMatrix(mats[list(c)].sum(axis=0)) for c in batch])):
-            members = [x for j in classes for x in part.classes[j]]
-            eulerian = eulerian_check(g, members)[0] if members else True
-            integral = integer_spectrum(poly, bound=len(members)).is_integral
-            rows.append(NormalSetRow(classes, len(members), eulerian, integral))
-    rows_t = tuple(rows)
-    return NormalSetSurvey(rows_t, tuple(r for r in rows_t if not r.match))
+    mats, sizes = class_matrices(g, part), part.sizes()
+    polys = charpolys([IntMatrix(sum(mats[j] for j in orbit)) for orbit in orbits])
+    bounds = [sum(sizes[j] for j in orbit) for orbit in orbits]
+    integral = tuple(integer_spectrum(f, bound=b).is_integral for f, b in zip(polys, bounds))
+    v = _orbit_coordinates(table, orbits)
+    orbit_of = {j: i for i, orbit in enumerate(orbits) for j in orbit}
+    atoms = unit_power_classes(g, part)[1]  # column j: the classes of Atom(rep_j)
+    edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in atoms[:, j].tolist()}
+    components = connected_components((list(range(len(orbits))), sorted(edges)))
+    classes = [tuple(sorted(j for i in c for j in orbits[i])) for c in components]
+    mismatches = tuple(cls for c, cls in zip(components, classes) if v[c].sum(axis=0).any())
+    kernel = len(orbits) - len(_rref_mod((v % table.prime).tolist(), table.prime)[1])
+    return NormalSetSurvey(tuple(orbits), integral, tuple(classes), mismatches, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +275,21 @@ def nci_report(
     survey: NormalSetSurvey | None,
 ) -> NciReport:
     """Normal-Cayley integrality by three routes: the atom/class scan, the
-    character-sum scan over `table`, and the exhaustive normal-set spectra
-    of `survey`. A `None` table or survey was not built because the group
-    is above its cap, and its route is skipped; the missing table is noted
-    by the caller, which also uses it for other checks."""
+    character-sum scan over `table`, and the normal-set spectra of `survey`.
+    A `None` table was not built because the group is above its cap, and
+    the survey, which needs it, is `None` too; both routes are skipped, and
+    the caller notes the missing table, which it also uses elsewhere."""
     atoms, failing = is_inverse_semi_rational(g, part)
     report = NciReport(verdict=atoms, atoms=atoms, failing_atom=failing)
     if table is not None:
         report.characters = all(all(row) for row in chi_plus_conj_integral(table))
     if survey is None:
-        report.skipped = (f"exhaustive route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}",)
+        report.skipped = ("exhaustive route skipped: no character table",)
     else:
-        report.exhaustive = survey.all_integral
         bad = survey.first_non_integral()
+        report.exhaustive = bad is None
         if bad is not None:
-            report.witness_set = [x for j in survey.rows[bad].class_indices for x in part.classes[j]]
+            report.witness_set = [x for j in survey.orbits[bad] for x in part.classes[j]]
     report.discrepancies = tuple(
         f"NCI route disagreement on {g.name}: atoms={atoms}, {name}={other}"
         for name, other in (("characters", report.characters), ("exhaustive", report.exhaustive))
@@ -315,17 +323,15 @@ def fcci_report(
     "criterion": every unit power map fixes each real class setwise, which
     is equivalent to f^h = f for every integer symmetric class function f.
     Route "spectra": every 0/1 function on real classes, read off `survey`;
-    skipped when `survey` is `None` (the group is above SURVEY_MAX_ORDER).
+    skipped when `survey` is `None` (the group has no character table).
     The criterion route is the primary verdict; disagreements are
     recorded, not resolved.
 
     Reading the survey is exact. Mask bit 0 is the identity's real class
-    and bits 1 and up are the survey's mask, so masks 2i and 2i + 1 are
-    survey row i without and with the identity. With the identity the
-    adjacency matrix is A + I, whose eigenvalues are those of A plus 1, so
-    both masks are integral exactly when row i is. In ascending mask order
-    the first non-integral function is mask 2i for the first non-integral
-    row i, after 2i + 1 spectra.
+    and bit i + 1 the survey's orbit i. Adding the identity turns A into
+    A + I and keeps integrality, so all 2^(r+1) masks are integral when the
+    r orbits are; otherwise, for i the first non-integral orbit, the first
+    non-integral mask is 2^(i+1), orbit i alone, after 2^(i+1) + 1 spectra.
 
     Nothing is lost against all integer class functions: the adjacency
     matrices of class functions commute, so when every real-class indicator
@@ -347,16 +353,14 @@ def fcci_report(
     )
 
     if survey is None:
-        report.skipped = (f"spectral route skipped: |G|={g.n} exceeds cap {SURVEY_MAX_ORDER}",)
+        report.skipped = ("spectral route skipped: no character table",)
     else:
         report.spectra_mode = "exhaustive"
-        report.spectra = survey.all_integral
         bad = survey.first_non_integral()
-        if bad is None:
-            report.spectra_count = 2 * len(survey.rows)
-        else:
-            report.spectra_count = 2 * bad + 1
-            on = set(survey.rows[bad].class_indices)
+        report.spectra = bad is None
+        report.spectra_count = 2 << len(survey.orbits) if bad is None else (2 << bad) + 1
+        if bad is not None:
+            on = set(survey.orbits[bad])
             report.spectral_witness = [int(part.class_of[x] in on) for x in g.elements()]
 
     disagreements = []
@@ -393,11 +397,6 @@ def _cci_structural(g: FiniteGroup, part: ConjugacyPartition) -> bool:
 
 
 _SCHEDULE_HEAD = (1, 3, 7, 4, 5, 8, 2, 6, 9)
-
-
-def _deterministic_values() -> itertools.chain:
-    return itertools.chain(_SCHEDULE_HEAD, itertools.count(10))
-
 
 @dataclass(kw_only=True)
 class CciReport(RouteReport):
@@ -452,7 +451,7 @@ def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciRe
                 report.witness_residual = rep.factored_residual()
             return report.witness_found
 
-        sched = _deterministic_values()
+        sched = itertools.chain(_SCHEDULE_HEAD, itertools.count(10))
         if not try_candidate([next(sched) for _ in pairs]):
             report.seed = f"{seed}:{g.name}:cci"
             rng = random.Random(report.seed)
@@ -632,17 +631,16 @@ def classify_group(
     g: FiniteGroup, chartable_cap: int = DEFAULT_ORDER_CAP, seed: int = 0
 ) -> ClassificationReport:
     """Every predicate and route on one group. The partition, the character
-    table (up to `chartable_cap`) and the normal-set survey (up to
-    SURVEY_MAX_ORDER) are built once here; every skip lands in `caps_notes`."""
+    table (up to `chartable_cap`) and the normal-set survey (wherever there
+    is a table) are built once here; every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
-    table: CharacterTable | None = None
+    table = survey = None
     caps_notes: list[str] = []
     if g.n <= chartable_cap:
         table = character_table(g, part, order_cap=chartable_cap)
+        survey = normal_set_survey(g, part, table)
     else:
         caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
-
-    survey = normal_set_survey(g, part) if g.n <= SURVEY_MAX_ORDER else None
 
     rat, rat_wit = is_rational(g, part)
     semi, r_map, semi_wit = is_semi_rational(g, part)
@@ -658,21 +656,22 @@ def classify_group(
     gamma_all: bool | None = None
     if table is not None:
         _, gamma_all = gamma_chi_conj_check(g, table)
-
-    if table is not None:
         table_rational = not table.coeffs[:, :, 1:].any()
         if table_rational != rat:
             discrepancies.append(
                 f"rationality disagreement on {g.name}: atom route {rat}, table scan {table_rational}"
             )
-    if gamma_all is not None and gamma_all != nci.verdict:
-        discrepancies.append(
-            f"chi+conj colour check on {g.name} gives {gamma_all}, NCI verdict is {nci.verdict}"
+        if gamma_all != nci.verdict:
+            discrepancies.append(
+                f"chi+conj colour check on {g.name} gives {gamma_all}, NCI verdict is {nci.verdict}"
+            )
+        discrepancies.extend(
+            f"Eulerian/integrality mismatch on {g.name}: classes {list(c)} are Eulerian, not integral"
+            for c in survey.mismatches
         )
-    if survey is not None and survey.mismatches:
-        discrepancies.append(
-            f"Eulerian/integrality mismatch on {g.name}: {len(survey.mismatches)} sets"
-        )
+        if survey.undecided:
+            caps_notes.append(f"Eulerian/integrality undecided on {g.name}: kernel mod {table.prime} of "
+                              f"dimension {survey.kernel} exceeds {len(survey.components)} atom components")
 
     return ClassificationReport(
         name=g.name,

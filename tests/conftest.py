@@ -53,9 +53,9 @@ def tables(groups, partitions):
 
 
 @pytest.fixture(scope="session")
-def surveys(groups, partitions):
-    """Exhaustive normal-set surveys for every order <= 24 catalog group."""
+def surveys(groups, partitions, tables):
+    """The normal-set survey of every group above."""
     return {
-        label: normal_set_survey(groups[label], partitions[label])
-        for label, _ in SMALL_CATALOG
+        label: normal_set_survey(groups[label], partitions[label], tables[label])
+        for label in groups
     }

@@ -10,15 +10,17 @@ its `str` is the cell text that `CharacterTable.cell_strings` prints.
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
 is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
-it was read off the normal-set survey; `normal_set_survey_matrix` is the
-survey as it ran before it moved into the class algebra, one |G| x |G|
-charpoly per row; `criterion_scan`, `fcci_criterion_scan` and
-`semi_rational_scan` are the element-by-element power-map loops that
-`groups.unit_power_classes` replaced; `routes_agree` compares the matrix
-route of a class function's spectrum with its character route, expanded
-by `expand_character_coeffs` on power-basis integer coordinates in
-Z[zeta_e][x], which `expand_character_poly`, the same product in
-`Cyclotomic` arithmetic, checks; `verify_table_fraction` is the
+it was read off the normal-set survey; `normal_set_survey_rows` is the
+survey as it ran before it was decided orbit by orbit, every one of the 2^r
+unions of real-class orbits on its own k x k class-algebra charpoly, and
+`normal_set_survey_matrix` the same rows as they ran before the class
+algebra, one |G| x |G| charpoly per row; `criterion_scan`,
+`fcci_criterion_scan` and `semi_rational_scan` are the element-by-element
+power-map loops that `groups.unit_power_classes` replaced; `routes_agree`
+compares the matrix route of a class function's spectrum with its
+character route, expanded by `expand_character_coeffs` on power-basis
+integer coordinates in Z[zeta_e][x], which `expand_character_poly`, the
+same product in `Cyclotomic` arithmetic, checks; `verify_table_fraction` is the
 character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
 `Fraction`s ran before `chartable._verify_table` became integer contractions.
 
@@ -29,6 +31,7 @@ as nested lists (`g.table.tolist()`) and otherwise runs as it did.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -38,10 +41,10 @@ from typing import Sequence
 
 import numpy as np
 
-from cayint.chartable import CharacterTable, VerificationFailed
-from cayint.classify import NormalSetRow, NormalSetSurvey, _lift_unit
+from cayint.chartable import CharacterTable, VerificationFailed, class_matrices
+from cayint.classify import _lift_unit
 from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
-from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly
+from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly, charpolys, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
     adjacency as _adjacency,
@@ -364,25 +367,75 @@ def fcci_spectra_direct(
     return True, 1 << len(orbits), None
 
 
-def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
-    """`classify.normal_set_survey` with each row decided by the spectrum of
-    its |G| x |G| adjacency matrix; rows by ascending mask over the
-    non-identity real-class orbits."""
+@dataclass(frozen=True)
+class NormalSetRow:
+    class_indices: tuple[int, ...]  # non-identity real-class orbits used
+    size: int
+    eulerian: bool
+    integral: bool
+
+    @property
+    def match(self) -> bool:
+        return self.eulerian == self.integral
+
+
+@dataclass(frozen=True)
+class NormalSetRows:
+    rows: tuple[NormalSetRow, ...]
+    mismatches: tuple[NormalSetRow, ...]
+
+    @property
+    def all_integral(self) -> bool:
+        return all(r.integral for r in self.rows)
+
+    def first_non_integral(self) -> int | None:
+        """Index of the first non-integral row, in ascending mask order."""
+        return next((i for i, r in enumerate(self.rows) if not r.integral), None)
+
+
+def _orbit_unions(part: ConjugacyPartition) -> list[tuple[int, ...]]:
+    """The classes of every union of non-identity real-class orbits, by
+    ascending mask: bit i selects orbit i."""
     orbits = [rc for rc in part.real_classes if rc != (0,)]
+    return [
+        tuple(j for i, orbit in enumerate(orbits) if take >> i & 1 for j in orbit)
+        for take in range(1 << len(orbits))
+    ]
+
+
+def _row(g: FiniteGroup, part: ConjugacyPartition, classes: tuple[int, ...], integral: bool) -> NormalSetRow:
+    members = [x for j in classes for x in part.classes[j]]
+    eulerian = eulerian_check(g, members)[0] if members else True
+    return NormalSetRow(classes, len(members), eulerian, integral)
+
+
+def _rows(rows: list[NormalSetRow]) -> NormalSetRows:
+    return NormalSetRows(tuple(rows), tuple(r for r in rows if not r.match))
+
+
+def normal_set_survey_rows(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetRows:
+    """Every normal inverse-closed subset of G minus the identity, with its
+    Eulerian and integrality verdicts: row S decided on the class-algebra
+    matrix B_S = sum_(j in S) M_j, whose eigenvalues are the distinct ones
+    of the adjacency matrix, bounded by |S|; one batched `charpolys` call."""
+    mats = np.stack(class_matrices(g, part))
+    unions = _orbit_unions(part)
+    polys = charpolys([IntMatrix(mats[list(c)].sum(axis=0)) for c in unions])
+    sizes = part.sizes()
+    return _rows([
+        _row(g, part, c, integer_spectrum(poly, bound=sum(sizes[j] for j in c)).is_integral)
+        for c, poly in zip(unions, polys)
+    ])
+
+
+def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetRows:
+    """`normal_set_survey_rows` with each row decided by the spectrum of its
+    |G| x |G| adjacency matrix."""
     rows = []
-    for take in range(1 << len(orbits)):
-        chosen = [orbit for i, orbit in enumerate(orbits) if take >> i & 1]
-        members = [x for orbit in chosen for j in orbit for x in part.classes[j]]
-        f = ConnectionFunction.delta(g, members, part)
-        rows.append(
-            NormalSetRow(
-                class_indices=tuple(j for orbit in chosen for j in orbit),
-                size=len(members),
-                eulerian=eulerian_check(g, members)[0] if members else True,
-                integral=spectrum_matrix(g, f).is_integral,
-            )
-        )
-    return NormalSetSurvey(tuple(rows), tuple(r for r in rows if not r.match))
+    for c in _orbit_unions(part):
+        f = ConnectionFunction.delta(g, [x for j in c for x in part.classes[j]], part)
+        rows.append(_row(g, part, c, spectrum_matrix(g, f).is_integral))
+    return _rows(rows)
 
 
 def _units(n: int) -> list[int]:

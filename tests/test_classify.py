@@ -7,13 +7,14 @@ import json
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayint.catalog import catalog
+from cayint.chartable import DEFAULT_ORDER_CAP, character_table
 from cayint.classify import (
-    NormalSetRow,
     NormalSetSurvey,
     cci_report,
     ci_report,
@@ -34,10 +35,12 @@ from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectru
 
 from conftest import SMALL_CATALOG
 from oracle import (
+    NormalSetRows,
     criterion_scan,
     fcci_criterion_scan,
     fcci_spectra_direct,
     normal_set_survey_matrix,
+    normal_set_survey_rows,
     semi_rational_scan,
 )
 
@@ -124,7 +127,7 @@ class TestFcci:
     def test_elementary(self, partitions, groups):
         g = catalog("z2z3", 2, 1)
         part = conjugacy_classes(g)
-        rep = fcci_report(g, part, normal_set_survey(g, part))
+        rep = fcci_report(g, part, normal_set_survey(g, part, character_table(g, part)))
         assert rep.verdict and rep.orders and rep.criterion
         assert rep.spectra and rep.spectra_mode == "exhaustive"
 
@@ -155,29 +158,58 @@ class TestFcci:
 @pytest.mark.parametrize(
     "tokens",
     [(name, *params) for _, (name, params) in SMALL_CATALOG]
-    + [("dihedral", 5), ("dihedral", 6), ("dihedral", 7), ("z2z3", 1, 1)],
+    + [("cyclic", 1), ("dihedral", 5), ("dihedral", 6), ("dihedral", 7), ("z2z3", 1, 1)],
     ids=lambda t: " ".join(map(str, t)),
 )
 def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
     # the survey reading against all 2^r spectra, run one by one
     g = catalog(*tokens)
     part = conjugacy_classes(g)
-    rep = fcci_report(g, part, normal_set_survey(g, part))
+    rep = fcci_report(g, part, normal_set_survey(g, part, character_table(g, part)))
     assert rep.spectra_mode == "exhaustive"
     route, count, witness = fcci_spectra_direct(g, part)
     assert (rep.spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
 
 
+def _survey_reading(survey: NormalSetSurvey) -> tuple:
+    """What the orbit survey says of the 2^r rows in ascending mask order:
+    their count, row 2^i (orbit i alone, its classes and verdict) for each
+    i, the first non-integral row, and whether any row is a mismatch."""
+    bad = survey.first_non_integral()
+    return (
+        1 << len(survey.orbits),
+        tuple(zip(survey.orbits, survey.integral)),
+        None if bad is None else 1 << bad,
+        bool(survey.mismatches) or survey.undecided,
+    )
+
+
+def _rows_reading(rows: NormalSetRows) -> tuple:
+    """The same reading taken off all 2^r rows of an oracle survey."""
+    singles = [rows.rows[1 << i] for i in range(len(rows.rows).bit_length() - 1)]
+    return (
+        len(rows.rows),
+        tuple((r.class_indices, r.integral) for r in singles),
+        rows.first_non_integral(),
+        bool(rows.mismatches),
+    )
+
+
 @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG])
 def test_class_algebra_survey_equals_matrix_survey(label, groups, partitions, surveys):
-    assert surveys[label] == normal_set_survey_matrix(groups[label], partitions[label])
+    # the r orbit verdicts and the certificate against every row, decided on
+    # the class algebra and again on the |G| x |G| adjacency matrices
+    rows = normal_set_survey_rows(groups[label], partitions[label])
+    assert rows == normal_set_survey_matrix(groups[label], partitions[label])
+    assert _survey_reading(surveys[label]) == _rows_reading(rows)
 
 
-@pytest.mark.parametrize("batch", [1, 3, 7])
-def test_survey_batches_split_anywhere(batch, groups, partitions, surveys, monkeypatch):
-    monkeypatch.setattr("cayint.classify._SURVEY_BATCH", batch)
-    for label in ("S4", "Z12", "Dic12"):
-        assert normal_set_survey(groups[label], partitions[label]) == surveys[label]
+@pytest.mark.parametrize("tokens", [("dihedral", 13), ("a5",), ("s5",)], ids=lambda t: " ".join(map(str, t)))
+def test_survey_above_order_24_equals_class_algebra_rows(tokens):
+    g = catalog(*tokens)
+    part = conjugacy_classes(g)
+    survey = normal_set_survey(g, part, character_table(g, part))
+    assert _survey_reading(survey) == _rows_reading(normal_set_survey_rows(g, part))
 
 
 SURVEY_FACTORS = (("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5), ("s3",), ("d4",), ("q8",))
@@ -190,7 +222,9 @@ def test_class_algebra_survey_on_direct_products(factors):
     assume(g.n <= 48)
     part = conjugacy_classes(g)
     assume(len(part.real_classes) - 1 <= 8)
-    assert normal_set_survey(g, part) == normal_set_survey_matrix(g, part)
+    rows = normal_set_survey_rows(g, part)
+    assert rows == normal_set_survey_matrix(g, part)
+    assert _survey_reading(normal_set_survey(g, part, character_table(g, part))) == _rows_reading(rows)
 
 
 @pytest.mark.parametrize(
@@ -221,37 +255,30 @@ def test_power_map_routes_match_element_scans(tokens):
         assert integrality_by_criterion(g, f) == criterion_scan(g, f)
 
 
-def _synthetic_survey(part, bad_rows: set[int]) -> NormalSetSurvey:
-    """A survey in `normal_set_survey`'s row order (ascending mask over the
-    non-identity real classes) whose rows in `bad_rows` are non-integral;
-    no spectrum is computed."""
-    orbits = [rc for rc in part.real_classes if rc != (0,)]
-    rows = []
-    for take in range(1 << len(orbits)):
-        chosen = [j for i, orbit in enumerate(orbits) if take >> i & 1 for j in orbit]
-        size = sum(len(part.classes[j]) for j in chosen)
-        rows.append(NormalSetRow(tuple(chosen), size, eulerian=True, integral=take not in bad_rows))
-    return NormalSetSurvey(tuple(rows), ())
+def _synthetic_survey(part, bad_orbits: set[int]) -> NormalSetSurvey:
+    """A survey of the non-identity real-class orbits whose orbits in
+    `bad_orbits` are non-integral; no spectrum is computed."""
+    orbits = tuple(rc for rc in part.real_classes if rc != (0,))
+    integral = tuple(i not in bad_orbits for i in range(len(orbits)))
+    return NormalSetSurvey(orbits=orbits, integral=integral, components=orbits, mismatches=(), kernel=len(orbits))
 
 
-@pytest.mark.parametrize("bad_rows", [set(), {37, 100}, {4095}], ids=["integral", "row37", "last_row"])
-def test_fcci_reads_any_survey_exhaustively_on_z24(bad_rows):
+@pytest.mark.parametrize("bad_orbits", [set(), {5, 9}, {11}], ids=["integral", "orbit5", "last_orbit"])
+def test_fcci_reads_any_survey_exhaustively_on_z24(bad_orbits):
     # Z24 has 13 real classes; the survey it is handed is read in full,
-    # never sampled: masks 2i and 2i + 1 share row i's verdict
+    # never sampled: its 12 orbit verdicts decide all 2^13 functions
     g = catalog("cyclic", 24)
     part = conjugacy_classes(g)
     assert len(part.real_classes) == 13
-    survey = _synthetic_survey(part, bad_rows)
-    assert len(survey.rows) == 4096
-    rep = fcci_report(g, part, survey)
+    rep = fcci_report(g, part, _synthetic_survey(part, bad_orbits))
     assert rep.spectra_mode == "exhaustive"
-    if not bad_rows:
+    if not bad_orbits:
         assert (rep.spectra, rep.spectra_count, rep.spectral_witness) == (True, 8192, None)
         return
-    first = min(bad_rows)
-    assert rep.spectra is False and rep.spectra_count == 2 * first + 1
-    # FCCI mask 2 * first: bit i selects part.real_classes[i], the identity's is off
-    mask = 2 * first
+    first = min(bad_orbits)
+    # FCCI mask 2^(first + 1), orbit `first` alone: bit i selects part.real_classes[i]
+    mask = 2 << first
+    assert rep.spectra is False and rep.spectra_count == mask + 1
     on = {j for i, orbit in enumerate(part.real_classes) if mask >> i & 1 for j in orbit}
     assert rep.spectral_witness == [int(part.class_of[x] in on) for x in g.elements()]
 
@@ -403,12 +430,8 @@ class TestClassificationReport:
 
     def test_every_skip_reaches_caps_notes(self):
         rep = classify_group(catalog("dihedral", 13))
-        assert rep.caps_notes == (
-            "exhaustive route skipped: |G|=26 exceeds cap 24",
-            "spectral route skipped: |G|=26 exceeds cap 24",
-            "brute force skipped: |G|=26 exceeds cap 24",
-        )
-        assert rep.nci.exhaustive is None and rep.fcci.spectra is None
+        assert rep.caps_notes == ("brute force skipped: |G|=26 exceeds cap 24",)
+        assert rep.nci.exhaustive is False and rep.fcci.spectra is False
         assert rep.ci.brute is None
 
     def test_negative_verdicts_carry_witnesses(self, groups):
@@ -485,13 +508,14 @@ class TestAudit:
         )
 
 
-def _classify_s3_json(capsys) -> dict:
-    assert main(["classify", "--catalog", "s3", "--format", "json"]) == 0
+def _classify_s3_json(capsys, *args: str) -> dict:
+    assert main(["classify", "--catalog", "s3", "--format", "json", *args]) == 0
     return json.loads(capsys.readouterr().out)
 
 
 # One injected route disagreement per predicate on S3, whose routes all agree
-# unpatched: (name patched in cayint.classify, its stand-in, the message).
+# unpatched, and one Eulerian/integrality mismatch of the normal-set survey:
+# (name patched in cayint.classify, its stand-in, the message).
 INJECTED_DISAGREEMENTS = {
     "nci": (
         "chi_plus_conj_integral",
@@ -509,6 +533,11 @@ INJECTED_DISAGREEMENTS = {
         lambda g: False,
         "CI route disagreement on S3: structural=False, brute(exhaustive)=True",
     ),
+    "survey": (
+        "_orbit_coordinates",
+        lambda table, orbits: np.eye(len(orbits), dtype=np.int64),
+        "Eulerian/integrality mismatch on S3: classes [1] are Eulerian, not integral",
+    ),
 }
 
 
@@ -522,27 +551,44 @@ def test_route_disagreement_reaches_json_and_findings(predicate, monkeypatch, ca
     assert message in audit.findings and audit.exit_code == 3
 
 
-# One lowered cap per predicate on S3 (order 6): (caps set in
-# cayint.classify, the route that is skipped and what it then reads, the note).
+# One lowered cap per route on S3 (order 6), and one Eulerian/integrality
+# certificate left undecided: (names set in cayint.classify with their
+# stand-ins, the character-table cap, the predicate and route that are
+# skipped and what they then read, the note). The survey that NCI's
+# exhaustive and FCCI's spectral route read runs wherever the character
+# table does. A `connected_components` that joins both orbits of S3 into one
+# atom component leaves a kernel of dimension 2 against 1 component.
 LOWERED_CAPS = {
-    "nci": (("SURVEY_MAX_ORDER",), ("exhaustive", None), "exhaustive route skipped: |G|=6 exceeds cap 5"),
-    "fcci": (("SURVEY_MAX_ORDER",), ("spectra_mode", "skipped"), "spectral route skipped: |G|=6 exceeds cap 5"),
-    "cci": (("CCI_WITNESS_MAX_ORDER",), ("candidates_tried", 0), "CCI witness search skipped: |G|=6 exceeds cap 5"),
+    "nci": ({}, 5, ("nci", "exhaustive", None), "exhaustive route skipped: no character table"),
+    "fcci": ({}, 5, ("fcci", "spectra_mode", "skipped"), "spectral route skipped: no character table"),
+    "cci": (
+        {"CCI_WITNESS_MAX_ORDER": 5},
+        DEFAULT_ORDER_CAP,
+        ("cci", "candidates_tried", 0),
+        "CCI witness search skipped: |G|=6 exceeds cap 5",
+    ),
     "ci": (
-        ("CI_EXHAUSTIVE_MAX_ORDER", "CI_SAMPLED_MAX_ORDER"),
-        ("mode", "skipped"),
+        {"CI_EXHAUSTIVE_MAX_ORDER": 5, "CI_SAMPLED_MAX_ORDER": 5},
+        DEFAULT_ORDER_CAP,
+        ("ci", "mode", "skipped"),
         "brute force skipped: |G|=6 exceeds cap 5",
+    ),
+    "survey": (
+        {"connected_components": lambda graph: [graph[0]]},
+        DEFAULT_ORDER_CAP,
+        ("nci", "exhaustive", True),
+        "Eulerian/integrality undecided on S3: kernel mod 7 of dimension 2 exceeds 1 atom components",
     ),
 }
 
 
-@pytest.mark.parametrize("predicate", sorted(LOWERED_CAPS))
-def test_route_skip_reaches_caps_notes(predicate, monkeypatch, capsys):
-    caps, (route, skipped_value), note = LOWERED_CAPS[predicate]
-    for cap in caps:
-        monkeypatch.setattr(f"cayint.classify.{cap}", 5)
-    doc = _classify_s3_json(capsys)
-    assert doc["routes"][predicate][route] == skipped_value
+@pytest.mark.parametrize("case", sorted(LOWERED_CAPS))
+def test_route_skip_reaches_caps_notes(case, monkeypatch, capsys):
+    patches, chartable_cap, (predicate, route, value), note = LOWERED_CAPS[case]
+    for name, stand_in in patches.items():
+        monkeypatch.setattr(f"cayint.classify.{name}", stand_in)
+    doc = _classify_s3_json(capsys, "--cap-chartable", str(chartable_cap))
+    assert doc["routes"][predicate][route] == value
     assert note in doc["caps_notes"]
-    audit = hierarchy_audit([catalog("s3")])
+    audit = hierarchy_audit([catalog("s3")], chartable_cap=chartable_cap)
     assert note in audit.to_dict()["groups"][0]["caps_notes"]

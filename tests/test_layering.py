@@ -7,7 +7,9 @@ cyclotomic number has one form, its integer power-basis coordinates: no
 module of `cayint` names `Fraction` or `Cyclotomic`, the rational
 arithmetic that lives on in `tests/oracle.py` as the reference. There is
 one charpoly path: `linalg._charpoly_stack`, the
-kernel, is called only from `charpolys` and `charpoly_mod`."""
+kernel, is called only from `charpolys` and `charpoly_mod`. The one 2^r
+enumeration of subsets, `classify._subsets`, serves only the CI brute force
+over inverse pairs: the normal-set survey decides its unions orbit by orbit."""
 
 from __future__ import annotations
 
@@ -79,3 +81,7 @@ def _referrers(name: str) -> set[str]:
 
 def test_charpoly_kernel_has_one_batched_entry():
     assert _referrers("_charpoly_stack") == {"linalg.py:charpolys", "linalg.py:charpoly_mod"}
+
+
+def test_subset_enumeration_serves_only_the_ci_brute_force():
+    assert _referrers("_subsets") == {"classify.py:ci_report"}
