@@ -30,7 +30,7 @@ CASES = {
     "classify_z2z4_1_1": (["classify", "--catalog", "z2z4", "1", "1", "--seed", "0"], 0),
     # CI brute force in sampled mode
     "classify_dihedral_7": (["classify", "--catalog", "dihedral", "7", "--seed", "0"], 0),
-    # every size-capped route skipped
+    # spectral witnesses above order 24; the CI brute force skipped
     "classify_dihedral_13": (["classify", "--catalog", "dihedral", "13", "--seed", "0"], 0),
     "spectrum_alpha": (["spectrum", "--fixture", "alpha"], 1),
     "spectrum_beta": (["spectrum", "--fixture", "beta"], 1),
@@ -45,7 +45,7 @@ CASES = {
 TEXT_CASES = {
     "classify_s3": (["classify", "--catalog", "s3", "--seed", "0"], 0),
     "classify_cyclic_12": (["classify", "--catalog", "cyclic", "12", "--seed", "0"], 0),
-    # every size-capped skip note
+    # the evidence lines of both spectral witnesses, and a skip note
     "classify_dihedral_13": (["classify", "--catalog", "dihedral", "13", "--seed", "0"], 0),
     "audit_seed_0": (["audit", "--seed", "0"], 3),
 }
