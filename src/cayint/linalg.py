@@ -3,20 +3,30 @@
 An integer matrix is an `IntMatrix`: one read-only ndarray, int64 when every
 entry is below 2^62 in magnitude and Python ints otherwise (`exact_array`).
 
-Everything here is exact: characteristic polynomials come from one
-multi-modular kernel (Hessenberg reduction modulo word-size primes in
-batched int64 numpy arrays, with every product kept below 2^63), lifted to
-the integers by the Chinese remainder theorem under Hadamard's bound. A
-batch of matrices (`charpolys`) runs as stacks of (matrix, prime) slots of
-bounded size, so many small matrices cost a few kernel calls; `charpoly`
-is a batch of one, and the character tables call the same kernel on their
-own prime (`charpoly_mod`). Integer eigenvalues are split off by synthetic
-division against a sound candidate set, and the non-integral residual is
-split into squarefree parts by sympy. A cyclotomic integer of Z[zeta_e] is
-one integer vector of power-basis coordinates; the conductor's context
-(`_context`) holds the fixed integer maps on such vectors: complex
-conjugation, the Galois twists and the reduction of a product. No floating
-point enters any code path.
+Everything here is exact. Characteristic polynomials are computed modulo
+word-size primes in int64 numpy arrays, with every product kept below 2^63,
+and lifted to the integers by one Chinese remainder step (`_crt_lift`) under
+Hadamard's bound, by one of two engines:
+
+- the general multi-modular kernel, Hessenberg reduction by similarity
+  (`_charpoly_stack`), for any square matrix. A batch of matrices
+  (`charpolys`) runs as stacks of (matrix, prime) slots of bounded size, so
+  many small matrices cost a few kernel calls; `charpoly` is a batch of one,
+  and the character tables call the same kernel on their own prime
+  (`charpoly_mod`). It serves the class-algebra matrices of the normal-set
+  survey and the character tables, and is the test oracle of the second;
+- the power-sum engine (`cayley_charpoly`) for the adjacency matrix of a
+  Cayley colour graph, which commutes with right translations: one Krylov
+  sequence on e_0 gives every power sum tr(A^m) = n (A^m)[0, 0], and
+  Newton's identities give the coefficients, in about n^3 / 2 multiply-adds
+  per prime against the kernel's several n^3.
+
+Integer eigenvalues are split off by synthetic division against a sound
+candidate set, and the non-integral residual is split into squarefree parts
+by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
+power-basis coordinates; the conductor's context (`_context`) holds the
+fixed integer maps on such vectors: complex conjugation, the Galois twists
+and the reduction of a product. No floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -69,8 +79,8 @@ def _summable(a: np.ndarray, terms: int, magnitude: int) -> np.ndarray:
 class IntMatrix:
     """Square matrix of exact integers on one read-only 2-D ndarray.
 
-    `entries` is int64 when every |x| < 2^62, which the charpoly kernel
-    reduces mod its primes directly, and object (Python ints) otherwise;
+    `entries` is int64 when every |x| < 2^62, which the charpoly engines
+    reduce mod their primes directly, and object (Python ints) otherwise;
     this module alone reads it and makes that choice. Built from an
     integer ndarray (copied) or from rows of ints. Equality is by value.
     """
@@ -184,7 +194,7 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-# Word-size primes for the multi-modular kernel. Below 2^26 every product of
+# Word-size primes for both charpoly engines. Below 2^26 every product of
 # two residues fits in 52 bits; the prime limit also keeps n * p^2 < 2^63, so
 # a dot product of n such products cannot overflow int64.
 _PRIME_CAP = 2**26
@@ -274,6 +284,28 @@ def _hadamard_bound(entries: np.ndarray) -> int:
     return bound
 
 
+def _primes_for(n: int, bound: int) -> tuple[list[int], int]:
+    """The primes for n x n matrices whose charpoly coefficients are at most
+    `bound` in magnitude, and their product: the fewest largest primes whose
+    product exceeds 2 * bound, below a limit that keeps n * p^2 < 2^63."""
+    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
+    assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
+    return primes, modulus
+
+
+def _crt_lift(residues: np.ndarray, primes: list[int], modulus: int) -> IntPolynomial:
+    """The integer polynomial whose ascending coefficients are residues[i]
+    modulo primes[i], lifted by the Chinese remainder theorem into the
+    symmetric range (-modulus/2, modulus/2]."""
+    basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
+    half = modulus // 2
+    coeffs = []
+    for column in residues.T.tolist():
+        c = sum(map(_mul, column, basis)) % modulus
+        coeffs.append(c - modulus if c > half else c)
+    return IntPolynomial(tuple(coeffs))
+
+
 def charpolys(mats: Sequence[IntMatrix]) -> list[IntPolynomial]:
     """Exact monic characteristic polynomials det(xI - M) of a batch of
     matrices, by multi-modular Hessenberg reduction and the Chinese
@@ -297,9 +329,7 @@ def charpolys(mats: Sequence[IntMatrix]) -> list[IntPolynomial]:
     for n, idx in by_size.items():
         if n == 0:
             continue
-        bound = max(_hadamard_bound(mats[i].entries) for i in idx)
-        primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
-        assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
+        primes, modulus = _primes_for(n, max(_hadamard_bound(mats[i].entries) for i in idx))
         slots = [(i, p) for i in idx for p in primes]
         stack = min(len(slots), max(1, _STACK_CELLS // (n * n)))
         work = np.empty((stack, n, n), dtype=np.int64)
@@ -312,14 +342,8 @@ def charpolys(mats: Sequence[IntMatrix]) -> list[IntPolynomial]:
             a = work[: len(chunk)]
             a[...] = np.stack([mats[i].entries for i, _ in chunk]) % ps[:, None, None]
             residues[start : start + len(chunk)] = _charpoly_stack(a, ps, prod[: len(chunk)], polys[: len(chunk)])
-        basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
-        half = modulus // 2
         for r, i in enumerate(idx):
-            coeffs = []
-            for column in residues[r * len(primes) : (r + 1) * len(primes)].T.tolist():
-                c = sum(map(_mul, column, basis)) % modulus
-                coeffs.append(c - modulus if c > half else c)
-            out[i] = IntPolynomial(tuple(coeffs))
+            out[i] = _crt_lift(residues[r * len(primes) : (r + 1) * len(primes)], primes, modulus)
     return out
 
 
@@ -342,6 +366,102 @@ def charpoly_mod(m: IntMatrix, p: int) -> tuple[int, ...]:
     prod = np.empty((1, n, n), dtype=np.int64)
     polys = np.empty((1, n + 1, n + 1), dtype=np.int64)
     return tuple(_charpoly_stack(a, ps, prod, polys)[0].tolist())
+
+
+def _krylov_diagonal(a: np.ndarray, ps: np.ndarray, n: int) -> np.ndarray:
+    """(A^m)[0, 0] for m = 0..n modulo ps[i], as a (k, n+1) array, for a
+    symmetric A: `a` is A itself (n, n), with every |entry| below min(ps),
+    or A reduced modulo each prime (k, n, n).
+
+    With v_i = A^i e_0 mod p, (A^(i+j))[0, 0] = <v_i, v_j>, so the
+    ceil(n/2) matvecs that give v_1 .. v_ceil(n/2) give every entry.
+    """
+    k = len(ps)
+    pcol = ps.reshape(k, 1)
+    diag = np.empty((k, n + 1), dtype=np.int64)
+    v = np.zeros((k, n), dtype=np.int64)
+    v[:, 0] = 1
+    for i in range((n + 1) // 2):
+        w = np.matmul(v[:, None, :], a)[:, 0, :]  # a (n, n) broadcasts over the primes
+        w %= pcol
+        diag[:, 2 * i] = np.einsum("kj,kj->k", v, v)
+        diag[:, 2 * i + 1] = np.einsum("kj,kj->k", v, w)
+        v = w
+    if n % 2 == 0:
+        diag[:, n] = np.einsum("kj,kj->k", v, v)
+    diag %= pcol
+    return diag
+
+
+def _newton_mod(power_sums: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the monic degree-n polynomial whose roots
+    have power sums power_sums[i, 1..n] modulo ps[i], each prime above n.
+
+    Newton's identities for the coefficients c_j of x^(n-j) (c_0 = 1):
+    j c_j = -sum_(t<j) c_t p_(j-t). The inverse of j modulo each prime comes
+    from the inverse of p mod j: j^-1 = -(p // j) (p mod j)^-1.
+    """
+    k, width = power_sums.shape
+    rows = np.arange(k)
+    inv = np.ones((k, width), dtype=np.int64)
+    c = np.zeros((k, width), dtype=np.int64)
+    c[:, 0] = 1
+    for j in range(1, width):
+        if j > 1:
+            inv[:, j] = (ps - ps // j) * inv[rows, ps % j] % ps
+        acc = np.einsum("kt,kt->k", c[:, :j], power_sums[:, j:0:-1]) % ps
+        c[:, j] = (ps - acc) * inv[:, j] % ps
+    return c[:, ::-1]
+
+
+def cayley_charpoly(m: IntMatrix) -> IntPolynomial:
+    """Exact monic characteristic polynomial of a Cayley colour graph's
+    adjacency matrix M = [f(a b^-1)] (`spectra.adjacency`), from one Krylov
+    sequence on e_0 and Newton's identities, lifted to the integers like
+    `charpolys`.
+
+    Soundness:
+    - Right translation invariance: M[a g, b g] = f(a g g^-1 b^-1) = M[a, b],
+      so M commutes with every right translation, and so does M^m. Hence
+      (M^m)[a, a] = (M^m)[e, e] = f^(*m)(e) for every a, and
+      tr(M^m) = n (M^m)[0, 0]: the power sums of the eigenvalues are n s_m.
+    - Symmetry (f(g) = f(g^-1)): s_(i+j) = <M^i e_0, M^j e_0>, so s_0 .. s_n
+      need only the ceil(n/2) matvecs M^i e_0, i <= ceil(n/2).
+    - Newton's identities determine the coefficients from p_1 .. p_n over
+      any field in which 1 .. n are invertible; every prime used exceeds n.
+    - The coefficients are bounded by `_hadamard_bound`, and the primes
+      (`_primes_for`, as in `charpolys`) have a product above twice it.
+    - Overflow: residues are below p and n p^2 < 2^63, so no int64 dot
+      product overflows. M is used as it is when every |entry| is below the
+      smallest prime; otherwise (or when the entries are Python ints) it is
+      reduced modulo each prime, in chunks of at most _STACK_CELLS cells.
+
+    Only the symmetry and a constant diagonal, cheap necessary conditions,
+    are checked: a matrix that fails either raises ValueError. No float is
+    used.
+    """
+    n = m.n
+    if not m.is_symmetric():
+        raise ValueError("cayley_charpoly needs a symmetric matrix")
+    diagonal = m.entries.diagonal()
+    if (diagonal != diagonal[:1]).any():
+        raise ValueError("cayley_charpoly needs a constant diagonal")
+    if n == 0:
+        return IntPolynomial((1,))
+    primes, modulus = _primes_for(n, _hadamard_bound(m.entries))
+    assert primes[-1] > n, "Newton's identities need every prime above n"
+    ps = np.array(primes, dtype=np.int64)
+    if m.entries.dtype != object and int(np.abs(m.entries).max()) < primes[-1]:
+        diag = _krylov_diagonal(m.entries, ps, n)
+    else:
+        diag = np.empty((len(primes), n + 1), dtype=np.int64)
+        stack = max(1, _STACK_CELLS // (n * n))
+        for start in range(0, len(primes), stack):
+            chunk = ps[start : start + stack]
+            a = np.stack([(m.entries % p).astype(np.int64) for p in chunk.tolist()])
+            diag[start : start + stack] = _krylov_diagonal(a, chunk, n)
+    power_sums = diag * n % ps[:, None]
+    return _crt_lift(_newton_mod(power_sums, ps), primes, modulus)
 
 
 @dataclass(frozen=True)

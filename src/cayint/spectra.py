@@ -1,7 +1,10 @@
 """Cayley and Cayley colour graph spectra, by two exact routes.
 
 Route one builds the integer adjacency matrix [f(g h^-1)] and factors its
-exact characteristic polynomial. Route two, available when the colour
+exact characteristic polynomial, which `linalg.cayley_charpoly` computes from
+power sums: the matrix commutes with right translations, so
+tr(A^m) = n f^(*m)(e), and one Krylov sequence on the identity's basis
+vector gives every power sum. Route two, available when the colour
 function is constant on conjugacy classes, evaluates the closed-form
 eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
 each with multiplicity chi(1)^2; each eigenvalue is an algebraic integer,
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .chartable import CharacterTable, VerificationFailed
 from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes, unit_power_classes
-from .linalg import IntMatrix, SpectrumReport, charpoly, exact_array, integer_spectrum
+from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
 
 
 class NotSymmetricFunction(ValueError):
@@ -126,7 +129,7 @@ def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
     if not f.symmetric:
         raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
     m = adjacency(g, f)
-    return integer_spectrum(charpoly(m), bound=m.gershgorin_bound())
+    return integer_spectrum(cayley_charpoly(m), bound=m.gershgorin_bound())
 
 
 def _asym_witness(f: ConnectionFunction) -> int:

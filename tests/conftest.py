@@ -1,13 +1,18 @@
-"""Shared fixtures: built-in groups, their tables and surveys, cached per session."""
+"""Shared fixtures: built-in groups, their tables and surveys, cached per
+session; hypothesis-built groups; and colour functions of every kind."""
 
 from __future__ import annotations
 
+import random
+from functools import lru_cache
+
 import pytest
+from hypothesis import strategies as st
 
 from cayint.catalog import catalog
 from cayint.chartable import character_table
 from cayint.classify import normal_set_survey
-from cayint.groups import conjugacy_classes
+from cayint.groups import ConjugacyPartition, FiniteGroup, build_group, conjugacy_classes, direct_product
 
 # order <= 24 groups exercised by the exhaustive suites
 SMALL_CATALOG = (
@@ -59,3 +64,68 @@ def surveys(groups, partitions, tables):
         label: normal_set_survey(groups[label], partitions[label], tables[label])
         for label in groups
     }
+
+
+def relabel(g: FiniteGroup, perm: list[int]) -> list[list[int]]:
+    """The table of g with element a renamed perm[a]; the identity moves to perm[0]."""
+    t = g.table.tolist()
+    out = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            out[perm[a]][perm[b]] = perm[t[a][b]]
+    return out
+
+
+FACTORS = (
+    ("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5),
+    ("s3",), ("q8",), ("d4",), ("dihedral", 5), ("a4",),
+)
+
+
+@lru_cache(maxsize=None)
+def _factor(tokens: tuple) -> FiniteGroup:
+    return catalog(*tokens)
+
+
+@st.composite
+def small_products(draw):
+    """A direct product of catalog factors of order at most 48, its table
+    relabelled by a random permutation half of the time."""
+    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
+    g = _factor(factors[0])
+    for tokens in factors[1:]:
+        h = _factor(tokens)
+        if g.n * h.n > 48:
+            break
+        g = direct_product(g, h)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(g.n)))
+        g = build_group(relabel(g, perm), name=g.name)
+    return g
+
+
+# Symmetric colour functions, each constant on its cells: 0/1 or signed
+# values on the real-class orbits (class functions), 0/1, 0..9 or signed
+# values on the inverse pairs.
+FUNCTION_KINDS = {
+    "class01": ("orbits", (0, 1)),
+    "classint": ("orbits", (-9, 9)),
+    "set01": ("pairs", (0, 1)),
+    "colour": ("pairs", (0, 9)),
+    "signed": ("pairs", (-9, 9)),
+}
+
+
+def colour_function(kind: str, g: FiniteGroup, part: ConjugacyPartition, rng: random.Random) -> list[int]:
+    """The values of one random symmetric colour function of the given kind."""
+    cells_of, (low, high) = FUNCTION_KINDS[kind]
+    if cells_of == "orbits":
+        cells = [[x for j in orbit for x in part.classes[j]] for orbit in part.real_classes]
+    else:
+        cells = [{x, g.inv[x]} for x in g.elements() if x <= g.inv[x]]
+    values = [0] * g.n
+    for cell in cells:
+        v = rng.randint(low, high)
+        for x in cell:
+            values[x] = v
+    return values

@@ -321,7 +321,7 @@ class TestCci:
         def no_charpoly(m):
             raise AssertionError(f"charpoly of a {m.n}x{m.n} matrix ran")
 
-        monkeypatch.setattr("cayint.spectra.charpoly", no_charpoly)
+        monkeypatch.setattr("cayint.spectra.cayley_charpoly", no_charpoly)
         g = catalog("dihedral", 61)
         report = classify_group(g, chartable_cap=100)  # the table is slow and not needed here
         note = "CCI witness search skipped: |G|=122 exceeds cap 120"

@@ -150,3 +150,25 @@ class TestAuditCommand:
         assert code == 0 and out == ""
         doc = json.loads(target.read_text())
         assert doc["exit_code"] == 0
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no option of one call may
+    reach the next."""
+
+    def test_consecutive_calls_do_not_share_options(self, capsys, tmp_path):
+        from cayint.cli import _parser
+
+        target = tmp_path / "six.json"
+        code, out, _ = run(
+            capsys, "spectrum", "--catalog", "cyclic", "6", "--set", "1,5",
+            "--format", "json", "--out", str(target), "--seed", "7",
+        )
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["is_integral"] is True
+        code, out, _ = run(capsys, "spectrum", "--catalog", "s3", "--fixture", "alpha")
+        assert code == 1
+        assert out.startswith("group      S3 (order 6)") and "integral   no" in out
+        assert _parser() is _parser()
+        args = _parser().parse_args(["classify", "--catalog", "q8"])
+        assert (args.format, args.out, args.seed, args.catalog) == ("text", None, 0, ["q8"])

@@ -6,7 +6,6 @@ hypothesis-built direct products of catalog factors."""
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from cayint.groups import (
     quotient,
 )
 from cayint.spectra import ConnectionFunction, ConnectionSet, adjacency
-from conftest import MEDIUM_EXTRA, SMALL_CATALOG
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG, relabel, small_products
 
 
 def _all_ints(values) -> bool:
@@ -117,16 +116,6 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
         assert ConnectionSet(g, s, part).normal is oracle.is_normal_set(g, s)
 
 
-def relabel(g: FiniteGroup, perm: list[int]) -> list[list[int]]:
-    """The table of g with element a renamed perm[a]; the identity moves to perm[0]."""
-    t = g.table.tolist()
-    out = [[0] * g.n for _ in range(g.n)]
-    for a in range(g.n):
-        for b in range(g.n):
-            out[perm[a]][perm[b]] = perm[t[a][b]]
-    return out
-
-
 @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
 def test_catalog_group_agrees_with_oracle(groups, label):
     assert_agrees(groups[label])
@@ -157,34 +146,6 @@ def test_arithmetic_constructors_match_scalar_tables(m):
         g = dicyclic_group(m)
         assert_table_array(g)
         assert g.table.tolist() == oracle.dicyclic_table(m)
-
-
-FACTORS = (
-    ("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5),
-    ("s3",), ("q8",), ("d4",), ("dihedral", 5), ("a4",),
-)
-
-
-@lru_cache(maxsize=None)
-def _factor(tokens: tuple) -> FiniteGroup:
-    return catalog(*tokens)
-
-
-@st.composite
-def small_products(draw):
-    """A direct product of catalog factors of order at most 48, its table
-    relabelled by a random permutation half of the time."""
-    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3))
-    g = _factor(factors[0])
-    for tokens in factors[1:]:
-        h = _factor(tokens)
-        if g.n * h.n > 48:
-            break
-        g = direct_product(g, h)
-    if draw(st.booleans()):
-        perm = draw(st.permutations(range(g.n)))
-        g = build_group(relabel(g, perm), name=g.name)
-    return g
 
 
 @given(small_products(), st.integers(min_value=0, max_value=2**16))

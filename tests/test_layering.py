@@ -5,9 +5,13 @@ matrix array stays behind `linalg`, which alone chooses between int64 and
 Python ints: no other module reads an attribute named `entries`. A
 cyclotomic number has one form, its integer power-basis coordinates: no
 module of `cayint` names `Fraction` or `Cyclotomic`, the rational
-arithmetic that lives on in `tests/oracle.py` as the reference. There is
-one charpoly path: `linalg._charpoly_stack`, the
-kernel, is called only from `charpolys` and `charpoly_mod`. The one 2^r
+arithmetic that lives on in `tests/oracle.py` as the reference. There are
+two charpoly engines. The Hessenberg kernel, `linalg._charpoly_stack`, is
+called only from `charpolys` and `charpoly_mod`, and serves the
+class-algebra matrices and the character tables. The power-sum engine,
+`linalg.cayley_charpoly`, is called only from `spectra.spectrum_matrix`, and
+serves every Cayley colour graph adjacency matrix: `spectra` no longer
+names `charpoly`. The one 2^r
 enumeration of subsets, `classify._subsets`, serves only the CI brute force
 over inverse pairs: the normal-set survey decides its unions orbit by orbit."""
 
@@ -81,6 +85,14 @@ def _referrers(name: str) -> set[str]:
 
 def test_charpoly_kernel_has_one_batched_entry():
     assert _referrers("_charpoly_stack") == {"linalg.py:charpolys", "linalg.py:charpoly_mod"}
+
+
+def test_adjacency_charpolys_have_one_engine():
+    assert _referrers("cayley_charpoly") == {"spectra.py:spectrum_matrix"}
+    assert not {where for where in _referrers("charpoly") if where.startswith("spectra.py:")}
+    spectra = ast.parse((SRC / "spectra.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(spectra) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "charpoly" not in imported
 
 
 def test_subset_enumeration_serves_only_the_ci_brute_force():

@@ -9,18 +9,20 @@ from math import isqrt
 import numpy as np
 import pytest
 import sympy
-from conftest import SMALL_CATALOG
+from conftest import FUNCTION_KINDS, SMALL_CATALOG, colour_function, small_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan
 
 from cayint.chartable import _find_prime, class_matrices
+from cayint.groups import build_group, conjugacy_classes
 from cayint.linalg import (
     _STACK_CELLS,
     _context,
     IntMatrix,
     IntPolynomial,
     NotAUnit,
+    cayley_charpoly,
     charpoly,
     charpoly_mod,
     charpolys,
@@ -235,6 +237,69 @@ class TestCharpolysBatch:
         assert 2 * len(mats) > _STACK_CELLS // (n * n)
         self.check(mats)
         assert [charpoly(m) for m in mats[:5]] == charpolys(mats)[:5]
+
+
+class TestCayleyCharpoly:
+    """The power-sum engine must equal the Hessenberg kernel and the
+    Berkowitz oracle on Cayley colour graph adjacency matrices, whatever the
+    group, its labelling, the function kind and the magnitude of the values."""
+
+    @staticmethod
+    def check(m: IntMatrix) -> None:
+        assert cayley_charpoly(m) == charpoly(m) == berkowitz(m)
+
+    @pytest.mark.parametrize("kind", FUNCTION_KINDS)
+    def test_every_kind_on_small_catalog(self, groups, partitions, kind):
+        rng = random.Random(kind)
+        for label, _ in SMALL_CATALOG:
+            g, part = groups[label], partitions[label]
+            vals = colour_function(kind, g, part, rng)
+            self.check(adjacency(g, ConnectionFunction(g, vals, part)))
+
+    @given(small_products(), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_products_and_relabellings_with_signed_values(self, g, seed):
+        vals = colour_function("signed", g, conjugacy_classes(g), random.Random(seed))
+        self.check(adjacency(g, ConnectionFunction(g, vals)))
+
+    @pytest.mark.parametrize("scale", [2**26, 2**40, 2**62, 2**80])
+    @pytest.mark.parametrize("label", ["S3", "Q8", "A4"])
+    def test_values_beyond_the_smallest_prime(self, groups, label, scale):
+        # from 2^26 the entries are reduced modulo each prime, and from 2^62
+        # they are Python ints; a small stack puts a few primes in each chunk
+        g = groups[label]
+        rng = random.Random(scale)
+        vals = colour_function("signed", g, conjugacy_classes(g), rng)
+        vals = [v * scale + rng.randint(-9, 9) for v in vals]
+        vals = [vals[min(x, g.inv[x])] for x in g.elements()]
+        m = adjacency(g, ConnectionFunction(g, vals))
+        assert m.entries.dtype == (object if scale >= 2**62 else np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.linalg._STACK_CELLS", 3 * g.n * g.n)
+            self.check(m)
+        self.check(m)
+
+    def test_order_one_and_the_zero_function(self, groups):
+        trivial = build_group([[0]])
+        for v in (0, 5, -(2**70)):
+            m = adjacency(trivial, ConnectionFunction(trivial, [v]))
+            assert cayley_charpoly(m) == IntPolynomial((-v, 1)) == berkowitz(m)
+        for label, _ in SMALL_CATALOG:
+            g = groups[label]
+            m = adjacency(g, ConnectionFunction(g, [0] * g.n))
+            assert cayley_charpoly(m) == IntPolynomial((0,) * g.n + (1,))
+        assert cayley_charpoly(IntMatrix.from_rows([])) == IntPolynomial((1,))
+
+    def test_rejects_non_symmetric_and_non_constant_diagonal(self, groups):
+        with pytest.raises(ValueError, match="symmetric"):
+            cayley_charpoly(IntMatrix.from_rows([[0, 1], [2, 0]]))
+        with pytest.raises(ValueError, match="diagonal"):
+            cayley_charpoly(IntMatrix.from_rows([[0, 1], [1, 3]]))
+        g = groups["Dic12"]
+        vals = [0] * g.n
+        vals[1] = 1  # a but not a^-1
+        with pytest.raises(ValueError, match="symmetric"):
+            cayley_charpoly(adjacency(g, ConnectionFunction(g, vals)))
 
 
 class TestIntMatrixDtype:

@@ -6,12 +6,15 @@ import random
 from math import gcd
 
 import pytest
+from conftest import FUNCTION_KINDS, colour_function, small_products
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import Cyclotomic, expand_character_coeffs, expand_character_poly, routes_agree
 
 from cayint.catalog import catalog
 from cayint.chartable import CharacterTable, VerificationFailed
 from cayint.groups import conjugacy_classes
-from cayint.linalg import IntMatrix, IntPolynomial, charpoly
+from cayint.linalg import IntMatrix, IntPolynomial, charpoly, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
     ConnectionSet,
@@ -128,6 +131,32 @@ class TestMatrixSpectra:
         b = spectrum_matrix(g, shifted)
         assert b.integer_eigenvalues == tuple((v + 5, m) for v, m in a.integer_eigenvalues)
         assert a.is_integral == b.is_integral
+
+
+class TestMatrixSpectraAgainstHessenberg:
+    """`spectrum_matrix` runs on the power-sum engine; its report must equal
+    the one the Hessenberg kernel's charpoly gives."""
+
+    @staticmethod
+    def check(g, f) -> None:
+        m = adjacency(g, f)
+        assert spectrum_matrix(g, f) == integer_spectrum(charpoly(m), bound=m.gershgorin_bound())
+
+    @given(small_products(), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_products_and_relabellings_every_kind(self, g, seed):
+        rng = random.Random(seed)
+        part = conjugacy_classes(g)
+        for kind in FUNCTION_KINDS:
+            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+
+    @pytest.mark.parametrize("label", ["D8", "A5", "S5"])
+    def test_medium_groups(self, groups, partitions, label):
+        # on S5 (n = 120), the kind of the CCI witness search's candidates only
+        g, part = groups[label], partitions[label]
+        rng = random.Random(label)
+        for kind in ("colour",) if label == "S5" else FUNCTION_KINDS:
+            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
 
 
 class TestCharacterRoute:
