@@ -361,8 +361,11 @@ def character_table(
     part: ConjugacyPartition | None = None,
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
+    mats: list[np.ndarray] | None = None,
 ) -> CharacterTable:
-    """Exact character table; deterministic for a given group."""
+    """Exact character table; deterministic for a given group. `mats` are
+    the class matrices of `part` (`class_matrices`) where the caller
+    already has them."""
     if g.n > order_cap:
         raise ValueError(f"|G| = {g.n} exceeds the character-table cap {order_cap}")
     part = part or conjugacy_classes(g)
@@ -370,7 +373,7 @@ def character_table(
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
-    vecs = _split_eigenspaces([m % p for m in class_matrices(g, part)], k, p)
+    vecs = _split_eigenspaces([m % p for m in mats or class_matrices(g, part)], k, p)
 
     sizes = part.sizes()
     inv_cls = part.inverse_class

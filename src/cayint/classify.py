@@ -187,14 +187,15 @@ def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> 
 
 
 def normal_set_survey(
-    g: FiniteGroup, part: ConjugacyPartition, table: CharacterTable
+    g: FiniteGroup, part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray] | None = None
 ) -> NormalSetSurvey:
     """Each non-identity real-class orbit's integrality, and a certificate
     that the integral unions of orbits (the normal sets) are the Eulerian ones.
 
-    Orbit O is decided on B_O = sum_(j in O) M_j (`class_matrices`), whose
-    eigenvalues, the central characters, are the distinct eigenvalues of
-    the adjacency matrix (Babai), at most |O| in magnitude. The B_O commute
+    Orbit O is decided on B_O = sum_(j in O) M_j (`class_matrices`, or
+    `mats` where the caller already has them), whose eigenvalues, the
+    central characters, are the distinct eigenvalues of the adjacency
+    matrix (Babai), at most |O| in magnitude. The B_O commute
     and add, so a union of orbits is integral whenever its orbits are: the
     first non-integral union in mask order is the first such orbit alone.
 
@@ -209,7 +210,9 @@ def normal_set_survey(
     kernel mod p leaves the check undecided.
     """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
-    mats, sizes = class_matrices(g, part), part.sizes()
+    if mats is None:
+        mats = class_matrices(g, part)
+    sizes = part.sizes()
     polys = charpolys([IntMatrix(sum(mats[j] for j in orbit)) for orbit in orbits])
     bounds = [sum(sizes[j] for j in orbit) for orbit in orbits]
     integral = tuple(integer_spectrum(f, bound=b).is_integral for f, b in zip(polys, bounds))
@@ -630,15 +633,18 @@ class ClassificationReport:
 def classify_group(
     g: FiniteGroup, chartable_cap: int = DEFAULT_ORDER_CAP, seed: int = 0
 ) -> ClassificationReport:
-    """Every predicate and route on one group. The partition, the character
-    table (up to `chartable_cap`) and the normal-set survey (wherever there
-    is a table) are built once here; every skip lands in `caps_notes`."""
+    """Every predicate and route on one group. The partition, the class
+    matrices, the character table (up to `chartable_cap`) and the
+    normal-set survey (wherever there is a table) are built once here;
+    every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
     table = survey = None
     caps_notes: list[str] = []
     if g.n <= chartable_cap:
-        table = character_table(g, part, order_cap=chartable_cap)
-        survey = normal_set_survey(g, part, table)
+        mats = class_matrices(g, part)
+        table = character_table(g, part, order_cap=chartable_cap, mats=mats)
+        survey = normal_set_survey(g, part, table, mats)
+        del mats  # k^3 constants, not needed by the routes below
     else:
         caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 

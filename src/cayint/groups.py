@@ -5,12 +5,38 @@ works with indices only. Groups are immutable after construction.
 
 The multiplication table has one representation: `FiniteGroup.table`, the
 read-only, C-contiguous (n, n) int32 array that `build_group` validates,
-with table[a, b] = a b. This module does every walk over it, as array
-code. `catalog` builds and saves tables; `spectra`, `chartable` and
-`classify` never read the table itself but ask for powers, products,
-conjugacy classes, centres and commutators here. Nothing returned from
-here is a numpy scalar: elements are Python ints, and the gathers that
-`spectra` and `chartable` need come back as int32 arrays.
+with table[a, b] = a b. This module does every walk over it. `catalog`
+builds and saves tables; `spectra`, `chartable` and `classify` never read
+the table itself but ask for powers, products, conjugacy classes, centres
+and commutators here. Nothing returned from here is a numpy scalar:
+elements are Python ints, and the gathers that `spectra` and `chartable`
+need come back as int32 arrays.
+
+Every group carries one generating set, `FiniteGroup.gens`: the greedy one
+that `build_group` finds for Light's associativity test, each generator
+the least element outside the closure of those before it. A walk that
+only has to hold for all of G checks the generators alone, because the
+elements it holds for form a subgroup, so the walks cost O(|gens| n) rows,
+not n^2 products or n rounds:
+
+- Light's test: the a with (x a) y = x (a y) for all x, y are closed
+  under the product, so a runs over the generators only.
+- `center`, `is_abelian`: the centraliser of z is a subgroup, so z is
+  central when it commutes with every generator, and G is abelian when
+  the generators commute pairwise. `conjugacy_classes` makes the central
+  elements singleton classes and gathers each other class in one walk.
+- `is_nilpotent`: the s whose image commutes with z Z_i in G / Z_i form a
+  subgroup, so z lies in Z_(i+1) when [z, s] lies in Z_i for every
+  generator s.
+- `_closure`: a mask closed under right multiplication by the generators
+  holds every word in them; products of members are members, so it may
+  also square a small frontier, which takes a cyclic closure from n
+  rounds to about log n.
+- Element orders: one walk g, g^2, ... per cyclic subgroup not yet seen,
+  since g^j has order o / gcd(j, o).
+
+`FiniteGroup.commutators` is the one all-pairs walk left, because it needs
+the whole commutator set.
 """
 
 from __future__ import annotations
@@ -47,17 +73,20 @@ class FiniteGroup:
 
     `table` is the read-only, C-contiguous (n, n) int32 array of products,
     table[a, b] = a b; it is the only copy of the product. `inv` and `ord`
-    are tuples of Python ints. Only `groups` and `catalog` read `table`;
-    every other module goes through the methods and functions of `groups`.
+    are tuples of Python ints, and `gens` is the generating set that
+    `build_group` chose, ascending. Only `groups` and `catalog` read `table`
+    and `gens`; every other module goes through the methods and functions
+    of `groups`.
     """
 
-    __slots__ = ("n", "table", "inv", "ord", "name", "validation")
+    __slots__ = ("n", "table", "inv", "ord", "gens", "name", "validation")
 
     def __init__(
         self,
         table: np.ndarray,
         inv: tuple[int, ...],
         ord_map: tuple[int, ...],
+        gens: tuple[int, ...],
         name: str,
         validation: str,
     ):
@@ -65,6 +94,7 @@ class FiniteGroup:
         self.table = table
         self.inv = inv
         self.ord = ord_map
+        self.gens = gens
         self.name = name
         self.validation = validation
 
@@ -111,7 +141,9 @@ class FiniteGroup:
         return lcm(*self.ord) if self.n else 1
 
     def is_abelian(self) -> bool:
-        return len(center(self)) == self.n
+        """The generators commute pairwise."""
+        p = self.products(self.gens, self.gens)
+        return bool((p == p.T).all())
 
     def commutators(self) -> tuple[int, ...]:
         """Every commutator a b a^-1 b^-1, ascending, each once."""
@@ -132,46 +164,67 @@ def _row_blocks(n: int, width: int) -> Iterator[slice]:
 
 
 def _closure(t: np.ndarray, gens: Sequence[int], inside: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the subgroup generated by `gens` and the members of `inside`
-    (default: the identity alone), which already holds a subgroup: its
-    closure under right multiplication by the generators."""
+    """Mask of the subgroup generated by `gens`, given `inside`, a mask of
+    members of that subgroup holding the identity (default: the identity
+    alone).
+
+    Each round multiplies the frontier, the members new in the last round,
+    on the right by every generator, and while it is small (|frontier|^2 at
+    most 4n) also by itself. Every product of members is a member, so the
+    mask never leaves the subgroup. The loop ends only when no product is
+    new, so every member has been multiplied on the right by every
+    generator: the mask holds the identity and is closed under right
+    multiplication by the generators, so it holds every product of
+    generators, which in a finite group is the whole subgroup. The self
+    products make a cyclic closure take about log n rounds instead of n.
+    """
+    n = t.shape[0]
     if inside is None:
-        inside = np.zeros(t.shape[0], dtype=bool)
-        inside[0] = True
+        inside = _identity_mask(n)
+    gens = np.asarray(gens, dtype=np.intp)
     frontier = np.flatnonzero(inside)
     while frontier.size:
-        products = np.unique(t[np.ix_(frontier, gens)])
+        factors = np.concatenate([gens, frontier]) if frontier.size**2 <= 4 * n else gens
+        products = np.unique(t[np.ix_(frontier, factors)])
         frontier = products[~inside[products]]
         inside[frontier] = True
     return inside
 
 
-def _generating_set(t: np.ndarray) -> list[int]:
-    """Greedy generators: each element outside the closure so far joins them."""
-    inside = _closure(t, [0])  # the trivial subgroup
+def _identity_mask(n: int) -> np.ndarray:
+    """Mask of the trivial subgroup."""
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    return inside
+
+
+def _generating_set(t: np.ndarray) -> tuple[int, ...]:
+    """Greedy generators, ascending: the least element outside the closure
+    so far joins them."""
+    inside = _identity_mask(t.shape[0])
     gens: list[int] = []
     while not inside.all():
         gens.append(int(np.argmin(inside)))
         inside = _closure(t, gens, inside)
-    return gens
+    return tuple(gens)
 
 
-def _check_associativity(arr: np.ndarray) -> tuple | None:
+def _check_associativity(arr: np.ndarray, gens: Sequence[int]) -> tuple | None:
     """Light's test: a witness (x, a, y) with (x a) y != x (a y), or None.
 
-    Only the middle factor a runs over a generating set. That is exact: the
-    elements a with (x a) y = x (a y) for all x, y are closed under the
-    product, so if they include a generating set they are everything.
+    Only the middle factor a runs over the generating set `gens`. That is
+    exact: the elements a with (x a) y = x (a y) for all x, y are closed
+    under the product, so if they include a generating set they are
+    everything.
     """
     n = arr.shape[0]
-    for a in _generating_set(arr):
+    for a in gens:
         col_a, row_a = arr[:, a], arr[a, :]
         for rows in _row_blocks(n, n):
             left = arr[col_a[rows]]          # (x, y) -> (x a) y
             right = arr[rows][:, row_a]      # (x, y) -> x (a y)
-            bad = np.argwhere(left != right)
-            if bad.size:
-                x, y = map(int, bad[0])
+            if (left != right).any():
+                x, y = map(int, np.argwhere(left != right)[0])
                 return rows.start + x, a, y
     return None
 
@@ -220,24 +273,46 @@ def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") ->
     if not good.all():
         raise NotAGroup("missing two-sided inverse", (int(np.argmin(good)),))
 
-    witness = _check_associativity(arr)
+    gens = _generating_set(arr)
+    witness = _check_associativity(arr, gens)
     if witness is not None:
         raise NotAGroup("associativity fails", witness)
 
-    # x holds g^k for every g at once; an element stays live until its power is e
-    ords = np.ones(n, dtype=np.int64)
-    x, live = idx, idx != 0
-    while live.any():
-        x = arr[x, idx]
-        ords += live
-        live &= x != 0
-    bad = n % ords != 0
-    if bad.any():
-        g = int(np.argmax(bad))
-        raise NotAGroup("element order does not divide group order", (g, int(ords[g])))
-
+    ords = _element_orders(arr)
     arr.flags.writeable = False
-    return FiniteGroup(arr, tuple(inv.tolist()), tuple(ords.tolist()), name, "full")
+    return FiniteGroup(arr, tuple(inv.tolist()), ords, gens, name, "full")
+
+
+def _element_orders(arr: np.ndarray) -> tuple[int, ...]:
+    """Every element's order, by one walk g, g^2, ... per cyclic subgroup.
+
+    The least element g whose order is not yet known is walked, at most n
+    scalar steps, until its powers return to e; with o its order, g^j has
+    order o / gcd(j, o), so the walk settles all of <g> and no later walk
+    starts inside it. Each order is checked against Lagrange as its walk
+    ends: when o divides n so does every o / gcd(j, o), so the first walk
+    that fails names the least element whose order does not divide n, as a
+    scan in index order would. After Light's test the table is a group and
+    neither check can fail; they back the test up.
+    """
+    n = arr.shape[0]
+    ords = [0] * n
+    ords[0] = 1
+    for g in range(1, n):
+        if ords[g]:
+            continue
+        powers, x = [0, g], arr.item(g, g)
+        while x and len(powers) <= n:
+            powers.append(x)
+            x = arr.item(x, g)
+        if x:
+            raise NotAGroup("powers of an element never return to the identity", (g,))
+        o = len(powers)
+        if n % o:
+            raise NotAGroup("element order does not divide group order", (g, o))
+        for j in range(1, o):
+            ords[powers[j]] = o // gcd(j, o)
+    return tuple(ords)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +345,11 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
     inv = np.asarray(g.inv, dtype=np.intp)
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
+    central = _central(g).tolist()
     for a in range(n):
         if class_of[a] >= 0:
             continue
-        orbit = np.unique(t[t[:, a], inv]).tolist()  # x a x^-1 for every x
+        orbit = [a] if central[a] else np.unique(t[t[:, a], inv]).tolist()  # x a x^-1 for every x
         for y in orbit:
             class_of[y] = len(classes)
         classes.append(tuple(orbit))
@@ -365,9 +441,15 @@ def generated_subgroup(g: FiniteGroup, gens: list[int] | set[int]) -> tuple[Fini
     return build_group(sub, name=f"<{len(gens)} gens in {g.name}>"), tuple(order.tolist())
 
 
+def _central(g: FiniteGroup) -> np.ndarray:
+    """Mask of the centre: z is central when it commutes with every
+    generator, since the elements commuting with z form a subgroup."""
+    gens = np.asarray(g.gens, dtype=np.intp)
+    return (g.table[:, gens] == g.table[gens].T).all(axis=1)
+
+
 def center(g: FiniteGroup) -> tuple[int, ...]:
-    t = g.table
-    return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+    return tuple(np.flatnonzero(_central(g)).tolist())
 
 
 def _first_escape(members: list[int], n: int, blocks: Iterable[tuple[slice, np.ndarray]]) -> tuple | None:
@@ -431,12 +513,18 @@ def _commutators(g: FiniteGroup) -> Iterator[np.ndarray]:
 
 
 def is_nilpotent(g: FiniteGroup) -> bool:
-    """Upper central series reaches the whole group."""
-    current = np.zeros(g.n, dtype=bool)
-    current[0] = True
+    """Upper central series reaches the whole group.
+
+    z lies in the next term Z_(i+1) when z Z_i is central in G / Z_i, that
+    is when [z, s] lies in Z_i for every generator s: the elements whose
+    image commutes with z Z_i form a subgroup.
+    """
+    t, gens = g.table, np.asarray(g.gens, dtype=np.intp)
+    inv = np.asarray(g.inv, dtype=np.intp)
+    comm = t[t[:, gens], t[np.ix_(inv, inv[gens])]]  # [z, s] = z s z^-1 s^-1, z down and s across
+    current = _identity_mask(g.n)
     while True:
-        # z is central modulo the current term when every [z, x] lies in it
-        nxt = np.concatenate([current[block].all(axis=1) for block in _commutators(g)])
+        nxt = current[comm].all(axis=1)
         if nxt.all():
             return True
         if (nxt == current).all():

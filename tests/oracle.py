@@ -26,7 +26,12 @@ character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
 
 The group-table oracles below are the scalar loops over a tuple-of-tuples
 table that the array code in `cayint.groups` replaced. Each reads the table
-as nested lists (`g.table.tolist()`) and otherwise runs as it did.
+as nested lists (`g.table.tolist()`) and otherwise runs as it did. Two are
+array code: `closure`, the subgroup closure as it ran before it squared
+small frontiers, one round of right multiplication by the generators per
+word length, and `element_orders`, the orders as `build_group` found them
+before it walked one cyclic subgroup at a time, one round for all elements
+per power; `inverses` is the scalar scan for each element's inverse.
 """
 
 from __future__ import annotations
@@ -523,6 +528,40 @@ def dicyclic_table(m: int) -> list[list[int]]:
         return i2 + mm * j2
 
     return [[mul(x, y) for y in range(n)] for x in range(n)]
+
+
+def closure(t: np.ndarray, gens: Sequence[int], inside: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the subgroup generated by `gens` and the members of `inside`
+    (default: the identity alone), which already holds a subgroup: its
+    closure under right multiplication by the generators."""
+    if inside is None:
+        inside = np.zeros(t.shape[0], dtype=bool)
+        inside[0] = True
+    frontier = np.flatnonzero(inside)
+    while frontier.size:
+        products = np.unique(t[np.ix_(frontier, gens)])
+        frontier = products[~inside[products]]
+        inside[frontier] = True
+    return inside
+
+
+def element_orders(t: np.ndarray) -> tuple[int, ...]:
+    """Every element's order: x holds g^k for every g at once, and an
+    element stays live until its power is e."""
+    n = t.shape[0]
+    idx = np.arange(n)
+    ords = np.ones(n, dtype=np.int64)
+    x, live = idx, idx != 0
+    while live.any():
+        x = t[x, idx]
+        ords += live
+        live &= x != 0
+    return tuple(ords.tolist())
+
+
+def inverses(g: FiniteGroup) -> tuple[int, ...]:
+    t = g.table.tolist()
+    return tuple(next(h for h in g.elements() if t[x][h] == 0) for x in g.elements())
 
 
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:

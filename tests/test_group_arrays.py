@@ -1,11 +1,15 @@
 """Differential tests: the array code in `cayint.groups` against the scalar
 table loops it replaced (`tests/oracle.py`), on the whole small catalog,
-on relabelled tables whose identity is not at index 0, and on
-hypothesis-built direct products of catalog factors."""
+on relabelled tables whose identity is not at index 0, on
+hypothesis-built direct products of catalog factors, and on
+hypothesis-generated permutation groups read through the `perms` file
+form."""
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cayint.catalog import catalog, cyclic_group, dicyclic_group, dihedral_group
+from cayint.catalog import catalog, cyclic_group, dicyclic_group, dihedral_group, load_group, symmetric_group
 from cayint.chartable import class_matrices
 from cayint.classify import _cyclic_subgroups_all_normal
 from cayint.groups import (
@@ -62,6 +66,9 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
     `chartable`) against its oracle loop on one group."""
     rng = random.Random(seed)
     assert_table_array(g)
+    assert g.inv == oracle.inverses(g)
+    assert g.ord == oracle.element_orders(g.table)
+    assert list(g.gens) == sorted(g.gens) and oracle.closure(g.table, g.gens).all()
 
     part = conjugacy_classes(g)
     assert part == oracle.conjugacy_classes(g)
@@ -152,6 +159,47 @@ def test_arithmetic_constructors_match_scalar_tables(m):
 @settings(max_examples=30, deadline=None)
 def test_products_agree_with_oracle(g, seed):
     assert_agrees(g, seed)
+
+
+@st.composite
+def perm_generators(draw):
+    """One to three permutations: of at most 5 points, or of 7 points
+    keeping two blocks of 3 and 4 points, the points renamed at random. The
+    group they generate has order at most 144."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=5))
+        return [tuple(draw(st.permutations(range(d)))) for _ in range(count)]
+    rename = draw(st.permutations(range(7)))
+    gens = []
+    for _ in range(count):
+        p = draw(st.permutations(range(3))) + draw(st.permutations(range(3, 7)))
+        q = [0] * 7
+        for i in range(7):
+            q[rename[i]] = rename[p[i]]
+        gens.append(tuple(q))
+    return gens
+
+
+@given(perm_generators(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=30, deadline=None)
+def test_permutation_groups_agree_with_oracle(gens, seed):
+    table = oracle.perm_closure_table(gens)
+    body = "\n".join(" ".join(map(str, p)) for p in gens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.grp"
+        path.write_text(f"group G {len(table)}\nperms {len(gens[0])}\n{body}\n", encoding="utf-8")
+        g = load_group(path)
+    assert g.table.tolist() == table
+    assert_agrees(g, seed)
+
+
+def test_cap_sized_symmetric_group():
+    g = symmetric_group(7)
+    assert g.n == 5040
+    assert conjugacy_classes(g).k == 15
+    assert g.ord == oracle.element_orders(g.table)
+    assert not is_nilpotent(g) and center(g) == (0,)
 
 
 def test_every_construction_keeps_a_read_only_array(tmp_path):

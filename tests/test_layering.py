@@ -13,7 +13,12 @@ class-algebra matrices and the character tables. The power-sum engine,
 serves every Cayley colour graph adjacency matrix: `spectra` no longer
 names `charpoly`. The one 2^r
 enumeration of subsets, `classify._subsets`, serves only the CI brute force
-over inverse pairs: the normal-set survey decides its unions orbit by orbit."""
+over inverse pairs: the normal-set survey decides its unions orbit by orbit.
+The walks over a group check its generating set, `FiniteGroup.gens`, which
+`groups` alone reads and `catalog` only passes on; the all-pairs
+commutator walk `groups._commutators` serves only `FiniteGroup.commutators`,
+and the one binary search over permutations, in `catalog._perm_table`,
+ranks the generators' rows alone."""
 
 from __future__ import annotations
 
@@ -63,15 +68,16 @@ def test_table_path_never_names_fraction():
     assert uses == []
 
 
-def _referrers(name: str) -> set[str]:
-    """`module:function` for every reference to `name` in a `cayint` module,
-    by innermost enclosing function (`<module>` outside any)."""
+def _referrers(name: str, *, attributes_only: bool = False) -> set[str]:
+    """`module:function` for every reference to `name` in a `cayint` module
+    (only as an attribute with `attributes_only`), by innermost enclosing
+    function (`<module>` outside any)."""
     found: set[str] = set()
 
     def visit(node: ast.AST, module: str, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = getattr(node, "name", "<lambda>")
-        if (isinstance(node, ast.Name) and node.id == name) or (
+        if (isinstance(node, ast.Name) and node.id == name and not attributes_only) or (
             isinstance(node, ast.Attribute) and node.attr == name
         ):
             found.add(f"{module}:{where}")
@@ -97,3 +103,16 @@ def test_adjacency_charpolys_have_one_engine():
 
 def test_subset_enumeration_serves_only_the_ci_brute_force():
     assert _referrers("_subsets") == {"classify.py:ci_report"}
+
+
+def test_all_pairs_commutator_walk_serves_only_the_commutator_set():
+    assert _referrers("_commutators") == {"groups.py:commutators"}
+
+
+def test_binary_search_only_ranks_permutation_generator_rows():
+    assert _referrers("searchsorted") == {"catalog.py:_perm_table"}
+
+
+def test_generating_set_is_read_in_groups_and_passed_on_in_catalog():
+    readers = _referrers("gens", attributes_only=True)
+    assert {where for where in readers if not where.startswith("groups.py:")} == {"catalog.py:elementary_product"}

@@ -23,7 +23,7 @@ def test_symmetric_matches_loop(m):
     assert_same(symmetric_group(m), build_group(oracle.symmetric_table(m)))
 
 
-@pytest.mark.parametrize("m", range(3, 7))
+@pytest.mark.parametrize("m", range(1, 7))
 def test_alternating_matches_loop(m):
     assert_same(alternating_group(m), build_group(oracle.alternating_table(m)))
 
