@@ -22,7 +22,9 @@ permutations in ascending lexicographic order, so the identity is element
 0 and a group's labels do not depend on how it was generated; the product
 of elements a and b is the permutation i -> p_a[p_b[i]]. Each constructor
 hands it generators: the file's, (0 1) and the m-cycle for S_m, and
-(0 1 2) with the m-cycle (odd m) or (1 2 ... m-1) (even m) for A_m. Only
+(0 1 2) with the m-cycle (odd m) or (1 2 ... m-1) (even m) for A_m; they
+are also the generating set `build_group` runs Light's test over, as are
+1 for Z_m and a, b for the dihedral and dicyclic groups. Only
 the generators' rows are ranked by binary search; every other row is a
 gather of rows already built, row(s c) = row(s)[row(c)], taken in layers
 out from the identity, so S7 needs 2 searched rows instead of 5,040.
@@ -69,13 +71,14 @@ def _rotation_parts(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def cyclic_group(m: int) -> FiniteGroup:
     """Z_m; row a is a, a+1, ..., a+m-1 mod m, a window of 0..m-1 written twice."""
     twice = np.tile(np.arange(m, dtype=np.int32), 2)
-    return build_group(np.lib.stride_tricks.sliding_window_view(twice, m)[:m].copy(), name=f"Z{m}")
+    table = np.lib.stride_tricks.sliding_window_view(twice, m)[:m].copy()
+    return build_group(table, name=f"Z{m}", gens=[1 % m])
 
 
 def dihedral_group(m: int) -> FiniteGroup:
     """<a, b | a^m = b^2 = 1, b a b = a^-1>, order 2m; index = i + m*j for a^i b^j."""
     i2, j2 = _rotation_parts(2 * m, m)
-    return build_group(i2 % m + m * (j2 % 2), name=f"D{m}")
+    return build_group(i2 % m + m * (j2 % 2), name=f"D{m}", gens=[1 % m, m])
 
 
 def dicyclic_group(m: int) -> FiniteGroup:
@@ -85,15 +88,15 @@ def dicyclic_group(m: int) -> FiniteGroup:
     i2 %= mm
     table = np.where(j2 == 2, (i2 + m) % mm, i2 + mm * j2)
     name = "Q8" if m == 2 else f"Dic{4 * m}"
-    return build_group(table, name=name)
+    return build_group(table, name=name, gens=[1, mm])
 
 
-def _perm_table(perms: np.ndarray, gens: Sequence[Sequence[int]]) -> np.ndarray:
+def _perm_table(perms: np.ndarray, gens: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[int]]:
     """The (n, n) int32 table of the group whose elements are the rows of
     `perms`, an (n, d) integer array of permutations of 0..d-1 listed in
     ascending lexicographic order (so the identity is row 0), and which the
-    permutations `gens` generate; table[a, b] is the row index of the
-    composite i -> p_a[p_b[i]].
+    permutations `gens` generate, with the generators' row indices;
+    table[a, b] is the row index of the composite i -> p_a[p_b[i]].
 
     Only the generators' rows are searched: their composites with every
     element are formed by fancy indexing and ranked by binary search over
@@ -136,7 +139,7 @@ def _perm_table(perms: np.ndarray, gens: Sequence[Sequence[int]]) -> np.ndarray:
                 fresh += targets
         layer = fresh
     assert all(reached), "the generators do not generate every row"
-    return table
+    return table, gen_rows.tolist()
 
 
 def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) -> FiniteGroup:
@@ -157,7 +160,8 @@ def _perm_group(perms: list[tuple[int, ...]], name: str, limit: int, line: int) 
                     if len(elems) > limit:
                         raise ParseError(line, f"closure exceeds the {limit} elements the header declares")
         frontier = fresh
-    return build_group(_perm_table(np.array(sorted(elems)), perms), name=name)
+    table, rows = _perm_table(np.array(sorted(elems)), perms)
+    return build_group(table, name=name, gens=rows)
 
 
 def _all_perms(m: int) -> np.ndarray:
@@ -176,7 +180,8 @@ def _cycle(m: int, points: Sequence[int]) -> tuple[int, ...]:
 def symmetric_group(m: int) -> FiniteGroup:
     """S_m, generated by (0 1) and (0 1 ... m-1)."""
     gens = [_cycle(m, [0, 1]), _cycle(m, list(range(m)))] if m >= 2 else []
-    return build_group(_perm_table(_all_perms(m), gens), name=f"S{m}")
+    table, rows = _perm_table(_all_perms(m), gens)
+    return build_group(table, name=f"S{m}", gens=rows)
 
 
 def alternating_group(m: int) -> FiniteGroup:
@@ -185,7 +190,8 @@ def alternating_group(m: int) -> FiniteGroup:
     inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
     long_cycle = list(range(m)) if m % 2 else list(range(1, m))
     gens = [_cycle(m, [0, 1, 2]), _cycle(m, long_cycle)] if m >= 3 else []
-    return build_group(_perm_table(perms[inversions % 2 == 0], gens), name=f"A{m}")
+    table, rows = _perm_table(perms[inversions % 2 == 0], gens)
+    return build_group(table, name=f"A{m}", gens=rows)
 
 
 def elementary_product(base_a: int, na: int, base_b: int, nb: int) -> FiniteGroup:

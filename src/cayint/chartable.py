@@ -34,8 +34,8 @@ import numpy as np
 import sympy
 
 from .catalog import ParseError, _content_lines
-from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
-from .linalg import _INT64, IntMatrix, _context, _summable, charpoly_mod, exact_array
+from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
+from .linalg import _INT64, _STACK_CELLS, _context, _summable, charpoly_mod, eliminate_mod, exact_array
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -54,6 +54,9 @@ class GaloisMismatch(RuntimeError):
 # `classify_group` skips the table above it (CLI `--cap-chartable`).
 DEFAULT_ORDER_CAP = 2000
 PRIME_BOUND = 1_000_000  # the prime search gives up above this
+# Below this many cells, eliminating R - lambda I at every lambda in F_p
+# costs fewer numpy steps than a charpoly and its roots.
+_SWEEP_CELLS = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,88 +148,155 @@ def _sqrt_mod(a: int, p: int) -> int:
     return root
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    rows = [r[:] for r in rows]
-    cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [row for row in rows[:r]], pivots
-
-
-def _kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
-    d = len(mat)
-    red, pivots = _rref_mod(mat, p)
-    free = [c for c in range(d) if c not in pivots]
-    out = []
-    for c in free:
-        v = [0] * d
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][c]) % p
-        out.append(v)
-    return out
-
-
 def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
-    """Common eigenvectors of commuting matrices over F_p, via iterative
-    splitting by each matrix in ascending index order. The matrices are
-    int64 arrays reduced mod p, and p <= PRIME_BOUND = 10^6: a product of
-    two residues is below 10^12, so the k-term dot products of the matmuls
-    below stay under k * p^2 <= 5040 * 10^12 < 2^63 for any group under the
-    element cap, and are exact."""
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for mat in mats[1:]:  # matrix of the identity class is the identity
-        if all(len(b) == 1 for b in spaces):
+    """Common eigenvectors of commuting matrices over F_p, by splitting F_p^k
+    with each matrix in turn; the matrices are int64 arrays reduced mod p,
+    and the first is the identity.
+
+    The subspaces are blocks of consecutive rows of one (k, k) basis array,
+    with a pivot column per row: a block's rows are the identity on its
+    pivot columns, so the coordinates of a vector of its span are its
+    entries there, and the restriction of a matrix to a block is read off
+    the pivot columns of its images (`_restrictions`). A block of one row
+    is a common eigenvector already.
+
+    A block on which a matrix is scalar, lambda I, is one eigenspace of that
+    matrix, so there is nothing to split; it stays whole on every later
+    refinement too. The matrices are therefore screened in stacks of at
+    most _STACK_CELLS image cells, each checked to stabilise every block,
+    and only the first one that is not scalar on some block splits those
+    blocks (`_eigenspaces`); the screen resumes after it.
+
+    Overflow: entries stay in int64. Residues are below p <= PRIME_BOUND =
+    10^6, each elimination update is below p + p^2, and every dot product
+    has at most k terms, each below p^2: k * p^2 <= 5040 * 10^12 < 2^63 for
+    any group under the element cap.
+    """
+    basis = np.eye(k, dtype=np.int64)
+    pivots = np.arange(k)
+    block = np.zeros(k, dtype=np.intp)  # block index of each row; a block's rows are consecutive
+    stack = max(1, _STACK_CELLS // (k * k))
+    i = 1  # matrix of the identity class is the identity
+    while i < len(mats):
+        size = np.bincount(block)[block]
+        if size.max() == 1:
             break
-        nxt: list[list[list[int]]] = []
-        for basis in spaces:
-            d = len(basis)
-            if d == 1:
-                nxt.append(basis)
-                continue
-            basis, pivots = _rref_mod(basis, p)
-            vecs = np.array(basis, dtype=np.int64)
-            imgs = vecs @ mat.T % p  # row j: mat applied to basis vector j
-            # coordinates in an RREF basis can be read off the pivot columns
-            restr = imgs[:, pivots].T
-            if not np.array_equal(restr.T @ vecs % p, imgs):
-                raise VerificationFailed("class matrix does not stabilize a split subspace")
-            # descending coefficients of the characteristic polynomial mod p
-            cp = list(reversed(charpoly_mod(IntMatrix(restr), p)))
-            found = 0
-            for lam in range(p):
-                acc = 0
-                for co in cp:
-                    acc = (acc * lam + co) % p
-                if acc:
-                    continue
-                ker = _kernel_mod(((restr - lam * np.eye(d, dtype=np.int64)) % p).tolist(), p)
-                if not ker:
-                    continue
-                nxt.append((np.array(ker, dtype=np.int64) @ vecs % p).tolist())
-                found += len(ker)
-                if found == d:
-                    break
-            if found != d:
-                raise VerificationFailed("restricted class matrix is not diagonalizable")
-        spaces = nxt
-    if any(len(b) != 1 for b in spaces):
+        screened = np.stack(mats[i : i + stack])
+        first = len(screened)  # the first screened matrix that is not scalar on some block
+        groups = []
+        for d in np.unique(size[size > 1]).tolist():
+            rows = np.flatnonzero(size == d).reshape(-1, d)  # one block per line
+            coords, ragged = _restrictions(basis[rows], pivots[rows], screened, p)
+            hit = np.flatnonzero(ragged.any(axis=1))
+            if hit.size:
+                first = min(first, int(hit[0]))
+            groups.append((rows, coords, ragged))
+        if first == len(screened):
+            i += first
+            continue
+        i += first + 1
+        kept = np.ones(k, dtype=bool)
+        new_rows, new_piv, new_ids = [], [], []
+        last = block[-1]
+        for rows, coords, ragged in groups:
+            which = np.flatnonzero(ragged[first])
+            if which.size:
+                split = rows[which]
+                fresh, piv, pair = _eigenspaces(coords[first, which], basis[split], pivots[split], p)
+                kept[split] = False
+                new_rows.append(fresh)
+                new_piv.append(piv)
+                new_ids.append(last + 1 + pair)
+                last = new_ids[-1][-1]
+        basis = np.concatenate([basis[kept], *new_rows])
+        pivots = np.concatenate([pivots[kept], *new_piv])
+        block = np.unique(np.concatenate([block[kept], *new_ids]), return_inverse=True)[1]
+    if np.bincount(block).max() != 1:
         raise VerificationFailed("class matrices failed to separate all characters")
-    return [b[0] for b in spaces]
+    return basis.tolist()
+
+
+def _restrictions(
+    vecs: np.ndarray, piv: np.ndarray, mats: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The restrictions of a (b, k, k) stack of matrices to blocks of d basis
+    rows each, `vecs` (nb, d, k) with pivot columns `piv` (nb, d), as the
+    (b, nb, d, d) coordinates of the images of the rows, and the (b, nb)
+    mask of the restrictions that are not scalar. One product gives the
+    images and one checks that each block is stabilised."""
+    d = vecs.shape[1]
+    imgs = vecs @ mats.transpose(0, 2, 1)[:, None] % p  # row j: the matrix applied to basis row j
+    coords = np.take_along_axis(imgs, piv[None, :, None, :], axis=3)
+    if not np.array_equal(coords @ vecs % p, imgs):
+        raise VerificationFailed("class matrix does not stabilize a split subspace")
+    return coords, (coords != coords[..., :1, :1] * np.eye(d, dtype=np.int64)).any(axis=(2, 3))
+
+
+def _eigenspaces(
+    coords: np.ndarray, vecs: np.ndarray, piv: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split m blocks of d basis rows, `vecs` (m, d, k) with pivot columns
+    `piv` (m, d), into the eigenspaces of a matrix whose restrictions to
+    them, none scalar, have the image coordinates `coords` (m, d, d).
+
+    - The candidate eigenvalues: every lambda in F_p while that stack is
+      small (_SWEEP_CELLS), else the roots of each restriction's charpoly,
+      from one stack of charpolys and one evaluation at every lambda in
+      F_p. Every central character lies in F_p, because p = 1 (mod e), so
+      a restriction whose eigenspaces do not fill its block is not
+      diagonalizable, a bug.
+    - `eliminate_mod` on the stack of R - lambda I over every (block,
+      candidate) pair gives the eigenspaces. A kernel basis is the identity
+      on its free columns, so each new block is the identity on the old
+      pivot columns there and is reduced with no further step.
+
+    Returns the new rows, block after block and eigenvalue after
+    eigenvalue, their pivot columns, and the index of each row's (block,
+    eigenvalue) pair.
+    """
+    m, d, k = vecs.shape
+    restr = coords.transpose(0, 2, 1)  # R[a, b]: coordinate a of the image of row b
+    if m * p * d * d <= _SWEEP_CELLS:
+        owner, root = np.divmod(np.arange(m * p), p)
+    else:
+        desc = charpoly_mod(restr, p)[:, ::-1].T
+        owner, root = [], []
+        width = max(1, _STACK_CELLS // m)
+        for start in range(0, p, width):
+            lam = np.arange(start, min(start + width, p), dtype=np.int64)
+            vals = np.zeros((m, len(lam)), dtype=np.int64)
+            for co in desc:
+                vals *= lam
+                vals += co[:, None]
+                vals %= p
+            i, j = np.nonzero(vals == 0)
+            owner.append(i)
+            root.append(lam[j])
+        owner, root = np.concatenate(owner), np.concatenate(root)
+        order = np.lexsort((root, owner))
+        owner, root = owner[order], root[order]
+
+    # kernel rows of R - lambda I, pair by pair, in coordinates over the block's rows
+    eigen, place, pair = [coords[:0, 0]], [owner[:0]], [owner[:0]]
+    eye = np.eye(d, dtype=np.int64)
+    step = max(1, _STACK_CELLS // (d * d))
+    for start in range(0, len(owner), step):
+        blk = owner[start : start + step]
+        reduced, pivot = eliminate_mod((restr[blk] - root[start : start + step, None, None] * eye) % p, p)
+        # placed[c]: the reduced row whose leading 1 is in column c, zero for a free c
+        placed = np.zeros_like(reduced)
+        placed[np.arange(len(blk))[:, None], np.argsort(~pivot, axis=1, kind="stable")] = reduced
+        j, f = np.nonzero(~pivot)
+        kernel = -placed[j, :, f] % p  # e_f minus column f of the placed rows
+        kernel[np.arange(len(j)), f] = 1
+        eigen.append(kernel)
+        place.append(f)
+        pair.append(start + j)
+    pair = np.concatenate(pair)
+    if (np.bincount(owner[pair], minlength=m) != d).any():
+        raise VerificationFailed("restricted class matrix is not diagonalizable")
+    fresh = np.concatenate(eigen).reshape(m, d, d) @ vecs % p
+    return fresh.reshape(m * d, k), piv.ravel()[owner[pair] * d + np.concatenate(place)], pair
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +443,13 @@ def character_table(
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
-    vecs = _split_eigenspaces([m % p for m in mats or class_matrices(g, part)], k, p)
+    mats = mats or class_matrices(g, part)
+    # The common eigenvectors do not depend on the order of the matrices. The
+    # classes of a generating set go first: on an abelian group their class
+    # sums generate the group algebra, so they alone separate every character.
+    lead = generator_classes(g, part)
+    order = [0, *lead, *sorted(set(range(1, k)) - set(lead))]
+    vecs = _split_eigenspaces([mats[j] % p for j in order], k, p)
 
     sizes = part.sizes()
     inv_cls = part.inverse_class

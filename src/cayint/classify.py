@@ -41,7 +41,6 @@ from .catalog import catalog
 from .chartable import (
     DEFAULT_ORDER_CAP,
     CharacterTable,
-    _rref_mod,
     character_table,
     chi_plus_conj,
     chi_plus_conj_integral,
@@ -60,7 +59,7 @@ from .groups import (
     quotient,
     unit_power_classes,
 )
-from .linalg import IntMatrix, charpolys, integer_spectrum
+from .linalg import IntMatrix, charpolys, eliminate_mod, integer_spectrum
 from .spectra import (
     ConnectionFunction,
     integrality_by_criterion,
@@ -105,12 +104,13 @@ def _lift_unit(k: int, order_g: int, exponent: int) -> int:
 
 
 def is_semi_rational(
-    g: FiniteGroup, part: ConjugacyPartition
+    g: FiniteGroup, part: ConjugacyPartition, unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None
 ) -> tuple[bool, dict[int, int] | None, int | None]:
     """Atom(g) inside class(g) union class(g^r) for some unit r; returns the
-    per-representative r map, or a witness element on failure."""
+    per-representative r map, or a witness element on failure. `unit_powers`
+    is `unit_power_classes(g, part)` where the caller already has it."""
     e = g.exponent()
-    units, powers = unit_power_classes(g, part)
+    units, powers = unit_powers or unit_power_classes(g, part)
     r_map: dict[int, int] = {}
     for j, rep in enumerate(part.reps()):
         # the classes of the generators of <rep>, that is of Atom(rep)
@@ -187,7 +187,11 @@ def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> 
 
 
 def normal_set_survey(
-    g: FiniteGroup, part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray] | None = None
+    g: FiniteGroup,
+    part: ConjugacyPartition,
+    table: CharacterTable,
+    mats: list[np.ndarray] | None = None,
+    unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None,
 ) -> NormalSetSurvey:
     """Each non-identity real-class orbit's integrality, and a certificate
     that the integral unions of orbits (the normal sets) are the Eulerian ones.
@@ -203,11 +207,12 @@ def normal_set_survey(
     exactly when the v_i of `_orbit_coordinates` sum to 0 over S, and it is
     Eulerian, a union of atoms, exactly when it is a union of components:
     orbits joined when they meet a common atom, whose classes are read off
-    `unit_power_classes`. When each component sums to 0 and r - rank V mod
-    `table.prime` (at most the rank over Q) equals their number, the
-    component indicators span the kernel and the two kinds of union
-    coincide. A component with a non-zero sum is a mismatch; a larger
-    kernel mod p leaves the check undecided.
+    `unit_power_classes` (`unit_powers` where the caller has it). When each
+    component sums to 0 and r - rank V mod `table.prime` (at most the rank
+    over Q) equals their number, the component indicators span the kernel
+    and the two kinds of union coincide. A component with a non-zero sum
+    is a mismatch; a larger kernel mod p leaves the check undecided. The
+    rank is one `eliminate_mod`.
     """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
     if mats is None:
@@ -218,12 +223,13 @@ def normal_set_survey(
     integral = tuple(integer_spectrum(f, bound=b).is_integral for f, b in zip(polys, bounds))
     v = _orbit_coordinates(table, orbits)
     orbit_of = {j: i for i, orbit in enumerate(orbits) for j in orbit}
-    atoms = unit_power_classes(g, part)[1]  # column j: the classes of Atom(rep_j)
+    atoms = (unit_powers or unit_power_classes(g, part))[1]  # column j: the classes of Atom(rep_j)
     edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in atoms[:, j].tolist()}
     components = connected_components((list(range(len(orbits))), sorted(edges)))
     classes = [tuple(sorted(j for i in c for j in orbits[i])) for c in components]
     mismatches = tuple(cls for c, cls in zip(components, classes) if v[c].sum(axis=0).any())
-    kernel = len(orbits) - len(_rref_mod((v % table.prime).tolist(), table.prime)[1])
+    # rank V = rank V^T, whose r columns take r elimination steps
+    kernel = len(orbits) - int(eliminate_mod(v.T[None] % table.prime, table.prime)[1].sum())
     return NormalSetSurvey(tuple(orbits), integral, tuple(classes), mismatches, kernel)
 
 
@@ -318,7 +324,10 @@ class FcciReport(RouteReport):
 
 
 def fcci_report(
-    g: FiniteGroup, part: ConjugacyPartition, survey: NormalSetSurvey | None
+    g: FiniteGroup,
+    part: ConjugacyPartition,
+    survey: NormalSetSurvey | None,
+    unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None,
 ) -> FcciReport:
     """Integrality of every integer symmetric class function, three ways.
 
@@ -327,6 +336,7 @@ def fcci_report(
     is equivalent to f^h = f for every integer symmetric class function f.
     Route "spectra": every 0/1 function on real classes, read off `survey`;
     skipped when `survey` is `None` (the group has no character table).
+    `unit_powers` is `unit_power_classes(g, part)` where the caller has it.
     The criterion route is the primary verdict; disagreements are
     recorded, not resolved.
 
@@ -343,7 +353,7 @@ def fcci_report(
     orders = all(o in ALLOWED_ORDERS for o in g.ord)
     order_witness = None if orders else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
 
-    units, powers = unit_power_classes(g, part)
+    units, powers = unit_powers or unit_power_classes(g, part)
     moved = (powers != np.arange(part.k)) & (powers != np.array(part.inverse_class))
     first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
     criterion = not moved.any()
@@ -633,25 +643,26 @@ class ClassificationReport:
 def classify_group(
     g: FiniteGroup, chartable_cap: int = DEFAULT_ORDER_CAP, seed: int = 0
 ) -> ClassificationReport:
-    """Every predicate and route on one group. The partition, the class
-    matrices, the character table (up to `chartable_cap`) and the
-    normal-set survey (wherever there is a table) are built once here;
-    every skip lands in `caps_notes`."""
+    """Every predicate and route on one group. The partition, the unit
+    power maps on its classes, the class matrices, the character table (up
+    to `chartable_cap`) and the normal-set survey (wherever there is a
+    table) are built once here; every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
+    unit_powers = unit_power_classes(g, part)
     table = survey = None
     caps_notes: list[str] = []
     if g.n <= chartable_cap:
         mats = class_matrices(g, part)
         table = character_table(g, part, order_cap=chartable_cap, mats=mats)
-        survey = normal_set_survey(g, part, table, mats)
+        survey = normal_set_survey(g, part, table, mats, unit_powers)
         del mats  # k^3 constants, not needed by the routes below
     else:
         caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 
     rat, rat_wit = is_rational(g, part)
-    semi, r_map, semi_wit = is_semi_rational(g, part)
+    semi, r_map, semi_wit = is_semi_rational(g, part, unit_powers)
     nci = nci_report(g, part, table, survey)
-    fcci = fcci_report(g, part, survey)
+    fcci = fcci_report(g, part, survey, unit_powers)
     cci = cci_report(g, part, seed=seed)
     ci = ci_report(g, part, seed=seed)
     discrepancies: list[str] = []

@@ -12,12 +12,14 @@ and commutators here. Nothing returned from here is a numpy scalar:
 elements are Python ints, and the gathers that `spectra` and `chartable`
 need come back as int32 arrays.
 
-Every group carries one generating set, `FiniteGroup.gens`: the greedy one
-that `build_group` finds for Light's associativity test, each generator
-the least element outside the closure of those before it. A walk that
-only has to hold for all of G checks the generators alone, because the
-elements it holds for form a subgroup, so the walks cost O(|gens| n) rows,
-not n^2 products or n rounds:
+Every group carries one generating set, `FiniteGroup.gens`, which Light's
+associativity test runs over: the one its constructor knows (the catalog
+families' standard generators, the factors' generators embedded in a
+direct product), or else the greedy one that `build_group` finds, each
+generator the least element outside the closure of those before it. A
+walk that only has to hold for all of G checks the generators alone,
+because the elements it holds for form a subgroup, so the walks cost
+O(|gens| n) rows, not n^2 products or n rounds:
 
 - Light's test: the a with (x a) y = x (a y) for all x, y are closed
   under the product, so a runs over the generators only.
@@ -36,7 +38,9 @@ not n^2 products or n rounds:
   since g^j has order o / gcd(j, o).
 
 `FiniteGroup.commutators` is the one all-pairs walk left, because it needs
-the whole commutator set.
+the whole commutator set. The classes of the generators
+(`generator_classes`) also lead the character tables' eigenspace
+splitting.
 """
 
 from __future__ import annotations
@@ -74,9 +78,9 @@ class FiniteGroup:
     `table` is the read-only, C-contiguous (n, n) int32 array of products,
     table[a, b] = a b; it is the only copy of the product. `inv` and `ord`
     are tuples of Python ints, and `gens` is the generating set that
-    `build_group` chose, ascending. Only `groups` and `catalog` read `table`
-    and `gens`; every other module goes through the methods and functions
-    of `groups`.
+    `build_group` was given or chose, ascending. Only `groups` and
+    `catalog` read `table` and `gens`; every other module goes through the
+    methods and functions of `groups`.
     """
 
     __slots__ = ("n", "table", "inv", "ord", "gens", "name", "validation")
@@ -229,15 +233,20 @@ def _check_associativity(arr: np.ndarray, gens: Sequence[int]) -> tuple | None:
     return None
 
 
-def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") -> FiniteGroup:
+def build_group(
+    table: Sequence[Sequence[int]] | np.ndarray, name: str = "G", gens: Sequence[int] | None = None
+) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
     `table` is a list of rows or an (n, n) integer array; an int32 array is
     kept, not copied, and becomes read-only. Every axiom is checked exactly
     at every order; associativity by Light's test over a generating set,
-    recorded on the group as validation "full". The identity is relocated
-    to index 0 if found elsewhere. Each failure names the first violating
-    element, as a scan in index order would.
+    recorded on the group as validation "full". `gens` is a generating set
+    the caller knows, as element indices of a table whose identity is
+    element 0; one closure checks that it generates, and ValueError says
+    when it does not. Without it the greedy set is searched for. The
+    identity is relocated to index 0 if found elsewhere. Each failure names
+    the first violating element, as a scan in index order would.
     """
     n = len(table)
     if n == 0:
@@ -273,7 +282,12 @@ def build_group(table: Sequence[Sequence[int]] | np.ndarray, name: str = "G") ->
     if not good.all():
         raise NotAGroup("missing two-sided inverse", (int(np.argmin(good)),))
 
-    gens = _generating_set(arr)
+    if gens is None:
+        gens = _generating_set(arr)
+    else:
+        gens = tuple(sorted({int(x) for x in gens} - {0}))
+        if not _closure(arr, gens).all():
+            raise ValueError(f"elements {list(gens)} do not generate the group {name}")
     witness = _check_associativity(arr, gens)
     if witness is not None:
         raise NotAGroup("associativity fails", witness)
@@ -363,6 +377,11 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
                 seen[x] = True
             real.append(orbit_j)
     return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real))
+
+
+def generator_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[int, ...]:
+    """The classes of the generating set `g.gens`, ascending, each once."""
+    return tuple(sorted({part.class_of[x] for x in g.gens}))
 
 
 def unit_power_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[tuple[int, ...], np.ndarray]:
@@ -501,7 +520,8 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     """Componentwise product on pairs, encoded as i*|b| + j."""
     n = a.n * b.n
     table = a.table[:, None, :, None] * b.n + b.table[None, :, None, :]
-    return build_group(table.reshape(n, n), name=name or f"{a.name}x{b.name}")
+    gens = [x * b.n for x in a.gens] + list(b.gens)  # (x, e) and (e, y)
+    return build_group(table.reshape(n, n), name=name or f"{a.name}x{b.name}", gens=gens)
 
 
 def _commutators(g: FiniteGroup) -> Iterator[np.ndarray]:

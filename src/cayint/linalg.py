@@ -12,9 +12,10 @@ Hadamard's bound, by one of two engines:
   (`_charpoly_stack`), for any square matrix. A batch of matrices
   (`charpolys`) runs as stacks of (matrix, prime) slots of bounded size, so
   many small matrices cost a few kernel calls; `charpoly` is a batch of one,
-  and the character tables call the same kernel on their own prime
-  (`charpoly_mod`). It serves the class-algebra matrices of the normal-set
-  survey and the character tables, and is the test oracle of the second;
+  and the character tables call the same kernel on a stack of matrices
+  and their own prime (`charpoly_mod`). It serves the class-algebra
+  matrices of the normal-set survey and the character tables, and is the
+  test oracle of the second;
 - the power-sum engine (`cayley_charpoly`) for the adjacency matrix of a
   Cayley colour graph, which commutes with right translations: one Krylov
   sequence on e_0 gives every power sum tr(A^m) = n (A^m)[0, 0], and
@@ -26,7 +27,10 @@ candidate set, and the non-integral residual is split into squarefree parts
 by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
 power-basis coordinates; the conductor's context (`_context`) holds the
 fixed integer maps on such vectors: complex conjugation, the Galois twists
-and the reduction of a product. No floating point enters any code path.
+and the reduction of a product. Gaussian elimination over a prime field has
+one routine, `eliminate_mod`, on a stack of matrices at once; it splits the
+character tables' eigenspaces and ranks the normal-set survey's
+certificate. No floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -352,20 +356,86 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     return charpolys([m])[0]
 
 
-def charpoly_mod(m: IntMatrix, p: int) -> tuple[int, ...]:
-    """Ascending coefficients of det(xI - M) modulo a prime p, each in [0, p).
+def charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(xI - M) modulo a prime p, each in [0, p),
+    for every matrix M of a (b, n, n) integer stack, as a (b, n+1) array.
 
-    Same kernel as `charpoly`, on one prime; p must be below 2^26 and satisfy
+    Same kernel as `charpolys`, on one prime, in stacks of at most
+    _STACK_CELLS cells (or one matrix); p must be below 2^26 and satisfy
     n * p^2 < 2^63.
     """
-    n = m.n
+    b, n, _ = stack.shape
     if not (1 < p < _PRIME_CAP and n * p * p < _INT64):
         raise ValueError(f"modulus {p} outside the int64 kernel's range for n={n}")
-    ps = np.array([p], dtype=np.int64)
-    a = (m.entries % p).astype(np.int64).reshape(1, n, n)
-    prod = np.empty((1, n, n), dtype=np.int64)
-    polys = np.empty((1, n + 1, n + 1), dtype=np.int64)
-    return tuple(_charpoly_stack(a, ps, prod, polys)[0].tolist())
+    out = np.empty((b, n + 1), dtype=np.int64)
+    step = max(1, _STACK_CELLS // max(1, n * n))
+    for start in range(0, b, step):
+        a = (stack[start : start + step] % p).astype(np.int64)
+        ps = np.full(len(a), p, dtype=np.int64)
+        polys = np.empty((len(a), n + 1, n + 1), dtype=np.int64)
+        out[start : start + len(a)] = _charpoly_stack(a, ps, np.empty_like(a), polys)
+    return out
+
+
+def eliminate_mod(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms over F_p of a (b, r, c) int64 stack of
+    residues in [0, p), for a prime p below 2^31.
+
+    Returns (reduced, pivots): reduced[i] is the reduced form of stack[i],
+    its rank(i) nonzero rows first, and pivots[i] the (c,) mask of its pivot
+    columns, so rank(i) = pivots[i].sum() and row t of reduced[i] has its
+    leading 1 in the t-th pivot column. The kernel of stack[i] is spanned,
+    for each free column f, by e_f minus the column f of the reduced rows
+    placed at their pivot columns.
+
+    One pass over the columns serves the whole stack: at column j every
+    matrix with a nonzero entry there below its rank swaps the first such
+    row up, scales it to a leading 1 and clears column j from its other
+    rows, all in one step for all matrices. The stack runs in chunks of at
+    most _STACK_CELLS cells (or one matrix). Overflow: an update x - f y of
+    residues x, f, y lies strictly between -p^2 and p, below p + p^2 in
+    magnitude, so int64 never wraps.
+    """
+    b, r, c = stack.shape
+    if not 1 < p < 2**31:
+        raise ValueError(f"modulus {p} outside the int64 elimination's range")
+    reduced = stack.astype(np.int64)  # a copy, reduced in place chunk by chunk
+    pivots = np.zeros((b, c), dtype=bool)
+    step = max(1, _STACK_CELLS // max(1, r * c))
+    for start in range(0, b, step):
+        _eliminate_chunk(reduced[start : start + step], pivots[start : start + step], p)
+    return reduced, pivots
+
+
+def _eliminate_chunk(a: np.ndarray, pivots: np.ndarray, p: int) -> None:
+    """`eliminate_mod` on one chunk, in place: `a` becomes the reduced
+    forms and `pivots` (all False on entry) their pivot masks."""
+    b, r, c = a.shape
+    rank = np.zeros(b, dtype=np.intp)
+    rows = np.arange(r)
+    for j in range(c):
+        if rank.min() == r:
+            break
+        candidates = (a[:, :, j] != 0) & (rows >= rank[:, None])
+        hit = np.flatnonzero(candidates.any(axis=1))
+        if not hit.size:
+            continue
+        src = candidates[hit].argmax(axis=1)
+        dst = rank[hit]
+        lead = a[hit, src, j:]
+        a[hit, src, j:] = a[hit, dst, j:]
+        lead *= np.array([pow(v, -1, p) for v in lead[:, 0].tolist()], dtype=np.int64)[:, None]
+        lead %= p
+        # row i -= a[i, j] * lead for every row; the pivot row then becomes lead
+        whole = hit.size == b
+        block = a[:, :, j:] if whole else a[hit, :, j:]
+        block -= block[:, :, :1] * lead[:, None, :]
+        block %= p
+        block[np.arange(hit.size), dst] = lead
+        if not whole:
+            a[hit, :, j:] = block
+        pivots[hit, j] = True
+        rank[hit] += 1
 
 
 def _krylov_diagonal(a: np.ndarray, ps: np.ndarray, n: int) -> np.ndarray:

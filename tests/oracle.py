@@ -23,6 +23,11 @@ integer coordinates in Z[zeta_e][x], which `expand_character_poly`, the
 same product in `Cyclotomic` arithmetic, checks; `verify_table_fraction` is the
 character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
 `Fraction`s ran before `chartable._verify_table` became integer contractions.
+`rref_mod` and `kernel_mod` are the pure-Python eliminations over F_p that
+`linalg.eliminate_mod` replaced, and `split_eigenspaces` is the character
+tables' eigenspace splitting as it ran on them: every subspace reduced
+again before every class matrix, and every restriction, scalar or not,
+split by its charpoly's roots, found by a scan of F_p.
 
 The group-table oracles below are the scalar loops over a tuple-of-tuples
 table that the array code in `cayint.groups` replaced. Each reads the table
@@ -49,7 +54,7 @@ import numpy as np
 from cayint.chartable import CharacterTable, VerificationFailed, class_matrices
 from cayint.classify import _lift_unit
 from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
-from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly, charpolys, integer_spectrum
+from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly, charpoly_mod, charpolys, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
     adjacency as _adjacency,
@@ -723,6 +728,89 @@ def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[list[list[i
             for tt in range(k):
                 mat[class_of[row[reps[tt]]]][tt] += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Elimination over F_p and eigenspace splitting
+# ---------------------------------------------------------------------------
+
+
+def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
+    rows = [r[:] for r in rows]
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [row for row in rows[:r]], pivots
+
+
+def kernel_mod(mat: list[list[int]], p: int) -> list[list[int]]:
+    d = len(mat[0]) if mat else 0
+    red, pivots = rref_mod(mat, p)
+    free = [c for c in range(d) if c not in pivots]
+    out = []
+    for c in free:
+        v = [0] * d
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][c]) % p
+        out.append(v)
+    return out
+
+
+def split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
+    """Common eigenvectors of commuting int64 matrices reduced mod p, by
+    splitting each subspace with each matrix in ascending index order."""
+    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
+    for mat in mats[1:]:
+        if all(len(b) == 1 for b in spaces):
+            break
+        nxt: list[list[list[int]]] = []
+        for basis in spaces:
+            d = len(basis)
+            if d == 1:
+                nxt.append(basis)
+                continue
+            basis, pivots = rref_mod(basis, p)
+            vecs = np.array(basis, dtype=np.int64)
+            imgs = vecs @ mat.T % p
+            restr = imgs[:, pivots].T
+            if not np.array_equal(restr.T @ vecs % p, imgs):
+                raise VerificationFailed("class matrix does not stabilize a split subspace")
+            cp = list(reversed(charpoly_mod(restr[None], p)[0].tolist()))
+            found = 0
+            for lam in range(p):
+                acc = 0
+                for co in cp:
+                    acc = (acc * lam + co) % p
+                if acc:
+                    continue
+                ker = kernel_mod(((restr - lam * np.eye(d, dtype=np.int64)) % p).tolist(), p)
+                if not ker:
+                    continue
+                nxt.append((np.array(ker, dtype=np.int64) @ vecs % p).tolist())
+                found += len(ker)
+                if found == d:
+                    break
+            if found != d:
+                raise VerificationFailed("restricted class matrix is not diagonalizable")
+        spaces = nxt
+    if any(len(b) != 1 for b in spaces):
+        raise VerificationFailed("class matrices failed to separate all characters")
+    return [b[0] for b in spaces]
 
 
 # ---------------------------------------------------------------------------

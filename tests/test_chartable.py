@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from cayint.catalog import ParseError, catalog, resolve_group
 from cayint.chartable import (
+    PRIME_BOUND,
     GaloisMismatch,
     VerificationFailed,
+    _find_prime,
+    _split_eigenspaces,
     _verify_table,
     character_table,
     chi_plus_conj_integral,
@@ -25,7 +28,8 @@ from cayint.chartable import (
 )
 from cayint.groups import conjugacy_classes
 from cayint.linalg import _context
-from oracle import Cyclotomic, cyclotomic_rows, verify_table_fraction
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG
+from oracle import Cyclotomic, cyclotomic_rows, split_eigenspaces, verify_table_fraction
 
 
 class TestClassMatrices:
@@ -341,3 +345,62 @@ class TestLoadTableRejectsMalformedDumps:
         path.write_text("\n".join(lines[:-1] + [f"row 2 2,0 {big},0 -1,0"]) + "\n", encoding="utf-8")
         with pytest.raises(VerificationFailed):
             load_table(path, groups["S3"])
+
+
+def _normalised(vecs: list[list[int]], p: int) -> set[tuple[int, ...]]:
+    """Each vector scaled to 1 in its first entry, as `character_table` reads it."""
+    return {tuple(x * pow(v[0], -1, p) % p for x in v) for v in vecs}
+
+
+class TestSplitEigenspaces:
+    """The batched splitter against the pure-Python oracle it replaced."""
+
+    @pytest.mark.parametrize("sweep", [0, 2**12, 2**30])
+    @pytest.mark.parametrize(
+        "tokens",
+        [(name, *params) for _, (name, params) in SMALL_CATALOG + MEDIUM_EXTRA] + [("cyclic", 48)],
+        ids=[label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA] + ["Z48"],
+    )
+    def test_matches_oracle(self, tokens, sweep, monkeypatch):
+        # sweep: every lambda in F_p never, at the default size, and always
+        monkeypatch.setattr("cayint.chartable._SWEEP_CELLS", sweep)
+        g = catalog(*tokens)
+        part = conjugacy_classes(g)
+        p = _find_prime(g.exponent(), g.n, PRIME_BOUND)
+        mats = [m % p for m in class_matrices(g, part)]
+        got = _split_eigenspaces(mats, part.k, p)
+        assert len(got) == part.k
+        assert _normalised(got, p) == _normalised(split_eigenspaces(mats, part.k, p), p)
+
+    def test_small_stacks_agree(self, monkeypatch):
+        # one class matrix screened at a time, and elimination chunks of one matrix
+        g = catalog("dihedral", 9)
+        part = conjugacy_classes(g)
+        p = _find_prime(g.exponent(), g.n, PRIME_BOUND)
+        mats = [m % p for m in class_matrices(g, part)]
+        want = _normalised(_split_eigenspaces(mats, part.k, p), p)
+        monkeypatch.setattr("cayint.chartable._STACK_CELLS", 1)
+        monkeypatch.setattr("cayint.linalg._STACK_CELLS", 1)
+        assert _normalised(_split_eigenspaces(mats, part.k, p), p) == want
+
+    @pytest.mark.parametrize("sweep", [0, 2**30])
+    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    def test_jordan_block_is_not_diagonalizable(self, splitter, sweep, monkeypatch):
+        monkeypatch.setattr("cayint.chartable._SWEEP_CELLS", sweep)
+        mats = [np.eye(2, dtype=np.int64), np.array([[1, 1], [0, 1]], dtype=np.int64)]
+        with pytest.raises(VerificationFailed, match="restricted class matrix is not diagonalizable"):
+            splitter(mats, 2, 7)
+
+    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    def test_non_commuting_matrix_does_not_stabilize(self, splitter):
+        # diag(1, 1, 2) splits off span(e0, e1); the second matrix sends e0 to e2
+        split = np.diag([1, 1, 2]).astype(np.int64)
+        escape = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=np.int64)
+        with pytest.raises(VerificationFailed, match="does not stabilize"):
+            splitter([np.eye(3, dtype=np.int64), split, escape], 3, 7)
+
+    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    def test_scalar_matrices_do_not_separate(self, splitter):
+        mats = [np.eye(2, dtype=np.int64), 3 * np.eye(2, dtype=np.int64)]
+        with pytest.raises(VerificationFailed, match="failed to separate"):
+            splitter(mats, 2, 7)

@@ -592,3 +592,18 @@ def test_route_skip_reaches_caps_notes(case, monkeypatch, capsys):
     assert note in doc["caps_notes"]
     audit = hierarchy_audit([catalog("s3")], chartable_cap=chartable_cap)
     assert note in audit.to_dict()["groups"][0]["caps_notes"]
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_ORDER_CAP, 1])
+def test_unit_power_maps_are_computed_once_per_classification(cap, monkeypatch):
+    # with and without a character table: the semi-rationality scan, FCCI's
+    # criterion and the survey's atom components share one computation
+    calls = []
+
+    def counted(g, part):
+        calls.append(g.name)
+        return unit_power_classes(g, part)
+
+    monkeypatch.setattr("cayint.classify.unit_power_classes", counted)
+    classify_group(catalog("dicyclic12"), chartable_cap=cap)
+    assert calls == ["Dic12"]

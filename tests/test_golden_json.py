@@ -38,6 +38,13 @@ CASES = {
     "chartable_alternating_5": (["chartable", "--catalog", "alternating", "5"], 0),
     "chartable_cyclic_5": (["chartable", "--catalog", "cyclic", "5"], 0),
     "chartable_q8z3": (["chartable", "--catalog", "q8z3"], 0),
+    # the benchmark's structure tables and an abelian one with k = 48
+    "chartable_symmetric_6": (["chartable", "--catalog", "symmetric", "6"], 0),
+    "chartable_alternating_6": (["chartable", "--catalog", "alternating", "6"], 0),
+    "chartable_q8_x_symmetric_4": (["chartable", "--catalog", "q8", "x", "symmetric", "4"], 0),
+    "chartable_dicyclic_15": (["chartable", "--catalog", "dicyclic", "15"], 0),
+    "chartable_dihedral_40": (["chartable", "--catalog", "dihedral", "40"], 0),
+    "chartable_cyclic_48": (["chartable", "--catalog", "cyclic", "48"], 0),
 }
 
 # The text reports read the same report dictionaries as the JSON, through

@@ -197,9 +197,38 @@ def test_permutation_groups_agree_with_oracle(gens, seed):
 def test_cap_sized_symmetric_group():
     g = symmetric_group(7)
     assert g.n == 5040
+    assert len(g.gens) == 2  # (0 1) and the 7-cycle: two passes of Light's test
     assert conjugacy_classes(g).k == 15
     assert g.ord == oracle.element_orders(g.table)
     assert not is_nilpotent(g) and center(g) == (0,)
+
+
+@pytest.mark.parametrize(
+    "tokens, want",
+    [
+        (("cyclic", 12), (1,)),
+        (("cyclic", 1), ()),
+        (("dihedral", 7), (1, 7)),
+        (("dihedral", 1), (1,)),
+        (("dicyclic", 3), (1, 6)),
+        (("q8z3",), (3, 12, 1)),
+        (("z2z3", 1, 1), (3, 1)),
+    ],
+)
+def test_catalog_families_hand_over_their_generators(tokens, want):
+    # the standard generators, and for products each factor's embedded
+    g = catalog(*tokens)
+    assert g.gens == tuple(sorted(want))
+    assert oracle.closure(g.table, g.gens).all()
+
+
+def test_supplied_generators_must_generate():
+    table = cyclic_group(6).table
+    with pytest.raises(ValueError, match="do not generate"):
+        build_group(table, gens=[2])
+    with pytest.raises(ValueError, match="do not generate"):
+        build_group(table, gens=[0])
+    assert build_group(table, gens=[0, 5, 5]).gens == (5,)
 
 
 def test_every_construction_keeps_a_read_only_array(tmp_path):

@@ -18,7 +18,10 @@ The walks over a group check its generating set, `FiniteGroup.gens`, which
 `groups` alone reads and `catalog` only passes on; the all-pairs
 commutator walk `groups._commutators` serves only `FiniteGroup.commutators`,
 and the one binary search over permutations, in `catalog._perm_table`,
-ranks the generators' rows alone."""
+ranks the generators' rows alone. Elimination over a prime field has one
+routine, `linalg.eliminate_mod`, which serves the character tables and the
+normal-set survey's rank; the pure-Python `rref_mod` and `kernel_mod` it
+replaced live on only in `tests/oracle.py`."""
 
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import cayint
 
 TABLE_OWNERS = {"groups.py", "catalog.py"}
 SRC = Path(cayint.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _reads(attr: str, owners: set[str]) -> list[str]:
@@ -116,3 +120,24 @@ def test_binary_search_only_ranks_permutation_generator_rows():
 def test_generating_set_is_read_in_groups_and_passed_on_in_catalog():
     readers = _referrers("gens", attributes_only=True)
     assert {where for where in readers if not where.startswith("groups.py:")} == {"catalog.py:elementary_product"}
+
+
+def test_elimination_has_one_routine():
+    old = {"_rref_mod", "_kernel_mod", "rref_mod", "kernel_mod"}
+    defined = {
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in old
+    }
+    assert defined == {"oracle.py:rref_mod", "oracle.py:kernel_mod"}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert not named & old
+    users = _referrers("eliminate_mod")
+    assert {where.split(":")[0] for where in users} == {"chartable.py", "classify.py"}
+    assert {where for where in users if where.startswith("classify.py:")} == {"classify.py:normal_set_survey"}

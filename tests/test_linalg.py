@@ -12,7 +12,7 @@ import sympy
 from conftest import FUNCTION_KINDS, SMALL_CATALOG, colour_function, small_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan
+from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan, kernel_mod, rref_mod
 
 from cayint.chartable import _find_prime, class_matrices
 from cayint.groups import build_group, conjugacy_classes
@@ -27,6 +27,7 @@ from cayint.linalg import (
     charpoly_mod,
     charpolys,
     cyclotomic_polynomial,
+    eliminate_mod,
     integer_spectrum,
     squarefree_factorization,
 )
@@ -182,20 +183,20 @@ class TestCharpolyAgainstBerkowitz:
     @settings(max_examples=80, deadline=None)
     def test_mod_p_kernel(self, rows, p):
         m = IntMatrix.from_rows(rows)
-        assert charpoly_mod(m, p) == tuple(c % p for c in berkowitz(m).coeffs)
+        stack = np.array(rows, dtype=object).reshape(1, m.n, m.n)
+        assert charpoly_mod(stack, p)[0].tolist() == [c % p for c in berkowitz(m).coeffs]
 
     def test_mod_p_kernel_on_class_matrices(self, groups, partitions):
         # the prime and the matrices the character tables split eigenspaces with
         for label, g in groups.items():
             p = _find_prime(g.exponent(), g.n, 1_000_000)
-            for mat in class_matrices(g, partitions[label]):
-                m = IntMatrix.from_rows(mat)
-                assert charpoly_mod(m, p) == tuple(c % p for c in berkowitz(m).coeffs)
+            mats = class_matrices(g, partitions[label])
+            want = [[c % p for c in berkowitz(IntMatrix.from_rows(mat)).coeffs] for mat in mats]
+            assert charpoly_mod(np.stack(mats), p).tolist() == want
 
     def test_mod_p_rejects_unsafe_modulus(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
-            charpoly_mod(m, 2**26 + 15)
+            charpoly_mod(np.array([[[1, 2], [3, 4]]]), 2**26 + 15)
 
 
 class TestCharpolysBatch:
@@ -584,3 +585,59 @@ class TestCyclotomic:
             with pytest.raises(NotAUnit):
                 ctx.galois_map(h)
         assert Cyclotomic(e, (np.convolve(x, y) @ ctx.reduction).tolist()) == u * v
+
+
+@st.composite
+def residue_stacks(draw):
+    """A prime and a (b, r, c) stack of residues mod it, each matrix a
+    product (r x t)(t x c) of random residues, so its rank is at most t:
+    zero, 1 x 1, wide, tall and mixed-rank matrices all come up."""
+    p = draw(st.sampled_from([2, 3, 7, 61, 241]))
+    b, r, c = draw(st.integers(1, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    mats = []
+    for _ in range(b):
+        t = draw(st.integers(0, 6))
+        left = draw(st.lists(st.integers(0, p - 1), min_size=r * t, max_size=r * t))
+        right = draw(st.lists(st.integers(0, p - 1), min_size=t * c, max_size=t * c))
+        mats.append(np.array(left, dtype=np.int64).reshape(r, t) @ np.array(right, dtype=np.int64).reshape(t, c) % p)
+    return p, np.array(mats, dtype=np.int64).reshape(b, r, c)
+
+
+class TestEliminateMod:
+    """The stacked elimination against the pure-Python oracle: the reduced
+    row echelon form is unique, so rank, pivots, rows and kernel all match."""
+
+    @given(residue_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, case):
+        p, stack = case
+        reduced, pivots = eliminate_mod(stack, p)
+        assert reduced.shape == stack.shape and pivots.shape == (stack.shape[0], stack.shape[2])
+        for mat, red, piv in zip(stack, reduced, pivots):
+            want_rows, want_pivots = rref_mod(mat.tolist(), p)
+            rank = len(want_pivots)
+            assert np.flatnonzero(piv).tolist() == want_pivots
+            assert red[:rank].tolist() == want_rows and not red[rank:].any()
+            # the kernel: e_f minus column f of the reduced rows, placed at their pivot columns
+            kernel = []
+            for f in np.flatnonzero(~piv).tolist():
+                v = [0] * mat.shape[1]
+                v[f] = 1
+                for row, col in zip(red[:rank].tolist(), want_pivots):
+                    v[col] = -row[f] % p
+                kernel.append(v)
+            assert not (mat @ np.array(kernel, dtype=np.int64).reshape(len(kernel), mat.shape[1]).T % p).any()
+            if mat.shape[0]:
+                assert kernel == kernel_mod(mat.tolist(), p)
+
+    def test_chunks_agree_with_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        stack = rng.integers(0, 7, size=(9, 5, 6)) * (rng.integers(0, 2, size=(9, 1, 6)))
+        want = eliminate_mod(stack, 7)
+        monkeypatch.setattr("cayint.linalg._STACK_CELLS", 2 * 5 * 6)
+        got = eliminate_mod(stack, 7)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_rejects_unsafe_modulus(self):
+        with pytest.raises(ValueError):
+            eliminate_mod(np.zeros((1, 2, 2), dtype=np.int64), 2**31 + 11)
