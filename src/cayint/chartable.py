@@ -54,9 +54,6 @@ class GaloisMismatch(RuntimeError):
 # `classify_group` skips the table above it (CLI `--cap-chartable`).
 DEFAULT_ORDER_CAP = 2000
 PRIME_BOUND = 1_000_000  # the prime search gives up above this
-# Below this many cells, eliminating R - lambda I at every lambda in F_p
-# costs fewer numpy steps than a charpoly and its roots.
-_SWEEP_CELLS = 2**12
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,14 +236,13 @@ def _eigenspaces(
     `piv` (m, d), into the eigenspaces of a matrix whose restrictions to
     them, none scalar, have the image coordinates `coords` (m, d, d).
 
-    - The candidate eigenvalues: every lambda in F_p while that stack is
-      small (_SWEEP_CELLS), else the roots of each restriction's charpoly,
-      from one stack of charpolys and one evaluation at every lambda in
-      F_p. Every central character lies in F_p, because p = 1 (mod e), so
-      a restriction whose eigenspaces do not fill its block is not
+    - The eigenvalues: the roots of each restriction's charpoly, from one
+      stack of charpolys and one evaluation at every lambda in F_p. Every
+      central character lies in F_p, because p = 1 (mod e), so a
+      restriction whose eigenspaces do not fill its block is not
       diagonalizable, a bug.
     - `eliminate_mod` on the stack of R - lambda I over every (block,
-      candidate) pair gives the eigenspaces. A kernel basis is the identity
+      root) pair gives the eigenspaces. A kernel basis is the identity
       on its free columns, so each new block is the identity on the old
       pivot columns there and is reduced with no further step.
 
@@ -256,25 +252,22 @@ def _eigenspaces(
     """
     m, d, k = vecs.shape
     restr = coords.transpose(0, 2, 1)  # R[a, b]: coordinate a of the image of row b
-    if m * p * d * d <= _SWEEP_CELLS:
-        owner, root = np.divmod(np.arange(m * p), p)
-    else:
-        desc = charpoly_mod(restr, p)[:, ::-1].T
-        owner, root = [], []
-        width = max(1, _STACK_CELLS // m)
-        for start in range(0, p, width):
-            lam = np.arange(start, min(start + width, p), dtype=np.int64)
-            vals = np.zeros((m, len(lam)), dtype=np.int64)
-            for co in desc:
-                vals *= lam
-                vals += co[:, None]
-                vals %= p
-            i, j = np.nonzero(vals == 0)
-            owner.append(i)
-            root.append(lam[j])
-        owner, root = np.concatenate(owner), np.concatenate(root)
-        order = np.lexsort((root, owner))
-        owner, root = owner[order], root[order]
+    desc = charpoly_mod(restr, p)[:, ::-1].T
+    owner, root = [], []
+    width = max(1, _STACK_CELLS // m)
+    for start in range(0, p, width):
+        lam = np.arange(start, min(start + width, p), dtype=np.int64)
+        vals = np.zeros((m, len(lam)), dtype=np.int64)
+        for co in desc:
+            vals *= lam
+            vals += co[:, None]
+            vals %= p
+        i, j = np.nonzero(vals == 0)
+        owner.append(i)
+        root.append(lam[j])
+    owner, root = np.concatenate(owner), np.concatenate(root)
+    order = np.lexsort((root, owner))
+    owner, root = owner[order], root[order]
 
     # kernel rows of R - lambda I, pair by pair, in coordinates over the block's rows
     eigen, place, pair = [coords[:0, 0]], [owner[:0]], [owner[:0]]

@@ -13,10 +13,11 @@ elements are Python ints, and the gathers that `spectra` and `chartable`
 need come back as int32 arrays.
 
 Every group carries one generating set, `FiniteGroup.gens`, which Light's
-associativity test runs over: the one its constructor knows (the catalog
-families' standard generators, the factors' generators embedded in a
-direct product), or else the greedy one that `build_group` finds, each
-generator the least element outside the closure of those before it. A
+associativity test runs over: the greedy one that `build_group` finds,
+each generator the least element outside the closure of those before it,
+drawn from the generators its constructor knows (the catalog families'
+standard generators, the factors' generators embedded in a direct
+product, the permutations of a `perms` file) or else from every element. A
 walk that only has to hold for all of G checks the generators alone,
 because the elements it holds for form a subgroup, so the walks cost
 O(|gens| n) rows, not n^2 products or n rounds:
@@ -202,15 +203,21 @@ def _identity_mask(n: int) -> np.ndarray:
     return inside
 
 
-def _generating_set(t: np.ndarray) -> tuple[int, ...]:
-    """Greedy generators, ascending: the least element outside the closure
-    so far joins them."""
-    inside = _identity_mask(t.shape[0])
+def _generating_set(
+    t: np.ndarray, candidates: Sequence[int] | None = None
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Greedy generators, ascending: the least of `candidates` (default:
+    every element) outside the closure so far joins them. Each one at least
+    doubles the closure, so there are at most log2 n of them, however many
+    candidates there are. Returns them and the mask of their closure."""
+    n = t.shape[0]
+    pool = np.arange(n) if candidates is None else np.unique(np.asarray(candidates, dtype=np.intp))
+    inside = _identity_mask(n)
     gens: list[int] = []
-    while not inside.all():
-        gens.append(int(np.argmin(inside)))
+    while (outside := pool[~inside[pool]]).size:
+        gens.append(int(outside[0]))
         inside = _closure(t, gens, inside)
-    return tuple(gens)
+    return tuple(gens), inside
 
 
 def _check_associativity(arr: np.ndarray, gens: Sequence[int]) -> tuple | None:
@@ -243,10 +250,12 @@ def build_group(
     at every order; associativity by Light's test over a generating set,
     recorded on the group as validation "full". `gens` is a generating set
     the caller knows, as element indices of a table whose identity is
-    element 0; one closure checks that it generates, and ValueError says
-    when it does not. Without it the greedy set is searched for. The
-    identity is relocated to index 0 if found elsewhere. Each failure names
-    the first violating element, as a scan in index order would.
+    element 0: the greedy set is drawn from it, so a generator in the
+    closure of smaller ones is dropped and Light's test makes at most
+    log2 n passes; ValueError says when it does not generate. Without it
+    the greedy set is drawn from every element. The identity is relocated
+    to index 0 if found elsewhere. Each failure names the first violating
+    element, as a scan in index order would.
     """
     n = len(table)
     if n == 0:
@@ -282,12 +291,10 @@ def build_group(
     if not good.all():
         raise NotAGroup("missing two-sided inverse", (int(np.argmin(good)),))
 
-    if gens is None:
-        gens = _generating_set(arr)
-    else:
-        gens = tuple(sorted({int(x) for x in gens} - {0}))
-        if not _closure(arr, gens).all():
-            raise ValueError(f"elements {list(gens)} do not generate the group {name}")
+    supplied = gens
+    gens, spanned = _generating_set(arr, supplied)
+    if not spanned.all():
+        raise ValueError(f"elements {sorted({int(x) for x in supplied})} do not generate the group {name}")
     witness = _check_associativity(arr, gens)
     if witness is not None:
         raise NotAGroup("associativity fails", witness)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from cayint.catalog import catalog, cyclic_group, dicyclic_group, dihedral_group, load_group, symmetric_group
+from cayint.catalog import _cycle, catalog, cyclic_group, dicyclic_group, dihedral_group, load_group, symmetric_group
 from cayint.chartable import class_matrices
 from cayint.classify import _cyclic_subgroups_all_normal
 from cayint.groups import (
@@ -229,6 +230,18 @@ def test_supplied_generators_must_generate():
     with pytest.raises(ValueError, match="do not generate"):
         build_group(table, gens=[0])
     assert build_group(table, gens=[0, 5, 5]).gens == (5,)
+    assert build_group(table, gens=[5, 3, 2, 1]).gens == (1,)
+
+
+def test_redundant_perms_are_dropped(tmp_path):
+    # all 15 transpositions of S6: each generator kept at least doubles the
+    # closure, so Light's test makes at most log2 720 < 10 passes, not 15
+    perms = [_cycle(6, [a, b]) for a, b in combinations(range(6), 2)]
+    path = tmp_path / "s6.grp"
+    path.write_text("group S6 720\nperms 6\n" + "\n".join(" ".join(map(str, q)) for q in perms) + "\n")
+    g = load_group(path)
+    assert g.n == 720 and len(g.gens) <= 9
+    assert oracle.closure(g.table, g.gens).all()
 
 
 def test_every_construction_keeps_a_read_only_array(tmp_path):
