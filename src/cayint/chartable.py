@@ -490,13 +490,13 @@ def character_table(
 
 
 def galois_on_characters(table: CharacterTable, h: int) -> tuple[int, ...]:
-    """Verify that twisting values by zeta -> zeta^h equals reading each row at
-    power-mapped classes; returns the induced class permutation."""
-    g = table.group
-    part = table.partition
-    perm = tuple(part.class_of[g.power(rep, h)] for rep in part.reps())
+    """Verify that twisting values by zeta -> zeta^h, h a unit, equals reading
+    each row at power-mapped classes; returns that class permutation."""
+    part, e = table.partition, table.conductor
+    twist = _context(e).galois_map(h)  # NotAUnit for a non-unit h
+    perm = tuple(part.powers[part.units.index(h % e or 1)].tolist())  # mod 1, every h is the unit 1
     x = table.coeffs
-    bad = _first_mismatch(_apply(x, _context(table.conductor).galois_map(h)), x[:, perm])
+    bad = _first_mismatch(_apply(x, twist), x[:, perm])
     if bad is not None:
         raise GaloisMismatch("row {}, class {}, twist {}".format(*bad, h))
     return perm

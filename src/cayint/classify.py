@@ -5,14 +5,14 @@ and records each one; a disagreement between routes is never resolved
 silently but surfaces as a report entry. Negative verdicts always carry a
 concrete re-checkable witness (an element, a colour function, or a set).
 
-`classify_group` builds the conjugacy partition, the character table and
-the normal-set survey once and hands them to the routes. The survey, run
-wherever the table is, decides the 2^r unions of the r non-identity
-real-class orbits from r commuting k x k class-algebra spectra, and
-certifies on the table that the integral unions are the unions of atoms
-(see `normal_set_survey`). NCI reads its orbit verdicts, and FCCI reads
-them again with 1 added at the identity, which turns the adjacency matrix
-A into A + I and so keeps integrality (see `fcci_report`).
+`classify_group` builds the conjugacy partition, with its unit power maps,
+the character table and the normal-set survey once and hands them to the
+routes. The survey, run wherever the table is, decides the 2^r unions of
+the r non-identity real-class orbits from r commuting k x k class-algebra
+spectra, and certifies on the table that the integral unions are the
+unions of atoms (see `normal_set_survey`). NCI reads its orbit verdicts,
+and FCCI reads them again with 1 added at the identity, which turns the
+adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
 
 Work limits are module constants; a route above its limit is skipped and
 says so in its report's `skipped` and in `caps_notes`.
@@ -22,8 +22,11 @@ attributes carry the names they have in the JSON, and the report declares
 which of them form its `routes` block and which reach `evidence` (see
 `RouteReport`). `ClassificationReport.to_dict` builds the predicates'
 verdicts, routes and witnesses from those declarations and names none of
-them by hand. Inverse semi-rationality is the one element-level verdict a
-predicate decides: it is NCI's verdict, with NCI's failing atom as witness.
+them by hand. Rationality, semi-rationality and inverse semi-rationality
+say where the atoms lie; each reads the columns of the partition's power
+maps (`ConjugacyPartition.powers`), column j holding the classes of
+Atom(rep_j), and none walks an atom. Inverse semi-rationality is NCI's
+verdict, with NCI's failing atom, the one atom built, as witness.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .groups import (
     generated_subgroup,
     is_nilpotent,
     quotient,
-    unit_power_classes,
 )
 from .linalg import IntMatrix, charpolys, eliminate_mod, integer_spectrum
 from .spectra import (
@@ -85,14 +87,12 @@ ALLOWED_ORDERS = {1, 2, 3, 4, 6}
 # ---------------------------------------------------------------------------
 
 
-def is_rational(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, int | None]:
-    """Atom(g) inside the class of g, for every g; checked on class
-    representatives (conjugation maps atoms onto atoms)."""
-    for rep in part.reps():
-        cls = set(part.classes[part.class_of[rep]])
-        if any(x not in cls for x in atom(g, rep).members):
-            return False, rep
-    return True, None
+def is_rational(part: ConjugacyPartition) -> tuple[bool, int | None]:
+    """Atom(g) inside the class of g, for every g: every unit power of each
+    representative stays in its class (conjugation maps atoms onto atoms).
+    The witness is the representative of the first class that fails."""
+    moved = (part.powers != np.arange(part.k)).any(axis=0)
+    return (True, None) if not moved.any() else (False, part.reps()[int(moved.argmax())])
 
 
 def _lift_unit(k: int, order_g: int, exponent: int) -> int:
@@ -103,18 +103,14 @@ def _lift_unit(k: int, order_g: int, exponent: int) -> int:
     return r
 
 
-def is_semi_rational(
-    g: FiniteGroup, part: ConjugacyPartition, unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None
-) -> tuple[bool, dict[int, int] | None, int | None]:
+def is_semi_rational(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, dict[int, int] | None, int | None]:
     """Atom(g) inside class(g) union class(g^r) for some unit r; returns the
-    per-representative r map, or a witness element on failure. `unit_powers`
-    is `unit_power_classes(g, part)` where the caller already has it."""
+    per-representative r map, or a witness element on failure."""
     e = g.exponent()
-    units, powers = unit_powers or unit_power_classes(g, part)
     r_map: dict[int, int] = {}
     for j, rep in enumerate(part.reps()):
         # the classes of the generators of <rep>, that is of Atom(rep)
-        extra = set(powers[:, j].tolist()) - {j}
+        extra = set(part.powers[:, j].tolist()) - {j}
         if not extra:
             r_map[rep] = 1
             continue
@@ -122,21 +118,23 @@ def is_semi_rational(
             return False, None, rep
         target = extra.pop()
         o = g.ord[rep]
-        k = min(h % o for h, c in zip(units, powers[:, j].tolist()) if c == target)
+        k = min(h % o for h, c in zip(part.units, part.powers[:, j].tolist()) if c == target)
         r_map[rep] = _lift_unit(k, o, e)
     return True, r_map, None
 
 
-def is_inverse_semi_rational(
-    g: FiniteGroup, part: ConjugacyPartition
-) -> tuple[bool, Atom | None]:
-    """Atom(g) inside class(g) union class(g^-1), for every g."""
-    for rep in part.reps():
-        allowed = part.class_of[rep], part.inverse_class[part.class_of[rep]]
-        a = atom(g, rep)
-        if any(part.class_of[x] not in allowed for x in a.members):
-            return False, a
-    return True, None
+def _leaves_real_class(part: ConjugacyPartition) -> np.ndarray:
+    """The (units, k) mask of the unit powers rep_j^h outside the real class
+    of rep_j. Its columns are NCI's atom route, its rows FCCI's criterion."""
+    return (part.powers != np.arange(part.k)) & (part.powers != np.array(part.inverse_class))
+
+
+def is_inverse_semi_rational(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, Atom | None]:
+    """Atom(g) inside class(g) union class(g^-1), for every g: no column of
+    `_leaves_real_class` holds a True. The witness is the atom of the first
+    class that fails."""
+    failing = _leaves_real_class(part).any(axis=0)
+    return (True, None) if not failing.any() else (False, atom(g, part.reps()[int(failing.argmax())]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +184,12 @@ def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> 
     return np.array([x[:, list(o)].sum(axis=1).ravel() for o in orbits]).reshape(len(orbits), x[:, 0].size)
 
 
-def normal_set_survey(
-    g: FiniteGroup,
-    part: ConjugacyPartition,
-    table: CharacterTable,
-    mats: list[np.ndarray] | None = None,
-    unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None,
-) -> NormalSetSurvey:
+def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray]) -> NormalSetSurvey:
     """Each non-identity real-class orbit's integrality, and a certificate
     that the integral unions of orbits (the normal sets) are the Eulerian ones.
 
-    Orbit O is decided on B_O = sum_(j in O) M_j (`class_matrices`, or
-    `mats` where the caller already has them), whose eigenvalues, the
+    Orbit O is decided on B_O = sum_(j in O) M_j, `mats` being the class
+    matrices of `part` (`class_matrices`), whose eigenvalues, the
     central characters, are the distinct eigenvalues of the adjacency
     matrix (Babai), at most |O| in magnitude. The B_O commute
     and add, so a union of orbits is integral whenever its orbits are: the
@@ -206,25 +198,21 @@ def normal_set_survey(
     Certificate: the power basis is a Q-basis, so a union S is integral
     exactly when the v_i of `_orbit_coordinates` sum to 0 over S, and it is
     Eulerian, a union of atoms, exactly when it is a union of components:
-    orbits joined when they meet a common atom, whose classes are read off
-    `unit_power_classes` (`unit_powers` where the caller has it). When each
-    component sums to 0 and r - rank V mod `table.prime` (at most the rank
-    over Q) equals their number, the component indicators span the kernel
-    and the two kinds of union coincide. A component with a non-zero sum
+    orbits joined when they meet a common atom, whose classes are the
+    columns of `part.powers`. When each component sums to 0 and r - rank V
+    mod `table.prime` (at most the rank over Q) equals their number, the
+    component indicators span the kernel and the two kinds of union coincide. A component with a non-zero sum
     is a mismatch; a larger kernel mod p leaves the check undecided. The
     rank is one `eliminate_mod`.
     """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
-    if mats is None:
-        mats = class_matrices(g, part)
     sizes = part.sizes()
     polys = charpolys([IntMatrix(sum(mats[j] for j in orbit)) for orbit in orbits])
     bounds = [sum(sizes[j] for j in orbit) for orbit in orbits]
     integral = tuple(integer_spectrum(f, bound=b).is_integral for f, b in zip(polys, bounds))
     v = _orbit_coordinates(table, orbits)
     orbit_of = {j: i for i, orbit in enumerate(orbits) for j in orbit}
-    atoms = (unit_powers or unit_power_classes(g, part))[1]  # column j: the classes of Atom(rep_j)
-    edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in atoms[:, j].tolist()}
+    edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in part.powers[:, j].tolist()}
     components = connected_components((list(range(len(orbits))), sorted(edges)))
     classes = [tuple(sorted(j for i in c for j in orbits[i])) for c in components]
     mismatches = tuple(cls for c, cls in zip(components, classes) if v[c].sum(axis=0).any())
@@ -285,6 +273,8 @@ def nci_report(
 ) -> NciReport:
     """Normal-Cayley integrality by three routes: the atom/class scan, the
     character-sum scan over `table`, and the normal-set spectra of `survey`.
+    The atom route reads the columns of `_leaves_real_class` and FCCI's
+    criterion its rows, so the two coincide.
     A `None` table was not built because the group is above its cap, and
     the survey, which needs it, is `None` too; both routes are skipped, and
     the caller notes the missing table, which it also uses elsewhere."""
@@ -327,18 +317,18 @@ def fcci_report(
     g: FiniteGroup,
     part: ConjugacyPartition,
     survey: NormalSetSurvey | None,
-    unit_powers: tuple[tuple[int, ...], np.ndarray] | None = None,
 ) -> FcciReport:
     """Integrality of every integer symmetric class function, three ways.
 
     Route "orders": every element order lies in {1, 2, 3, 4, 6}. Route
     "criterion": every unit power map fixes each real class setwise, which
     is equivalent to f^h = f for every integer symmetric class function f.
-    Route "spectra": every 0/1 function on real classes, read off `survey`;
-    skipped when `survey` is `None` (the group has no character table).
-    `unit_powers` is `unit_power_classes(g, part)` where the caller has it.
-    The criterion route is the primary verdict; disagreements are
-    recorded, not resolved.
+    It reads the mask of `_leaves_real_class` row by row, NCI's atom route
+    the same mask column by column, so the two routes coincide; the witness
+    is the first (unit, class) pair in row-major order. Route "spectra":
+    every 0/1 function on real classes, read off `survey`; skipped when
+    `survey` is `None` (the group has no character table). The criterion
+    route is the primary verdict; disagreements are recorded, not resolved.
 
     Reading the survey is exact. Mask bit 0 is the identity's real class
     and bit i + 1 the survey's orbit i. Adding the identity turns A into
@@ -353,15 +343,14 @@ def fcci_report(
     orders = all(o in ALLOWED_ORDERS for o in g.ord)
     order_witness = None if orders else next(x for x in g.elements() if g.ord[x] not in ALLOWED_ORDERS)
 
-    units, powers = unit_powers or unit_power_classes(g, part)
-    moved = (powers != np.arange(part.k)) & (powers != np.array(part.inverse_class))
+    moved = _leaves_real_class(part)
     first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
     criterion = not moved.any()
     report = FcciReport(
         verdict=criterion,
         orders=orders,
         criterion=criterion,
-        criterion_witness=None if criterion else (part.reps()[j], units[first]),
+        criterion_witness=None if criterion else (part.reps()[j], part.units[first]),
         order_witness=order_witness,
     )
 
@@ -643,26 +632,26 @@ class ClassificationReport:
 def classify_group(
     g: FiniteGroup, chartable_cap: int = DEFAULT_ORDER_CAP, seed: int = 0
 ) -> ClassificationReport:
-    """Every predicate and route on one group. The partition, the unit
-    power maps on its classes, the class matrices, the character table (up
-    to `chartable_cap`) and the normal-set survey (wherever there is a
-    table) are built once here; every skip lands in `caps_notes`."""
+    """Every predicate and route on one group. The partition, with the
+    unit power maps on its classes that every rationality route reads, the
+    class matrices, the character table (up to `chartable_cap`) and the
+    normal-set survey (wherever there is a table) are built once here;
+    every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
-    unit_powers = unit_power_classes(g, part)
     table = survey = None
     caps_notes: list[str] = []
     if g.n <= chartable_cap:
         mats = class_matrices(g, part)
         table = character_table(g, part, order_cap=chartable_cap, mats=mats)
-        survey = normal_set_survey(g, part, table, mats, unit_powers)
+        survey = normal_set_survey(part, table, mats)
         del mats  # k^3 constants, not needed by the routes below
     else:
         caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 
-    rat, rat_wit = is_rational(g, part)
-    semi, r_map, semi_wit = is_semi_rational(g, part, unit_powers)
+    rat, rat_wit = is_rational(part)
+    semi, r_map, semi_wit = is_semi_rational(g, part)
     nci = nci_report(g, part, table, survey)
-    fcci = fcci_report(g, part, survey, unit_powers)
+    fcci = fcci_report(g, part, survey)
     cci = cci_report(g, part, seed=seed)
     ci = ci_report(g, part, seed=seed)
     discrepancies: list[str] = []
@@ -781,7 +770,7 @@ class AuditReport:
 def _predicates_on_subgroup(g: FiniteGroup) -> tuple[bool, bool, bool]:
     part = conjugacy_classes(g)
     return (
-        is_rational(g, part)[0],
+        is_rational(part)[0],
         is_semi_rational(g, part)[0],
         is_inverse_semi_rational(g, part)[0],
     )

@@ -28,6 +28,8 @@ O(|gens| n) rows, not n^2 products or n rounds:
   central when it commutes with every generator, and G is abelian when
   the generators commute pairwise. `conjugacy_classes` makes the central
   elements singleton classes and gathers each other class in one walk.
+  It builds the unit power maps on the classes (`ConjugacyPartition.powers`)
+  once, and every rationality route, criterion and Galois check reads them.
 - `is_nilpotent`: the s whose image commutes with z Z_i in G / Z_i form a
   subgroup, so z lies in Z_(i+1) when [z, s] lies in Z_i for every
   generator s.
@@ -46,7 +48,7 @@ splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -343,12 +345,23 @@ def _element_orders(arr: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ConjugacyPartition:
-    """Conjugacy classes, ordered by least member; class 0 is the identity's."""
+    """Conjugacy classes, ordered by least member; class 0 is the identity's.
+
+    `units` are the units h mod e, e the exponent, ascending from 1, and
+    `powers` is the read-only (units, k) int32 array whose row i, column j
+    is the class of rep_j^(h_i), so column j holds the classes of
+    Atom(rep_j). As x^h depends only on h mod e, and e and |G| have the
+    same prime divisors, the first unit in [2, |G|) whose power map has a
+    given property is one of these. `==` leaves out `powers`, which the
+    classes determine.
+    """
 
     class_of: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     inverse_class: tuple[int, ...]
     real_classes: tuple[tuple[int, ...], ...]  # orbits of class indices under inversion
+    units: tuple[int, ...]
+    powers: np.ndarray = field(compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -362,6 +375,7 @@ class ConjugacyPartition:
 
 
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
+    """The classes, each gathered in one walk, and the unit power maps on them."""
     n, t = g.n, g.table
     inv = np.asarray(g.inv, dtype=np.intp)
     class_of = [-1] * n
@@ -383,7 +397,8 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
             for x in orbit_j:
                 seen[x] = True
             real.append(orbit_j)
-    return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real))
+    units, powers = _unit_power_classes(g, [c[0] for c in classes], class_of)
+    return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real), units, powers)
 
 
 def generator_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[int, ...]:
@@ -391,18 +406,13 @@ def generator_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[int, ..
     return tuple(sorted({part.class_of[x] for x in g.gens}))
 
 
-def unit_power_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[tuple[int, ...], np.ndarray]:
-    """The units h mod e, e the exponent of g, ascending from 1, and the
-    (units, k) array whose row i, column j is the class of rep_j^(h_i). As
-    x^h depends only on h mod e, and e and |G| have the same prime divisors,
-    the first unit in [2, |G|) whose power map has a given property is one
-    of these."""
+def _unit_power_classes(g: FiniteGroup, reps: list[int], class_of: list[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """`ConjugacyPartition.units` and `powers` for the classes of `reps`."""
     e = g.exponent()
-    reps = np.asarray(part.reps(), dtype=np.intp)
-    class_of = np.asarray(part.class_of, dtype=np.int32)
+    reps, class_of = np.asarray(reps, dtype=np.intp), np.asarray(class_of, dtype=np.int32)
     # unit -> class map. Power maps compose: a unit not yet reached is powered by squaring
     # and multiplies the units so far into their next cosets.
-    maps = {1: np.arange(part.k, dtype=np.int32)}
+    maps = {1: np.arange(len(reps), dtype=np.int32)}
     for h in range(2, e):
         if gcd(h, e) != 1 or h in maps:
             continue
@@ -415,7 +425,9 @@ def unit_power_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[tuple[
         while (coset := [(u * h % e, step[m]) for u, m in coset])[0][0] not in maps:
             maps.update(coset)
     units = tuple(sorted(maps))
-    return units, np.array([maps[h] for h in units], dtype=np.int32)
+    powers = np.array([maps[h] for h in units], dtype=np.int32)
+    powers.flags.writeable = False
+    return units, powers
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chartable import CharacterTable, VerificationFailed
-from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes, unit_power_classes
+from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes
 from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
 
 
@@ -78,7 +78,7 @@ class ConnectionFunction:
 class ConnectionSet:
     """Inverse-closed, identity-free subset of a group."""
 
-    __slots__ = ("group", "elements", "normal", "eulerian")
+    __slots__ = ("group", "elements", "partition", "normal")
 
     def __init__(self, group: FiniteGroup, elements: Iterable[int], part: ConjugacyPartition | None = None):
         elems = frozenset(int(x) for x in elements)
@@ -89,12 +89,11 @@ class ConnectionSet:
                 raise ValueError(f"connection set is not inverse-closed at {s}")
         self.group = group
         self.elements = elems
-        part = part or conjugacy_classes(group)
+        self.partition = part = part or conjugacy_classes(group)
         self.normal = all(x in elems for s in elems for x in part.classes[part.class_of[s]])
-        self.eulerian = eulerian_check(group, elems)[0]
 
     def delta(self) -> ConnectionFunction:
-        return ConnectionFunction.delta(self.group, self.elements)
+        return ConnectionFunction.delta(self.group, self.elements, self.partition)
 
 
 def eulerian_check(g: FiniteGroup, subset: Iterable[int]) -> tuple[bool, tuple[Atom, ...] | Atom]:
@@ -170,17 +169,16 @@ def integrality_by_criterion(
     class function is integral iff f(g^h) = f(g) for every unit h mod |G|.
     Returns (verdict, witness (g, h)) with the first failing pair, h first;
     g is the least member of the first failing class, since classes are
-    ordered by least member (`unit_power_classes` gives h)."""
+    ordered by least member (`part.units` gives h)."""
     if not f.class_function:
         raise NotAClassFunction("criterion applies to class functions")
     if not f.symmetric:
         raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
     part = part or conjugacy_classes(g)
-    units, powers = unit_power_classes(g, part)
     vals = exact_array(f.values)[list(part.reps())]
-    moved = vals[powers] != vals
+    moved = vals[part.powers] != vals
     first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
-    return (True, None) if not moved.any() else (False, (part.reps()[j], units[first]))
+    return (True, None) if not moved.any() else (False, (part.reps()[j], part.units[first]))
 
 
 # ---------------------------------------------------------------------------

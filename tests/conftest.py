@@ -4,14 +4,16 @@ session; hypothesis-built groups; and colour functions of every kind."""
 from __future__ import annotations
 
 import random
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from cayint.catalog import catalog
-from cayint.chartable import character_table
-from cayint.classify import normal_set_survey
+from cayint.catalog import catalog, load_group
+from cayint.chartable import character_table, class_matrices
+from cayint.classify import NormalSetSurvey, normal_set_survey
 from cayint.groups import ConjugacyPartition, FiniteGroup, build_group, conjugacy_classes, direct_product
 
 # order <= 24 groups exercised by the exhaustive suites
@@ -61,9 +63,15 @@ def tables(groups, partitions):
 def surveys(groups, partitions, tables):
     """The normal-set survey of every group above."""
     return {
-        label: normal_set_survey(groups[label], partitions[label], tables[label])
+        label: normal_set_survey(partitions[label], tables[label], class_matrices(groups[label], partitions[label]))
         for label in groups
     }
+
+
+def build_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
+    """The normal-set survey of g, from its class matrices and character table."""
+    mats = class_matrices(g, part)
+    return normal_set_survey(part, character_table(g, part, mats=mats), mats)
 
 
 def relabel(g: FiniteGroup, perm: list[int]) -> list[list[int]]:
@@ -102,6 +110,36 @@ def small_products(draw):
         perm = draw(st.permutations(range(g.n)))
         g = build_group(relabel(g, perm), name=g.name)
     return g
+
+
+@st.composite
+def perm_generators(draw):
+    """One to three permutations: of at most 5 points, or of 7 points
+    keeping two blocks of 3 and 4 points, the points renamed at random. The
+    group they generate has order at most 144."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=5))
+        return [tuple(draw(st.permutations(range(d)))) for _ in range(count)]
+    rename = draw(st.permutations(range(7)))
+    gens = []
+    for _ in range(count):
+        p = draw(st.permutations(range(3))) + draw(st.permutations(range(3, 7)))
+        q = [0] * 7
+        for i in range(7):
+            q[rename[i]] = rename[p[i]]
+        gens.append(tuple(q))
+    return gens
+
+
+def load_perm_group(gens: list[tuple[int, ...]], n: int) -> FiniteGroup:
+    """The group of order n that the permutations `gens` generate, read
+    through the `perms` file form."""
+    body = "\n".join(" ".join(map(str, p)) for p in gens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.grp"
+        path.write_text(f"group G {n}\nperms {len(gens[0])}\n{body}\n", encoding="utf-8")
+        return load_group(path)
 
 
 # Symmetric colour functions, each constant on its cells: 0/1 or signed

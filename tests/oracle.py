@@ -16,7 +16,9 @@ unions of real-class orbits on its own k x k class-algebra charpoly, and
 `normal_set_survey_matrix` the same rows as they ran before the class
 algebra, one |G| x |G| charpoly per row; `criterion_scan`,
 `fcci_criterion_scan` and `semi_rational_scan` are the element-by-element
-power-map loops that `groups.unit_power_classes` replaced; `routes_agree`
+power-map loops, and `rational_scan` and `inverse_semi_rational_scan` the
+atom walks, that the partition's unit power maps
+(`ConjugacyPartition.powers`) replaced; `routes_agree`
 compares the matrix route of a class function's spectrum with its
 character route, expanded by `expand_character_coeffs` on power-basis
 integer coordinates in Z[zeta_e][x], which `expand_character_poly`, the
@@ -37,6 +39,8 @@ small frontiers, one round of right multiplication by the generators per
 word length, and `element_orders`, the orders as `build_group` found them
 before it walked one cyclic subgroup at a time, one round for all elements
 per power; `inverses` is the scalar scan for each element's inverse.
+`conjugacy_classes` also builds the unit power maps, one `g.power` per
+unit and class.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from cayint.chartable import CharacterTable, VerificationFailed, class_matrices
 from cayint.classify import _lift_unit
-from cayint.groups import ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
+from cayint.groups import Atom, ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
 from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly, charpoly_mod, charpolys, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
@@ -473,6 +477,26 @@ def fcci_criterion_scan(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool,
     return True, None
 
 
+def rational_scan(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, int | None]:
+    """`classify.is_rational`: the first representative whose atom leaves its class."""
+    for rep in part.reps():
+        cls = set(part.classes[part.class_of[rep]])
+        if any(x not in cls for x in atom(g, rep).members):
+            return False, rep
+    return True, None
+
+
+def inverse_semi_rational_scan(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, Atom | None]:
+    """`classify.is_inverse_semi_rational`: the first representative's atom
+    that leaves its class and the inverse class."""
+    for rep in part.reps():
+        allowed = part.class_of[rep], part.inverse_class[part.class_of[rep]]
+        a = atom(g, rep)
+        if any(part.class_of[x] not in allowed for x in a.members):
+            return False, a
+    return True, None
+
+
 def semi_rational_scan(
     g: FiniteGroup, part: ConjugacyPartition
 ) -> tuple[bool, dict[int, int] | None, int | None]:
@@ -590,7 +614,12 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
             for x in orbit_j:
                 seen[x] = True
             real.append(orbit_j)
-    return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real))
+    e = g.exponent()
+    units = tuple(h for h in range(1, max(e, 2)) if gcd(h, e) == 1)
+    powers = np.array(
+        [[class_of[g.power(c[0], h)] for c in classes] for h in units], dtype=np.int32
+    )
+    return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real), units, powers)
 
 
 def is_abelian(g: FiniteGroup) -> bool:

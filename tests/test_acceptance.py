@@ -11,7 +11,7 @@ import time
 from math import gcd
 
 import pytest
-from conftest import MEDIUM_EXTRA, SMALL_CATALOG
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey
 from oracle import Cyclotomic, cyclotomic_rows, routes_agree
 
 from cayint.catalog import catalog
@@ -22,7 +22,6 @@ from cayint.classify import (
     classify_group,
     hierarchy_audit,
     nci_report,
-    normal_set_survey,
 )
 from cayint.groups import conjugacy_classes, direct_product
 from cayint.linalg import IntPolynomial, charpoly
@@ -123,7 +122,7 @@ def test_acceptance_03_eulerian_iff_integral():
     for label, (name, params) in SMALL_CATALOG + MEDIUM_EXTRA:
         g = catalog(name, *params)
         part = conjugacy_classes(g)
-        survey = normal_set_survey(g, part, character_table(g, part))
+        survey = build_survey(g, part)
         rows += 1 << len(survey.orbits)
         problems += [f"{label}: classes {c} are Eulerian but not integral" for c in survey.mismatches]
         if survey.undecided:

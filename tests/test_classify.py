@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayint.catalog import catalog
-from cayint.chartable import DEFAULT_ORDER_CAP, character_table
+from cayint.chartable import DEFAULT_ORDER_CAP
 from cayint.classify import (
     NormalSetSurvey,
     cci_report,
@@ -27,20 +27,21 @@ from cayint.classify import (
     is_rational,
     is_semi_rational,
     nci_report,
-    normal_set_survey,
 )
 from cayint.cli import main
-from cayint.groups import build_group, conjugacy_classes, direct_product, unit_power_classes
+from cayint.groups import build_group, conjugacy_classes, direct_product
 from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
 
-from conftest import SMALL_CATALOG
+from conftest import SMALL_CATALOG, build_survey
 from oracle import (
     NormalSetRows,
     criterion_scan,
     fcci_criterion_scan,
     fcci_spectra_direct,
+    inverse_semi_rational_scan,
     normal_set_survey_matrix,
     normal_set_survey_rows,
+    rational_scan,
     semi_rational_scan,
 )
 
@@ -48,13 +49,13 @@ from oracle import (
 class TestRationalityPredicates:
     def test_s5_rational_hence_all(self, groups, partitions):
         g, part = groups["S5"], partitions["S5"]
-        assert is_rational(g, part)[0]
+        assert is_rational(part)[0]
         assert is_semi_rational(g, part)[0]
         assert is_inverse_semi_rational(g, part)[0]
 
     def test_z5_none(self, groups, partitions):
         g, part = groups["Z5"], partitions["Z5"]
-        assert not is_rational(g, part)[0]
+        assert not is_rational(part)[0]
         ok, _, witness = is_semi_rational(g, part)
         assert not ok and witness is not None
         assert not is_inverse_semi_rational(g, part)[0]
@@ -127,7 +128,7 @@ class TestFcci:
     def test_elementary(self, partitions, groups):
         g = catalog("z2z3", 2, 1)
         part = conjugacy_classes(g)
-        rep = fcci_report(g, part, normal_set_survey(g, part, character_table(g, part)))
+        rep = fcci_report(g, part, build_survey(g, part))
         assert rep.verdict and rep.orders and rep.criterion
         assert rep.spectra and rep.spectra_mode == "exhaustive"
 
@@ -165,7 +166,7 @@ def test_fcci_spectra_read_off_survey_match_direct_enumeration(tokens):
     # the survey reading against all 2^r spectra, run one by one
     g = catalog(*tokens)
     part = conjugacy_classes(g)
-    rep = fcci_report(g, part, normal_set_survey(g, part, character_table(g, part)))
+    rep = fcci_report(g, part, build_survey(g, part))
     assert rep.spectra_mode == "exhaustive"
     route, count, witness = fcci_spectra_direct(g, part)
     assert (rep.spectra, rep.spectra_count, rep.spectral_witness) == (route, count, witness)
@@ -208,7 +209,7 @@ def test_class_algebra_survey_equals_matrix_survey(label, groups, partitions, su
 def test_survey_above_order_24_equals_class_algebra_rows(tokens):
     g = catalog(*tokens)
     part = conjugacy_classes(g)
-    survey = normal_set_survey(g, part, character_table(g, part))
+    survey = build_survey(g, part)
     assert _survey_reading(survey) == _rows_reading(normal_set_survey_rows(g, part))
 
 
@@ -224,7 +225,7 @@ def test_class_algebra_survey_on_direct_products(factors):
     assume(len(part.real_classes) - 1 <= 8)
     rows = normal_set_survey_rows(g, part)
     assert rows == normal_set_survey_matrix(g, part)
-    assert _survey_reading(normal_set_survey(g, part, character_table(g, part))) == _rows_reading(rows)
+    assert _survey_reading(build_survey(g, part)) == _rows_reading(rows)
 
 
 @pytest.mark.parametrize(
@@ -234,16 +235,17 @@ def test_class_algebra_survey_on_direct_products(factors):
     ids=lambda t: " ".join(map(str, t)),
 )
 def test_power_map_routes_match_element_scans(tokens):
-    # the (units x k) class-of-power array against g.power, and its readers against
-    # the per-element loops it replaced
+    # the partition's (units x k) class-of-power array against g.power, and its
+    # readers against the per-element loops and atom walks it replaced
     g = catalog(*tokens)
     part = conjugacy_classes(g)
-    units, powers = unit_power_classes(g, part)
     e = g.exponent()
-    assert units == tuple(h for h in range(1, max(e, 2)) if gcd(h, e) == 1)
-    assert powers.shape == (len(units), part.k)
-    assert powers.tolist() == [[part.class_of[g.power(rep, h)] for rep in part.reps()] for h in units]
+    assert part.units == tuple(h for h in range(1, max(e, 2)) if gcd(h, e) == 1)
+    assert part.powers.shape == (len(part.units), part.k) and not part.powers.flags.writeable
+    assert part.powers.tolist() == [[part.class_of[g.power(rep, h)] for rep in part.reps()] for h in part.units]
+    assert is_rational(part) == rational_scan(g, part)
     assert is_semi_rational(g, part) == semi_rational_scan(g, part)
+    assert is_inverse_semi_rational(g, part) == inverse_semi_rational_scan(g, part)
     rep = fcci_report(g, part, None)
     assert (rep.criterion, rep.criterion_witness) == fcci_criterion_scan(g, part)
     rng = random.Random(g.n)
@@ -594,16 +596,32 @@ def test_route_skip_reaches_caps_notes(case, monkeypatch, capsys):
     assert note in audit.to_dict()["groups"][0]["caps_notes"]
 
 
-@pytest.mark.parametrize("cap", [DEFAULT_ORDER_CAP, 1])
-def test_unit_power_maps_are_computed_once_per_classification(cap, monkeypatch):
-    # with and without a character table: the semi-rationality scan, FCCI's
-    # criterion and the survey's atom components share one computation
+def _count_power_map_builds(monkeypatch) -> list[str]:
+    """The names of the groups whose unit power maps are built from now on."""
+    from cayint.groups import _unit_power_classes as build
+
     calls = []
 
-    def counted(g, part):
+    def counted(g, *args):
         calls.append(g.name)
-        return unit_power_classes(g, part)
+        return build(g, *args)
 
-    monkeypatch.setattr("cayint.classify.unit_power_classes", counted)
+    monkeypatch.setattr("cayint.groups._unit_power_classes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_ORDER_CAP, 1])
+def test_unit_power_maps_are_computed_once_per_classification(cap, monkeypatch):
+    # with and without a character table: every rationality route, FCCI's
+    # criterion, the survey's atom components and the chi + conj(chi) colour
+    # checks read the maps of the one partition
+    calls = _count_power_map_builds(monkeypatch)
     classify_group(catalog("dicyclic12"), chartable_cap=cap)
     assert calls == ["Dic12"]
+
+
+def test_audit_builds_unit_power_maps_once_per_partition(monkeypatch):
+    # 13 classified groups, 7 centres, 12 quotients, 9 products and the 2 fixture groups
+    calls = _count_power_map_builds(monkeypatch)
+    hierarchy_audit(seed=0)
+    assert len(calls) == 43

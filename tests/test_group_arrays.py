@@ -8,9 +8,7 @@ form."""
 from __future__ import annotations
 
 import random
-import tempfile
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +32,7 @@ from cayint.groups import (
     quotient,
 )
 from cayint.spectra import ConnectionFunction, ConnectionSet, adjacency
-from conftest import MEDIUM_EXTRA, SMALL_CATALOG, relabel, small_products
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG, load_perm_group, perm_generators, relabel, small_products
 
 
 def _all_ints(values) -> bool:
@@ -71,9 +69,12 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
     assert g.ord == oracle.element_orders(g.table)
     assert list(g.gens) == sorted(g.gens) and oracle.closure(g.table, g.gens).all()
 
-    part = conjugacy_classes(g)
-    assert part == oracle.conjugacy_classes(g)
-    assert _all_ints(part.class_of) and all(_all_ints(c) for c in part.classes)
+    part, want = conjugacy_classes(g), oracle.conjugacy_classes(g)
+    assert part == want
+    # `==` leaves the power maps out
+    assert part.powers.dtype == np.int32 and not part.powers.flags.writeable
+    assert part.powers.tolist() == want.powers.tolist()
+    assert _all_ints(part.class_of) and all(_all_ints(c) for c in part.classes) and _all_ints(part.units)
     z = center(g)
     assert z == oracle.center(g) and _all_ints(z)
     assert g.is_abelian() is oracle.is_abelian(g)
@@ -162,35 +163,11 @@ def test_products_agree_with_oracle(g, seed):
     assert_agrees(g, seed)
 
 
-@st.composite
-def perm_generators(draw):
-    """One to three permutations: of at most 5 points, or of 7 points
-    keeping two blocks of 3 and 4 points, the points renamed at random. The
-    group they generate has order at most 144."""
-    count = draw(st.integers(min_value=1, max_value=3))
-    if draw(st.booleans()):
-        d = draw(st.integers(min_value=1, max_value=5))
-        return [tuple(draw(st.permutations(range(d)))) for _ in range(count)]
-    rename = draw(st.permutations(range(7)))
-    gens = []
-    for _ in range(count):
-        p = draw(st.permutations(range(3))) + draw(st.permutations(range(3, 7)))
-        q = [0] * 7
-        for i in range(7):
-            q[rename[i]] = rename[p[i]]
-        gens.append(tuple(q))
-    return gens
-
-
 @given(perm_generators(), st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=30, deadline=None)
 def test_permutation_groups_agree_with_oracle(gens, seed):
     table = oracle.perm_closure_table(gens)
-    body = "\n".join(" ".join(map(str, p)) for p in gens)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.grp"
-        path.write_text(f"group G {len(table)}\nperms {len(gens[0])}\n{body}\n", encoding="utf-8")
-        g = load_group(path)
+    g = load_perm_group(gens, len(table))
     assert g.table.tolist() == table
     assert_agrees(g, seed)
 

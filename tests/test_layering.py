@@ -21,7 +21,10 @@ and the one binary search over permutations, in `catalog._perm_table`,
 ranks the generators' rows alone. Elimination over a prime field has one
 routine, `linalg.eliminate_mod`, which serves the character tables and the
 normal-set survey's rank; the pure-Python `rref_mod` and `kernel_mod` it
-replaced live on only in `tests/oracle.py`."""
+replaced live on only in `tests/oracle.py`. The unit power maps on the
+classes are built once per partition: only `groups.conjugacy_classes`
+calls their builder, `groups._unit_power_classes`, and every other reader
+takes them from `ConjugacyPartition.powers`."""
 
 from __future__ import annotations
 
@@ -107,6 +110,10 @@ def test_adjacency_charpolys_have_one_engine():
 
 def test_subset_enumeration_serves_only_the_ci_brute_force():
     assert _referrers("_subsets") == {"classify.py:ci_report"}
+
+
+def test_unit_power_maps_are_built_only_with_the_partition():
+    assert _referrers("_unit_power_classes") == {"groups.py:conjugacy_classes"}
 
 
 def test_all_pairs_commutator_walk_serves_only_the_commutator_set():

@@ -1,4 +1,6 @@
-"""Adjacency construction, dual-route spectra, criterion, Eulerian sets."""
+"""Adjacency construction, dual-route spectra, criterion, Eulerian sets,
+and the spectral engines against their oracles on hypothesis-generated
+permutation groups."""
 
 from __future__ import annotations
 
@@ -6,15 +8,22 @@ import random
 from math import gcd
 
 import pytest
-from conftest import FUNCTION_KINDS, colour_function, small_products
-from hypothesis import given, settings
+from conftest import FUNCTION_KINDS, colour_function, load_perm_group, perm_generators, small_products
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracle import Cyclotomic, expand_character_coeffs, expand_character_poly, routes_agree
+from oracle import (
+    Cyclotomic,
+    berkowitz,
+    expand_character_coeffs,
+    expand_character_poly,
+    perm_closure_table,
+    routes_agree,
+)
 
 from cayint.catalog import catalog
 from cayint.chartable import CharacterTable, VerificationFailed
 from cayint.groups import conjugacy_classes
-from cayint.linalg import IntMatrix, IntPolynomial, charpoly, integer_spectrum
+from cayint.linalg import IntMatrix, IntPolynomial, cayley_charpoly, charpoly, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
     ConnectionSet,
@@ -157,6 +166,28 @@ class TestMatrixSpectraAgainstHessenberg:
         rng = random.Random(label)
         for kind in ("colour",) if label == "S5" else FUNCTION_KINDS:
             self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+
+
+@given(
+    perm_generators(),
+    st.sampled_from(["set01", "colour", "signed"]),
+    st.sampled_from(["class01", "classint"]),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_permutation_groups_spectra_match_oracles(gens, kind, class_kind, seed):
+    # groups of order at most 48 read through the `perms` file form: the
+    # power-sum engine against Berkowitz on a symmetric colour function, and
+    # the matrix spectrum of a class function against the power-map criterion
+    n = len(perm_closure_table(gens))
+    assume(n <= 48)
+    g = load_perm_group(gens, n)
+    part = conjugacy_classes(g)
+    rng = random.Random(seed)
+    m = adjacency(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+    assert cayley_charpoly(m) == berkowitz(m)
+    f = ConnectionFunction(g, colour_function(class_kind, g, part, rng), part)
+    assert spectrum_matrix(g, f).is_integral == integrality_by_criterion(g, f, part)[0]
 
 
 class TestCharacterRoute:
