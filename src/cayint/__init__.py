@@ -6,7 +6,6 @@ from .groups import (
     FiniteGroup,
     NotAGroup,
     NotNormal,
-    PowerMap,
     atom,
     build_group,
     center,
@@ -14,7 +13,6 @@ from .groups import (
     direct_product,
     generated_subgroup,
     is_nilpotent,
-    power_map,
     quotient,
 )
 from .catalog import catalog, load_group, resolve_group, save_group

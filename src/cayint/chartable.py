@@ -7,21 +7,41 @@ omega(K_j) = |C_j| chi(g_j) / chi(1) mod p. Degrees are recovered from the
 second orthogonality relation (with a modular square root), character
 values mod p follow, and each value is lifted to its exact cyclotomic form
 by a discrete Fourier inversion over F_p of the root-of-unity multiplicity
-vector. The finished table is verified against both orthogonality relations
-before it is returned.
+vector. The finished table is verified before it is returned.
 
 Integer format: a character value is an algebraic integer of Q(zeta_e), e
 the group exponent, and the power basis 1, zeta_e, ..., zeta_e^(phi-1) is a
 Z-basis of Z[zeta_e], so a table is exactly one (k, k, phi) integer array of
 power-basis coefficients, rows indexed by characters and columns by classes.
-Complex conjugation, the Galois twists and the reduction of a product of two
-coefficient vectors are fixed integer matrices of the conductor's context
-(`linalg._context`). Overflow rule: the array is int64 when every
-coefficient is below 2^62 in magnitude and Python ints otherwise
+Complex conjugation and the Galois twists are fixed integer matrices of the
+conductor's context (`linalg._context`). Overflow rule: the array is int64
+when every coefficient is below 2^62 in magnitude and Python ints otherwise
 (`linalg.exact_array`); every product is bounded in Python ints before it is
 taken, and runs on Python ints when the bound reaches 2^63, so int64 never
-wraps. Verification costs O(k^3 phi^2) time and keeps every intermediate at
-O(k^2 phi) entries.
+wraps.
+
+Verification (`_verify_table`) runs modulo a few primes p = 1 (mod e). There
+Phi_e splits into distinct linear factors, so with theta of order e mod p
+the embeddings zeta -> theta^h, one per unit h mod e, identify Z[zeta_e]/p
+with F_p^phi. Per prime it maps the table through all of them, one
+(k^2, phi)(phi, phi) product, and checks Galois equivariance, that the
+image of chi(j) under embedding h is the image of chi(j^h) under embedding
+1 (the unit -1 is chi(g^-1) = conj(chi(g))), and then both orthogonality
+relations under embedding 1 alone, two k^3 products: O(k^2 phi^2 + k^3)
+per prime, in int64 with max(k, phi) p^2 < 2^63.
+
+Soundness. Equivariance on every embedding makes sigma_h chi(j) = chi(j^h)
+coordinatewise mod p: embedding h' of the difference is embedding 1 of
+sigma_h'h chi(j) - sigma_h' chi(j^h), and by the check both terms are
+embedding 1 of the value at class j^(h'h). The primes' product exceeds
+twice a bound on every coordinate of such a difference and of every
+orthogonality sum minus its target, so equivariance is exact.
+Embedding h of an orthogonality sum is then embedding 1 of the same sum
+over the classes permuted by j -> j^h, which have the same sizes, so every
+embedding of sum minus target vanishes mod p, every coordinate is 0 modulo
+the product, and the bound makes it 0. The check is stronger than the two
+relations: it also rejects a table that satisfies both but is not
+Galois-equivariant.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ import sympy
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
-from .linalg import _INT64, _STACK_CELLS, _context, _summable, charpoly_mod, eliminate_mod, exact_array
+from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -44,10 +64,6 @@ class PrimeSearchFailed(RuntimeError):
 
 class VerificationFailed(RuntimeError):
     """Internal bug guard: a produced table failed an exact identity."""
-
-
-class GaloisMismatch(RuntimeError):
-    """Bug guard: a Galois-twisted row disagreed with the power-mapped row."""
 
 
 # The one character-table cap: `character_table` refuses larger groups and
@@ -355,23 +371,24 @@ def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _summable(x, m.shape[0], _absmax(x) * _absmax(m)) @ m
 
 
-def _pair_sums(left: np.ndarray, right: np.ndarray, reduction: np.ndarray) -> np.ndarray:
-    """out[i, j] = sum_t left[t, i] * right[t, j] in Z[zeta_e], for (t, ., phi)
-    coefficient arrays: a convolution accumulated one coefficient of `left`
-    at a time, so no intermediate exceeds O(k^2 phi) entries, then reduced
-    onto the power basis. The caller picks the dtype (see `_verify_table`)."""
-    t, ni, phi = left.shape
-    nj = right.shape[1]
-    flat = right.reshape(t, nj * phi)
-    conv = np.zeros((ni, nj, 2 * phi - 1), dtype=left.dtype)
-    for a in range(phi):
-        conv[:, :, a : a + phi] += (left[:, :, a].T @ flat).reshape(ni, nj, phi)
-    return conv @ reduction
+# (p, e) -> `_embeddings(p, e, units)`, so that a table of a known conductor
+# looks up its theta instead of asking sympy for a primitive root
+_EMBEDDINGS: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _first_mismatch(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
-    bad = np.argwhere((got != want).any(axis=2))
-    return tuple(bad[0].tolist()) if len(bad) else None
+def _embeddings(p: int, e: int, units: tuple[int, ...]) -> np.ndarray:
+    """The (phi, phi) int64 matrix V[a, u] = theta^(a h_u) mod p, theta of
+    order e mod p and h_u the units mod e: a vector of power-basis
+    coordinates times V is its image under each embedding zeta -> theta^h_u
+    of Z[zeta_e] into F_p."""
+    v = _EMBEDDINGS.get((p, e))
+    if v is None:
+        theta = _primitive_root_of_unity(p, e)
+        powers = [1] * e
+        for m in range(1, e):
+            powers[m] = powers[m - 1] * theta % p
+        v = _EMBEDDINGS[(p, e)] = np.array(powers, dtype=np.int64)[np.outer(np.arange(len(units)), units) % e]
+    return v
 
 
 def _verify_table(
@@ -380,43 +397,51 @@ def _verify_table(
     degrees: list[int],
     x: np.ndarray,
 ) -> None:
-    """Check the degree equation, chi(g^-1) = conj(chi(g)) and both
-    orthogonality relations exactly on the (k, k, phi) coefficient array x.
+    """Check the degree equation and the degrees' divisibility, then Galois
+    equivariance and both orthogonality relations exactly on the (k, k, phi)
+    coefficient array x, modulo the primes p = 1 (mod e) of the module
+    docstring.
 
-    The dtype of the orthogonality sums is chosen before any product: each
-    output coordinate is a sum of at most (2 phi - 1) phi |G| products
-    |x| |conj x| |reduction|, and with |conj x| <= phi max|x| max|conj_map|
-    the bound 2 |G| phi^2 max|x| (phi max|x| max|conj_map|) max|reduction|
-    decides between int64 and Python ints.
+    The bound, with c = max|power_array|, which bounds every Galois map and
+    the reduction of a product: a twisted cell minus a cell has coordinates
+    at most (phi c + 1) max|x|. A product of a cell and a conjugated cell
+    has 2 phi - 1 convolution coordinates of at most phi max|x| (phi c
+    max|x|) each, reduced with weights up to c, and an orthogonality sum
+    adds at most |G| of them, counted with the class sizes; its target is
+    at most |G|. Every difference the check rules out is therefore at most
+    B = 2 |G| phi^3 c^2 max|x|^2 + |G|, and the primes' product exceeds 2 B.
     """
-    n = g.n
-    k = part.k
-    sizes = np.array(part.sizes(), dtype=np.int64)
+    n, k = g.n, part.k
     if sum(d * d for d in degrees) != n:
         raise VerificationFailed(f"degree equation failed: {degrees} for |G|={n}")
     for d in degrees:
         if n % d != 0:
             raise VerificationFailed(f"degree {d} does not divide |G|={n}")
-    ctx = _context(g.exponent())
+    e = g.exponent()
+    ctx = _context(e)
     phi = ctx.phi
-    big = _absmax(x)
-    bound = 2 * n * phi * phi * big * (phi * big * _absmax(ctx.conj_map)) * _absmax(ctx.reduction)
-    if bound >= _INT64:
-        x = x.astype(object)
-    conj = _apply(x, ctx.conj_map)
-    bad = _first_mismatch(x[:, part.inverse_class], conj)
-    if bad is not None:
-        raise VerificationFailed("chi(g^-1) != conj(chi(g)) at row {}, class {}".format(*bad))
-    want = np.zeros((k, k, phi), dtype=x.dtype)
-    want[:, :, 0] = np.diag(np.full(k, n))
-    weighted = (x * sizes[:, None]).transpose(1, 0, 2)  # |C_j| chi_r(j), j first
-    bad = _first_mismatch(_pair_sums(weighted, conj.transpose(1, 0, 2), ctx.reduction), want)
-    if bad is not None:
-        raise VerificationFailed("row orthogonality failed at ({},{})".format(*bad))
-    want[:, :, 0] = np.diag(n // sizes)
-    bad = _first_mismatch(_pair_sums(x, conj, ctx.reduction), want)
-    if bad is not None:
-        raise VerificationFailed("column orthogonality failed at ({},{})".format(*bad))
+    big, c = _absmax(x), _absmax(ctx.power_array)
+    primes, _ = _primes_for(max(k, phi), 2 * n * phi**3 * c * c * big * big + n, e)
+    sizes = np.array(part.sizes(), dtype=np.int64)
+    image = part.powers.T  # image[j, u]: the class of rep_j^(h_u)
+    conj = part.units.index(-1 % e or 1)
+    flat = x.reshape(k * k, phi)
+    for p in primes:
+        emb = ((flat % p).astype(np.int64, copy=False) @ _embeddings(p, e, part.units) % p).reshape(k, k, phi)
+        bad = np.argwhere(emb != emb[:, image, 0])
+        if len(bad):
+            r, j, u = bad[0].tolist()
+            raise VerificationFailed(
+                f"twist by {part.units[u]} of row {r} at class {j} is not its value at class {image[j, u]}"
+            )
+        y, ybar = emb[:, :, 0], emb[:, :, conj]
+        for name, got, want in (
+            ("row", y * sizes % p @ ybar.T, np.diag(np.full(k, n))),
+            ("column", y.T @ ybar, np.diag(n // sizes)),
+        ):
+            bad = np.argwhere(got % p != want % p)
+            if len(bad):
+                raise VerificationFailed("{} orthogonality failed at ({},{})".format(name, *bad[0].tolist()))
 
 
 def character_table(
@@ -485,25 +510,8 @@ def character_table(
 
 
 # ---------------------------------------------------------------------------
-# Galois action and rationality scans
+# Rationality scans
 # ---------------------------------------------------------------------------
-
-
-def galois_on_characters(table: CharacterTable, h: int) -> tuple[int, ...]:
-    """Verify that twisting values by zeta -> zeta^h, h a unit, equals reading
-    each row at power-mapped classes; returns that class permutation."""
-    part, e = table.partition, table.conductor
-    twist = _context(e).galois_map(h)  # NotAUnit for a non-unit h
-    perm = tuple(part.powers[part.units.index(h % e or 1)].tolist())  # mod 1, every h is the unit 1
-    x = table.coeffs
-    bad = _first_mismatch(_apply(x, twist), x[:, perm])
-    if bad is not None:
-        raise GaloisMismatch("row {}, class {}, twist {}".format(*bad, h))
-    return perm
-
-
-def is_rational_class(table: CharacterTable, j: int) -> bool:
-    return not table.coeffs[:, j, 1:].any()
 
 
 def chi_plus_conj(table: CharacterTable) -> np.ndarray:
@@ -555,8 +563,12 @@ def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
     A malformed dump (including a coefficient that is not an integer), or
     one of another group, raises ParseError, a ValueError that names the
     line; a well-formed table that fails an exact identity raises
-    VerificationFailed. The coefficients take their dtype by the overflow
-    rule, so a huge coefficient is checked in Python ints.
+    VerificationFailed. That includes a table that satisfies both
+    orthogonality relations but is not Galois-equivariant, such as a true
+    table with its columns permuted by a map that commutes with inversion
+    but is not a power map. The coefficients take their dtype by the
+    overflow rule, and are reduced mod each prime in Python ints when they
+    are, so a huge coefficient is checked exactly.
     """
     lines = _content_lines(Path(path).read_text(encoding="utf-8"))
     part = conjugacy_classes(g)

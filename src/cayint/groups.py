@@ -445,20 +445,6 @@ def atom(g: FiniteGroup, x: int) -> Atom:
     return Atom(x, tuple(members))
 
 
-@dataclass(frozen=True)
-class PowerMap:
-    """The map g -> g^h; a permutation exactly when gcd(h, exponent) = 1."""
-
-    h: int
-    images: tuple[int, ...]
-    is_permutation: bool
-
-
-def power_map(g: FiniteGroup, h: int) -> PowerMap:
-    images = tuple(g.power(x, h) for x in g.elements())
-    return PowerMap(h, images, gcd(h, g.exponent()) == 1)
-
-
 # ---------------------------------------------------------------------------
 # Subgroups, quotients, products
 # ---------------------------------------------------------------------------

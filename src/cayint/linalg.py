@@ -26,11 +26,11 @@ Integer eigenvalues are split off by synthetic division against a sound
 candidate set, and the non-integral residual is split into squarefree parts
 by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
 power-basis coordinates; the conductor's context (`_context`) holds the
-fixed integer maps on such vectors: complex conjugation, the Galois twists
-and the reduction of a product. Gaussian elimination over a prime field has
-one routine, `eliminate_mod`, on a stack of matrices at once; it splits the
-character tables' eigenspaces and ranks the normal-set survey's
-certificate. No floating point enters any code path.
+powers of zeta_e on that basis and the fixed integer maps on such vectors:
+complex conjugation and the Galois twists. Gaussian elimination over a
+prime field has one routine, `eliminate_mod`, on a stack of matrices at
+once; it splits the character tables' eigenspaces and ranks the normal-set
+survey's certificate. No floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -203,17 +203,22 @@ class IntPolynomial:
 # a dot product of n such products cannot overflow int64.
 _PRIME_CAP = 2**26
 _STACK_CELLS = 2**16  # matrix cells per batched (k, n, n) stack; bounds the work arrays
-_PRIMES: dict[int, list[int]] = {}  # prime limit -> primes below it, descending
+_PRIMES: dict[tuple[int, int], list[int]] = {}  # (limit, e) -> primes = 1 (mod e) below limit, descending
 
 
-def _primes_beyond(limit: int, bound: int) -> tuple[list[int], int]:
-    """The fewest largest primes below `limit` whose product exceeds `bound`."""
-    cached = _PRIMES.setdefault(limit, [])
+def _primes_beyond(limit: int, bound: int, e: int = 1) -> tuple[list[int], int]:
+    """The fewest largest primes p = 1 (mod e) below `limit` whose product
+    exceeds `bound`."""
+    cached = _PRIMES.setdefault((limit, e), [])
     primes: list[int] = []
     modulus = 1
     while modulus <= bound:
         if len(primes) == len(cached):
-            cached.append(sympy.prevprime(cached[-1] if cached else limit))
+            below = cached[-1] if cached else limit
+            p = below - 1 - (below - 2) % e  # the largest p = 1 (mod e) below it
+            while not sympy.isprime(p):
+                p -= e
+            cached.append(p)
         primes.append(cached[len(primes)])
         modulus *= primes[-1]
     return primes, modulus
@@ -288,11 +293,12 @@ def _hadamard_bound(entries: np.ndarray) -> int:
     return bound
 
 
-def _primes_for(n: int, bound: int) -> tuple[list[int], int]:
-    """The primes for n x n matrices whose charpoly coefficients are at most
-    `bound` in magnitude, and their product: the fewest largest primes whose
-    product exceeds 2 * bound, below a limit that keeps n * p^2 < 2^63."""
-    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound)
+def _primes_for(n: int, bound: int, e: int = 1) -> tuple[list[int], int]:
+    """The primes for integers at most `bound` in magnitude, such as the
+    charpoly coefficients of n x n matrices, and their product: the fewest
+    largest primes p = 1 (mod e) whose product exceeds 2 * bound, below a
+    limit that keeps n * p^2 < 2^63."""
+    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound, e)
     assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
     return primes, modulus
 
@@ -667,14 +673,14 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 class _CycloContext:
     """Per-conductor data: Phi_e, `power_array` (row j the power-basis
-    coordinates of zeta^j, for j below max(e, 2 phi - 1)) and the fixed
-    integer maps on power-basis coefficient vectors (row vectors,
-    applied on the right): `conj_map` (row m is zeta^-m), `galois_map(h)`
-    (row m is zeta^(m h)) and `reduction`, which takes the 2 phi - 1
-    coefficients of a product of two vectors back onto phi (row j is
-    zeta^j). The arrays follow the `exact_array` dtype rule."""
+    coordinates of zeta^j, for j below max(e, 2 phi - 1); its first
+    2 phi - 1 rows take the coefficients of a product of two vectors back
+    onto phi) and the fixed integer maps on power-basis coefficient vectors
+    (row vectors, applied on the right): `conj_map` (row m is zeta^-m) and
+    `galois_map(h)` (row m is zeta^(m h)). The arrays follow the
+    `exact_array` dtype rule."""
 
-    __slots__ = ("e", "phi", "modulus", "power_array", "conj_map", "reduction")
+    __slots__ = ("e", "phi", "modulus", "power_array", "conj_map")
 
     def __init__(self, e: int):
         self.e = e
@@ -693,7 +699,6 @@ class _CycloContext:
         self.power_array = exact_array(flat).reshape(count, self.phi)
         self.power_array.flags.writeable = False
         self.conj_map = self.galois_map(-1)
-        self.reduction = self.power_array[: 2 * self.phi - 1]
 
     def galois_map(self, h: int) -> np.ndarray:
         """The phi x phi matrix of zeta -> zeta^h, h a unit mod e."""

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chartable import CharacterTable, VerificationFailed
-from .groups import Atom, ConjugacyPartition, FiniteGroup, atom, conjugacy_classes
+from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
 from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
 
 
@@ -96,23 +96,6 @@ class ConnectionSet:
         return ConnectionFunction.delta(self.group, self.elements, self.partition)
 
 
-def eulerian_check(g: FiniteGroup, subset: Iterable[int]) -> tuple[bool, tuple[Atom, ...] | Atom]:
-    """Is the subset a union of atoms? Returns the atom decomposition, or the
-    first atom that escapes the subset."""
-    elems = set(subset)
-    seen: set[int] = set()
-    decomposition: list[Atom] = []
-    for s in sorted(elems):
-        if s in seen:
-            continue
-        a = atom(g, s)
-        if any(x not in elems for x in a.members):
-            return False, a
-        seen.update(a.members)
-        decomposition.append(a)
-    return True, tuple(decomposition)
-
-
 # ---------------------------------------------------------------------------
 # Spectra
 # ---------------------------------------------------------------------------
@@ -184,11 +167,6 @@ def integrality_by_criterion(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def save_function(f: ConnectionFunction, path: str | Path) -> None:
-    body = "\n".join(str(v) for v in f.values)
-    Path(path).write_text(f"f {f.group.n}\n{body}\n", encoding="utf-8")
 
 
 def load_function(path: str | Path, g: FiniteGroup) -> ConnectionFunction:

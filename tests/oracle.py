@@ -24,7 +24,14 @@ character route, expanded by `expand_character_coeffs` on power-basis
 integer coordinates in Z[zeta_e][x], which `expand_character_poly`, the
 same product in `Cyclotomic` arithmetic, checks; `verify_table_fraction` is the
 character-table verifier that cell-by-cell `Cyclotomic` arithmetic in
-`Fraction`s ran before `chartable._verify_table` became integer contractions.
+`Fraction`s ran before `chartable._verify_table` became integer contractions;
+`verify_table_integer` is those contractions, both orthogonality relations
+as exact sums in Z[zeta_e] (`_pair_sums`), as they ran before the verifier
+worked modulo primes through the table's Galois-equivariant embeddings.
+`galois_on_characters` is the exact Galois check of one unit that the
+verifier's equivariance step now covers for every unit; `eulerian_check`
+(the atom decomposition of a set), `save_function` and `power_map` are
+reference code that no verdict reads.
 `rref_mod` and `kernel_mod` are the pure-Python eliminations over F_p that
 `linalg.eliminate_mod` replaced, and `split_eigenspaces` is the character
 tables' eigenspace splitting as it ran on them: every subspace reduced
@@ -50,19 +57,28 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
 from operator import mul as _mul
-
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from cayint.chartable import CharacterTable, VerificationFailed, class_matrices
+from cayint.chartable import CharacterTable, VerificationFailed, _absmax, _apply, class_matrices
 from cayint.classify import _lift_unit
 from cayint.groups import Atom, ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
-from cayint.linalg import IntMatrix, IntPolynomial, NotAUnit, _context, charpoly, charpoly_mod, charpolys, integer_spectrum
+from cayint.linalg import (
+    _INT64,
+    IntMatrix,
+    IntPolynomial,
+    NotAUnit,
+    _context,
+    charpoly,
+    charpoly_mod,
+    charpolys,
+    integer_spectrum,
+)
 from cayint.spectra import (
     ConnectionFunction,
     adjacency as _adjacency,
-    eulerian_check,
     spectrum_characters,
     spectrum_matrix,
 )
@@ -291,10 +307,10 @@ def expand_character_coeffs(pairs: Sequence[tuple[Sequence[int], int]], e: int) 
     coordinates of the x^i coefficient in Z[zeta_e]. Each lambda is given by
     its integer power-basis coordinates in Z[zeta_e], as
     `spectrum_characters` returns them; each product of coordinate vectors
-    is reduced by `_context(e).reduction`."""
+    is reduced by the first 2 phi - 1 rows of `_context(e).power_array`."""
     ctx = _context(e)
     phi = ctx.phi
-    reduction = ctx.reduction.astype(object)
+    reduction = ctx.power_array[: 2 * phi - 1].astype(object)
     coeffs = np.zeros((1, phi), dtype=object)
     coeffs[0, 0] = 1
     for lam, mult in pairs:
@@ -359,6 +375,127 @@ def verify_table_fraction(
             want = Fraction(n, sizes[i]) if i == j else Fraction(0)
             if acc != Cyclotomic.rational(want):
                 raise VerificationFailed(f"column orthogonality failed at ({i},{j})")
+
+
+def _first_mismatch(got: np.ndarray, want: np.ndarray) -> tuple[int, int] | None:
+    bad = np.argwhere((got != want).any(axis=2))
+    return tuple(bad[0].tolist()) if len(bad) else None
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, reduction: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum_t left[t, i] * right[t, j] in Z[zeta_e], for (t, ., phi)
+    coefficient arrays: a convolution accumulated one coefficient of `left`
+    at a time, so no intermediate exceeds O(k^2 phi) entries, then reduced
+    onto the power basis. The caller picks the dtype (see
+    `verify_table_integer`)."""
+    t, ni, phi = left.shape
+    nj = right.shape[1]
+    flat = right.reshape(t, nj * phi)
+    conv = np.zeros((ni, nj, 2 * phi - 1), dtype=left.dtype)
+    for a in range(phi):
+        conv[:, :, a : a + phi] += (left[:, :, a].T @ flat).reshape(ni, nj, phi)
+    return conv @ reduction
+
+
+def verify_table_integer(
+    g: FiniteGroup,
+    part: ConjugacyPartition,
+    degrees: Sequence[int],
+    x: np.ndarray,
+) -> None:
+    """The degree equation, chi(g^-1) = conj(chi(g)) and both orthogonality
+    relations exactly on the (k, k, phi) coefficient array x, as sums in
+    Z[zeta_e] in O(k^3 phi^2) time; raises VerificationFailed.
+
+    The dtype of the orthogonality sums is chosen before any product: each
+    output coordinate is a sum of at most (2 phi - 1) phi |G| products
+    |x| |conj x| |reduction|, and with |conj x| <= phi max|x| max|conj_map|
+    the bound 2 |G| phi^2 max|x| (phi max|x| max|conj_map|) max|reduction|
+    decides between int64 and Python ints.
+    """
+    n = g.n
+    k = part.k
+    sizes = np.array(part.sizes(), dtype=np.int64)
+    if sum(d * d for d in degrees) != n:
+        raise VerificationFailed(f"degree equation failed: {degrees} for |G|={n}")
+    for d in degrees:
+        if n % d != 0:
+            raise VerificationFailed(f"degree {d} does not divide |G|={n}")
+    ctx = _context(g.exponent())
+    phi = ctx.phi
+    reduction = ctx.power_array[: 2 * phi - 1]
+    big = _absmax(x)
+    bound = 2 * n * phi * phi * big * (phi * big * _absmax(ctx.conj_map)) * _absmax(reduction)
+    if bound >= _INT64:
+        x = x.astype(object)
+    conj = _apply(x, ctx.conj_map)
+    bad = _first_mismatch(x[:, part.inverse_class], conj)
+    if bad is not None:
+        raise VerificationFailed("chi(g^-1) != conj(chi(g)) at row {}, class {}".format(*bad))
+    want = np.zeros((k, k, phi), dtype=x.dtype)
+    want[:, :, 0] = np.diag(np.full(k, n))
+    weighted = (x * sizes[:, None]).transpose(1, 0, 2)  # |C_j| chi_r(j), j first
+    bad = _first_mismatch(_pair_sums(weighted, conj.transpose(1, 0, 2), reduction), want)
+    if bad is not None:
+        raise VerificationFailed("row orthogonality failed at ({},{})".format(*bad))
+    want[:, :, 0] = np.diag(n // sizes)
+    bad = _first_mismatch(_pair_sums(x, conj, reduction), want)
+    if bad is not None:
+        raise VerificationFailed("column orthogonality failed at ({},{})".format(*bad))
+
+
+class GaloisMismatch(RuntimeError):
+    """A Galois-twisted row disagreed with the power-mapped row."""
+
+
+def galois_on_characters(table: CharacterTable, h: int) -> tuple[int, ...]:
+    """Verify that twisting values by zeta -> zeta^h, h a unit, equals reading
+    each row at power-mapped classes; returns that class permutation."""
+    part, e = table.partition, table.conductor
+    twist = _context(e).galois_map(h)  # NotAUnit for a non-unit h
+    perm = tuple(part.powers[part.units.index(h % e or 1)].tolist())  # mod 1, every h is the unit 1
+    x = table.coeffs
+    bad = _first_mismatch(_apply(x, twist), x[:, perm])
+    if bad is not None:
+        raise GaloisMismatch("row {}, class {}, twist {}".format(*bad, h))
+    return perm
+
+
+def eulerian_check(g: FiniteGroup, subset: Iterable[int]) -> tuple[bool, tuple[Atom, ...] | Atom]:
+    """Is the subset a union of atoms? Returns the atom decomposition, or the
+    first atom that escapes the subset."""
+    elems = set(subset)
+    seen: set[int] = set()
+    decomposition: list[Atom] = []
+    for s in sorted(elems):
+        if s in seen:
+            continue
+        a = atom(g, s)
+        if any(x not in elems for x in a.members):
+            return False, a
+        seen.update(a.members)
+        decomposition.append(a)
+    return True, tuple(decomposition)
+
+
+def save_function(f: ConnectionFunction, path: str | Path) -> None:
+    """The `f <n>` format that `spectra.load_function` reads."""
+    body = "\n".join(str(v) for v in f.values)
+    Path(path).write_text(f"f {f.group.n}\n{body}\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class PowerMap:
+    """The map g -> g^h; a permutation exactly when gcd(h, exponent) = 1."""
+
+    h: int
+    images: tuple[int, ...]
+    is_permutation: bool
+
+
+def power_map(g: FiniteGroup, h: int) -> PowerMap:
+    images = tuple(g.power(x, h) for x in g.elements())
+    return PowerMap(h, images, gcd(h, g.exponent()) == 1)
 
 
 def fcci_spectra_direct(

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey
-from oracle import Cyclotomic, cyclotomic_rows, routes_agree
+from oracle import Cyclotomic, cyclotomic_rows, eulerian_check, routes_agree
 
 from cayint.catalog import catalog
 from cayint.chartable import character_table
@@ -28,7 +28,6 @@ from cayint.linalg import IntPolynomial, charpoly
 from cayint.spectra import (
     ConnectionFunction,
     adjacency,
-    eulerian_check,
     integrality_by_criterion,
     spectrum_matrix,
 )

@@ -1,19 +1,21 @@
-"""Character table construction, class matrices, Galois action, rationality."""
+"""Character table construction, class matrices, verification, Galois
+action, rationality."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cayint import chartable
 from cayint.catalog import ParseError, catalog, resolve_group
 from cayint.chartable import (
     PRIME_BOUND,
-    GaloisMismatch,
     VerificationFailed,
     _find_prime,
     _split_eigenspaces,
@@ -21,15 +23,20 @@ from cayint.chartable import (
     character_table,
     chi_plus_conj_integral,
     class_matrices,
-    galois_on_characters,
-    is_rational_class,
     load_table,
     save_table,
 )
 from cayint.groups import conjugacy_classes
-from cayint.linalg import _context
+from cayint.linalg import _context, exact_array
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG
-from oracle import Cyclotomic, cyclotomic_rows, split_eigenspaces, verify_table_fraction
+from oracle import (
+    Cyclotomic,
+    cyclotomic_rows,
+    galois_on_characters,
+    split_eigenspaces,
+    verify_table_fraction,
+    verify_table_integer,
+)
 
 
 class TestClassMatrices:
@@ -170,19 +177,24 @@ class TestCharacterTable:
             assert t.cell_strings() == tuple(want)
 
 
-def _both_verify(g, t, degrees, x) -> None:
-    """Run the integer verifier and the `Fraction` oracle; each must raise
-    VerificationFailed, or neither."""
-    outcomes = []
-    for verify, table in ((_verify_table, x), (verify_table_fraction, cyclotomic_rows(t.conductor, x))):
+def verify_fraction(g, part, degrees, x) -> None:
+    verify_table_fraction(g, part, degrees, cyclotomic_rows(g.exponent(), x))
+
+
+def _both_verify(g, t, degrees, x, oracles=(verify_table_integer, verify_fraction)) -> None:
+    """Run the verifier mod p and both oracles, the integer sums in Z[zeta_e]
+    and the `Fraction` arithmetic; each must raise VerificationFailed, or
+    none."""
+    outcomes = {}
+    for verify in (_verify_table, *oracles):
         try:
-            verify(g, t.partition, list(degrees), table)
-            outcomes.append(True)
+            verify(g, t.partition, list(degrees), x)
+            outcomes[verify.__name__] = True
         except VerificationFailed:
-            outcomes.append(False)
-    assert outcomes[0] == outcomes[1], f"integer verifier {outcomes[0]}, oracle {outcomes[1]}"
-    if not outcomes[0]:
-        raise VerificationFailed("both verifiers rejected the table")
+            outcomes[verify.__name__] = False
+    assert len(set(outcomes.values())) == 1, f"verifiers disagree: {outcomes}"
+    if not outcomes["_verify_table"]:
+        raise VerificationFailed("every verifier rejected the table")
 
 
 STRUCTURE_GROUPS = ("symmetric 6", "alternating 6", "q8 x symmetric 4", "dicyclic 15", "dihedral 40")
@@ -198,6 +210,12 @@ class TestVerifierAgainstOracle:
         g = resolve_group(tokens.split())
         t = character_table(g)
         _both_verify(g, t, t.degrees, t.coeffs)
+
+    def test_z60_accepted(self):
+        # the `Fraction` oracle would take about 10 s on k = 60, so only the integer one
+        g = catalog("cyclic", 60)
+        t = character_table(g)
+        _both_verify(g, t, t.degrees, t.coeffs, oracles=(verify_table_integer,))
 
     @given(st.sampled_from(("S3", "Q8xZ3", "A5")), st.sampled_from(("coefficient", "swap", "degree")), st.data())
     @settings(max_examples=60, deadline=None)
@@ -220,6 +238,75 @@ class TestVerifierAgainstOracle:
             degrees[r] = d
         with pytest.raises(VerificationFailed):
             _both_verify(g, t, degrees, x)
+
+
+def _verification_primes(monkeypatch, g, t, x) -> list[int]:
+    """The primes `_verify_table` reduces x modulo, whatever its verdict."""
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    real = chartable._primes_for
+    with monkeypatch.context() as patch:
+        patch.setattr(chartable, "_primes_for", spy)
+        try:
+            _verify_table(g, t.partition, list(t.degrees), x)
+        except VerificationFailed:
+            pass
+    (primes, _), = seen
+    return primes
+
+
+def _z7_columns_permuted():
+    """The table of Z7 with classes 2 <-> 3 and 4 <-> 5 swapped: the swap
+    commutes with inversion j -> -j, so both orthogonality relations and
+    chi(g^-1) = conj(chi(g)) still hold, but it fixes 1 and moves 2, so it
+    is no power map and the table is not Galois-equivariant."""
+    g = catalog("cyclic", 7)
+    t = character_table(g)
+    assert t.partition.classes == tuple((j,) for j in range(7))
+    assert t.partition.inverse_class == (0, 6, 5, 4, 3, 2, 1)
+    return g, t, t.coeffs[:, [0, 1, 3, 2, 5, 4, 6]]
+
+
+class TestVerifierSoundness:
+    """Tables that a verifier reading too few primes, or too few embeddings,
+    would accept."""
+
+    CELLS = ((-1, 1, 0), (1, -1, -1))  # (row, class, coordinate)
+
+    @pytest.mark.parametrize("label", ("S3", "Q8xZ3", "A5"))
+    @pytest.mark.parametrize("shift", ("first prime", "prime product"))
+    def test_shift_invisible_to_the_clean_primes_rejected(self, monkeypatch, groups, tables, label, shift):
+        # x keeps its residues modulo the first prime of the clean table, or
+        # modulo all of them, so only the primes that the shifted max|x| adds see it
+        g, t = groups[label], tables[label]
+        clean = _verification_primes(monkeypatch, g, t, t.coeffs)
+        step = clean[0] if shift == "first prime" else prod(clean)
+        for cell in self.CELLS:
+            x = t.coeffs.astype(object)
+            x[cell] += step
+            x = exact_array(x)
+            primes = _verification_primes(monkeypatch, g, t, x)
+            assert primes[: len(clean)] == clean and len(primes) > len(clean)
+            with pytest.raises(VerificationFailed):
+                _both_verify(g, t, t.degrees, x)
+
+    def test_non_power_column_permutation_rejected(self):
+        g, t, x = _z7_columns_permuted()
+        verify_table_integer(g, t.partition, list(t.degrees), x)
+        verify_fraction(g, t.partition, list(t.degrees), x)
+        with pytest.raises(VerificationFailed, match="twist by 2 of row 0 at class 1 is not its value at class 2"):
+            _verify_table(g, t.partition, list(t.degrees), x)
+
+    def test_non_power_column_permutation_rejected_on_load(self, tmp_path):
+        g, t, x = _z7_columns_permuted()
+        path = tmp_path / "z7.ct"
+        save_table(replace(t, coeffs=x), path)
+        with pytest.raises(VerificationFailed, match="twist"):
+            load_table(path, g)
 
 
 class TestGaloisAction:
@@ -251,6 +338,10 @@ class TestGaloisAction:
             for h in range(1, e):
                 if gcd(h, e) == 1:
                     galois_on_characters(t, h)  # raises GaloisMismatch on failure
+
+
+def is_rational_class(table, j: int) -> bool:
+    return not table.coeffs[:, j, 1:].any()
 
 
 class TestRationalityScans:

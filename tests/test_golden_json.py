@@ -8,10 +8,13 @@ file only when its change is intended, with the same command line and
 `--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
+`DIGESTS` pins the `--format json` output of two larger tables by its
+sha256 instead of a file.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,19 @@ CASES = {
     "chartable_cyclic_48": (["chartable", "--catalog", "cyclic", "48"], 0),
 }
 
+# Character tables too large to keep as files, pinned by the sha256 of their
+# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2).
+DIGESTS = {
+    "chartable_cyclic_120": (
+        ["chartable", "--catalog", "cyclic", "120"],
+        "a9715d3c0a786f426e4044c71731136efb34d3676f5bf979f73a34611b3d05df",
+    ),
+    "chartable_z2z3_3_3": (
+        ["chartable", "--catalog", "z2z3", "3", "3"],
+        "b06633d16d6702473e9caafc399413a7715bc9b75251b1fd8ccaaf4b4abf7c2c",
+    ),
+}
+
 # The text reports read the same report dictionaries as the JSON, through
 # their own formatting; these pin it.
 TEXT_CASES = {
@@ -64,6 +80,14 @@ def test_json_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == want_code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_json_output_matches_digest(name, tmp_path):
+    argv, digest = DIGESTS[name]
+    out = tmp_path / f"{name}.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_CASES))

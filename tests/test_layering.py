@@ -24,7 +24,11 @@ normal-set survey's rank; the pure-Python `rref_mod` and `kernel_mod` it
 replaced live on only in `tests/oracle.py`. The unit power maps on the
 classes are built once per partition: only `groups.conjugacy_classes`
 calls their builder, `groups._unit_power_classes`, and every other reader
-takes them from `ConjugacyPartition.powers`."""
+takes them from `ConjugacyPartition.powers`. A character table has one
+verifier, `chartable._verify_table`, reached from `character_table` and
+`load_table`; it works modulo primes, and the exact orthogonality sums in
+Z[zeta_e] (`_pair_sums`, and the reduction of a product of two power-basis
+vectors they rest on) live on only in `tests/oracle.py`."""
 
 from __future__ import annotations
 
@@ -96,6 +100,27 @@ def _referrers(name: str, *, attributes_only: bool = False) -> set[str]:
     return found
 
 
+def _defined(names: set[str]) -> set[str]:
+    """`module:function` for every function named in `names`, defined in a
+    `cayint` module or a test file."""
+    return {
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+
+
+def _named() -> set[str]:
+    """Every name and attribute a `cayint` module reads or binds."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
 def test_charpoly_kernel_has_one_batched_entry():
     assert _referrers("_charpoly_stack") == {"linalg.py:charpolys", "linalg.py:charpoly_mod"}
 
@@ -131,20 +156,21 @@ def test_generating_set_is_read_in_groups_and_passed_on_in_catalog():
 
 def test_elimination_has_one_routine():
     old = {"_rref_mod", "_kernel_mod", "rref_mod", "kernel_mod"}
-    defined = {
-        f"{path.name}:{node.name}"
-        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name in old
-    }
-    assert defined == {"oracle.py:rref_mod", "oracle.py:kernel_mod"}
-    named = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-    assert not named & old
+    assert _defined(old) == {"oracle.py:rref_mod", "oracle.py:kernel_mod"}
+    assert not _named() & old
     users = _referrers("eliminate_mod")
     assert {where.split(":")[0] for where in users} == {"chartable.py", "classify.py"}
     assert {where for where in users if where.startswith("classify.py:")} == {"classify.py:normal_set_survey"}
+
+
+def test_integer_orthogonality_sums_live_only_in_the_oracle():
+    sums = {"_pair_sums", "verify_table_integer"}
+    assert _defined(sums) == {"oracle.py:_pair_sums", "oracle.py:verify_table_integer"}
+    assert not _named() & (sums | {"reduction", "convolve"})
+
+
+def test_chartable_has_one_verifier():
+    tree = ast.parse((SRC / "chartable.py").read_text(encoding="utf-8"))
+    verifiers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and "verif" in node.name}
+    assert verifiers == {"_verify_table"}
+    assert _referrers("_verify_table") == {"chartable.py:character_table", "chartable.py:load_table"}

@@ -584,7 +584,7 @@ class TestCyclotomic:
         else:
             with pytest.raises(NotAUnit):
                 ctx.galois_map(h)
-        assert Cyclotomic(e, (np.convolve(x, y) @ ctx.reduction).tolist()) == u * v
+        assert Cyclotomic(e, (np.convolve(x, y) @ ctx.power_array[: 2 * phi - 1]).tolist()) == u * v
 
 
 @st.composite

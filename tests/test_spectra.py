@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from oracle import (
     Cyclotomic,
     berkowitz,
+    eulerian_check,
     expand_character_coeffs,
     expand_character_poly,
     perm_closure_table,
     routes_agree,
+    save_function,
 )
 
 from cayint.catalog import catalog
@@ -30,11 +32,9 @@ from cayint.spectra import (
     NotAClassFunction,
     NotSymmetricFunction,
     adjacency,
-    eulerian_check,
     integrality_by_criterion,
     load_function,
     parse_set_tokens,
-    save_function,
     spectrum_characters,
     spectrum_matrix,
 )
