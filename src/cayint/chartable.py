@@ -4,7 +4,8 @@ The method is the classical Dixon-Burnside one: the structure constants of
 the class-sum algebra give k commuting integer matrices whose simultaneous
 eigenvectors over a suitable prime field F_p are the central characters
 omega(K_j) = |C_j| chi(g_j) / chi(1) mod p. Degrees are recovered from the
-second orthogonality relation (with a modular square root), character
+second orthogonality relation (d^2 mod p, looked up among the squares of
+1..sqrt(|G|), which p^2 > 4|G| keeps distinct mod p), character
 values mod p follow, and each value is lifted to its exact cyclotomic form
 by a discrete Fourier inversion over F_p of the root-of-unity multiplicity
 vector. The finished table is verified before it is returned.
@@ -56,6 +57,7 @@ import sympy
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
 from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array
+from .linalg import vanishes_mod
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -152,13 +154,6 @@ def _find_prime(exponent: int, order: int, bound: int) -> int:
 def _primitive_root_of_unity(p: int, e: int) -> int:
     """theta = g^((p-1)/e) for g the least primitive root mod p."""
     return pow(sympy.primitive_root(p), (p - 1) // e, p)
-
-
-def _sqrt_mod(a: int, p: int) -> int:
-    root = sympy.sqrt_mod(a, p)
-    if root is None:
-        raise VerificationFailed(f"{a} is not a square mod {p}")
-    return root
 
 
 def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
@@ -268,22 +263,12 @@ def _eigenspaces(
     """
     m, d, k = vecs.shape
     restr = coords.transpose(0, 2, 1)  # R[a, b]: coordinate a of the image of row b
-    desc = charpoly_mod(restr, p)[:, ::-1].T
-    owner, root = [], []
-    width = max(1, _STACK_CELLS // m)
-    for start in range(0, p, width):
-        lam = np.arange(start, min(start + width, p), dtype=np.int64)
-        vals = np.zeros((m, len(lam)), dtype=np.int64)
-        for co in desc:
-            vals *= lam
-            vals += co[:, None]
-            vals %= p
-        i, j = np.nonzero(vals == 0)
-        owner.append(i)
-        root.append(lam[j])
-    owner, root = np.concatenate(owner), np.concatenate(root)
-    order = np.lexsort((root, owner))
-    owner, root = owner[order], root[order]
+    coeffs = charpoly_mod(restr, p)
+    hit = []
+    for start in range(0, m * p, _STACK_CELLS):
+        cell = np.arange(start, min(start + _STACK_CELLS, m * p))  # the pair (i, lambda) as i p + lambda
+        hit.append(cell[vanishes_mod(coeffs, cell // p, cell % p, p)])
+    owner, root = np.divmod(np.concatenate(hit), p)
 
     # kernel rows of R - lambda I, pair by pair, in coordinates over the block's rows
     eigen, place, pair = [coords[:0, 0]], [owner[:0]], [owner[:0]]
@@ -475,20 +460,17 @@ def character_table(
     n_mod = g.n % p
     c_rows: list[list[int]] = []
     degrees: list[int] = []
-    sqrt_cap = isqrt(g.n)
+    # p^2 > 4|G|, so d -> d^2 mod p is one-to-one on the possible degrees 1..sqrt(|G|)
+    degree_of = {d * d % p: d for d in range(1, isqrt(g.n) + 1)}
     for v in vecs:
         if v[0] % p == 0:
             raise VerificationFailed("eigenvector vanishes at the identity class")
         norm = pow(v[0], p - 2, p)
         u = [x * norm % p for x in v]
         s = sum(u[t] * u[inv_cls[t]] % p * inv_sizes[t] for t in range(k)) % p
-        if s == 0:
-            raise VerificationFailed("degenerate norm in degree recovery")
-        d2 = n_mod * pow(s, p - 2, p) % p
-        d = _sqrt_mod(d2, p)
-        d = min(d, p - d)
-        if not (1 <= d <= sqrt_cap):
-            raise VerificationFailed(f"recovered degree {d} outside 1..sqrt(|G|)")
+        d = degree_of.get(n_mod * pow(s, p - 2, p) % p)  # s = 0 gives 0, which no d^2 is
+        if d is None:
+            raise VerificationFailed(f"recovered squared degree is not d^2 mod {p} for any d in 1..sqrt(|G|)")
         c_rows.append([d * u[t] % p * inv_sizes[t] % p for t in range(k)])
         degrees.append(d)
     x = _lift_values(

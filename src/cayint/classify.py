@@ -9,7 +9,8 @@ concrete re-checkable witness (an element, a colour function, or a set).
 the character table and the normal-set survey once and hands them to the
 routes. The survey, run wherever the table is, decides the 2^r unions of
 the r non-identity real-class orbits from r commuting k x k class-algebra
-spectra, and certifies on the table that the integral unions are the
+matrices, each by its candidate integer eigenvalues mod one prime and one
+exact product, and certifies on the table that the integral unions are the
 unions of atoms (see `normal_set_survey`). NCI reads its orbit verdicts,
 and FCCI reads them again with 1 added at the identity, which turns the
 adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
@@ -61,7 +62,7 @@ from .groups import (
     is_nilpotent,
     quotient,
 )
-from .linalg import IntMatrix, charpolys, eliminate_mod, integer_spectrum
+from .linalg import _primes_for, charpoly_mod, eliminate_mod, vanishes_mod
 from .spectra import (
     ConnectionFunction,
     integrality_by_criterion,
@@ -184,16 +185,55 @@ def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> 
     return np.array([x[:, list(o)].sum(axis=1).ravel() for o in orbits]).reshape(len(orbits), x[:, 0].size)
 
 
+def _integral_orbits(blocks: np.ndarray, p: int) -> tuple[bool, ...]:
+    """Whether each class-algebra matrix B_O of the (r, k, k) stack `blocks`
+    has an integral spectrum, decided by the roots of its charpoly modulo
+    the prime p and one exact product (see `normal_set_survey`); the
+    verdicts do not depend on p. The columns of B_O sum to b, so each step
+    v -> v B_O - lambda v keeps every entry and partial sum below
+    max|v| (b + |lambda|): int64 while that is below 2^63, Python ints after.
+    """
+    r, k, _ = blocks.shape
+    bounds = blocks.sum(axis=1).max(axis=1).tolist()  # the entries are counts, at least 0
+    owner = np.repeat(np.arange(r), [2 * b + 1 for b in bounds])
+    lam = np.concatenate([np.arange(-b, b + 1) for b in bounds])
+    hit = vanishes_mod(charpoly_mod(blocks, p), owner, lam % p, p)
+    roots = np.split(lam[hit], np.cumsum(np.bincount(owner[hit], minlength=r))[:-1])
+    integral = []
+    for block, b, candidates in zip(blocks, bounds, roots):
+        v = np.zeros(k, dtype=np.int64)
+        v[0] = 1
+        for x in candidates.tolist():
+            if v.dtype != object and int(np.abs(v).max()) * (b + abs(x)) >= 2**63:
+                v = v.astype(object)
+            v = v @ block - x * v
+        integral.append(not v.any())
+    return tuple(integral)
+
+
 def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray]) -> NormalSetSurvey:
     """Each non-identity real-class orbit's integrality, and a certificate
     that the integral unions of orbits (the normal sets) are the Eulerian ones.
 
     Orbit O is decided on B_O = sum_(j in O) M_j, `mats` being the class
-    matrices of `part` (`class_matrices`), whose eigenvalues, the
-    central characters, are the distinct eigenvalues of the adjacency
-    matrix (Babai), at most |O| in magnitude. The B_O commute
-    and add, so a union of orbits is integral whenever its orbits are: the
+    matrices of `part` (`class_matrices`): multiplication by the class sum
+    K_O in Z(CG), whose eigenvalues, the central characters, are the
+    distinct eigenvalues of the adjacency matrix (Babai), at most
+    b = sum_(j in O) |C_j| in magnitude. The B_O commute and add, so the
     first non-integral union in mask order is the first such orbit alone.
+
+    Decision (`_integral_orbits`): one `charpoly_mod` stack modulo one prime
+    p > 2 |G| >= 2 b gives c_O mod p; R_O, the lambda in [-b, b] with
+    c_O(lambda) = 0 mod p, are distinct mod p, so at most k. O is integral
+    exactly when e_0 q(B_O) = 0 over Z, q = prod_(lambda in R_O) (x - lambda):
+    - if so, q(K_O) = 0, as e_0 is the unit K_0 and e_0 q(B_O) holds the
+      coordinates of q(K_O); so q(B_O) = 0 and every eigenvalue is a root
+      of q, an integer;
+    - if O is integral, B_O is diagonalizable (Z(CG) is semisimple), and
+      each of its eigenvalues is an integer in [-b, b] and a root of c_O,
+      so in R_O: q is a multiple of the minimal polynomial.
+    The prime only narrows the candidates; a spurious one adds a factor
+    and cannot make a non-integral orbit integral.
 
     Certificate: the power basis is a Q-basis, so a union S is integral
     exactly when the v_i of `_orbit_coordinates` sum to 0 over S, and it is
@@ -201,15 +241,16 @@ def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: lis
     orbits joined when they meet a common atom, whose classes are the
     columns of `part.powers`. When each component sums to 0 and r - rank V
     mod `table.prime` (at most the rank over Q) equals their number, the
-    component indicators span the kernel and the two kinds of union coincide. A component with a non-zero sum
-    is a mismatch; a larger kernel mod p leaves the check undecided. The
-    rank is one `eliminate_mod`.
+    component indicators span the kernel and the two kinds of union
+    coincide. A component with a non-zero sum is a mismatch; a larger
+    kernel mod p leaves the check undecided. The rank is one
+    `eliminate_mod`.
     """
     orbits = [rc for rc in part.real_classes if rc != (0,)]
-    sizes = part.sizes()
-    polys = charpolys([IntMatrix(sum(mats[j] for j in orbit)) for orbit in orbits])
-    bounds = [sum(sizes[j] for j in orbit) for orbit in orbits]
-    integral = tuple(integer_spectrum(f, bound=b).is_integral for f, b in zip(polys, bounds))
+    integral: tuple[bool, ...] = ()
+    if orbits:
+        (p,), _ = _primes_for(part.k, len(part.class_of))  # one prime above 2 |G|
+        integral = _integral_orbits(np.stack([sum(mats[j] for j in orbit) for orbit in orbits]), p)
     v = _orbit_coordinates(table, orbits)
     orbit_of = {j: i for i, orbit in enumerate(orbits) for j in orbit}
     edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in part.powers[:, j].tolist()}
@@ -445,7 +486,7 @@ def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciRe
             for pair, v in zip(pairs, values_per_pair):
                 for x in pair:
                     vals[x] = v
-            f = ConnectionFunction(g, vals, part)
+            f = ConnectionFunction(g, vals)
             report.candidates_tried += 1
             rep = spectrum_matrix(g, f)
             if not rep.is_integral:
@@ -502,7 +543,7 @@ def ci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CiRepo
         for chosen in subsets:
             members = [x for pair in chosen for x in pair]
             report.subsets_tried += 1
-            if not spectrum_matrix(g, ConnectionFunction.delta(g, members, part)).is_integral:
+            if not spectrum_matrix(g, ConnectionFunction.delta(g, members)).is_integral:
                 report.witness_set = sorted(members)
                 return False
         return True

@@ -30,6 +30,8 @@ O(|gens| n) rows, not n^2 products or n rounds:
   elements singleton classes and gathers each other class in one walk.
   It builds the unit power maps on the classes (`ConjugacyPartition.powers`)
   once, and every rationality route, criterion and Galois check reads them.
+  A function on G is constant on the classes when conjugation by every
+  generator fixes it (`conjugation_invariant`), which needs no partition.
 - `is_nilpotent`: the s whose image commutes with z Z_i in G / Z_i form a
   subgroup, so z lies in Z_(i+1) when [z, s] lies in Z_i for every
   generator s.
@@ -399,6 +401,14 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyPartition:
             real.append(orbit_j)
     units, powers = _unit_power_classes(g, [c[0] for c in classes], class_of)
     return ConjugacyPartition(tuple(class_of), tuple(classes), inverse_class, tuple(real), units, powers)
+
+
+def conjugation_invariant(g: FiniteGroup, values: Sequence) -> bool:
+    """values[s x s^-1] = values[x] for every element x and generator s, so
+    for every element s: the elements whose conjugation fixes the values
+    form a subgroup. `values` is indexed by element."""
+    conj = g.table[g.table[list(g.gens)], [[g.inv[s]] for s in g.gens]]  # s x s^-1, s down
+    return all(values[y] == values[x] for row in conj.tolist() for x, y in enumerate(row))
 
 
 def generator_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[int, ...]:

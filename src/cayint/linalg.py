@@ -5,24 +5,24 @@ entry is below 2^62 in magnitude and Python ints otherwise (`exact_array`).
 
 Everything here is exact. Characteristic polynomials are computed modulo
 word-size primes in int64 numpy arrays, with every product kept below 2^63,
-and lifted to the integers by one Chinese remainder step (`_crt_lift`) under
-Hadamard's bound, by one of two engines:
+by one of two engines:
 
-- the general multi-modular kernel, Hessenberg reduction by similarity
-  (`_charpoly_stack`), for any square matrix. A batch of matrices
-  (`charpolys`) runs as stacks of (matrix, prime) slots of bounded size, so
-  many small matrices cost a few kernel calls; `charpoly` is a batch of one,
-  and the character tables call the same kernel on a stack of matrices
-  and their own prime (`charpoly_mod`). It serves the class-algebra
-  matrices of the normal-set survey and the character tables, and is the
-  test oracle of the second;
+- the Hessenberg kernel, reduction by similarity modulo one prime
+  (`_charpoly_stack`), for any square matrix, behind one entry point,
+  `charpoly_mod`, on a stack of matrices: the character tables split
+  their eigenspaces and the normal-set survey finds its candidate
+  eigenvalues with it. `charpoly`, the test oracle of the other engine,
+  runs it on a few primes and lifts the residues to the integers by one
+  Chinese remainder step (`_crt_lift`) under Hadamard's bound;
 - the power-sum engine (`cayley_charpoly`) for the adjacency matrix of a
   Cayley colour graph, which commutes with right translations: one Krylov
   sequence on e_0 gives every power sum tr(A^m) = n (A^m)[0, 0], and
   Newton's identities give the coefficients, in about n^3 / 2 multiply-adds
-  per prime against the kernel's several n^3.
+  per prime against the kernel's several n^3, lifted like `charpoly`'s.
 
-Integer eigenvalues are split off by synthetic division against a sound
+The roots of such residue polynomials at given points are one Horner pass
+(`vanishes_mod`), shared by the tables and the survey. Integer
+eigenvalues are split off by synthetic division against a sound
 candidate set, and the non-integral residual is split into squarefree parts
 by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
 power-basis coordinates; the conductor's context (`_context`) holds the
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index as _index, mul as _mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import sympy
@@ -206,39 +206,18 @@ _STACK_CELLS = 2**16  # matrix cells per batched (k, n, n) stack; bounds the wor
 _PRIMES: dict[tuple[int, int], list[int]] = {}  # (limit, e) -> primes = 1 (mod e) below limit, descending
 
 
-def _primes_beyond(limit: int, bound: int, e: int = 1) -> tuple[list[int], int]:
-    """The fewest largest primes p = 1 (mod e) below `limit` whose product
-    exceeds `bound`."""
-    cached = _PRIMES.setdefault((limit, e), [])
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= bound:
-        if len(primes) == len(cached):
-            below = cached[-1] if cached else limit
-            p = below - 1 - (below - 2) % e  # the largest p = 1 (mod e) below it
-            while not sympy.isprime(p):
-                p -= e
-            cached.append(p)
-        primes.append(cached[len(primes)])
-        modulus *= primes[-1]
-    return primes, modulus
+def _charpoly_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """Characteristic polynomials of a (k, n, n) int64 stack reduced mod p.
 
-
-def _charpoly_stack(a: np.ndarray, ps: np.ndarray, prod: np.ndarray, polys: np.ndarray) -> np.ndarray:
-    """Characteristic polynomials of a (k, n, n) int64 stack, a[i] reduced mod ps[i].
-
-    Reduces every a[i] to upper Hessenberg form by similarity mod ps[i]
-    (pivot: the first nonzero entry below the subdiagonal, swapped into
-    place by row and column; an all-zero column is left as it is), then
-    runs the Hessenberg recurrence for the leading principal charpolys p_m.
-    `a` is overwritten; `prod` (k, n, n) and `polys` (k, n+1, n+1) are work
-    buffers. Returns (k, n+1) ascending coefficients, each in [0, ps[i]).
+    Reduces every a[i] to upper Hessenberg form by similarity mod p (pivot:
+    the first nonzero entry below the subdiagonal, swapped into place by
+    row and column; an all-zero column is left as it is), then runs the
+    Hessenberg recurrence for the leading principal charpolys p_m. `a` is
+    overwritten. Returns (k, n+1) ascending coefficients, each in [0, p).
     Every intermediate is below n * p^2 < 2^63 in magnitude.
     """
     k, n, _ = a.shape
-    plist = ps.tolist()
-    pcol = ps.reshape(k, 1)
-    pmat = ps.reshape(k, 1, 1)
+    prod = np.empty_like(a)
     for j in range(n - 2):
         pivots = a[:, j + 1, j].tolist()
         if not all(pivots):
@@ -249,35 +228,35 @@ def _charpoly_stack(a: np.ndarray, ps: np.ndarray, prod: np.ndarray, polys: np.n
                 a[i, [j + 1, r], :] = a[i, [r, j + 1], :]
                 a[i, :, [j + 1, r]] = a[i, :, [r, j + 1]]
             pivots = a[:, j + 1, j].tolist()
-        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(pivots, plist)], dtype=np.int64)
+        inv = np.array([pow(v, -1, p) if v else 0 for v in pivots], dtype=np.int64)
         mult = a[:, j + 2 :, j] * inv[:, None]
-        mult %= pcol
+        mult %= p
         # row i -= mult_i * row (j+1) for every i > j+1, which zeroes column j below j+1
         lower = a[:, j + 2 :, j:]
         step = prod[:, : n - j - 2, : n - j]
         np.multiply(mult[:, :, None], a[:, j + 1 : j + 2, j:], out=step)
-        np.subtract(lower, step, out=lower)
-        np.remainder(lower, pmat, out=lower)
+        lower -= step
+        lower %= p
         # the inverse column operation: column (j+1) += sum_i mult_i * column i
         column = a[:, :, j + 1]
         column += np.matmul(a[:, :, j + 2 :], mult[:, :, None])[:, :, 0]
-        column %= pcol
+        column %= p
     # p_m = x p_(m-1) - sum_(i<=m) h_im t_i p_(i-1), where t_i is the product of
     # the subdiagonal entries h_(i+1,i) ... h_(m,m-1), kept incrementally (t_m = 1)
-    polys.fill(0)
+    polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
     suffix = np.ones((k, n), dtype=np.int64)
     for m in range(1, n + 1):
         if m > 1:
             tail = suffix[:, : m - 1]
             tail *= a[:, m - 1, m - 2 : m - 1]
-            tail %= pcol
+            tail %= p
         weights = a[:, :m, m - 1] * suffix[:, :m]
-        weights %= pcol
+        weights %= p
         cur = polys[:, m, : m + 1]
         cur[:, 1:] = polys[:, m - 1, :m]
         cur[:, :m] -= np.matmul(weights[:, None, :], polys[:, :m, :m])[:, 0, :]
-        np.remainder(cur, pcol, out=cur)
+        cur %= p
     return polys[:, n, :]
 
 
@@ -297,9 +276,20 @@ def _primes_for(n: int, bound: int, e: int = 1) -> tuple[list[int], int]:
     """The primes for integers at most `bound` in magnitude, such as the
     charpoly coefficients of n x n matrices, and their product: the fewest
     largest primes p = 1 (mod e) whose product exceeds 2 * bound, below a
-    limit that keeps n * p^2 < 2^63."""
-    primes, modulus = _primes_beyond(min(_PRIME_CAP, isqrt((_INT64 - 1) // n)), 2 * bound, e)
-    assert n * primes[0] ** 2 < _INT64, "prime too large for int64 dot products"
+    limit that keeps n * p^2 < 2^63, cached per (limit, e)."""
+    limit = min(_PRIME_CAP, isqrt((_INT64 - 1) // n))
+    cached = _PRIMES.setdefault((limit, e), [])
+    primes: list[int] = []
+    modulus = 1
+    while modulus <= 2 * bound:
+        if len(primes) == len(cached):
+            below = cached[-1] if cached else limit
+            p = below - 1 - (below - 2) % e  # the largest p = 1 (mod e) below it
+            while not sympy.isprime(p):
+                p -= e
+            cached.append(p)
+        primes.append(cached[len(primes)])
+        modulus *= primes[-1]
     return primes, modulus
 
 
@@ -316,57 +306,28 @@ def _crt_lift(residues: np.ndarray, primes: list[int], modulus: int) -> IntPolyn
     return IntPolynomial(tuple(coeffs))
 
 
-def charpolys(mats: Sequence[IntMatrix]) -> list[IntPolynomial]:
-    """Exact monic characteristic polynomials det(xI - M) of a batch of
-    matrices, by multi-modular Hessenberg reduction and the Chinese
-    remainder theorem.
-
-    Bound: with r_i the ceiling of the Euclidean norm of row i, Hadamard's
-    inequality on the principal minors gives |c_k| <= e_k(r) <= prod(1 + r_i)
-    for every coefficient c_k. The matrices of one size share one bound B,
-    the largest of theirs, and so the fewest primes below 2^26, descending,
-    whose product exceeds 2B. The (matrix, prime) slots run through
-    `_charpoly_stack` in int64 stacks of at most _STACK_CELLS cells (or one
-    slot), and CRT lifts each matrix's residues into the symmetric range.
-    Overflow: the prime limit is chosen from n so that n * p^2 < 2^63, which
-    bounds every int64 dot product; entries from 2^62 up are Python ints
-    (see `IntMatrix`), reduced mod each prime first. No float is used.
-    """
-    out: list[IntPolynomial] = [IntPolynomial((1,))] * len(mats)
-    by_size: dict[int, list[int]] = {}
-    for i, m in enumerate(mats):
-        by_size.setdefault(m.n, []).append(i)
-    for n, idx in by_size.items():
-        if n == 0:
-            continue
-        primes, modulus = _primes_for(n, max(_hadamard_bound(mats[i].entries) for i in idx))
-        slots = [(i, p) for i in idx for p in primes]
-        stack = min(len(slots), max(1, _STACK_CELLS // (n * n)))
-        work = np.empty((stack, n, n), dtype=np.int64)
-        prod = np.empty((stack, n, n), dtype=np.int64)
-        polys = np.empty((stack, n + 1, n + 1), dtype=np.int64)
-        residues = np.empty((len(slots), n + 1), dtype=np.int64)
-        for start in range(0, len(slots), stack):
-            chunk = slots[start : start + stack]
-            ps = np.array([p for _, p in chunk], dtype=np.int64)
-            a = work[: len(chunk)]
-            a[...] = np.stack([mats[i].entries for i, _ in chunk]) % ps[:, None, None]
-            residues[start : start + len(chunk)] = _charpoly_stack(a, ps, prod[: len(chunk)], polys[: len(chunk)])
-        for r, i in enumerate(idx):
-            out[i] = _crt_lift(residues[r * len(primes) : (r + 1) * len(primes)], primes, modulus)
-    return out
-
-
 def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - M): `charpolys` on one matrix."""
-    return charpolys([m])[0]
+    """Exact monic characteristic polynomial det(xI - M), by `charpoly_mod`
+    modulo each of `_primes_for`'s primes and the Chinese remainder theorem.
+
+    With r_i the ceiling of the Euclidean norm of row i, Hadamard's
+    inequality on the principal minors gives |c_k| <= e_k(r) <= prod(1 + r_i)
+    for every coefficient c_k, and the primes' product exceeds twice that.
+    Entries from 2^62 up are Python ints (see `IntMatrix`), reduced mod each
+    prime first. No float is used.
+    """
+    if m.n == 0:
+        return IntPolynomial((1,))
+    primes, modulus = _primes_for(m.n, _hadamard_bound(m.entries))
+    residues = np.concatenate([charpoly_mod(m.entries[None], p) for p in primes])
+    return _crt_lift(residues, primes, modulus)
 
 
 def charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
     """Ascending coefficients of det(xI - M) modulo a prime p, each in [0, p),
     for every matrix M of a (b, n, n) integer stack, as a (b, n+1) array.
 
-    Same kernel as `charpolys`, on one prime, in stacks of at most
+    The one Hessenberg kernel, `_charpoly_stack`, in stacks of at most
     _STACK_CELLS cells (or one matrix); p must be below 2^26 and satisfy
     n * p^2 < 2^63.
     """
@@ -376,11 +337,21 @@ def charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
     out = np.empty((b, n + 1), dtype=np.int64)
     step = max(1, _STACK_CELLS // max(1, n * n))
     for start in range(0, b, step):
-        a = (stack[start : start + step] % p).astype(np.int64)
-        ps = np.full(len(a), p, dtype=np.int64)
-        polys = np.empty((len(a), n + 1, n + 1), dtype=np.int64)
-        out[start : start + len(a)] = _charpoly_stack(a, ps, np.empty_like(a), polys)
+        out[start : start + step] = _charpoly_stack((stack[start : start + step] % p).astype(np.int64), p)
     return out
+
+
+def vanishes_mod(coeffs: np.ndarray, owner: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """The mask of c_owner[i](x[i]) = 0 mod p over the pairs i, for the
+    polynomials of the (m, n+1) ascending residues `coeffs` (as
+    `charpoly_mod` returns them), x in [0, p), p < 2^26: one Horner pass
+    for every pair, every value below p^2 + p < 2^63."""
+    vals = np.zeros(len(x), dtype=np.int64)
+    for co in coeffs[:, ::-1].T:
+        vals *= x
+        vals += co[owner]
+        vals %= p
+    return vals == 0
 
 
 def eliminate_mod(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -494,7 +465,7 @@ def cayley_charpoly(m: IntMatrix) -> IntPolynomial:
     """Exact monic characteristic polynomial of a Cayley colour graph's
     adjacency matrix M = [f(a b^-1)] (`spectra.adjacency`), from one Krylov
     sequence on e_0 and Newton's identities, lifted to the integers like
-    `charpolys`.
+    `charpoly`.
 
     Soundness:
     - Right translation invariance: M[a g, b g] = f(a g g^-1 b^-1) = M[a, b],
@@ -506,7 +477,7 @@ def cayley_charpoly(m: IntMatrix) -> IntPolynomial:
     - Newton's identities determine the coefficients from p_1 .. p_n over
       any field in which 1 .. n are invertible; every prime used exceeds n.
     - The coefficients are bounded by `_hadamard_bound`, and the primes
-      (`_primes_for`, as in `charpolys`) have a product above twice it.
+      (`_primes_for`, as in `charpoly`) have a product above twice it.
     - Overflow: residues are below p and n p^2 < 2^63, so no int64 dot
       product overflows. M is used as it is when every |entry| is below the
       smallest prime; otherwise (or when the entries are Python ints) it is

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .chartable import CharacterTable, VerificationFailed
-from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes
+from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, conjugation_invariant
 from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
 
 
@@ -37,16 +37,13 @@ class ConnectionFunction:
 
     __slots__ = ("group", "values", "symmetric", "class_function", "zero_at_identity")
 
-    def __init__(self, group: FiniteGroup, values: Sequence[int], part: ConjugacyPartition | None = None):
+    def __init__(self, group: FiniteGroup, values: Sequence[int]):
         if len(values) != group.n:
             raise ValueError(f"need {group.n} values, got {len(values)}")
         self.group = group
         self.values = tuple(int(v) for v in values)
         self.symmetric = all(self.values[g] == self.values[group.inv[g]] for g in group.elements())
-        part = part or conjugacy_classes(group)
-        self.class_function = all(
-            self.values[x] == self.values[cls[0]] for cls in part.classes for x in cls
-        )
+        self.class_function = conjugation_invariant(group, self.values)
         self.zero_at_identity = self.values[0] == 0
 
     @property
@@ -55,21 +52,17 @@ class ConnectionFunction:
         return self.symmetric and self.class_function
 
     @classmethod
-    def delta(cls, group: FiniteGroup, subset: Iterable[int], part: ConjugacyPartition | None = None) -> "ConnectionFunction":
+    def delta(cls, group: FiniteGroup, subset: Iterable[int]) -> "ConnectionFunction":
         marks = [0] * group.n
         for s in subset:
             marks[s] = 1
-        return cls(group, marks, part)
+        return cls(group, marks)
 
     @classmethod
     def from_class_values(
         cls, group: FiniteGroup, part: ConjugacyPartition, class_values: Sequence[int]
     ) -> "ConnectionFunction":
-        vals = [0] * group.n
-        for j, c in enumerate(part.classes):
-            for x in c:
-                vals[x] = int(class_values[j])
-        return cls(group, vals, part)
+        return cls(group, [class_values[j] for j in part.class_of])
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.group.name}, {list(self.values)})"
@@ -78,9 +71,9 @@ class ConnectionFunction:
 class ConnectionSet:
     """Inverse-closed, identity-free subset of a group."""
 
-    __slots__ = ("group", "elements", "partition", "normal")
+    __slots__ = ("group", "elements", "normal")
 
-    def __init__(self, group: FiniteGroup, elements: Iterable[int], part: ConjugacyPartition | None = None):
+    def __init__(self, group: FiniteGroup, elements: Iterable[int]):
         elems = frozenset(int(x) for x in elements)
         if 0 in elems:
             raise ValueError("connection set must not contain the identity")
@@ -89,11 +82,10 @@ class ConnectionSet:
                 raise ValueError(f"connection set is not inverse-closed at {s}")
         self.group = group
         self.elements = elems
-        self.partition = part = part or conjugacy_classes(group)
-        self.normal = all(x in elems for s in elems for x in part.classes[part.class_of[s]])
+        self.normal = conjugation_invariant(group, [x in elems for x in group.elements()])
 
     def delta(self) -> ConnectionFunction:
-        return ConnectionFunction.delta(self.group, self.elements, self.partition)
+        return ConnectionFunction.delta(self.group, self.elements)
 
 
 # ---------------------------------------------------------------------------

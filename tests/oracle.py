@@ -12,9 +12,14 @@ is `integer_spectrum`'s candidate scan without the divisibility filter;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
 it was read off the normal-set survey; `normal_set_survey_rows` is the
 survey as it ran before it was decided orbit by orbit, every one of the 2^r
-unions of real-class orbits on its own k x k class-algebra charpoly, and
+unions of real-class orbits on its own exact k x k class-algebra charpoly
+and the scan of `integer_spectrum`, `orbit_verdicts` the same decision on
+each orbit alone, as the survey ran before it decided on one prime with
+an exact check, with `charpolys`, the multi-modular batch that ran it, and
 `normal_set_survey_matrix` the same rows as they ran before the class
-algebra, one |G| x |G| charpoly per row; `criterion_scan`,
+algebra, one |G| x |G| charpoly per row; `class_function_scan` and
+`is_normal_set` loop over every conjugate, the references for
+`groups.conjugation_invariant`; `criterion_scan`,
 `fcci_criterion_scan` and `semi_rational_scan` are the element-by-element
 power-map loops, and `rational_scan` and `inverse_semi_rational_scan` the
 atom walks, that the partition's unit power maps
@@ -71,9 +76,11 @@ from cayint.linalg import (
     IntPolynomial,
     NotAUnit,
     _context,
+    _crt_lift,
+    _hadamard_bound,
+    _primes_for,
     charpoly,
     charpoly_mod,
-    charpolys,
     integer_spectrum,
 )
 from cayint.spectra import (
@@ -564,19 +571,48 @@ def _rows(rows: list[NormalSetRow]) -> NormalSetRows:
     return NormalSetRows(tuple(rows), tuple(r for r in rows if not r.match))
 
 
+def charpolys(stack: np.ndarray) -> list[IntPolynomial]:
+    """Exact charpolys of a (b, n, n) int64 stack, n >= 1: `charpoly_mod`
+    on the whole stack modulo each of `charpoly`'s primes for the largest
+    Hadamard bound, and one CRT lift per matrix."""
+    primes, modulus = _primes_for(stack.shape[1], max(_hadamard_bound(m) for m in stack))
+    residues = np.stack([charpoly_mod(stack, p) for p in primes], axis=1)
+    return [_crt_lift(r, primes, modulus) for r in residues]
+
+
+def _integral_unions(g: FiniteGroup, part: ConjugacyPartition, unions: list[tuple[int, ...]]) -> list[bool]:
+    """Whether each union of classes S is integral, decided on the
+    class-algebra matrix B_S = sum_(j in S) M_j, whose eigenvalues are the
+    distinct ones of the adjacency matrix, bounded by |S|, by its exact
+    charpoly and the scan of `integer_spectrum`; one multi-prime batch
+    (`charpolys`)."""
+    if not unions:
+        return []
+    mats = np.stack(class_matrices(g, part))
+    polys = charpolys(np.stack([mats[list(c)].sum(axis=0) for c in unions]))
+    sizes = part.sizes()
+    return [integer_spectrum(poly, bound=sum(sizes[j] for j in c)).is_integral for c, poly in zip(unions, polys)]
+
+
 def normal_set_survey_rows(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetRows:
     """Every normal inverse-closed subset of G minus the identity, with its
-    Eulerian and integrality verdicts: row S decided on the class-algebra
-    matrix B_S = sum_(j in S) M_j, whose eigenvalues are the distinct ones
-    of the adjacency matrix, bounded by |S|; one batched `charpolys` call."""
-    mats = np.stack(class_matrices(g, part))
+    Eulerian and integrality verdicts (`_integral_unions`)."""
     unions = _orbit_unions(part)
-    polys = charpolys([IntMatrix(mats[list(c)].sum(axis=0)) for c in unions])
-    sizes = part.sizes()
-    return _rows([
-        _row(g, part, c, integer_spectrum(poly, bound=sum(sizes[j] for j in c)).is_integral)
-        for c, poly in zip(unions, polys)
-    ])
+    return _rows([_row(g, part, c, ok) for c, ok in zip(unions, _integral_unions(g, part, unions))])
+
+
+def orbit_verdicts(g: FiniteGroup, part: ConjugacyPartition) -> tuple[bool, ...]:
+    """The integrality of each non-identity real-class orbit alone, decided
+    as `normal_set_survey_rows` decides its rows: the survey's `integral`,
+    on groups with too many orbits for every union."""
+    return tuple(_integral_unions(g, part, [rc for rc in part.real_classes if rc != (0,)]))
+
+
+def class_function_scan(g: FiniteGroup, values: Sequence[int]) -> bool:
+    """`ConnectionFunction.class_function`: every conjugate x s x^-1 of every
+    element s carries the value of s."""
+    t, inv = g.table.tolist(), g.inv
+    return all(values[t[t[x][s]][inv[x]]] == values[s] for s in g.elements() for x in g.elements())
 
 
 def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetRows:
@@ -584,7 +620,7 @@ def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> Normal
     |G| x |G| adjacency matrix."""
     rows = []
     for c in _orbit_unions(part):
-        f = ConnectionFunction.delta(g, [x for j in c for x in part.classes[j]], part)
+        f = ConnectionFunction.delta(g, [x for j in c for x in part.classes[j]])
         rows.append(_row(g, part, c, spectrum_matrix(g, f).is_integral))
     return _rows(rows)
 

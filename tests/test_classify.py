@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayint.catalog import catalog
-from cayint.chartable import DEFAULT_ORDER_CAP
+from cayint.chartable import DEFAULT_ORDER_CAP, class_matrices
 from cayint.classify import (
     NormalSetSurvey,
+    _integral_orbits,
     cci_report,
     ci_report,
     classify_group,
@@ -32,7 +33,7 @@ from cayint.cli import main
 from cayint.groups import build_group, conjugacy_classes, direct_product
 from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
 
-from conftest import SMALL_CATALOG, build_survey
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey, load_perm_group, perm_generators
 from oracle import (
     NormalSetRows,
     criterion_scan,
@@ -41,6 +42,8 @@ from oracle import (
     inverse_semi_rational_scan,
     normal_set_survey_matrix,
     normal_set_survey_rows,
+    orbit_verdicts,
+    perm_closure_table,
     rational_scan,
     semi_rational_scan,
 )
@@ -211,6 +214,56 @@ def test_survey_above_order_24_equals_class_algebra_rows(tokens):
     part = conjugacy_classes(g)
     survey = build_survey(g, part)
     assert _survey_reading(survey) == _rows_reading(normal_set_survey_rows(g, part))
+
+
+@pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
+def test_orbit_verdicts_equal_class_algebra_rows(label, groups, partitions, surveys):
+    # the one-prime decision against the exact charpolys of every union's row
+    g, part = groups[label], partitions[label]
+    rows = normal_set_survey_rows(g, part)
+    singles = tuple(rows.rows[1 << i].integral for i in range(len(rows.rows).bit_length() - 1))
+    assert surveys[label].integral == singles == orbit_verdicts(g, part)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [("symmetric", 6), ("alternating", 6), ("dicyclic", 15), ("dihedral", 40), ("cyclic", 60)],
+    ids=lambda t: " ".join(map(str, t)),
+)
+def test_orbit_verdicts_equal_exact_charpolys_on_larger_groups(tokens):
+    # too many orbits for every union: each orbit alone, by its exact charpoly
+    g = catalog(*tokens)
+    part = conjugacy_classes(g)
+    assert build_survey(g, part).integral == orbit_verdicts(g, part)
+
+
+@given(perm_generators())
+@settings(max_examples=15, deadline=None)
+def test_orbit_verdicts_on_permutation_groups(gens):
+    g = load_perm_group(gens, len(perm_closure_table(gens)))
+    part = conjugacy_classes(g)
+    assert build_survey(g, part).integral == orbit_verdicts(g, part)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbit_decision_does_not_trust_roots_mod_p(p, groups, partitions):
+    # Below 2 b, many integers in [-b, b] share a residue and a non-integral
+    # charpoly can split into linear factors mod p: on Z5, c = (x - 2)(x^2 + x - 1)^2
+    # is (x - 2)^5 mod 5. The exact product still decides every orbit.
+    for label in ("Z5", "Z12", "S3", "Q8", "Dic12", "A4", "S4", "Q8xZ3", "D8", "A5"):
+        g, part = groups[label], partitions[label]
+        mats = class_matrices(g, part)
+        blocks = np.stack([sum(mats[j] for j in orbit) for orbit in part.real_classes[1:]])
+        assert _integral_orbits(blocks, p) == orbit_verdicts(g, part), label
+
+
+def test_orbit_product_leaves_int64_before_it_wraps():
+    # B = [[0, m], [m, m]] has the eigenvalues m(1 +- sqrt 5)/2 and e_0 generates
+    # F^2 under it, so no product of linear factors kills e_0. Modulo 2 its
+    # charpoly is x^2, so every even lambda in [-2m, 2m] is a candidate, and each
+    # B - lambda I is even: for m = 32 the exact product is a non-zero multiple
+    # of 2^65, which int64 arithmetic, modulo 2^64, would read as 0.
+    assert _integral_orbits(np.array([[[0, 32], [32, 32]]]), 2) == (False,)
 
 
 SURVEY_FACTORS = (("cyclic", 2), ("cyclic", 3), ("cyclic", 4), ("cyclic", 5), ("s3",), ("d4",), ("q8",))
@@ -621,7 +674,17 @@ def test_unit_power_maps_are_computed_once_per_classification(cap, monkeypatch):
 
 
 def test_audit_builds_unit_power_maps_once_per_partition(monkeypatch):
-    # 13 classified groups, 7 centres, 12 quotients, 9 products and the 2 fixture groups
+    # 13 classified groups, 7 centres, 12 quotients and 9 products; the 2 fixture
+    # colour functions test constancy on classes without a partition
     calls = _count_power_map_builds(monkeypatch)
     hierarchy_audit(seed=0)
-    assert len(calls) == 43
+    assert len(calls) == 41
+
+
+def test_spectrum_of_a_function_or_a_set_builds_no_partition(monkeypatch, tmp_path):
+    # the flags of a colour function and of a connection set come from the generators
+    calls = _count_power_map_builds(monkeypatch)
+    out = str(tmp_path / "spectrum.txt")
+    assert main(["spectrum", "--fixture", "alpha", "--out", out]) == 1
+    assert main(["spectrum", "--catalog", "s4", "--set", "1,2", "--out", out]) in (0, 1)
+    assert calls == []

@@ -8,8 +8,8 @@ file only when its change is intended, with the same command line and
 `--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
-`DIGESTS` pins the `--format json` output of two larger tables by its
-sha256 instead of a file.
+`DIGESTS` pins the `--format json` output of two larger tables and two
+classify reports by its sha256 instead of a file.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ CASES = {
 }
 
 # Character tables too large to keep as files, pinned by the sha256 of their
-# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2).
+# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2); and two
+# classify reports whose normal-set surveys decide 60 and 19 orbits.
 DIGESTS = {
     "chartable_cyclic_120": (
         ["chartable", "--catalog", "cyclic", "120"],
@@ -60,6 +61,14 @@ DIGESTS = {
     "chartable_z2z3_3_3": (
         ["chartable", "--catalog", "z2z3", "3", "3"],
         "b06633d16d6702473e9caafc399413a7715bc9b75251b1fd8ccaaf4b4abf7c2c",
+    ),
+    "classify_cyclic_120": (
+        ["classify", "--catalog", "cyclic", "120"],
+        "271e10f0dfc30ff73780e62aec2e3c1e244d5f59a4204fcd0b6d6a66de215294",
+    ),
+    "classify_z2z3_2_2": (
+        ["classify", "--catalog", "z2z3", "2", "2"],
+        "0d5821332e156c6acb438b31a6190d6fc4c0416a81b472c96e2ae3c4f7e80a60",
     ),
 }
 

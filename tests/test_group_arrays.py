@@ -113,16 +113,22 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
 
     values = [rng.randint(-9, 9) for _ in g.elements()]
     values[rng.randrange(g.n)] = 10**30  # beyond int64: the gather must stay exact
-    f = ConnectionFunction(g, values, part)
+    f = ConnectionFunction(g, values)
     got = adjacency(g, f)
     assert got == oracle.adjacency(g, f)
     assert got.entries.dtype == object  # the 10^30 value puts it beyond int64
+    assert f.class_function is oracle.class_function_scan(g, f.values)
+    on_classes = [10**30 * (part.class_of[x] % 3) + part.class_of[x] % 2 for x in g.elements()]
+    assert ConnectionFunction(g, on_classes).class_function is oracle.class_function_scan(g, on_classes) is True
+    moved = list(on_classes)
+    moved[max(part.classes, key=len)[-1]] += 1  # one member of a largest class
+    assert ConnectionFunction(g, moved).class_function is oracle.class_function_scan(g, moved)
 
     orbits = [{x for j in orbit for x in part.classes[j]} for orbit in part.real_classes[1:]]
     pairs = [{x, g.inv[x]} for x in picks if x]
     for elems in orbits[:3] + pairs:
         s = frozenset(elems)
-        assert ConnectionSet(g, s, part).normal is oracle.is_normal_set(g, s)
+        assert ConnectionSet(g, s).normal is oracle.is_normal_set(g, s)
 
 
 @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])

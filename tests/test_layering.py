@@ -6,16 +6,21 @@ Python ints: no other module reads an attribute named `entries`. A
 cyclotomic number has one form, its integer power-basis coordinates: no
 module of `cayint` names `Fraction` or `Cyclotomic`, the rational
 arithmetic that lives on in `tests/oracle.py` as the reference. There are
-two charpoly engines. The Hessenberg kernel, `linalg._charpoly_stack`, is
-called only from `charpolys` and `charpoly_mod`, and serves the
-class-algebra matrices and the character tables. The power-sum engine,
-`linalg.cayley_charpoly`, is called only from `spectra.spectrum_matrix`, and
-serves every Cayley colour graph adjacency matrix: `spectra` no longer
-names `charpoly`. The one 2^r
+two charpoly engines. The Hessenberg kernel, `linalg._charpoly_stack`, runs
+modulo one prime and is called only from `charpoly_mod`, the one entry
+point that the character tables, the normal-set survey and the exact
+`charpoly` (a test oracle) go through; the multi-modular batch
+`charpolys` lives on only in `tests/oracle.py`, and the survey decides
+its orbits without an integer charpoly or the scan of `integer_spectrum`.
+The power-sum engine, `linalg.cayley_charpoly`, is called only from
+`spectra.spectrum_matrix`, and serves every Cayley colour graph adjacency
+matrix: `spectra` no longer names `charpoly`. The one 2^r
 enumeration of subsets, `classify._subsets`, serves only the CI brute force
 over inverse pairs: the normal-set survey decides its unions orbit by orbit.
 The walks over a group check its generating set, `FiniteGroup.gens`, which
-`groups` alone reads and `catalog` only passes on; the all-pairs
+`groups` alone reads and `catalog` only passes on; so does the test of a
+colour function or connection set for constancy on classes
+(`groups.conjugation_invariant`), which builds no partition. The all-pairs
 commutator walk `groups._commutators` serves only `FiniteGroup.commutators`,
 and the one binary search over permutations, in `catalog._perm_table`,
 ranks the generators' rows alone. Elimination over a prime field has one
@@ -122,7 +127,22 @@ def _named() -> set[str]:
 
 
 def test_charpoly_kernel_has_one_batched_entry():
-    assert _referrers("_charpoly_stack") == {"linalg.py:charpolys", "linalg.py:charpoly_mod"}
+    assert _referrers("_charpoly_stack") == {"linalg.py:charpoly_mod"}
+    assert _defined({"charpolys"}) == {"oracle.py:charpolys"}
+    assert "charpolys" not in _named()
+
+
+def test_survey_decides_orbits_without_integer_charpolys():
+    survey = {"classify.py:normal_set_survey", "classify.py:_integral_orbits"}
+    for name in ("integer_spectrum", "IntMatrix", "charpoly", "_crt_lift"):
+        assert not _referrers(name) & survey, name
+    assert _referrers("charpoly_mod") & survey == {"classify.py:_integral_orbits"}
+
+
+def test_constancy_on_classes_needs_no_partition():
+    # the constructors of `ConnectionFunction` and `ConnectionSet`, which build no partition
+    assert _referrers("conjugation_invariant") == {"spectra.py:__init__"}
+    assert "spectra.py:__init__" not in _referrers("conjugacy_classes")
 
 
 def test_adjacency_charpolys_have_one_engine():

@@ -25,7 +25,6 @@ from cayint.linalg import (
     cayley_charpoly,
     charpoly,
     charpoly_mod,
-    charpolys,
     cyclotomic_polynomial,
     eliminate_mod,
     integer_spectrum,
@@ -200,20 +199,32 @@ class TestCharpolyAgainstBerkowitz:
 
 
 class TestCharpolysBatch:
-    """`charpolys` on a batch equals Berkowitz on each matrix, whatever the
-    sizes, magnitudes and stack boundaries in the batch."""
+    """`charpoly`, one `charpoly_mod` per prime and a CRT lift, equals
+    Berkowitz on each matrix of a batch, whatever the sizes and magnitudes;
+    `charpoly_mod` on a stack equals Berkowitz mod p on each matrix, across
+    stack boundaries."""
 
     @staticmethod
     def check(batch: list[IntMatrix]) -> None:
-        assert charpolys(batch) == [berkowitz(m) for m in batch]
+        assert [charpoly(m) for m in batch] == [berkowitz(m) for m in batch]
+
+    @staticmethod
+    def check_stacked(batch: list[IntMatrix], p: int) -> None:
+        for n in {m.n for m in batch}:
+            same = [m for m in batch if m.n == n]
+            got = charpoly_mod(np.stack([m.entries for m in same]), p).tolist()
+            assert got == [[c % p for c in berkowitz(m).coeffs] for m in same]
 
     @given(st.lists(square_matrices(6), max_size=12), st.integers(min_value=1, max_value=80))
     @settings(max_examples=80, deadline=None)
     def test_mixed_batches_across_small_stacks(self, batch, cells):
-        # a cap of a few cells puts one or a few slots in each stack
+        # a cap of a few cells puts one or a few matrices in each stack
+        mats = [IntMatrix.from_rows(rows) for rows in batch]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("cayint.linalg._STACK_CELLS", cells)
-            self.check([IntMatrix.from_rows(rows) for rows in batch])
+            self.check(mats)
+            self.check_stacked(mats, FIRST_PRIME)
+            self.check_stacked(mats, 7)
 
     def test_edge_shapes_and_wide_entries(self):
         mats = [IntMatrix.from_rows(rows) for rows in _edge_matrices()]
@@ -228,16 +239,16 @@ class TestCharpolysBatch:
         ]
         assert any(m.entries.dtype == object for m in mats)
         self.check(mats)
-        assert charpolys([]) == []
+        self.check_stacked([m for m in mats if m.n], FIRST_PRIME)
 
     def test_batch_beyond_one_stack(self):
-        # 300 matrices of 15 x 15 under at least two primes fill several stacks at the default cap
+        # 300 matrices of 15 x 15 fill several stacks at the default cap
         rng = random.Random(11)
         n = 15
         mats = [IntMatrix.from_rows([[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]) for _ in range(300)]
-        assert 2 * len(mats) > _STACK_CELLS // (n * n)
-        self.check(mats)
-        assert [charpoly(m) for m in mats[:5]] == charpolys(mats)[:5]
+        assert len(mats) > _STACK_CELLS // (n * n)
+        self.check_stacked(mats, FIRST_PRIME)
+        self.check(mats[:5])
 
 
 class TestCayleyCharpoly:
@@ -255,7 +266,7 @@ class TestCayleyCharpoly:
         for label, _ in SMALL_CATALOG:
             g, part = groups[label], partitions[label]
             vals = colour_function(kind, g, part, rng)
-            self.check(adjacency(g, ConnectionFunction(g, vals, part)))
+            self.check(adjacency(g, ConnectionFunction(g, vals)))
 
     @given(small_products(), st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=30, deadline=None)

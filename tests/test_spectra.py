@@ -46,7 +46,7 @@ BETA = (0, 1, 7, 8, 7, 1, 3, 4, 5, 3, 4, 5)
 class TestConnectionFunction:
     def test_flags_recomputed(self, groups, partitions):
         s3 = groups["S3"]
-        f = ConnectionFunction(s3, ALPHA, partitions["S3"])
+        f = ConnectionFunction(s3, ALPHA)
         assert f.symmetric and not f.class_function and f.zero_at_identity
         assert not f.in_f
         g = ConnectionFunction.from_class_values(s3, partitions["S3"], [0, 2, -3])
@@ -120,22 +120,22 @@ class TestMatrixSpectra:
         with pytest.raises(NotSymmetricFunction):
             spectrum_matrix(dic, ConnectionFunction(dic, vals))
 
-    def test_trace_consistency(self, groups, partitions):
+    def test_trace_consistency(self, groups):
         # eigenvalue sum equals n * f(identity)
         rng = random.Random(7)
         for label in ("S3", "Q8", "Dic12"):
-            g, part = groups[label], partitions[label]
+            g = groups[label]
             pair_value = {min(x, g.inv[x]): rng.randint(-5, 5) for x in g.elements()}
-            f = ConnectionFunction(g, [pair_value[min(x, g.inv[x])] for x in g.elements()], part)
+            f = ConnectionFunction(g, [pair_value[min(x, g.inv[x])] for x in g.elements()])
             rep = spectrum_matrix(g, f)
             assert rep.eigenvalue_sum() == g.n * f.values[0]
 
-    def test_diagonal_shift(self, groups, partitions):
-        g, part = groups["Q8"], partitions["Q8"]
-        base = ConnectionFunction.delta(g, [1, 3, 2], part)
+    def test_diagonal_shift(self, groups):
+        g = groups["Q8"]
+        base = ConnectionFunction.delta(g, [1, 3, 2])
         shifted_vals = list(base.values)
         shifted_vals[0] += 5
-        shifted = ConnectionFunction(g, shifted_vals, part)
+        shifted = ConnectionFunction(g, shifted_vals)
         a = spectrum_matrix(g, base)
         b = spectrum_matrix(g, shifted)
         assert b.integer_eigenvalues == tuple((v + 5, m) for v, m in a.integer_eigenvalues)
@@ -157,7 +157,7 @@ class TestMatrixSpectraAgainstHessenberg:
         rng = random.Random(seed)
         part = conjugacy_classes(g)
         for kind in FUNCTION_KINDS:
-            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng)))
 
     @pytest.mark.parametrize("label", ["D8", "A5", "S5"])
     def test_medium_groups(self, groups, partitions, label):
@@ -165,7 +165,7 @@ class TestMatrixSpectraAgainstHessenberg:
         g, part = groups[label], partitions[label]
         rng = random.Random(label)
         for kind in ("colour",) if label == "S5" else FUNCTION_KINDS:
-            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+            self.check(g, ConnectionFunction(g, colour_function(kind, g, part, rng)))
 
 
 @given(
@@ -184,9 +184,9 @@ def test_permutation_groups_spectra_match_oracles(gens, kind, class_kind, seed):
     g = load_perm_group(gens, n)
     part = conjugacy_classes(g)
     rng = random.Random(seed)
-    m = adjacency(g, ConnectionFunction(g, colour_function(kind, g, part, rng), part))
+    m = adjacency(g, ConnectionFunction(g, colour_function(kind, g, part, rng)))
     assert cayley_charpoly(m) == berkowitz(m)
-    f = ConnectionFunction(g, colour_function(class_kind, g, part, rng), part)
+    f = ConnectionFunction(g, colour_function(class_kind, g, part, rng))
     assert spectrum_matrix(g, f).is_integral == integrality_by_criterion(g, f, part)[0]
 
 
@@ -194,7 +194,7 @@ class TestCharacterRoute:
     def test_trivial_character_gives_set_size(self, groups, tables, partitions):
         g, t, part = groups["S4"], tables["S4"], partitions["S4"]
         s = [x for x in g.elements() if g.ord[x] == 2]
-        f = ConnectionFunction.delta(g, s, part)
+        f = ConnectionFunction.delta(g, s)
         pairs = spectrum_characters(g, f, t)
         one = (1,) + (0,) * (t.coeffs.shape[2] - 1)  # coordinates of 1 in Z[zeta_e]
         row_idx = next(r for r in range(t.k) if all(tuple(v) == one for v in t.coeffs[r].tolist()))
@@ -218,12 +218,10 @@ class TestCharacterRoute:
         rep = spectrum_matrix(q8, f)
         assert rep.integer_eigenvalues == ((2, 2), (0, 4), (-2, 2))
 
-    def test_multiplicities_sum_to_order(self, groups, tables, partitions):
+    def test_multiplicities_sum_to_order(self, groups, tables):
         for label in ("S3", "Q8", "A4", "Dic12"):
             g = groups[label]
-            f = ConnectionFunction.delta(
-                g, [x for x in range(1, g.n) if g.ord[x] == 2], partitions[label]
-            )
+            f = ConnectionFunction.delta(g, [x for x in range(1, g.n) if g.ord[x] == 2])
             pairs = spectrum_characters(g, f, tables[label])
             assert sum(m for _, m in pairs) == g.n
 
@@ -240,7 +238,7 @@ class TestCharacterRoute:
         assert t.degrees[2] == 2 and not x[2, trans].any()
         x[2, trans, 0] = 1
         bad = CharacterTable(g, part, t.conductor, t.prime, t.degrees, x)
-        f = ConnectionFunction.delta(g, part.classes[trans], part)
+        f = ConnectionFunction.delta(g, part.classes[trans])
         with pytest.raises(VerificationFailed):
             spectrum_characters(g, f, bad)
 
@@ -282,14 +280,12 @@ class TestCharacterRoute:
 
 
 class TestCriterion:
-    def test_exponent_four(self, groups, partitions):
-        g, part = groups["Z2xZ4"], partitions["Z2xZ4"]
+    def test_exponent_four(self, groups):
+        g = groups["Z2xZ4"]
         rng = random.Random(3)
         for _ in range(10):
             vals = [rng.randint(-9, 9) for _ in range(g.n)]
-            f = ConnectionFunction(
-                g, [vals[min(x, g.inv[x])] for x in g.elements()], part
-            )
+            f = ConnectionFunction(g, [vals[min(x, g.inv[x])] for x in g.elements()])
             ok, witness = integrality_by_criterion(g, f)
             assert ok and witness is None
 
@@ -300,9 +296,9 @@ class TestCriterion:
         assert not ok
         assert witness == (1, 5)
 
-    def test_constant_function(self, groups, partitions):
-        g, part = groups["Dic12"], partitions["Dic12"]
-        f = ConnectionFunction(g, [0] + [4] * (g.n - 1), part)
+    def test_constant_function(self, groups):
+        g = groups["Dic12"]
+        f = ConnectionFunction(g, [0] + [4] * (g.n - 1))
         ok, _ = integrality_by_criterion(g, f)
         assert ok
 
