@@ -14,6 +14,8 @@ exact product, and certifies on the table that the integral unions are the
 unions of atoms (see `normal_set_survey`). NCI reads its orbit verdicts,
 and FCCI reads them again with 1 added at the identity, which turns the
 adjacency matrix A into A + I and so keeps integrality (see `fcci_report`).
+CI's brute force decides its sets the same way, `linalg.integral_spectra`
+on adjacency matrices mod one prime, in batches (see `ci_report`).
 
 Work limits are module constants; a route above its limit is skipped and
 says so in its report's `skipped` and in `caps_notes`.
@@ -62,9 +64,10 @@ from .groups import (
     is_nilpotent,
     quotient,
 )
-from .linalg import _primes_for, charpoly_mod, eliminate_mod, vanishes_mod
+from .linalg import _STACK_CELLS, _primes_for, cayley_charpoly_mod, charpoly_mod, eliminate_mod, integral_spectra
 from .spectra import (
     ConnectionFunction,
+    adjacency_stack,
     integrality_by_criterion,
     spectrum_matrix,
 )
@@ -187,28 +190,10 @@ def _orbit_coordinates(table: CharacterTable, orbits: list[tuple[int, ...]]) -> 
 
 def _integral_orbits(blocks: np.ndarray, p: int) -> tuple[bool, ...]:
     """Whether each class-algebra matrix B_O of the (r, k, k) stack `blocks`
-    has an integral spectrum, decided by the roots of its charpoly modulo
-    the prime p and one exact product (see `normal_set_survey`); the
-    verdicts do not depend on p. The columns of B_O sum to b, so each step
-    v -> v B_O - lambda v keeps every entry and partial sum below
-    max|v| (b + |lambda|): int64 while that is below 2^63, Python ints after.
-    """
-    r, k, _ = blocks.shape
+    has an integral spectrum, by `integral_spectra` modulo the prime p with
+    b its largest column sum (see `normal_set_survey`)."""
     bounds = blocks.sum(axis=1).max(axis=1).tolist()  # the entries are counts, at least 0
-    owner = np.repeat(np.arange(r), [2 * b + 1 for b in bounds])
-    lam = np.concatenate([np.arange(-b, b + 1) for b in bounds])
-    hit = vanishes_mod(charpoly_mod(blocks, p), owner, lam % p, p)
-    roots = np.split(lam[hit], np.cumsum(np.bincount(owner[hit], minlength=r))[:-1])
-    integral = []
-    for block, b, candidates in zip(blocks, bounds, roots):
-        v = np.zeros(k, dtype=np.int64)
-        v[0] = 1
-        for x in candidates.tolist():
-            if v.dtype != object and int(np.abs(v).max()) * (b + abs(x)) >= 2**63:
-                v = v.astype(object)
-            v = v @ block - x * v
-        integral.append(not v.any())
-    return tuple(integral)
+    return integral_spectra(blocks, charpoly_mod(blocks, p), bounds, p)
 
 
 def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray]) -> NormalSetSurvey:
@@ -222,18 +207,12 @@ def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: lis
     b = sum_(j in O) |C_j| in magnitude. The B_O commute and add, so the
     first non-integral union in mask order is the first such orbit alone.
 
-    Decision (`_integral_orbits`): one `charpoly_mod` stack modulo one prime
-    p > 2 |G| >= 2 b gives c_O mod p; R_O, the lambda in [-b, b] with
-    c_O(lambda) = 0 mod p, are distinct mod p, so at most k. O is integral
-    exactly when e_0 q(B_O) = 0 over Z, q = prod_(lambda in R_O) (x - lambda):
-    - if so, q(K_O) = 0, as e_0 is the unit K_0 and e_0 q(B_O) holds the
-      coordinates of q(K_O); so q(B_O) = 0 and every eigenvalue is a root
-      of q, an integer;
-    - if O is integral, B_O is diagonalizable (Z(CG) is semisimple), and
-      each of its eigenvalues is an integer in [-b, b] and a root of c_O,
-      so in R_O: q is a multiple of the minimal polynomial.
-    The prime only narrows the candidates; a spurious one adds a factor
-    and cannot make a non-integral orbit integral.
+    Decision (`_integral_orbits`): `integral_spectra` on one `charpoly_mod`
+    stack modulo one prime p > 2 |G| >= 2 b, so at most k candidates, the
+    roots in [-b, b] being distinct mod p. B_O is diagonalizable (Z(CG) is
+    semisimple), its columns sum to b, and e_0 q(B_O) holds the
+    coordinates of q(K_O), e_0 being the unit K_0: e_0 q(B_O) = 0 gives
+    q(K_O) = 0, so q(B_O) = 0.
 
     Certificate: the power basis is a Q-basis, so a union S is integral
     exactly when the v_i of `_orbit_coordinates` sum to 0 over S, and it is
@@ -534,18 +513,36 @@ def _is_dic12_shape(g: FiniteGroup) -> bool:
 def ci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CiReport:
     """Integrality of every Cayley graph: structural recognizers plus a
     brute-force sweep over inverse-closed connection sets (exhaustive for
-    small groups, sampled up to the sampling cap)."""
+    small groups, sampled up to the sampling cap).
+
+    The sweep draws its sets in order, in chunks that double from 1 up to
+    _STACK_CELLS // n^2, and decides each chunk by `integral_spectra` on
+    the charpolys modulo one prime p > 2 |G| > n (`cayley_charpoly_mod`),
+    b = |S|; the first non-integral set gives the count and the witness.
+    Soundness: A = [f(a b^-1)] is symmetric, so diagonalizable, with row
+    and column sums b. It commutes with right translations, so row a of
+    q(A) is row 0 permuted, and e_0 q(A) = 0 gives q(A) = 0.
+    """
     structural = _cci_structural(g, part) or _is_s3_shape(g) or _is_dic12_shape(g)
     report = CiReport(verdict=structural, structural=structural)
     pairs = _inverse_pairs(g)
 
-    def check_subsets(subsets) -> bool:
-        for chosen in subsets:
-            members = [x for pair in chosen for x in pair]
-            report.subsets_tried += 1
-            if not spectrum_matrix(g, ConnectionFunction.delta(g, members)).is_integral:
-                report.witness_set = sorted(members)
+    def check_subsets(subsets: Iterator[list[tuple[int, ...]]]) -> bool:
+        (p,), _ = _primes_for(g.n, g.n)  # one prime above 2 |G|
+        size = 1
+        while chunk := list(itertools.islice(subsets, size)):
+            marks = np.zeros((len(chunk), g.n), dtype=np.int64)
+            for row, chosen in zip(marks, chunk):
+                row[[x for pair in chosen for x in pair]] = 1
+            stack = adjacency_stack(g, marks)
+            verdicts = integral_spectra(stack, cayley_charpoly_mod(stack, p), marks.sum(axis=1).tolist(), p)
+            if not all(verdicts):
+                first = verdicts.index(False)
+                report.subsets_tried += first + 1
+                report.witness_set = np.flatnonzero(marks[first]).tolist()
                 return False
+            report.subsets_tried += len(chunk)
+            size = min(2 * size, max(1, _STACK_CELLS // (g.n * g.n)))
         return True
 
     if g.n <= CI_EXHAUSTIVE_MAX_ORDER:

@@ -18,13 +18,16 @@ by one of two engines:
   Cayley colour graph, which commutes with right translations: one Krylov
   sequence on e_0 gives every power sum tr(A^m) = n (A^m)[0, 0], and
   Newton's identities give the coefficients, in about n^3 / 2 multiply-adds
-  per prime against the kernel's several n^3, lifted like `charpoly`'s.
+  per prime against the kernel's several n^3, lifted like `charpoly`'s;
+  `cayley_charpoly_mod` runs it on one prime for a stack of matrices.
 
 The roots of such residue polynomials at given points are one Horner pass
-(`vanishes_mod`), shared by the tables and the survey. Integer
-eigenvalues are split off by synthetic division against a sound
-candidate set, and the non-integral residual is split into squarefree parts
-by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
+(`vanishes_mod`). With it one routine, `integral_spectra`, decides the
+integrality of the survey's and the CI brute force's matrices by their
+roots mod one prime and one exact product, with no integer charpoly.
+Integer eigenvalues are split off by synthetic division against a sound
+candidate set, screened by one Horner pass mod one prime, and the
+non-integral residual is split into squarefree parts by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
 power-basis coordinates; the conductor's context (`_context`) holds the
 powers of zeta_e on that basis and the fixed integer maps on such vectors:
 complex conjugation and the Galois twists. Gaussian elimination over a
@@ -204,6 +207,7 @@ class IntPolynomial:
 _PRIME_CAP = 2**26
 _STACK_CELLS = 2**16  # matrix cells per batched (k, n, n) stack; bounds the work arrays
 _PRIMES: dict[tuple[int, int], list[int]] = {}  # (limit, e) -> primes = 1 (mod e) below limit, descending
+_SCREEN_PRIME = 67108859  # the largest prime below 2^26, for `integer_spectrum`'s screen
 
 
 def _charpoly_stack(a: np.ndarray, p: int) -> np.ndarray:
@@ -421,23 +425,29 @@ def _krylov_diagonal(a: np.ndarray, ps: np.ndarray, n: int) -> np.ndarray:
     or A reduced modulo each prime (k, n, n).
 
     With v_i = A^i e_0 mod p, (A^(i+j))[0, 0] = <v_i, v_j>, so the
-    ceil(n/2) matvecs that give v_1 .. v_ceil(n/2) give every entry.
+    h = ceil(n/2) matvecs that give v_1 .. v_h give every entry: <v_i, v_i>
+    at 2i and <v_i, v_(i+1)> at 2i + 1.
     """
-    k = len(ps)
+    k, h = len(ps), (n + 1) // 2
     pcol = ps.reshape(k, 1)
-    diag = np.empty((k, n + 1), dtype=np.int64)
-    v = np.zeros((k, n), dtype=np.int64)
-    v[:, 0] = 1
-    for i in range((n + 1) // 2):
-        w = np.matmul(v[:, None, :], a)[:, 0, :]  # a (n, n) broadcasts over the primes
-        w %= pcol
-        diag[:, 2 * i] = np.einsum("kj,kj->k", v, v)
-        diag[:, 2 * i + 1] = np.einsum("kj,kj->k", v, w)
-        v = w
-    if n % 2 == 0:
-        diag[:, n] = np.einsum("kj,kj->k", v, v)
+    v = np.zeros((k, h + 1, n), dtype=np.int64)
+    v[:, 0, 0] = 1
+    for i in range(h):
+        v[:, i + 1] = np.matmul(v[:, i : i + 1], a)[:, 0] % pcol  # a (n, n) broadcasts over the primes
+    diag = np.empty((k, 2 * h + 1), dtype=np.int64)
+    diag[:, 0::2] = np.einsum("kij,kij->ki", v, v)
+    diag[:, 1::2] = np.einsum("kij,kij->ki", v[:, :-1], v[:, 1:])
     diag %= pcol
-    return diag
+    return diag[:, : n + 1]
+
+
+_INVERSES: dict[int, np.ndarray] = {}  # p -> j^-1 mod p for j = 0, 1, ... (0 at j = 0)
+
+
+def _inverses(p: int, width: int) -> np.ndarray:
+    if len(_INVERSES.get(p, ())) < width:
+        _INVERSES[p] = np.array([0] + [pow(j, -1, p) for j in range(1, width)], dtype=np.int64)
+    return _INVERSES[p][:width]
 
 
 def _newton_mod(power_sums: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -445,17 +455,14 @@ def _newton_mod(power_sums: np.ndarray, ps: np.ndarray) -> np.ndarray:
     have power sums power_sums[i, 1..n] modulo ps[i], each prime above n.
 
     Newton's identities for the coefficients c_j of x^(n-j) (c_0 = 1):
-    j c_j = -sum_(t<j) c_t p_(j-t). The inverse of j modulo each prime comes
-    from the inverse of p mod j: j^-1 = -(p // j) (p mod j)^-1.
+    j c_j = -sum_(t<j) c_t p_(j-t), with j^-1 from `_inverses`.
     """
     k, width = power_sums.shape
-    rows = np.arange(k)
-    inv = np.ones((k, width), dtype=np.int64)
+    primes, row = np.unique(ps, return_inverse=True)
+    inv = np.stack([_inverses(p, width) for p in primes.tolist()])[row.reshape(k)]
     c = np.zeros((k, width), dtype=np.int64)
     c[:, 0] = 1
     for j in range(1, width):
-        if j > 1:
-            inv[:, j] = (ps - ps // j) * inv[rows, ps % j] % ps
         acc = np.einsum("kt,kt->k", c[:, :j], power_sums[:, j:0:-1]) % ps
         c[:, j] = (ps - acc) * inv[:, j] % ps
     return c[:, ::-1]
@@ -511,6 +518,46 @@ def cayley_charpoly(m: IntMatrix) -> IntPolynomial:
     return _crt_lift(_newton_mod(power_sums, ps), primes, modulus)
 
 
+def cayley_charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(xI - M) modulo a prime p, each in [0, p),
+    for every Cayley colour graph adjacency matrix M of a (b, n, n) integer
+    stack, as a (b, n+1) array: `cayley_charpoly`'s Krylov sequence and
+    Newton's identities on one prime, n < p < 2^26, for the whole stack."""
+    b, n, _ = stack.shape
+    if not (n < p < _PRIME_CAP and n * p * p < _INT64):
+        raise ValueError(f"modulus {p} outside the power-sum engine's range for n={n}")
+    ps = np.full(b, p, dtype=np.int64)
+    diag = _krylov_diagonal((stack % p).astype(np.int64), ps, n)
+    return _newton_mod(diag * n % p, ps)
+
+
+def integral_spectra(stack: np.ndarray, residues: np.ndarray, bounds: list[int], p: int) -> tuple[bool, ...]:
+    """Whether e_0 q(M) = 0 over Z for each M of a (b, n, n) integer stack,
+    q the product of x - lambda over the lambda in [-b, b] (b = bounds[i])
+    that are roots of its charpoly mod the prime p (`residues`): M's
+    integrality when M is diagonalizable, e_0 q(M) = 0 gives q(M) = 0 and b
+    bounds its eigenvalues and absolute column sums, as each caller shows.
+    Any p will do; a spurious candidate only adds a factor. A step
+    v -> v M - lambda v stays below max|v| (b + |lambda|): int64 while that
+    is below 2^63, Python ints after."""
+    b, n, _ = stack.shape
+    width = 2 * np.array(bounds, dtype=np.int64) + 1
+    owner = np.repeat(np.arange(b), width)
+    lam = np.arange(owner.size) - (np.cumsum(width) - (width + 1) // 2)[owner]
+    hit = vanishes_mod(residues, owner, lam % p, p)
+    roots = np.split(lam[hit], np.cumsum(np.bincount(owner[hit], minlength=b))[:-1])
+    verdicts = []
+    for m, bound, candidates in zip(stack, bounds, roots):
+        v = np.zeros(n, dtype=np.int64)
+        v[0] = 1
+        for x in candidates.tolist():
+            if v.dtype != object and int(np.abs(v).max()) * (bound + abs(x)) >= _INT64:
+                v = v.astype(object)
+            v = v @ m - x * v
+        verdicts.append(not v.any())
+    return tuple(verdicts)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Integer eigenvalues with multiplicity plus the leftover non-integer factor."""
@@ -560,15 +607,28 @@ def _divisor_candidates(constant: int, limit: int) -> list[int]:
     return sorted({s * d for d in ds for s in (1, -1)}, reverse=True)
 
 
+def _screened(work: list[int], bound: int) -> list[int]:
+    """The roots of `work` (ascending) in [-bound, bound] mod _SCREEN_PRIME,
+    descending, in chunks of _STACK_CELLS points."""
+    p = _SCREEN_PRIME
+    coeffs = np.array([[c % p for c in work]], dtype=np.int64)
+    kept = []
+    for start in range(-bound, bound + 1, _STACK_CELLS):
+        x = np.arange(start, min(start + _STACK_CELLS, bound + 1))
+        kept.append(x[vanishes_mod(coeffs, np.zeros(len(x), dtype=np.intp), x % p, p)])
+    return np.concatenate(kept)[::-1].tolist()
+
+
 def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumReport:
     """Split all integer roots (with multiplicity) off a monic polynomial.
 
     With `bound` given (e.g. a Gershgorin row bound from the source matrix)
-    candidates are every integer in [-bound, bound]; otherwise the divisors
-    of the constant term, capped by the Cauchy root bound. Both candidate
-    sets provably contain every integer root, so the residual is certified
-    to have none. Candidates that do not divide the current constant term
-    are skipped without a division.
+    candidates are the integers in [-bound, bound] that are roots mod one
+    prime (`_screened`); otherwise the divisors of the constant term,
+    capped by the Cauchy root bound. Both candidate sets provably contain
+    every integer root, so the residual is certified to have none.
+    Candidates that do not divide the current constant term are skipped
+    without a division.
     """
     if not p.is_monic:
         raise ValueError("integer_spectrum requires a monic polynomial")
@@ -580,7 +640,7 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
         found[0] = found.get(0, 0) + 1
     if len(work) > 1:
         if bound is not None:
-            candidates: Iterable[int] = range(bound, -bound - 1, -1)
+            candidates: Iterable[int] = _screened(work, bound)
         else:
             cauchy = 1 + max(abs(c) for c in work)
             candidates = _divisor_candidates(work[0], cauchy)

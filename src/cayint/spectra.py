@@ -19,6 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .chartable import CharacterTable, VerificationFailed
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, conjugation_invariant
 from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
@@ -93,9 +95,15 @@ class ConnectionSet:
 # ---------------------------------------------------------------------------
 
 
+def adjacency_stack(g: FiniteGroup, values: np.ndarray) -> np.ndarray:
+    """The (b, n, n) stack of matrices [f(a b^-1)], one for each row f of
+    the (b, n) array of colour values `values`."""
+    return values[:, g.products(g.elements(), g.inv)]
+
+
 def adjacency(g: FiniteGroup, f: ConnectionFunction) -> IntMatrix:
     """The matrix [f(a b^-1)] over all ordered pairs; symmetric iff f is."""
-    return IntMatrix(exact_array(f.values)[g.products(g.elements(), g.inv)])
+    return IntMatrix(adjacency_stack(g, exact_array(f.values)[None])[0])
 
 
 def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:

@@ -17,7 +17,9 @@ and the scan of `integer_spectrum`, `orbit_verdicts` the same decision on
 each orbit alone, as the survey ran before it decided on one prime with
 an exact check, with `charpolys`, the multi-modular batch that ran it, and
 `normal_set_survey_matrix` the same rows as they ran before the class
-algebra, one |G| x |G| charpoly per row; `class_function_scan` and
+algebra, one |G| x |G| charpoly per row; `ci_brute_scan` is the CI brute
+force as it ran before it decided its sets in batches on one prime, each
+set on its own exact spectrum; `class_function_scan` and
 `is_normal_set` loop over every conjugate, the references for
 `groups.conjugation_invariant`; `criterion_scan`,
 `fcci_criterion_scan` and `semi_rational_scan` are the element-by-element
@@ -57,6 +59,7 @@ unit and class.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -68,7 +71,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from cayint.chartable import CharacterTable, VerificationFailed, _absmax, _apply, class_matrices
-from cayint.classify import _lift_unit
+from cayint.classify import (
+    CI_EXHAUSTIVE_MAX_ORDER,
+    CI_SAMPLED_MAX_ORDER,
+    CI_SAMPLES,
+    _inverse_pairs,
+    _lift_unit,
+    _subsets,
+)
 from cayint.groups import Atom, ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
 from cayint.linalg import (
     _INT64,
@@ -594,9 +604,17 @@ def _integral_unions(g: FiniteGroup, part: ConjugacyPartition, unions: list[tupl
     return [integer_spectrum(poly, bound=sum(sizes[j] for j in c)).is_integral for c, poly in zip(unions, polys)]
 
 
+SURVEY_ROWS_MAX_ORBITS = 12  # 2^12 k x k matrices at most; 2^19 of Q8xZ3xZ2 would need about 3.8 GB
+
+
 def normal_set_survey_rows(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetRows:
     """Every normal inverse-closed subset of G minus the identity, with its
-    Eulerian and integrality verdicts (`_integral_unions`)."""
+    Eulerian and integrality verdicts (`_integral_unions`). Raises
+    ValueError, before it builds anything, above SURVEY_ROWS_MAX_ORBITS
+    orbits."""
+    r = len(part.real_classes) - 1
+    if r > SURVEY_ROWS_MAX_ORBITS:
+        raise ValueError(f"{r} real-class orbits: 2^{r} unions exceed the oracle's {SURVEY_ROWS_MAX_ORBITS}")
     unions = _orbit_unions(part)
     return _rows([_row(g, part, c, ok) for c, ok in zip(unions, _integral_unions(g, part, unions))])
 
@@ -623,6 +641,26 @@ def normal_set_survey_matrix(g: FiniteGroup, part: ConjugacyPartition) -> Normal
         f = ConnectionFunction.delta(g, [x for j in c for x in part.classes[j]])
         rows.append(_row(g, part, c, spectrum_matrix(g, f).is_integral))
     return _rows(rows)
+
+
+def ci_brute_scan(g: FiniteGroup, seed: int = 0) -> tuple[str, bool | None, int, list[int] | None]:
+    """`classify.ci_report`'s brute force as it ran before it decided its
+    sets in batches on one prime: (mode, verdict, sets tried, witness set),
+    every set drawn in the same order and decided alone by
+    `spectrum_matrix`."""
+    pairs = _inverse_pairs(g)
+    if g.n <= CI_EXHAUSTIVE_MAX_ORDER:
+        mode, subsets = "exhaustive", _subsets(pairs)
+    elif g.n <= CI_SAMPLED_MAX_ORDER:
+        rng = random.Random(f"{seed}:{g.name}:ci")
+        mode, subsets = "sampled", ([p for p in pairs if rng.random() < 0.5] for _ in range(CI_SAMPLES))
+    else:
+        return "skipped", None, 0, None
+    for tried, chosen in enumerate(subsets, start=1):
+        members = [x for pair in chosen for x in pair]
+        if not spectrum_matrix(g, ConnectionFunction.delta(g, members)).is_integral:
+            return mode, False, tried, sorted(members)
+    return mode, True, tried, None
 
 
 def _units(n: int) -> list[int]:

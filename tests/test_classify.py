@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cayint.catalog import catalog
 from cayint.chartable import DEFAULT_ORDER_CAP, class_matrices
 from cayint.classify import (
+    CI_SAMPLED_MAX_ORDER,
     NormalSetSurvey,
     _integral_orbits,
     cci_report,
@@ -30,12 +32,14 @@ from cayint.classify import (
     nci_report,
 )
 from cayint.cli import main
+from cayint.linalg import _STACK_CELLS, cayley_charpoly_mod
 from cayint.groups import build_group, conjugacy_classes, direct_product
 from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
 
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey, load_perm_group, perm_generators
 from oracle import (
     NormalSetRows,
+    ci_brute_scan,
     criterion_scan,
     fcci_criterion_scan,
     fcci_spectra_direct,
@@ -432,6 +436,67 @@ class TestCi:
         rep = ci_report(groups["S5"], partitions["S5"])
         assert rep.brute is None and rep.mode == "skipped"
         assert rep.skipped
+
+
+def _ci_reading(rep) -> tuple:
+    return rep.mode, rep.brute, rep.subsets_tried, rep.witness_set
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [(name, *params) for _, (name, params) in SMALL_CATALOG]
+    + [("z2z4", 0, 2), ("z2z3", 3, 1), ("dihedral", 7), ("cyclic", 1)],
+    ids=lambda t: " ".join(map(str, t)),
+)
+def test_ci_sweep_matches_the_per_set_oracle(tokens):
+    # the same sets in the same order, decided in batches on one prime: the
+    # same count and witness, also where all 1000 sampled sets are integral
+    g = catalog(*tokens)
+    assert _ci_reading(ci_report(g, conjugacy_classes(g), seed=3)) == ci_brute_scan(g, seed=3)
+
+
+@given(perm_generators())
+@settings(max_examples=10, deadline=None)
+def test_ci_sweep_matches_the_oracle_on_permutation_groups(gens):
+    n = len(perm_closure_table(gens))
+    assume(n <= CI_SAMPLED_MAX_ORDER)
+    g = load_perm_group(gens, n)
+    assert _ci_reading(ci_report(g, conjugacy_classes(g))) == ci_brute_scan(g)
+
+
+@pytest.mark.parametrize("tokens", [("d4",), ("q8z3",), ("z2z4", 0, 2)], ids=lambda t: " ".join(map(str, t)))
+def test_ci_sweep_chunks_double_up_to_the_stack_budget(tokens, monkeypatch):
+    # a sweep decides at most about twice the sets it reports as tried
+    g = catalog(*tokens)
+    sizes = []
+    real = cayley_charpoly_mod
+
+    def counting(stack, p):
+        sizes.append(len(stack))
+        return real(stack, p)
+
+    monkeypatch.setattr("cayint.classify.cayley_charpoly_mod", counting)
+    rep = ci_report(g, conjugacy_classes(g))
+    cap = _STACK_CELLS // (g.n * g.n)
+    assert sizes[:-1] == [min(2**i, cap) for i in range(len(sizes) - 1)]
+    assert sizes[-1] <= min(2 ** (len(sizes) - 1), cap)
+    assert sum(sizes[:-1]) < rep.subsets_tried <= sum(sizes)
+
+
+def test_survey_rows_oracle_refuses_too_many_orbits():
+    # Q8 x Z3 x Z2 has 19 non-identity real-class orbits: 2^19 matrices of
+    # 30 x 30 would take about 3.8 GB, so the oracle stops before it builds any
+    g = direct_product(catalog("q8z3"), catalog("cyclic", 2))
+    part = conjugacy_classes(g)
+    assert len(part.real_classes) - 1 == 19
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^19"):
+            normal_set_survey_rows(g, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestGammaChiConj:

@@ -8,7 +8,7 @@ file only when its change is intended, with the same command line and
 `--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
-`DIGESTS` pins the `--format json` output of two larger tables and two
+`DIGESTS` pins the `--format json` output of two larger tables and four
 classify reports by its sha256 instead of a file.
 """
 
@@ -51,8 +51,9 @@ CASES = {
 }
 
 # Character tables too large to keep as files, pinned by the sha256 of their
-# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2); and two
-# classify reports whose normal-set surveys decide 60 and 19 orbits.
+# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2); two
+# classify reports whose normal-set surveys decide 60 and 19 orbits; and two
+# whose sampled CI brute force finds all 1000 sets integral.
 DIGESTS = {
     "chartable_cyclic_120": (
         ["chartable", "--catalog", "cyclic", "120"],
@@ -69,6 +70,14 @@ DIGESTS = {
     "classify_z2z3_2_2": (
         ["classify", "--catalog", "z2z3", "2", "2"],
         "0d5821332e156c6acb438b31a6190d6fc4c0416a81b472c96e2ae3c4f7e80a60",
+    ),
+    "classify_z2z4_0_2": (
+        ["classify", "--catalog", "z2z4", "0", "2"],
+        "bdc5539e4b99f1cd103887cf74b677b8754d6eb24c0d4397601cdad826662f2b",
+    ),
+    "classify_z2z3_3_1": (
+        ["classify", "--catalog", "z2z3", "3", "1"],
+        "8d231049b4f2ce51c5cb0cc6f4fd01ab82cac0a9950e7ec54ecf101365d4b8a8",
     ),
 }
 

@@ -14,7 +14,12 @@ point that the character tables, the normal-set survey and the exact
 its orbits without an integer charpoly or the scan of `integer_spectrum`.
 The power-sum engine, `linalg.cayley_charpoly`, is called only from
 `spectra.spectrum_matrix`, and serves every Cayley colour graph adjacency
-matrix: `spectra` no longer names `charpoly`. The one 2^r
+matrix: `spectra` no longer names `charpoly`. Its kernels,
+`_krylov_diagonal` and `_newton_mod`, serve only it and its one-prime
+stack form `cayley_charpoly_mod`, which only the CI brute force calls: the
+sweep reads no exact spectrum. One routine, `linalg.integral_spectra`,
+decides integrality from residues mod one prime and an exact product, for
+the survey's orbits and the CI sweep's sets alike. The one 2^r
 enumeration of subsets, `classify._subsets`, serves only the CI brute force
 over inverse pairs: the normal-set survey decides its unions orbit by orbit.
 The walks over a group check its generating set, `FiniteGroup.gens`, which
@@ -137,6 +142,24 @@ def test_survey_decides_orbits_without_integer_charpolys():
     for name in ("integer_spectrum", "IntMatrix", "charpoly", "_crt_lift"):
         assert not _referrers(name) & survey, name
     assert _referrers("charpoly_mod") & survey == {"classify.py:_integral_orbits"}
+
+
+def test_ci_sweep_reads_no_exact_spectrum():
+    sweep = {"classify.py:ci_report", "classify.py:check_subsets"}
+    for name in ("spectrum_matrix", "ConnectionFunction", "cayley_charpoly", "integer_spectrum", "_crt_lift"):
+        assert not _referrers(name) & sweep, name
+    assert _referrers("cayley_charpoly_mod") == {"classify.py:check_subsets"}
+
+
+def test_power_sum_kernels_serve_only_the_cayley_charpolys():
+    entries = {"linalg.py:cayley_charpoly", "linalg.py:cayley_charpoly_mod"}
+    assert _referrers("_krylov_diagonal") == entries
+    assert _referrers("_newton_mod") == entries
+
+
+def test_integrality_decision_has_one_routine():
+    assert _defined({"integral_spectra"}) == {"linalg.py:integral_spectra"}
+    assert _referrers("integral_spectra") == {"classify.py:_integral_orbits", "classify.py:check_subsets"}
 
 
 def test_constancy_on_classes_needs_no_partition():

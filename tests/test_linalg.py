@@ -17,20 +17,24 @@ from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan, kerne
 from cayint.chartable import _find_prime, class_matrices
 from cayint.groups import build_group, conjugacy_classes
 from cayint.linalg import (
+    _SCREEN_PRIME,
     _STACK_CELLS,
     _context,
+    _primes_for,
     IntMatrix,
     IntPolynomial,
     NotAUnit,
     cayley_charpoly,
+    cayley_charpoly_mod,
     charpoly,
     charpoly_mod,
     cyclotomic_polynomial,
     eliminate_mod,
     integer_spectrum,
+    integral_spectra,
     squarefree_factorization,
 )
-from cayint.spectra import ConnectionFunction, adjacency
+from cayint.spectra import ConnectionFunction, adjacency, adjacency_stack, spectrum_matrix
 
 
 def circulant(n: int, offsets: set[int]) -> IntMatrix:
@@ -314,6 +318,65 @@ class TestCayleyCharpoly:
             cayley_charpoly(adjacency(g, ConnectionFunction(g, vals)))
 
 
+class TestIntegralSpectraOnCayleyStacks:
+    """The one-prime decision on a stack of Cayley colour graph adjacency
+    matrices must give every matrix's `spectrum_matrix` verdict, on any
+    prime above n, also one so small that the candidates collide."""
+
+    @staticmethod
+    def stack_and_verdicts(g, part, kind, rng, count):
+        values = np.array([colour_function(kind, g, part, rng) for _ in range(count)], dtype=np.int64)
+        stack = adjacency_stack(g, values)
+        want = []
+        for row, m in zip(values.tolist(), stack):
+            f = ConnectionFunction(g, row)
+            assert adjacency(g, f) == IntMatrix(m)
+            want.append(spectrum_matrix(g, f).is_integral)
+        return stack, tuple(want)
+
+    @pytest.mark.parametrize("kind", FUNCTION_KINDS)
+    def test_matches_spectrum_matrix(self, groups, partitions, kind):
+        rng = random.Random(f"stack:{kind}")
+        seen = set()
+        for label, _ in SMALL_CATALOG:
+            g, part = groups[label], partitions[label]
+            stack, want = self.stack_and_verdicts(g, part, kind, rng, 6)
+            seen.update(want)
+            bounds = np.abs(stack).sum(axis=1).max(axis=1).tolist()
+            (big,), _ = _primes_for(g.n, max(bounds))
+            least = sympy.nextprime(g.n)
+            for p in (big, least):
+                assert integral_spectra(stack, cayley_charpoly_mod(stack, p), bounds, p) == want, (label, p)
+        if kind.endswith("01"):
+            assert seen == {True, False}
+
+    @given(small_products(), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_on_products_with_the_least_prime(self, g, seed):
+        part = conjugacy_classes(g)
+        stack, want = self.stack_and_verdicts(g, part, "set01", random.Random(seed), 4)
+        bounds = stack.sum(axis=1).max(axis=1).tolist()
+        p = sympy.nextprime(g.n)
+        assert integral_spectra(stack, cayley_charpoly_mod(stack, p), bounds, p) == want
+
+    def test_residues_equal_the_exact_charpoly(self, groups, partitions):
+        rng = random.Random(7)
+        for label, _ in SMALL_CATALOG:
+            g, part = groups[label], partitions[label]
+            values = np.array([colour_function("signed", g, part, rng) for _ in range(3)], dtype=np.int64)
+            stack = adjacency_stack(g, values)
+            for p in (sympy.nextprime(g.n), _SCREEN_PRIME):
+                got = cayley_charpoly_mod(stack, p)
+                want = [[c % p for c in cayley_charpoly(IntMatrix(m)).coeffs] for m in stack]
+                assert got.tolist() == want, (label, p)
+
+    def test_rejects_a_prime_not_above_n(self, groups):
+        g = groups["Z12"]
+        stack = adjacency_stack(g, np.zeros((1, g.n), dtype=np.int64))
+        with pytest.raises(ValueError, match="range"):
+            cayley_charpoly_mod(stack, 11)
+
+
 class TestIntMatrixDtype:
     """`IntMatrix.entries` is int64 below 2^62 in magnitude and Python ints
     otherwise, whatever numpy would have inferred; charpolys stay exact."""
@@ -436,9 +499,34 @@ class TestIntegerSpectrum:
             p = p * IntPolynomial((-r, 1))
         for b, c in quads:
             p = p * IntPolynomial((c, b, 1))
-        rep = integer_spectrum(p, bound=bound)
-        assert rep.integer_eigenvalues == integer_roots_scan(p, bound)
-        assert rep.reconstruct() == p
+        # modulo 5 a fifth of the points pass the screen, most of them not
+        # roots: the exact division still decides each one
+        for screen in (_SCREEN_PRIME, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("cayint.linalg._SCREEN_PRIME", screen)
+                rep = integer_spectrum(p, bound=bound)
+            assert rep.integer_eigenvalues == integer_roots_scan(p, bound)
+            assert rep.reconstruct() == p
+
+    def test_screen_prime_is_the_largest_below_the_cap(self):
+        assert _SCREEN_PRIME == sympy.prevprime(2**26)
+
+    @pytest.mark.parametrize("screen", [_SCREEN_PRIME, 5])
+    def test_screen_across_chunks(self, screen):
+        # a bound past _STACK_CELLS screens [-bound, bound] in several chunks;
+        # the roots sit at the ends and on both sides of a chunk boundary
+        bound = _STACK_CELLS + 1000
+        edge = -bound + _STACK_CELLS
+        roots = (bound, edge, edge - 1, 0, -bound)
+        p = IntPolynomial((1,))
+        for r in roots + (edge,):
+            p = p * IntPolynomial((-r, 1))
+        p = p * IntPolynomial((-7, 0, 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.linalg._SCREEN_PRIME", screen)
+            rep = integer_spectrum(p, bound=bound)
+        assert rep.integer_eigenvalues == ((bound, 1), (0, 1), (edge, 2), (edge - 1, 1), (-bound, 1))
+        assert rep.residual == IntPolynomial((-7, 0, 1))
 
     def test_gershgorin_bound_far_above_the_roots(self):
         # a bound of 20000 against roots of size at most 360: most candidates
