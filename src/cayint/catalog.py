@@ -32,8 +32,7 @@ out from the identity, so S7 needs 2 searched rows instead of 5,040.
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import factorial
+from itertools import chain, permutations, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -221,6 +220,23 @@ _ALIASES = {
 }
 
 
+# Each parametrised family: its parameters' names, their least value, the
+# factors whose product is the order, and the constructor.
+_FAMILIES = {
+    "cyclic": (("m",), 1, lambda m: (m,), cyclic_group),
+    "dihedral": (("m",), 1, lambda m: (2, m), dihedral_group),
+    "dicyclic": (("m",), 2, lambda m: (4, m), dicyclic_group),
+    "symmetric": (("m",), 1, lambda m: range(2, m + 1), symmetric_group),
+    "alternating": (("m",), 3, lambda m: range(3, m + 1), alternating_group),
+    "z2z3": (
+        ("a", "b"), 0, lambda a, b: chain(repeat(2, a), repeat(3, b)), lambda a, b: elementary_product(2, a, 3, b)
+    ),
+    "z2z4": (
+        ("a", "b"), 0, lambda a, b: chain(repeat(2, a), repeat(4, b)), lambda a, b: elementary_product(2, a, 4, b)
+    ),
+}
+
+
 def catalog(name: str, *params: int, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
     """Build a named group; raises UnknownName / ParamOutOfRange."""
     key = name.lower()
@@ -240,53 +256,19 @@ def catalog(name: str, *params: int, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGr
     if key.startswith("c") and key[1:].isdigit() and not params:
         key, params = "cyclic", (int(key[1:]),)
 
-    def need(count: int) -> tuple[int, ...]:
-        if len(params) != count:
-            raise ParamOutOfRange(f"{name} needs {count} integer parameter(s), got {len(params)}")
-        return params
-
-    def check(order: int) -> int:
-        if order < 1 or order > cap:
-            raise ParamOutOfRange(f"{name}{params} has order {order}, outside 1..{cap}")
-        return order
-
-    if key == "cyclic":
-        (m,) = need(1)
-        check(m)
-        return cyclic_group(m)
-    if key == "dihedral":
-        (m,) = need(1)
-        if m < 1:
-            raise ParamOutOfRange("dihedral needs m >= 1")
-        check(2 * m)
-        return dihedral_group(m)
-    if key == "dicyclic":
-        (m,) = need(1)
-        if m < 2:
-            raise ParamOutOfRange("dicyclic needs m >= 2")
-        check(4 * m)
-        return dicyclic_group(m)
-    if key == "symmetric":
-        (m,) = need(1)
-        if m < 1:
-            raise ParamOutOfRange("symmetric needs m >= 1")
-        check(factorial(m))
-        return symmetric_group(m)
-    if key == "alternating":
-        (m,) = need(1)
-        if m < 3:
-            raise ParamOutOfRange("alternating needs m >= 3")
-        check(factorial(m) // 2)
-        return alternating_group(m)
-    if key == "z2z3":
-        a, b = need(2)
-        check(2**a * 3**b)
-        return elementary_product(2, a, 3, b)
-    if key == "z2z4":
-        a, b = need(2)
-        check(2**a * 4**b)
-        return elementary_product(2, a, 4, b)
-    raise UnknownName(f"unknown catalog group {name!r}")
+    if key not in _FAMILIES:
+        raise UnknownName(f"unknown catalog group {name!r}")
+    names, least, factors, build = _FAMILIES[key]
+    if len(params) != len(names):
+        raise ParamOutOfRange(f"{name} needs {len(names)} integer parameter(s), got {len(params)}")
+    if min(params) < least:
+        raise ParamOutOfRange(f"{key} needs {', '.join(names)} >= {least}")
+    order = 1
+    for factor in factors(*params):  # stopped past the cap, as the order of S_2000 has 5,736 digits
+        order *= factor
+        if order > cap:
+            raise ParamOutOfRange(f"{name}{params} has order above the cap {cap}")
+    return build(*params)
 
 
 def resolve_group(tokens: list[str], *, cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
@@ -309,9 +291,9 @@ def resolve_group(tokens: list[str], *, cap: int = DEFAULT_ELEMENT_CAP) -> Finit
         built.append(catalog(name, tuple(int(p) for p in rest), cap=cap))
     out = built[0]
     for g in built[1:]:
+        if out.n * g.n > cap:  # before the product's (n, n) table is built
+            raise ParamOutOfRange(f"product order {out.n * g.n} exceeds cap {cap}")
         out = direct_product(out, g)
-        if out.n > cap:
-            raise ParamOutOfRange(f"product order {out.n} exceeds cap {cap}")
     return out
 
 

@@ -118,21 +118,25 @@ class CharacterTable:
         return self.partition.reps()
 
 
-def class_matrices(g: FiniteGroup, part: ConjugacyPartition) -> list[np.ndarray]:
-    """Structure constants of the class-sum algebra, one (k, k) int64 array
-    per class.
+def class_matrices(
+    g: FiniteGroup, part: ConjugacyPartition, unions: list[tuple[int, ...]] | None = None
+) -> list[np.ndarray]:
+    """Structure constants of the class-sum algebra: for each union U of
+    classes, the (k, k) int64 matrix of multiplication by sum_(j in U) K_j,
+    K_j the sum of class j in the group algebra; by default each class
+    alone.
 
-    With K_i the sum of class i in the group algebra, K_i K_j =
-    sum_t a[i][j][t] K_t; matrix i is (a[i][j][t])_{j,t}, computed as the
-    number of x in class i with x^-1 * rep_t in class j. All constants are
-    nonnegative integers.
+    K_U K_j = sum_t a[j][t] K_t, and the matrix is (a[j][t])_{j,t}, the
+    number of x in U with x^-1 * rep_t in class j: one `bincount` over the
+    elements of U. All constants are nonnegative integers, and the matrices
+    of two unions add to the matrix of their sum.
     """
     k = part.k
-    # cell (class of x^-1 rep_t, t) of matrix i, for x down and t across
+    # cell (class of x^-1 rep_t, t) for x down and t across
     cells = np.array(part.class_of)[g.products(g.inv, part.reps())] * k + np.arange(k)
     return [
-        np.bincount(cells[list(cls)].ravel(), minlength=k * k).reshape(k, k)
-        for cls in part.classes
+        np.bincount(cells[[x for j in union for x in part.classes[j]]].ravel(), minlength=k * k).reshape(k, k)
+        for union in (unions if unions is not None else [(j,) for j in range(k)])
     ]
 
 
@@ -434,11 +438,8 @@ def character_table(
     part: ConjugacyPartition | None = None,
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
-    mats: list[np.ndarray] | None = None,
 ) -> CharacterTable:
-    """Exact character table; deterministic for a given group. `mats` are
-    the class matrices of `part` (`class_matrices`) where the caller
-    already has them."""
+    """Exact character table; deterministic for a given group."""
     if g.n > order_cap:
         raise ValueError(f"|G| = {g.n} exceeds the character-table cap {order_cap}")
     part = part or conjugacy_classes(g)
@@ -446,7 +447,7 @@ def character_table(
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
-    mats = mats or class_matrices(g, part)
+    mats = class_matrices(g, part)
     # The common eigenvectors do not depend on the order of the matrices. The
     # classes of a generating set go first: on an abelian group their class
     # sums generate the group algebra, so they alone separate every character.

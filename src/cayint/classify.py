@@ -65,12 +65,7 @@ from .groups import (
     quotient,
 )
 from .linalg import _STACK_CELLS, _primes_for, cayley_charpoly_mod, charpoly_mod, eliminate_mod, integral_spectra
-from .spectra import (
-    ConnectionFunction,
-    adjacency_stack,
-    integrality_by_criterion,
-    spectrum_matrix,
-)
+from .spectra import ConnectionFunction, adjacency_stack, spectrum_matrix
 
 
 # Work limits, each on |G| x |G| spectra; the normal-set survey has none.
@@ -196,14 +191,14 @@ def _integral_orbits(blocks: np.ndarray, p: int) -> tuple[bool, ...]:
     return integral_spectra(blocks, charpoly_mod(blocks, p), bounds, p)
 
 
-def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: list[np.ndarray]) -> NormalSetSurvey:
+def normal_set_survey(part: ConjugacyPartition, table: CharacterTable) -> NormalSetSurvey:
     """Each non-identity real-class orbit's integrality, and a certificate
     that the integral unions of orbits (the normal sets) are the Eulerian ones.
 
-    Orbit O is decided on B_O = sum_(j in O) M_j, `mats` being the class
-    matrices of `part` (`class_matrices`): multiplication by the class sum
-    K_O in Z(CG), whose eigenvalues, the central characters, are the
-    distinct eigenvalues of the adjacency matrix (Babai), at most
+    Orbit O is decided on B_O, the matrix of multiplication by the class
+    sum K_O in Z(CG), which the survey builds itself on `table.group`, as
+    the `class_matrices` of the union O. Its eigenvalues, the central
+    characters, are the distinct eigenvalues of the adjacency matrix (Babai), at most
     b = sum_(j in O) |C_j| in magnitude. The B_O commute and add, so the
     first non-integral union in mask order is the first such orbit alone.
 
@@ -229,7 +224,7 @@ def normal_set_survey(part: ConjugacyPartition, table: CharacterTable, mats: lis
     integral: tuple[bool, ...] = ()
     if orbits:
         (p,), _ = _primes_for(part.k, len(part.class_of))  # one prime above 2 |G|
-        integral = _integral_orbits(np.stack([sum(mats[j] for j in orbit) for orbit in orbits]), p)
+        integral = _integral_orbits(np.stack(class_matrices(table.group, part, orbits)), p)
     v = _orbit_coordinates(table, orbits)
     orbit_of = {j: i for i, orbit in enumerate(orbits) for j in orbit}
     edges = {(orbit_of[j], orbit_of[c]) for j in orbit_of for c in part.powers[:, j].tolist()}
@@ -253,13 +248,17 @@ class RouteReport:
     KEY is the predicate's key under `verdicts` and `routes`; ROUTES are
     the attributes (fields or properties) that form its `routes` block,
     and WITNESSES the attributes written to `evidence` as
-    `<KEY>_<attribute>`. `skipped` holds the routes skipped above their
-    caps, `discrepancies` the disagreements between routes.
+    `<KEY>_<attribute>`. The text report prints the verdict after LABEL
+    and then TEXT, a format over the ROUTES. `skipped` holds the routes
+    skipped above their caps, `discrepancies` the disagreements between
+    routes.
     """
 
     KEY: ClassVar[str]
     ROUTES: ClassVar[tuple[str, ...]]
     WITNESSES: ClassVar[tuple[str, ...]]
+    LABEL: ClassVar[str]
+    TEXT: ClassVar[str]
 
     verdict: bool
     skipped: tuple[str, ...] = ()
@@ -277,6 +276,8 @@ class NciReport(RouteReport):
     KEY = "nci"
     ROUTES = ("atoms", "characters", "exhaustive")
     WITNESSES = ("witness_set",)
+    LABEL = "NCI"
+    TEXT = "routes: atoms={atoms} characters={characters} exhaustive={exhaustive}"
 
     atoms: bool                      # the inverse semi-rationality scan, the verdict
     characters: bool | None = None
@@ -322,6 +323,9 @@ class FcciReport(RouteReport):
     KEY = "fcci"
     ROUTES = ("orders", "criterion", "spectra", "spectra_mode", "spectra_count")
     WITNESSES = ("criterion_witness", "spectral_witness")
+    LABEL = "F-class integrality"
+    TEXT = ("routes: orders={orders} criterion={criterion} spectra={spectra} "
+            "({spectra_mode}, {spectra_count} functions)")
 
     orders: bool
     criterion: bool                  # the power-map criterion, the verdict
@@ -425,6 +429,8 @@ class CciReport(RouteReport):
     KEY = "cci"
     ROUTES = ("structural", "witness_found", "candidates_tried")
     WITNESSES = ("witness_values", "witness_residual")
+    LABEL = "colour integrality"
+    TEXT = "structural={structural} witness_found={witness_found} tried={candidates_tried}"
 
     structural: bool                 # the structural recognizer, the verdict
     witness_values: list[int] | None = None
@@ -493,6 +499,8 @@ class CiReport(RouteReport):
     KEY = "ci"
     ROUTES = ("structural", "brute", "mode", "subsets_tried")
     WITNESSES = ("witness_set",)
+    LABEL = "Cayley integrality"
+    TEXT = "structural={structural} brute={brute} ({mode}, {subsets_tried} sets)"
 
     structural: bool                 # the structural recognizers, the verdict
     brute: bool | None = None
@@ -579,27 +587,23 @@ class CharColourRow:
     integral: bool
 
 
-def gamma_chi_conj_check(
-    g: FiniteGroup, table: CharacterTable
-) -> tuple[tuple[CharColourRow, ...], bool]:
-    """Integrality of the colour graph of chi + conj(chi) per character.
+def gamma_chi_conj_check(table: CharacterTable) -> tuple[tuple[CharColourRow, ...], bool]:
+    """Integrality of the colour graph of chi + conj(chi), for every
+    character at once from the class values of one `chi_plus_conj`.
 
     Rational values of chi + conj(chi) are algebraic integers, hence
-    integers (the constant coordinates of the sums), and give a genuine
-    integer class function; any irrational value makes the colour function
-    leave the integer setting and the character is reported as not
+    integers (the constant coordinates of the sums), and give an integer
+    symmetric class function, integral exactly when every unit power map
+    fixes its class values; any irrational value makes the character not
     formable (and not integral).
     """
     part = table.partition
-    rows = []
-    for r, sums in enumerate(chi_plus_conj(table)):
-        if not sums[:, 1:].any():
-            f = ConnectionFunction.from_class_values(g, part, sums[:, 0].tolist())
-            ok, _ = integrality_by_criterion(g, f, part)
-            rows.append(CharColourRow(r, table.degrees[r], True, ok))
-        else:
-            rows.append(CharColourRow(r, table.degrees[r], False, False))
-    return tuple(rows), all(r.integral for r in rows)
+    sums = chi_plus_conj(table)
+    values = sums[:, :, 0]
+    formable = (sums[:, :, 1:] == 0).all(axis=(1, 2))
+    integral = formable & (values[:, part.powers] == values[:, None, :]).all(axis=(1, 2))
+    rows = tuple(map(CharColourRow, range(table.k), table.degrees, formable.tolist(), integral.tolist()))
+    return rows, all(r.integral for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -672,17 +676,15 @@ def classify_group(
 ) -> ClassificationReport:
     """Every predicate and route on one group. The partition, with the
     unit power maps on its classes that every rationality route reads, the
-    class matrices, the character table (up to `chartable_cap`) and the
-    normal-set survey (wherever there is a table) are built once here;
-    every skip lands in `caps_notes`."""
+    character table (up to `chartable_cap`) and the normal-set survey
+    (wherever there is a table) are built once here, and the routes read
+    only these three; every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
     table = survey = None
     caps_notes: list[str] = []
     if g.n <= chartable_cap:
-        mats = class_matrices(g, part)
-        table = character_table(g, part, order_cap=chartable_cap, mats=mats)
-        survey = normal_set_survey(part, table, mats)
-        del mats  # k^3 constants, not needed by the routes below
+        table = character_table(g, part, order_cap=chartable_cap)
+        survey = normal_set_survey(part, table)
     else:
         caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 
@@ -699,7 +701,7 @@ def classify_group(
 
     gamma_all: bool | None = None
     if table is not None:
-        _, gamma_all = gamma_chi_conj_check(g, table)
+        _, gamma_all = gamma_chi_conj_check(table)
         table_rational = not table.coeffs[:, :, 1:].any()
         if table_rational != rat:
             discrepancies.append(
@@ -770,8 +772,9 @@ _CHAIN = (
 )
 
 # The element-level verdicts that the centre inherits, with their names in
-# the closure messages, in the order `_predicates_on_subgroup` returns them.
-_ELEMENT_PREDICATES = (
+# the closure messages and the text report, in the order
+# `_predicates_on_subgroup` returns them.
+ELEMENT_PREDICATES = (
     ("rational", "rational"),
     ("semi_rational", "semi-rational"),
     ("inverse_semi_rational", "inverse semi-rational"),
@@ -867,12 +870,12 @@ def hierarchy_audit(
         chain_violations += [
             f"{rep.name}: {a} holds but {b} fails" for a, b in _CHAIN if v[a] and not v[b]
         ]
-        if any(v[key] for key, _ in _ELEMENT_PREDICATES):
+        if any(v[key] for key, _ in ELEMENT_PREDICATES):
             z = center(g)
             if 1 < len(z):
                 zg, _ = generated_subgroup(g, set(z))
                 closure_checks.append(f"center of {rep.name} (order {zg.n})")
-                for (key, label), holds in zip(_ELEMENT_PREDICATES, _predicates_on_subgroup(zg)):
+                for (key, label), holds in zip(ELEMENT_PREDICATES, _predicates_on_subgroup(zg)):
                     if v[key] and not holds:
                         closure_violations.append(f"center of {label} {rep.name} is not {label}")
         if v["nci"]:

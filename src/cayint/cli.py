@@ -28,8 +28,8 @@ from pathlib import Path
 
 from .catalog import ParamOutOfRange, ParseError, UnknownName, load_group, resolve_group
 from .chartable import DEFAULT_ORDER_CAP, character_table, save_table
-from .classify import classify_group, default_suite_groups, hierarchy_audit
-from .groups import FiniteGroup, NotAGroup, conjugacy_classes
+from .classify import ELEMENT_PREDICATES, ClassificationReport, classify_group, default_suite_groups, hierarchy_audit
+from .groups import FiniteGroup, NotAGroup
 from .linalg import SpectrumReport
 from .spectra import (
     ConnectionFunction,
@@ -127,25 +127,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0 if rep.is_integral else 1
 
 
-def _classify_text(doc: dict) -> str:
-    v = doc["verdicts"]
-    r = doc["routes"]
-    lines = [
-        f"group      {doc['name']} (order {doc['order']}, seed {doc['seed']})",
-        "verdicts",
-        f"  rational               {v['rational']}",
-        f"  semi-rational          {v['semi_rational']}",
-        f"  inverse semi-rational  {v['inverse_semi_rational']}",
-        f"  NCI                    {v['nci']}   routes: atoms={r['nci']['atoms']} "
-        f"characters={r['nci']['characters']} exhaustive={r['nci']['exhaustive']}",
-        f"  F-class integrality    {v['fcci']}   routes: orders={r['fcci']['orders']} "
-        f"criterion={r['fcci']['criterion']} spectra={r['fcci']['spectra']} ({r['fcci']['spectra_mode']}, {r['fcci']['spectra_count']} functions)",
-        f"  colour integrality     {v['cci']}   structural={r['cci']['structural']} "
-        f"witness_found={r['cci']['witness_found']} tried={r['cci']['candidates_tried']}",
-        f"  Cayley integrality     {v['ci']}   structural={r['ci']['structural']} "
-        f"brute={r['ci']['brute']} ({r['ci']['mode']}, {r['ci']['subsets_tried']} sets)",
-        f"  nilpotent              {v['nilpotent']}",
-    ]
+def _classify_text(report: ClassificationReport) -> str:
+    """One line per verdict, a predicate's followed by its report's TEXT."""
+    doc = report.to_dict()
+    lines = [f"group      {doc['name']} (order {doc['order']}, seed {doc['seed']})", "verdicts"]
+    labels = dict(ELEMENT_PREDICATES)
+    routes = {p.KEY: (p.LABEL, "   " + p.TEXT.format(**p.routes())) for p in report.predicates}
+    for key, verdict in doc["verdicts"].items():
+        label, text = routes.get(key, (labels.get(key, key), ""))
+        lines.append(f"  {label:<23}{verdict}{text}")
     ev = doc["evidence"]
     interesting = {k: x for k, x in ev.items() if x not in (None, {}) and k != "seeds"}
     if interesting:
@@ -163,11 +153,10 @@ def _classify_text(doc: dict) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _resolve_group(args)
     report = classify_group(g, chartable_cap=args.cap_chartable, seed=args.seed)
-    doc = report.to_dict()
     if args.format == "json":
-        _emit(json.dumps({"command": "classify", **doc}, indent=2, sort_keys=True), args.out)
+        _emit(json.dumps({"command": "classify", **report.to_dict()}, indent=2, sort_keys=True), args.out)
     else:
-        _emit(_classify_text(doc), args.out)
+        _emit(_classify_text(report), args.out)
     return 0
 
 

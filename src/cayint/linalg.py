@@ -26,14 +26,17 @@ The roots of such residue polynomials at given points are one Horner pass
 integrality of the survey's and the CI brute force's matrices by their
 roots mod one prime and one exact product, with no integer charpoly.
 Integer eigenvalues are split off by synthetic division against a sound
-candidate set, screened by one Horner pass mod one prime, and the
-non-integral residual is split into squarefree parts by sympy. A cyclotomic integer of Z[zeta_e] is one integer vector of
-power-basis coordinates; the conductor's context (`_context`) holds the
-powers of zeta_e on that basis and the fixed integer maps on such vectors:
-complex conjugation and the Galois twists. Gaussian elimination over a
-prime field has one routine, `eliminate_mod`, on a stack of matrices at
-once; it splits the character tables' eigenspaces and ranks the normal-set
-survey's certificate. No floating point enters any code path.
+candidate set, the integers within a given bound screened by one Horner
+pass mod one prime, and the non-integral residual is split into
+squarefree parts by sympy.
+
+A cyclotomic integer of Z[zeta_e] is one integer vector of power-basis
+coordinates; the conductor's context (`_context`) holds the powers of
+zeta_e on that basis and the fixed integer maps on such vectors: complex
+conjugation and the Galois twists. Gaussian elimination over a prime field
+has one routine, `eliminate_mod`, on a stack of matrices at once; it
+splits the character tables' eigenspaces and ranks the normal-set survey's
+certificate. No floating point enters any code path.
 """
 
 from __future__ import annotations
@@ -601,12 +604,6 @@ class SpectrumReport:
         return f"not integral: integer part {s}; residual {self.factored_residual()}"
 
 
-def _divisor_candidates(constant: int, limit: int) -> list[int]:
-    # any integer root of a monic integer polynomial divides the constant term
-    ds = [d for d in sympy.divisors(abs(constant)) if d <= limit]
-    return sorted({s * d for d in ds for s in (1, -1)}, reverse=True)
-
-
 def _screened(work: list[int], bound: int) -> list[int]:
     """The roots of `work` (ascending) in [-bound, bound] mod _SCREEN_PRIME,
     descending, in chunks of _STACK_CELLS points."""
@@ -619,16 +616,18 @@ def _screened(work: list[int], bound: int) -> list[int]:
     return np.concatenate(kept)[::-1].tolist()
 
 
-def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumReport:
-    """Split all integer roots (with multiplicity) off a monic polynomial.
+def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
+    """Split all integer roots (with multiplicity) off a monic polynomial
+    whose roots are at most `bound` in magnitude (e.g. a Gershgorin row
+    bound from the source matrix).
 
-    With `bound` given (e.g. a Gershgorin row bound from the source matrix)
-    candidates are the integers in [-bound, bound] that are roots mod one
-    prime (`_screened`); otherwise the divisors of the constant term,
-    capped by the Cauchy root bound. Both candidate sets provably contain
-    every integer root, so the residual is certified to have none.
-    Candidates that do not divide the current constant term are skipped
-    without a division.
+    The candidates are the integers in [-bound, bound] that are roots mod
+    one prime (`_screened`). They provably contain every integer root, so
+    the residual is certified to have none. There is no bound-free path:
+    the divisors of the constant term, which it would scan, number about
+    3.8 * 10^12 for the degree-120 charpoly of the audit's S5 colour
+    function. Candidates that do not divide the current constant term are
+    skipped without a division.
     """
     if not p.is_monic:
         raise ValueError("integer_spectrum requires a monic polynomial")
@@ -639,12 +638,7 @@ def integer_spectrum(p: IntPolynomial, bound: int | None = None) -> SpectrumRepo
         del work[0]
         found[0] = found.get(0, 0) + 1
     if len(work) > 1:
-        if bound is not None:
-            candidates: Iterable[int] = _screened(work, bound)
-        else:
-            cauchy = 1 + max(abs(c) for c in work)
-            candidates = _divisor_candidates(work[0], cauchy)
-        for r in candidates:
+        for r in _screened(work, bound):
             # an integer root divides the constant term, nonzero once zero roots are gone
             if r == 0 or work[0] % r:
                 continue

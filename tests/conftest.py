@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cayint.catalog import catalog, load_group
-from cayint.chartable import character_table, class_matrices
+from cayint.chartable import character_table
 from cayint.classify import NormalSetSurvey, normal_set_survey
 from cayint.groups import ConjugacyPartition, FiniteGroup, build_group, conjugacy_classes, direct_product
 
@@ -63,15 +63,14 @@ def tables(groups, partitions):
 def surveys(groups, partitions, tables):
     """The normal-set survey of every group above."""
     return {
-        label: normal_set_survey(partitions[label], tables[label], class_matrices(groups[label], partitions[label]))
+        label: normal_set_survey(partitions[label], tables[label])
         for label in groups
     }
 
 
 def build_survey(g: FiniteGroup, part: ConjugacyPartition) -> NormalSetSurvey:
-    """The normal-set survey of g, from its class matrices and character table."""
-    mats = class_matrices(g, part)
-    return normal_set_survey(part, character_table(g, part, mats=mats), mats)
+    """The normal-set survey of g, from its character table."""
+    return normal_set_survey(part, character_table(g, part))
 
 
 def relabel(g: FiniteGroup, perm: list[int]) -> list[list[int]]:

@@ -70,7 +70,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cayint.chartable import CharacterTable, VerificationFailed, _absmax, _apply, class_matrices
+from cayint.chartable import CharacterTable, VerificationFailed, _absmax, _apply
 from cayint.classify import (
     CI_EXHAUSTIVE_MAX_ORDER,
     CI_SAMPLED_MAX_ORDER,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from cayint.catalog import (
@@ -58,6 +60,32 @@ class TestCatalog:
             catalog("cyclic", 6000)
         assert catalog("cyclic", 6000, cap=10000).n == 6000
 
+    @pytest.mark.parametrize(
+        "params", [("symmetric", 100), ("symmetric", 2000), ("alternating", 3000), ("z2z4", 0, 5000)], ids=str
+    )
+    def test_order_above_the_cap_is_named_not_printed(self, params):
+        # the order of S_100 has 158 digits, and that of S_2000 more than
+        # int() prints; the product stops as soon as it passes the cap
+        with pytest.raises(ParamOutOfRange) as err:
+            catalog(*params)
+        assert str(err.value) == f"{params[0]}{params[1:]} has order above the cap {DEFAULT_ELEMENT_CAP}"
+
+    def test_order_cap_message_on_the_command_line(self, capsys):
+        from cayint.cli import main
+
+        assert main(["classify", "--catalog", "symmetric", "2000"]) == 2
+        assert capsys.readouterr().err == "error: symmetric(2000,) has order above the cap 5040\n"
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [(("dihedral", 0), "dihedral needs m >= 1"), (("z2z3", -1, 0), "z2z3 needs a, b >= 0"),
+         (("z2z4", 1), "z2z4 needs 2 integer parameter(s), got 1")],
+        ids=str,
+    )
+    def test_parameter_messages(self, params, message):
+        with pytest.raises(ParamOutOfRange, match=re.escape(message)):
+            catalog(*params)
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             catalog("monster")
@@ -73,6 +101,11 @@ class TestCatalog:
         assert g.n == 24
         h = resolve_group(["cyclic", "2", "*", "cyclic", "2"])
         assert h.n == 4 and h.exponent() == 2
+
+    def test_product_above_the_cap_builds_no_table(self):
+        # the (n, n) int32 table of Z5000 x Z5000 would take 2.5 * 10^15 bytes
+        with pytest.raises(ParamOutOfRange, match=r"product order 25000000 exceeds cap 5040"):
+            resolve_group(["cyclic", "5000", "x", "cyclic", "5000"])
 
     def test_resolve_bad_tokens(self):
         with pytest.raises(ParamOutOfRange):

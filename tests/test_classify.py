@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import string
 import tracemalloc
 from math import gcd
 
@@ -14,10 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cayint.catalog import catalog
-from cayint.chartable import DEFAULT_ORDER_CAP, class_matrices
+from cayint.chartable import DEFAULT_ORDER_CAP, chi_plus_conj, class_matrices
 from cayint.classify import (
     CI_SAMPLED_MAX_ORDER,
+    CharColourRow,
     NormalSetSurvey,
+    RouteReport,
     _integral_orbits,
     cci_report,
     ci_report,
@@ -500,27 +503,45 @@ def test_survey_rows_oracle_refuses_too_many_orbits():
 
 
 class TestGammaChiConj:
-    def test_rational_group_all_pass(self, groups, tables):
-        rows, ok = gamma_chi_conj_check(groups["S4"], tables["S4"])
+    def test_rational_group_all_pass(self, tables):
+        rows, ok = gamma_chi_conj_check(tables["S4"])
         assert ok and all(r.formable and r.integral for r in rows)
 
-    def test_z5_rejected_characters(self, groups, tables):
-        rows, ok = gamma_chi_conj_check(groups["Z5"], tables["Z5"])
+    def test_z5_rejected_characters(self, tables):
+        rows, ok = gamma_chi_conj_check(tables["Z5"])
         assert not ok
         assert any(not r.formable for r in rows)
 
-    def test_q8z3_all_characters(self, groups, tables):
-        rows, ok = gamma_chi_conj_check(groups["Q8xZ3"], tables["Q8xZ3"])
+    def test_q8z3_all_characters(self, tables):
+        rows, ok = gamma_chi_conj_check(tables["Q8xZ3"])
         assert ok and len(rows) == 15
 
     def test_matches_nci_verdict(self, groups, partitions, tables, surveys):
         for label in surveys:
-            rows, ok = gamma_chi_conj_check(groups[label], tables[label])
+            rows, ok = gamma_chi_conj_check(tables[label])
             rep = nci_report(
                 groups[label], partitions[label],
                 table=tables[label], survey=surveys[label],
             )
             assert ok == rep.verdict, label
+
+    @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
+    def test_class_values_equal_the_per_character_route(self, label, groups, tables):
+        # each character's colour function built on all of G and decided by
+        # the element-by-element criterion scan
+        g, table = groups[label], tables[label]
+        want = []
+        for r, sums in enumerate(chi_plus_conj(table)):
+            formable = not sums[:, 1:].any()
+            f = ConnectionFunction.from_class_values(g, table.partition, sums[:, 0].tolist())
+            want.append(CharColourRow(r, table.degrees[r], formable, formable and criterion_scan(g, f)[0]))
+        assert gamma_chi_conj_check(table) == (tuple(want), all(row.integral for row in want))
+
+
+@pytest.mark.parametrize("report", RouteReport.__subclasses__(), ids=lambda report: report.KEY)
+def test_text_format_names_exactly_the_routes(report):
+    fields = {field for _, field, _, _ in string.Formatter().parse(report.TEXT) if field is not None}
+    assert fields == set(report.ROUTES)
 
 
 class TestClassificationReport:

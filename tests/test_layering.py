@@ -38,7 +38,13 @@ takes them from `ConjugacyPartition.powers`. A character table has one
 verifier, `chartable._verify_table`, reached from `character_table` and
 `load_table`; it works modulo primes, and the exact orthogonality sums in
 Z[zeta_e] (`_pair_sums`, and the reduction of a product of two power-basis
-vectors they rest on) live on only in `tests/oracle.py`."""
+vectors they rest on) live on only in `tests/oracle.py`. The class-sum
+matrices have one builder, `chartable.class_matrices`, which the
+character table and the normal-set survey call for themselves:
+`classify_group` hands its routes only the partition, the table and the
+survey, and the chi + conj(chi) check reads the table's class values, with
+no colour function on all of G. No module of `cayint` imports a name it
+does not use."""
 
 from __future__ import annotations
 
@@ -210,6 +216,50 @@ def test_integer_orthogonality_sums_live_only_in_the_oracle():
     sums = {"_pair_sums", "verify_table_integer"}
     assert _defined(sums) == {"oracle.py:_pair_sums", "oracle.py:verify_table_integer"}
     assert not _named() & (sums | {"reduction", "convolve"})
+
+
+def _names_in(module: str, function: str) -> set[str]:
+    """Every name, attribute, argument and keyword that function `function`
+    of `cayint` module `module` reads or binds."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    (fn,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {
+        getattr(node, field)
+        for node in ast.walk(fn)
+        for field in ("id", "attr", "arg")
+        if isinstance(getattr(node, field, None), str)
+    }
+
+
+def test_class_matrices_have_one_builder_called_where_they_are_used():
+    # the pure-Python reference in the oracle aside
+    assert _defined({"class_matrices"}) == {"chartable.py:class_matrices", "oracle.py:class_matrices"}
+    assert _referrers("class_matrices") == {"chartable.py:character_table", "classify.py:normal_set_survey"}
+    assert not _names_in("classify.py", "classify_group") & {"class_matrices", "mats"}
+
+
+def test_chi_conj_check_builds_no_colour_function():
+    names = _names_in("classify.py", "gamma_chi_conj_check")
+    assert not names & {"ConnectionFunction", "integrality_by_criterion"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """`module:name` for every name the module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{name}" for name in sorted(imported - read)]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # `__init__` imports the package's public names for its users
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert [entry for path in modules for entry in _unused_imports(path)] == []
 
 
 def test_chartable_has_one_verifier():
