@@ -199,7 +199,7 @@ def elementary_product(base_a: int, na: int, base_b: int, nb: int) -> FiniteGrou
         g = direct_product(g, cyclic_group(base_a))
     for _ in range(nb):
         g = direct_product(g, cyclic_group(base_b))
-    return FiniteGroup(g.table, g.inv, g.ord, g.gens, f"Z{base_a}^{na}xZ{base_b}^{nb}", g.validation)
+    return FiniteGroup(g.table, g.inv, g.ord, g.gens, f"Z{base_a}^{na}xZ{base_b}^{nb}")
 
 
 _FIXED = {

@@ -56,8 +56,7 @@ import sympy
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
-from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array
-from .linalg import vanishes_mod
+from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array, roots_mod
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -252,7 +251,7 @@ def _eigenspaces(
     them, none scalar, have the image coordinates `coords` (m, d, d).
 
     - The eigenvalues: the roots of each restriction's charpoly, from one
-      stack of charpolys and one evaluation at every lambda in F_p. Every
+      stack of charpolys and one `roots_mod` over every lambda in F_p. Every
       central character lies in F_p, because p = 1 (mod e), so a
       restriction whose eigenspaces do not fill its block is not
       diagonalizable, a bug.
@@ -267,12 +266,7 @@ def _eigenspaces(
     """
     m, d, k = vecs.shape
     restr = coords.transpose(0, 2, 1)  # R[a, b]: coordinate a of the image of row b
-    coeffs = charpoly_mod(restr, p)
-    hit = []
-    for start in range(0, m * p, _STACK_CELLS):
-        cell = np.arange(start, min(start + _STACK_CELLS, m * p))  # the pair (i, lambda) as i p + lambda
-        hit.append(cell[vanishes_mod(coeffs, cell // p, cell % p, p)])
-    owner, root = np.divmod(np.concatenate(hit), p)
+    owner, root = roots_mod(charpoly_mod(restr, p), [0] * m, [p - 1] * m, p)
 
     # kernel rows of R - lambda I, pair by pair, in coordinates over the block's rows
     eigen, place, pair = [coords[:0, 0]], [owner[:0]], [owner[:0]]
@@ -501,14 +495,6 @@ def chi_plus_conj(table: CharacterTable) -> np.ndarray:
     """The (k, k, phi) coefficients of chi(g) + conj(chi(g)) for every cell."""
     x = table.coeffs
     return x + _apply(x, _context(table.conductor).conj_map)
-
-
-def chi_plus_conj_integral(table: CharacterTable) -> tuple[tuple[bool, ...], ...]:
-    """Entrywise rationality of chi(g) + conj(chi(g)).
-
-    Rational here implies integer, because the sum is an algebraic integer.
-    """
-    return tuple(map(tuple, (chi_plus_conj(table)[:, :, 1:] == 0).all(axis=2).tolist()))
 
 
 # ---------------------------------------------------------------------------

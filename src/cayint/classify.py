@@ -29,7 +29,10 @@ them by hand. Rationality, semi-rationality and inverse semi-rationality
 say where the atoms lie; each reads the columns of the partition's power
 maps (`ConjugacyPartition.powers`), column j holding the classes of
 Atom(rep_j), and none walks an atom. Inverse semi-rationality is NCI's
-verdict, with NCI's failing atom, the one atom built, as witness.
+verdict, its atom route, with NCI's failing atom, the one atom built, as
+witness. NCI's character route asks that every chi + conj(chi) be rational
+(one `chi_plus_conj` of the table), which makes each an integral colour
+function; the evidence key `gamma_chi_conj_all_integral` reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .chartable import (
     CharacterTable,
     character_table,
     chi_plus_conj,
-    chi_plus_conj_integral,
     class_matrices,
 )
 from .groups import (
@@ -65,7 +67,7 @@ from .groups import (
     quotient,
 )
 from .linalg import _STACK_CELLS, _primes_for, cayley_charpoly_mod, charpoly_mod, eliminate_mod, integral_spectra
-from .spectra import ConnectionFunction, adjacency_stack, spectrum_matrix
+from .spectra import FIXTURE_GROUPS, ConnectionFunction, adjacency_stack, load_fixture, spectrum_matrix
 
 
 # Work limits, each on |G| x |G| spectra; the normal-set survey has none.
@@ -292,8 +294,8 @@ def nci_report(
     table: CharacterTable | None,
     survey: NormalSetSurvey | None,
 ) -> NciReport:
-    """Normal-Cayley integrality by three routes: the atom/class scan, the
-    character-sum scan over `table`, and the normal-set spectra of `survey`.
+    """Normal-Cayley integrality by three routes: the atom/class scan, every
+    chi + conj(chi) rational on `table`, and the normal-set spectra of `survey`.
     The atom route reads the columns of `_leaves_real_class` and FCCI's
     criterion its rows, so the two coincide.
     A `None` table was not built because the group is above its cap, and
@@ -302,7 +304,7 @@ def nci_report(
     atoms, failing = is_inverse_semi_rational(g, part)
     report = NciReport(verdict=atoms, atoms=atoms, failing_atom=failing)
     if table is not None:
-        report.characters = all(all(row) for row in chi_plus_conj_integral(table))
+        report.characters = not chi_plus_conj(table)[:, :, 1:].any()
     if survey is None:
         report.skipped = ("exhaustive route skipped: no character table",)
     else:
@@ -575,38 +577,6 @@ def ci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CiRepo
 
 
 # ---------------------------------------------------------------------------
-# Colour functions chi + conj(chi)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CharColourRow:
-    character: int
-    degree: int
-    formable: bool            # all values of chi + conj(chi) are rational
-    integral: bool
-
-
-def gamma_chi_conj_check(table: CharacterTable) -> tuple[tuple[CharColourRow, ...], bool]:
-    """Integrality of the colour graph of chi + conj(chi), for every
-    character at once from the class values of one `chi_plus_conj`.
-
-    Rational values of chi + conj(chi) are algebraic integers, hence
-    integers (the constant coordinates of the sums), and give an integer
-    symmetric class function, integral exactly when every unit power map
-    fixes its class values; any irrational value makes the character not
-    formable (and not integral).
-    """
-    part = table.partition
-    sums = chi_plus_conj(table)
-    values = sums[:, :, 0]
-    formable = (sums[:, :, 1:] == 0).all(axis=(1, 2))
-    integral = formable & (values[:, part.powers] == values[:, None, :]).all(axis=(1, 2))
-    rows = tuple(map(CharColourRow, range(table.k), table.degrees, formable.tolist(), integral.tolist()))
-    return rows, all(r.integral for r in rows)
-
-
-# ---------------------------------------------------------------------------
 # Per-group classification
 # ---------------------------------------------------------------------------
 
@@ -626,7 +596,6 @@ class ClassificationReport:
     semi_rational_r_map: dict[int, int] | None = None
     rational_witness: int | None = None
     semi_rational_witness: int | None = None
-    gamma_chi_all: bool | None = None
     discrepancies: tuple[str, ...] = ()
     caps_notes: tuple[str, ...] = ()
 
@@ -663,7 +632,7 @@ class ClassificationReport:
                     else {"generator": isr_atom.generator, "members": list(isr_atom.members)}
                 ),
                 **{k: v for p in self.predicates for k, v in p.evidence().items()},
-                "gamma_chi_conj_all_integral": self.gamma_chi_all,
+                "gamma_chi_conj_all_integral": self.nci.characters,
                 "seeds": {p.KEY: p.seed for p in (self.cci, self.ci)},
             },
             "discrepancies": list(self.discrepancies),
@@ -699,17 +668,11 @@ def classify_group(
         caps_notes.extend(route.skipped)
         discrepancies.extend(route.discrepancies)
 
-    gamma_all: bool | None = None
     if table is not None:
-        _, gamma_all = gamma_chi_conj_check(table)
         table_rational = not table.coeffs[:, :, 1:].any()
         if table_rational != rat:
             discrepancies.append(
                 f"rationality disagreement on {g.name}: atom route {rat}, table scan {table_rational}"
-            )
-        if gamma_all != nci.verdict:
-            discrepancies.append(
-                f"chi+conj colour check on {g.name} gives {gamma_all}, NCI verdict is {nci.verdict}"
             )
         discrepancies.extend(
             f"Eulerian/integrality mismatch on {g.name}: classes {list(c)} are Eulerian, not integral"
@@ -733,7 +696,6 @@ def classify_group(
         semi_rational_r_map=r_map,
         rational_witness=rat_wit,
         semi_rational_witness=semi_wit,
-        gamma_chi_all=gamma_all,
         discrepancies=tuple(discrepancies),
         caps_notes=tuple(caps_notes),
     )
@@ -822,9 +784,8 @@ def _fixture_notes() -> tuple[list[str], list[str]]:
     exact results compare with their published reference spectra."""
     notes: list[str] = []
     findings: list[str] = []
-    s3 = catalog("s3")
-    alpha = ConnectionFunction(s3, (0, 3, 7, 1, 1, 4))
-    rep = spectrum_matrix(s3, alpha)
+    groups = {name: catalog(group) for name, group in FIXTURE_GROUPS.items()}
+    rep, rep_b = (spectrum_matrix(groups[name], load_fixture(name, groups[name])) for name in ("alpha", "beta"))
     expected = ((16, 1), (-12, 1))
     if rep.integer_eigenvalues == expected and not rep.is_integral:
         notes.append(
@@ -834,9 +795,6 @@ def _fixture_notes() -> tuple[list[str], list[str]]:
         )
     else:
         findings.append(f"fixture alpha unexpected spectrum: {rep.describe()}")
-    dic = catalog("dicyclic12")
-    beta = ConnectionFunction(dic, (0, 1, 7, 8, 7, 1, 3, 4, 5, 3, 4, 5))
-    rep_b = spectrum_matrix(dic, beta)
     if rep_b.integer_eigenvalues == ((48, 1), (4, 2), (0, 1), (-14, 4)) and not rep_b.is_integral:
         notes.append("fixture beta on Dic12: spectrum matches the reference table exactly")
     else:

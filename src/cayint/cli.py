@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .catalog import ParamOutOfRange, ParseError, UnknownName, load_group, resolve_group
@@ -32,13 +31,13 @@ from .classify import ELEMENT_PREDICATES, ClassificationReport, classify_group, 
 from .groups import FiniteGroup, NotAGroup
 from .linalg import SpectrumReport
 from .spectra import (
+    FIXTURE_GROUPS,
     ConnectionFunction,
+    load_fixture,
     load_function,
     parse_set_tokens,
     spectrum_matrix,
 )
-
-FIXTURE_GROUPS = {"alpha": "s3", "beta": "dicyclic12"}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -72,9 +71,7 @@ def _resolve_function(args: argparse.Namespace, g: FiniteGroup) -> ConnectionFun
     name = args.fixture
     if name not in FIXTURE_GROUPS:
         raise ParamOutOfRange(f"unknown fixture {name!r}; available: {sorted(FIXTURE_GROUPS)}")
-    ref = resources.files("cayint").joinpath(f"fixtures/{name}.fn")
-    with resources.as_file(ref) as path:
-        f = load_function(path, g)
+    f = load_fixture(name, g)
     expected = FIXTURE_GROUPS[name]
     if g.name.lower() != resolve_group([expected]).name.lower():
         print(

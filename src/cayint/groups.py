@@ -88,7 +88,7 @@ class FiniteGroup:
     methods and functions of `groups`.
     """
 
-    __slots__ = ("n", "table", "inv", "ord", "gens", "name", "validation")
+    __slots__ = ("n", "table", "inv", "ord", "gens", "name")
 
     def __init__(
         self,
@@ -97,7 +97,6 @@ class FiniteGroup:
         ord_map: tuple[int, ...],
         gens: tuple[int, ...],
         name: str,
-        validation: str,
     ):
         self.n = table.shape[0]
         self.table = table
@@ -105,7 +104,6 @@ class FiniteGroup:
         self.ord = ord_map
         self.gens = gens
         self.name = name
-        self.validation = validation
 
     def mul(self, a: int, b: int) -> int:
         return self.table.item(a, b)
@@ -251,15 +249,14 @@ def build_group(
 
     `table` is a list of rows or an (n, n) integer array; an int32 array is
     kept, not copied, and becomes read-only. Every axiom is checked exactly
-    at every order; associativity by Light's test over a generating set,
-    recorded on the group as validation "full". `gens` is a generating set
-    the caller knows, as element indices of a table whose identity is
-    element 0: the greedy set is drawn from it, so a generator in the
-    closure of smaller ones is dropped and Light's test makes at most
-    log2 n passes; ValueError says when it does not generate. Without it
-    the greedy set is drawn from every element. The identity is relocated
-    to index 0 if found elsewhere. Each failure names the first violating
-    element, as a scan in index order would.
+    at every order; associativity by Light's test over a generating set.
+    `gens` is a generating set the caller knows, as element indices of a
+    table whose identity is element 0: the greedy set is drawn from it, so
+    a generator in the closure of smaller ones is dropped and Light's test
+    makes at most log2 n passes; ValueError says when it does not generate.
+    Without it the greedy set is drawn from every element. The identity is
+    relocated to index 0 if found elsewhere. Each failure names the first
+    violating element, as a scan in index order would.
     """
     n = len(table)
     if n == 0:
@@ -305,7 +302,7 @@ def build_group(
 
     ords = _element_orders(arr)
     arr.flags.writeable = False
-    return FiniteGroup(arr, tuple(inv.tolist()), ords, gens, name, "full")
+    return FiniteGroup(arr, tuple(inv.tolist()), ords, gens, name)
 
 
 def _element_orders(arr: np.ndarray) -> tuple[int, ...]:

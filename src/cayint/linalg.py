@@ -21,14 +21,13 @@ by one of two engines:
   per prime against the kernel's several n^3, lifted like `charpoly`'s;
   `cayley_charpoly_mod` runs it on one prime for a stack of matrices.
 
-The roots of such residue polynomials at given points are one Horner pass
-(`vanishes_mod`). With it one routine, `integral_spectra`, decides the
-integrality of the survey's and the CI brute force's matrices by their
-roots mod one prime and one exact product, with no integer charpoly.
-Integer eigenvalues are split off by synthetic division against a sound
-candidate set, the integers within a given bound screened by one Horner
-pass mod one prime, and the non-integral residual is split into
-squarefree parts by sympy.
+The roots mod a prime of such residue polynomials, each over its own
+integer range, are one Horner pass, `roots_mod`, for three screens: the
+character tables' eigenvalues in F_p; `integral_spectra`, which decides
+the survey's and the CI brute force's matrices by their roots and one
+exact product, with no integer charpoly; and `integer_spectrum`, which
+splits off the integer roots within a bound by synthetic division, sympy
+splitting the non-integral residual into squarefree parts.
 
 A cyclotomic integer of Z[zeta_e] is one integer vector of power-basis
 coordinates; the conductor's context (`_context`) holds the powers of
@@ -44,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index as _index, mul as _mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import sympy
@@ -348,17 +347,35 @@ def charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def vanishes_mod(coeffs: np.ndarray, owner: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
-    """The mask of c_owner[i](x[i]) = 0 mod p over the pairs i, for the
-    polynomials of the (m, n+1) ascending residues `coeffs` (as
-    `charpoly_mod` returns them), x in [0, p), p < 2^26: one Horner pass
-    for every pair, every value below p^2 + p < 2^63."""
-    vals = np.zeros(len(x), dtype=np.int64)
-    for co in coeffs[:, ::-1].T:
-        vals *= x
-        vals += co[owner]
-        vals %= p
-    return vals == 0
+def roots_mod(coeffs: np.ndarray, lo: Sequence[int], hi: Sequence[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (owner, x) with lo[i] <= x <= hi[i] at which row i of the (m,
+    n+1) ascending residues `coeffs` vanishes mod p < 2^26, sorted by owner,
+    then x: one Horner pass over all rows' points laid end to end, in chunks
+    of _STACK_CELLS points that may split a row, every value below p^2 + p."""
+    lo = np.asarray(lo, dtype=np.int64)
+    width = np.maximum(np.asarray(hi, dtype=np.int64) - lo + 1, 0)
+    ends = width.cumsum()  # row i's points end at place ends[i] of the line
+    total = int(ends[-1]) if len(ends) else 0
+    owners, xs = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int64)]
+    for start in range(0, total, _STACK_CELLS):
+        stop = min(start + _STACK_CELLS, total)
+        # each row's overlap with the chunk: [ends - width, ends) clipped to it
+        overlap = width if stop - start == total else np.clip(ends, start, stop) - np.clip(ends - width, start, stop)
+        owner = np.repeat(np.arange(len(width)), overlap)
+        x = np.arange(start, stop) + (lo + width - ends)[owner]
+        at = x % p
+        # a chunk inside one row takes that row's coefficients as scalars
+        terms = coeffs[owner[0], ::-1].tolist() if owner[0] == owner[-1] else (co[owner] for co in coeffs[:, ::-1].T)
+        vals = np.zeros(len(x), dtype=np.int64)
+        for co in terms:
+            vals *= at
+            vals += co
+            vals %= p
+        hit = vals == 0
+        owners.append(owner[hit])
+        xs.append(x[hit])
+    # with no chunk or one, the last pair of arrays is the result as it is
+    return (owners[-1], xs[-1]) if len(owners) < 3 else (np.concatenate(owners), np.concatenate(xs))
 
 
 def eliminate_mod(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -537,18 +554,15 @@ def cayley_charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
 def integral_spectra(stack: np.ndarray, residues: np.ndarray, bounds: list[int], p: int) -> tuple[bool, ...]:
     """Whether e_0 q(M) = 0 over Z for each M of a (b, n, n) integer stack,
     q the product of x - lambda over the lambda in [-b, b] (b = bounds[i])
-    that are roots of its charpoly mod the prime p (`residues`): M's
-    integrality when M is diagonalizable, e_0 q(M) = 0 gives q(M) = 0 and b
-    bounds its eigenvalues and absolute column sums, as each caller shows.
-    Any p will do; a spurious candidate only adds a factor. A step
-    v -> v M - lambda v stays below max|v| (b + |lambda|): int64 while that
-    is below 2^63, Python ints after."""
+    that are roots of its charpoly mod the prime p (`residues`), all found
+    by one `roots_mod`: M's integrality when M is diagonalizable, e_0 q(M)
+    = 0 gives q(M) = 0 and b bounds its eigenvalues and absolute column
+    sums, as each caller shows. Any p will do; a spurious candidate only
+    adds a factor. A step v -> v M - lambda v stays below max|v| (b +
+    |lambda|): int64 while that is below 2^63, Python ints after."""
     b, n, _ = stack.shape
-    width = 2 * np.array(bounds, dtype=np.int64) + 1
-    owner = np.repeat(np.arange(b), width)
-    lam = np.arange(owner.size) - (np.cumsum(width) - (width + 1) // 2)[owner]
-    hit = vanishes_mod(residues, owner, lam % p, p)
-    roots = np.split(lam[hit], np.cumsum(np.bincount(owner[hit], minlength=b))[:-1])
+    owner, lam = roots_mod(residues, [-x for x in bounds], bounds, p)
+    roots = np.split(lam, np.cumsum(np.bincount(owner, minlength=b))[:-1])
     verdicts = []
     for m, bound, candidates in zip(stack, bounds, roots):
         v = np.zeros(n, dtype=np.int64)
@@ -604,26 +618,15 @@ class SpectrumReport:
         return f"not integral: integer part {s}; residual {self.factored_residual()}"
 
 
-def _screened(work: list[int], bound: int) -> list[int]:
-    """The roots of `work` (ascending) in [-bound, bound] mod _SCREEN_PRIME,
-    descending, in chunks of _STACK_CELLS points."""
-    p = _SCREEN_PRIME
-    coeffs = np.array([[c % p for c in work]], dtype=np.int64)
-    kept = []
-    for start in range(-bound, bound + 1, _STACK_CELLS):
-        x = np.arange(start, min(start + _STACK_CELLS, bound + 1))
-        kept.append(x[vanishes_mod(coeffs, np.zeros(len(x), dtype=np.intp), x % p, p)])
-    return np.concatenate(kept)[::-1].tolist()
-
-
 def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
     """Split all integer roots (with multiplicity) off a monic polynomial
     whose roots are at most `bound` in magnitude (e.g. a Gershgorin row
     bound from the source matrix).
 
     The candidates are the integers in [-bound, bound] that are roots mod
-    one prime (`_screened`). They provably contain every integer root, so
-    the residual is certified to have none. There is no bound-free path:
+    one prime, `_SCREEN_PRIME` (`roots_mod`, in time linear in the bound),
+    tried in descending order. They provably contain every integer root,
+    so the residual is certified to have none. There is no bound-free path:
     the divisors of the constant term, which it would scan, number about
     3.8 * 10^12 for the degree-120 charpoly of the audit's S5 colour
     function. Candidates that do not divide the current constant term are
@@ -638,7 +641,8 @@ def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
         del work[0]
         found[0] = found.get(0, 0) + 1
     if len(work) > 1:
-        for r in _screened(work, bound):
+        _, roots = roots_mod(np.array([[c % _SCREEN_PRIME for c in work]]), [-bound], [bound], _SCREEN_PRIME)
+        for r in roots[::-1].tolist():
             # an integer root divides the constant term, nonzero once zero roots are gone
             if r == 0 or work[0] % r:
                 continue
@@ -652,8 +656,6 @@ def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
                     break
                 work = quotient
                 found[r] = found.get(r, 0) + 1
-            if len(work) == 1:
-                break
     eigen = tuple(sorted(found.items(), key=lambda kv: -kv[0]))
     return SpectrumReport(
         degree=degree,

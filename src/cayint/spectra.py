@@ -16,6 +16,7 @@ polynomial on those coordinates in Z[zeta_e][x], lives in the tests
 
 from __future__ import annotations
 
+from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ class NotAClassFunction(ValueError):
 class ConnectionFunction:
     """Integer colour function on a group; flags are recomputed, never trusted."""
 
-    __slots__ = ("group", "values", "symmetric", "class_function", "zero_at_identity")
+    __slots__ = ("group", "values", "symmetric", "class_function")
 
     def __init__(self, group: FiniteGroup, values: Sequence[int]):
         if len(values) != group.n:
@@ -46,7 +47,6 @@ class ConnectionFunction:
         self.values = tuple(int(v) for v in values)
         self.symmetric = all(self.values[g] == self.values[group.inv[g]] for g in group.elements())
         self.class_function = conjugation_invariant(group, self.values)
-        self.zero_at_identity = self.values[0] == 0
 
     @property
     def in_f(self) -> bool:
@@ -73,7 +73,7 @@ class ConnectionFunction:
 class ConnectionSet:
     """Inverse-closed, identity-free subset of a group."""
 
-    __slots__ = ("group", "elements", "normal")
+    __slots__ = ("group", "elements")
 
     def __init__(self, group: FiniteGroup, elements: Iterable[int]):
         elems = frozenset(int(x) for x in elements)
@@ -84,7 +84,6 @@ class ConnectionSet:
                 raise ValueError(f"connection set is not inverse-closed at {s}")
         self.group = group
         self.elements = elems
-        self.normal = conjugation_invariant(group, [x in elems for x in group.elements()])
 
     def delta(self) -> ConnectionFunction:
         return ConnectionFunction.delta(self.group, self.elements)
@@ -196,6 +195,16 @@ def load_function(path: str | Path, g: FiniteGroup) -> ConnectionFunction:
         except ValueError:
             raise ParseError(ln, f"non-integer value {tok!r}") from None
     return ConnectionFunction(g, values)
+
+
+# The shipped colour functions, `fixtures/<name>.fn`, with the catalog group each is written for.
+FIXTURE_GROUPS = {"alpha": "s3", "beta": "dicyclic12"}
+
+
+def load_fixture(name: str, g: FiniteGroup) -> ConnectionFunction:
+    """The shipped colour function `name` (a key of FIXTURE_GROUPS) on g, by element index."""
+    with resources.as_file(resources.files("cayint").joinpath(f"fixtures/{name}.fn")) as path:
+        return load_function(path, g)
 
 
 def parse_set_tokens(spec: str, g: FiniteGroup) -> ConnectionSet:

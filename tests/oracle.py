@@ -305,6 +305,21 @@ def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], .
     return tuple(sorted(found.items(), key=lambda kv: -kv[0]))
 
 
+def roots_mod_scan(coeffs: list[list[int]], lo: list[int], hi: list[int], p: int) -> list[tuple[int, int]]:
+    """`linalg.roots_mod` point by point: every (i, x) with lo[i] <= x <= hi[i]
+    at which row i of the ascending coefficients vanishes mod p, by a Horner
+    loop on Python ints, row after row and x ascending."""
+    out = []
+    for i, (row, a, b) in enumerate(zip(coeffs, lo, hi)):
+        for x in range(a, b + 1):
+            acc = 0
+            for c in reversed(row):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                out.append((i, x))
+    return out
+
+
 def expand_character_poly(pairs: Sequence[tuple[Cyclotomic, int]]) -> list[Cyclotomic]:
     """Expand prod (x - lambda)^mult as ascending coefficients in Q(zeta)."""
     coeffs: list[Cyclotomic] = [Cyclotomic.rational(1)]
@@ -932,7 +947,8 @@ def commutators(g: FiniteGroup) -> set[int]:
 
 
 def is_normal_set(g: FiniteGroup, elems: frozenset[int]) -> bool:
-    """`ConnectionSet.normal`: every conjugate of every member is a member."""
+    """`groups.conjugation_invariant` on a set's indicator: every conjugate
+    of every member is a member."""
     t, inv = g.table.tolist(), g.inv
     return all(t[t[x][s]][inv[x]] in elems for s in elems for x in g.elements())
 

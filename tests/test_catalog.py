@@ -93,7 +93,6 @@ class TestCatalog:
     def test_validated(self):
         for name, params in [("q8", ()), ("dicyclic12", ()), ("s4", ()), ("d8", ())]:
             g = catalog(name, *params)
-            assert g.validation == "full"
             assert g.table[0].tolist() == list(range(g.n))
 
     def test_resolve_products(self):

@@ -21,7 +21,7 @@ from cayint.chartable import (
     _split_eigenspaces,
     _verify_table,
     character_table,
-    chi_plus_conj_integral,
+    chi_plus_conj,
     class_matrices,
     load_table,
     save_table,
@@ -352,13 +352,11 @@ class TestRationalityScans:
     def test_z3_class_not_rational_but_symmetrized_integral(self):
         t = character_table(catalog("cyclic", 3))
         assert not is_rational_class(t, 1)
-        m = chi_plus_conj_integral(t)
-        assert all(all(row) for row in m)  # zeta3 + zeta3^2 = -1
+        assert not chi_plus_conj(t)[:, :, 1:].any()  # zeta3 + zeta3^2 = -1
 
     def test_z5_fails(self):
         t = character_table(catalog("cyclic", 5))
-        m = chi_plus_conj_integral(t)
-        assert not all(all(row) for row in m)
+        assert chi_plus_conj(t)[:, :, 1:].any()
 
     def test_s5_fully_rational(self, tables):
         t = tables["S5"]

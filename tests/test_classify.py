@@ -8,6 +8,7 @@ import random
 import string
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from cayint.catalog import catalog
 from cayint.chartable import DEFAULT_ORDER_CAP, chi_plus_conj, class_matrices
 from cayint.classify import (
     CI_SAMPLED_MAX_ORDER,
-    CharColourRow,
     NormalSetSurvey,
     RouteReport,
     _integral_orbits,
@@ -26,7 +26,6 @@ from cayint.classify import (
     ci_report,
     classify_group,
     fcci_report,
-    gamma_chi_conj_check,
     hierarchy_audit,
     is_hamiltonian_2_group,
     is_inverse_semi_rational,
@@ -54,6 +53,8 @@ from oracle import (
     rational_scan,
     semi_rational_scan,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRationalityPredicates:
@@ -503,39 +504,50 @@ def test_survey_rows_oracle_refuses_too_many_orbits():
 
 
 class TestGammaChiConj:
+    """chi + conj(chi) is NCI's character route: the verdict is that every
+    such sum is rational, and `gamma_chi_conj_all_integral` reads it."""
+
     def test_rational_group_all_pass(self, tables):
-        rows, ok = gamma_chi_conj_check(tables["S4"])
-        assert ok and all(r.formable and r.integral for r in rows)
+        assert not chi_plus_conj(tables["S4"])[:, :, 1:].any()
 
-    def test_z5_rejected_characters(self, tables):
-        rows, ok = gamma_chi_conj_check(tables["Z5"])
-        assert not ok
-        assert any(not r.formable for r in rows)
+    def test_z5_rejected_characters(self, groups, partitions, tables):
+        assert chi_plus_conj(tables["Z5"])[:, :, 1:].any()
+        assert nci_report(groups["Z5"], partitions["Z5"], tables["Z5"], None).characters is False
 
-    def test_q8z3_all_characters(self, tables):
-        rows, ok = gamma_chi_conj_check(tables["Q8xZ3"])
-        assert ok and len(rows) == 15
+    def test_q8z3_all_characters(self, groups, partitions, tables):
+        assert tables["Q8xZ3"].k == 15
+        assert nci_report(groups["Q8xZ3"], partitions["Q8xZ3"], tables["Q8xZ3"], None).characters is True
 
     def test_matches_nci_verdict(self, groups, partitions, tables, surveys):
         for label in surveys:
-            rows, ok = gamma_chi_conj_check(tables[label])
             rep = nci_report(
                 groups[label], partitions[label],
                 table=tables[label], survey=surveys[label],
             )
-            assert ok == rep.verdict, label
+            assert rep.characters == rep.verdict, label
 
     @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
     def test_class_values_equal_the_per_character_route(self, label, groups, tables):
-        # each character's colour function built on all of G and decided by
-        # the element-by-element criterion scan
+        # a rational chi + conj(chi) is an integer class function fixed by
+        # every Galois twist, so the element-by-element criterion scan finds
+        # its colour graph on all of G integral: rationality alone decides
         g, table = groups[label], tables[label]
-        want = []
-        for r, sums in enumerate(chi_plus_conj(table)):
-            formable = not sums[:, 1:].any()
-            f = ConnectionFunction.from_class_values(g, table.partition, sums[:, 0].tolist())
-            want.append(CharColourRow(r, table.degrees[r], formable, formable and criterion_scan(g, f)[0]))
-        assert gamma_chi_conj_check(table) == (tuple(want), all(row.integral for row in want))
+        rational = 0
+        for sums in chi_plus_conj(table):
+            if not sums[:, 1:].any():
+                rational += 1
+                f = ConnectionFunction.from_class_values(g, table.partition, sums[:, 0].tolist())
+                assert f.in_f and criterion_scan(g, f)[0]
+        assert rational >= 1  # the trivial character at least
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("classify_*.json")) + [GOLDEN / "audit_seed_0.json"],
+                             ids=lambda path: path.stem)
+    def test_evidence_key_reads_the_character_route(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        reports = doc["groups"] if doc["command"] == "audit" else [doc]
+        assert reports
+        for rep in reports:
+            assert rep["evidence"]["gamma_chi_conj_all_integral"] == rep["routes"]["nci"]["characters"], rep["name"]
 
 
 @pytest.mark.parametrize("report", RouteReport.__subclasses__(), ids=lambda report: report.KEY)
@@ -659,8 +671,8 @@ def _classify_s3_json(capsys, *args: str) -> dict:
 # (name patched in cayint.classify, its stand-in, the message).
 INJECTED_DISAGREEMENTS = {
     "nci": (
-        "chi_plus_conj_integral",
-        lambda table: ((False,),),
+        "chi_plus_conj",
+        lambda table: np.ones((1, 1, 2), dtype=np.int64),  # one irrational sum
         "NCI route disagreement on S3: atoms=True, characters=False",
     ),
     "fcci": ("ALLOWED_ORDERS", {1}, "F-route disagreement on S3: orders=False, criterion=True"),

@@ -26,12 +26,13 @@ from cayint.groups import (
     build_group,
     center,
     conjugacy_classes,
+    conjugation_invariant,
     direct_product,
     generated_subgroup,
     is_nilpotent,
     quotient,
 )
-from cayint.spectra import ConnectionFunction, ConnectionSet, adjacency
+from cayint.spectra import ConnectionFunction, adjacency
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG, load_perm_group, perm_generators, relabel, small_products
 
 
@@ -128,7 +129,7 @@ def assert_agrees(g: FiniteGroup, seed: int = 0) -> None:
     pairs = [{x, g.inv[x]} for x in picks if x]
     for elems in orbits[:3] + pairs:
         s = frozenset(elems)
-        assert ConnectionSet(g, s).normal is oracle.is_normal_set(g, s)
+        assert conjugation_invariant(g, [x in s for x in g.elements()]) is oracle.is_normal_set(g, s)
 
 
 @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])

@@ -24,11 +24,11 @@ enumeration of subsets, `classify._subsets`, serves only the CI brute force
 over inverse pairs: the normal-set survey decides its unions orbit by orbit.
 The walks over a group check its generating set, `FiniteGroup.gens`, which
 `groups` alone reads and `catalog` only passes on; so does the test of a
-colour function or connection set for constancy on classes
-(`groups.conjugation_invariant`), which builds no partition. The all-pairs
-commutator walk `groups._commutators` serves only `FiniteGroup.commutators`,
-and the one binary search over permutations, in `catalog._perm_table`,
-ranks the generators' rows alone. Elimination over a prime field has one
+colour function for constancy on classes (`groups.conjugation_invariant`),
+which builds no partition. The all-pairs commutator walk
+`groups._commutators` serves only `FiniteGroup.commutators`, and the one
+binary search over permutations, in `catalog._perm_table`, ranks the
+generators' rows alone. Elimination over a prime field has one
 routine, `linalg.eliminate_mod`, which serves the character tables and the
 normal-set survey's rank; the pure-Python `rref_mod` and `kernel_mod` it
 replaced live on only in `tests/oracle.py`. The unit power maps on the
@@ -42,9 +42,15 @@ vectors they rest on) live on only in `tests/oracle.py`. The class-sum
 matrices have one builder, `chartable.class_matrices`, which the
 character table and the normal-set survey call for themselves:
 `classify_group` hands its routes only the partition, the table and the
-survey, and the chi + conj(chi) check reads the table's class values, with
-no colour function on all of G. No module of `cayint` imports a name it
-does not use."""
+survey. chi + conj(chi) is decided once, as NCI's character route: in
+`classify` only `nci_report` names `chi_plus_conj`, and it builds no
+colour function on all of G. The roots of residue polynomials mod a prime
+over integer ranges have one routine, `linalg.roots_mod`, which serves
+`integral_spectra`, `integer_spectrum` and the character tables'
+`_eigenspaces`; the per-point mask `vanishes_mod`, the screen `_screened`
+and the per-character rows (`gamma_chi_conj_check`, `CharColourRow`,
+`chi_plus_conj_integral`) are gone. No module of `cayint` imports a name
+it does not use."""
 
 from __future__ import annotations
 
@@ -238,9 +244,30 @@ def test_class_matrices_have_one_builder_called_where_they_are_used():
     assert not _names_in("classify.py", "classify_group") & {"class_matrices", "mats"}
 
 
-def test_chi_conj_check_builds_no_colour_function():
-    names = _names_in("classify.py", "gamma_chi_conj_check")
-    assert not names & {"ConnectionFunction", "integrality_by_criterion"}
+def test_chi_plus_conj_is_named_in_classify_only_by_nci_report():
+    readers = {where for where in _referrers("chi_plus_conj") if where.startswith("classify.py:")}
+    assert readers == {"classify.py:nci_report"}
+    assert not _names_in("classify.py", "nci_report") & {"ConnectionFunction", "integrality_by_criterion"}
+
+
+def test_roots_mod_serves_the_three_root_screens():
+    assert _defined({"roots_mod"}) == {"linalg.py:roots_mod"}
+    assert _referrers("roots_mod") == {
+        "linalg.py:integral_spectra",
+        "linalg.py:integer_spectrum",
+        "chartable.py:_eigenspaces",
+    }
+
+
+def test_retired_names_are_gone():
+    retired = {"vanishes_mod", "_screened", "gamma_chi_conj_check", "CharColourRow", "chi_plus_conj_integral"}
+    defined = {
+        node.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not (defined | _named()) & retired
 
 
 def _unused_imports(path: Path) -> list[str]:

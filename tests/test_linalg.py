@@ -12,7 +12,7 @@ import sympy
 from conftest import FUNCTION_KINDS, SMALL_CATALOG, colour_function, small_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan, kernel_mod, rref_mod
+from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan, kernel_mod, roots_mod_scan, rref_mod
 
 from cayint.chartable import _find_prime, class_matrices
 from cayint.groups import build_group, conjugacy_classes
@@ -32,6 +32,7 @@ from cayint.linalg import (
     eliminate_mod,
     integer_spectrum,
     integral_spectra,
+    roots_mod,
     squarefree_factorization,
 )
 from cayint.spectra import ConnectionFunction, adjacency, adjacency_stack, spectrum_matrix
@@ -542,6 +543,80 @@ class TestIntegerSpectrum:
         assert rep.integer_eigenvalues == ((360, 1), (1, 3), (0, 1), (-360, 1))
         assert rep.residual == IntPolynomial((-7, 0, 1))
 
+
+
+def _pairs(owner: np.ndarray, x: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(owner.tolist(), x.tolist()))
+
+
+def _with_roots(roots: list[int], p: int) -> list[int]:
+    """Ascending residues mod p of (x^2 + 1) times the product of x - r."""
+    poly = IntPolynomial((1, 0, 1))
+    for r in roots:
+        poly = poly * IntPolynomial((-r, 1))
+    return [c % p for c in poly.coeffs]
+
+
+@st.composite
+def _residue_rows(draw) -> tuple[int, np.ndarray, list[int], list[int]]:
+    """A prime, a stack of rows of ascending residues of one degree, and each row's
+    [lo, hi], possibly empty; a row is drawn at random or planted with
+    roots in and around its range."""
+    p = draw(st.sampled_from([_SCREEN_PRIME, 2, 3, 5, 7]))
+    degree = draw(st.integers(0, 6))
+    rows, lo, hi = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        a, w = draw(st.integers(-40, 40)), draw(st.integers(0, 60))
+        if degree >= 2 and draw(st.booleans()):
+            roots = draw(st.lists(st.integers(a - 5, a + w + 5), min_size=degree - 2, max_size=degree - 2))
+            rows.append(_with_roots(roots, p))
+        else:
+            rows.append(draw(st.lists(st.integers(0, p - 1), min_size=degree + 1, max_size=degree + 1)))
+        lo.append(a)
+        hi.append(a + w - 1)
+    return p, np.array(rows, dtype=np.int64).reshape(len(rows), degree + 1), lo, hi
+
+
+class TestRootsMod:
+    @given(_residue_rows(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_point_horner_loop(self, case, cells):
+        # chunks of 1 to 40 points split the rows
+        p, stack, lo, hi = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.linalg._STACK_CELLS", cells)
+            got = _pairs(*roots_mod(stack, lo, hi, p))
+        assert got == roots_mod_scan(stack.tolist(), lo, hi, p)
+
+    def test_no_rows(self):
+        owner, x = roots_mod(np.zeros((0, 3), dtype=np.int64), [], [], _SCREEN_PRIME)
+        assert owner.shape == x.shape == (0,)
+
+    @pytest.mark.parametrize("p", [_SCREEN_PRIME, 5])
+    def test_negative_lo_and_a_split_row(self, p):
+        # three rows laid end to end over chunks of 7 points
+        coeffs = [_with_roots(roots, p) for roots in ([-9, -3, 2], [0, 4, 5], [-20])]
+        lo, hi = [-10, 0, -25], [3, 9, -15]
+        stack = np.array([row + [0] * (6 - len(row)) for row in coeffs], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.linalg._STACK_CELLS", 7)
+            got = _pairs(*roots_mod(stack, lo, hi, p))
+        assert got == roots_mod_scan(coeffs, lo, hi, p)
+        if p == _SCREEN_PRIME:  # x^2 + 1 has no root mod a prime = 3 (mod 4)
+            assert got == [(0, -9), (0, -3), (0, 2), (1, 0), (1, 4), (1, 5), (2, -20)]
+
+    @pytest.mark.parametrize("p", [_SCREEN_PRIME, 5])
+    def test_row_wider_than_one_chunk(self, p):
+        # one row over [-_STACK_CELLS, _STACK_CELLS] takes three chunks, the
+        # first ending at -1, and a second row starts inside the last one
+        roots = [-_STACK_CELLS, -1, 0, 17, _STACK_CELLS]
+        coeffs = [_with_roots(roots, p), _with_roots([3], p)]
+        lo, hi = [-_STACK_CELLS, 0], [_STACK_CELLS, 5]
+        stack = np.array([row + [0] * (len(coeffs[0]) - len(row)) for row in coeffs], dtype=np.int64)
+        got = _pairs(*roots_mod(stack, lo, hi, p))
+        assert got == roots_mod_scan(coeffs, lo, hi, p)
+        if p == _SCREEN_PRIME:
+            assert got == [(0, r) for r in sorted(roots)] + [(1, 3)]
 
 class TestSquarefree:
     def test_structure(self):

