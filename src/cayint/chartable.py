@@ -52,11 +52,11 @@ from math import isqrt
 from pathlib import Path
 
 import numpy as np
-import sympy
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
-from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array, roots_mod
+from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array
+from .linalg import is_prime, primitive_root, roots_mod
 
 
 class PrimeSearchFailed(RuntimeError):
@@ -67,9 +67,11 @@ class VerificationFailed(RuntimeError):
     """Internal bug guard: a produced table failed an exact identity."""
 
 
-# The one character-table cap: `character_table` refuses larger groups and
-# `classify_group` skips the table above it (CLI `--cap-chartable`).
+# The character-table caps, on |G| (CLI `--cap-chartable`) and on the int64
+# cells of `table_cells`: `character_table` refuses a group above either and
+# `classify_group` skips its table.
 DEFAULT_ORDER_CAP = 2000
+CELL_CAP = 2**27
 PRIME_BOUND = 1_000_000  # the prime search gives up above this
 
 
@@ -117,6 +119,11 @@ class CharacterTable:
         return self.partition.reps()
 
 
+def table_cells(part: ConjugacyPartition) -> int:
+    """max(k^3, k^2 phi(e)): the cells of the k class matrices and of the table."""
+    return part.k**2 * max(part.k, len(part.units))
+
+
 def class_matrices(
     g: FiniteGroup, part: ConjugacyPartition, unions: list[tuple[int, ...]] | None = None
 ) -> list[np.ndarray]:
@@ -148,7 +155,7 @@ def _find_prime(exponent: int, order: int, bound: int) -> int:
     # need p = 1 mod e and p > 2*sqrt(|G|), i.e. p^2 > 4|G|
     p = exponent + 1
     while p <= bound:
-        if p * p > 4 * order and sympy.isprime(p):
+        if p * p > 4 * order and is_prime(p):
             return p
         p += exponent
     raise PrimeSearchFailed(f"no prime = 1 mod {exponent} with square above {4 * order}, below {bound}")
@@ -156,7 +163,7 @@ def _find_prime(exponent: int, order: int, bound: int) -> int:
 
 def _primitive_root_of_unity(p: int, e: int) -> int:
     """theta = g^((p-1)/e) for g the least primitive root mod p."""
-    return pow(sympy.primitive_root(p), (p - 1) // e, p)
+    return pow(primitive_root(p), (p - 1) // e, p)
 
 
 def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
@@ -355,7 +362,7 @@ def _apply(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 # (p, e) -> `_embeddings(p, e, units)`, so that a table of a known conductor
-# looks up its theta instead of asking sympy for a primitive root
+# looks up its theta instead of searching for a primitive root again
 _EMBEDDINGS: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -437,6 +444,8 @@ def character_table(
     if g.n > order_cap:
         raise ValueError(f"|G| = {g.n} exceeds the character-table cap {order_cap}")
     part = part or conjugacy_classes(g)
+    if table_cells(part) > CELL_CAP:
+        raise ValueError(f"|G| = {g.n} needs {table_cells(part)} table cells, above the cap {CELL_CAP}")
     k = part.k
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)

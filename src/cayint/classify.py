@@ -44,15 +44,16 @@ from math import gcd
 from typing import ClassVar, Iterator
 
 import numpy as np
-from sympy.utilities.iterables import connected_components
 
 from .catalog import catalog
 from .chartable import (
+    CELL_CAP,
     DEFAULT_ORDER_CAP,
     CharacterTable,
     character_table,
     chi_plus_conj,
     class_matrices,
+    table_cells,
 )
 from .groups import (
     Atom,
@@ -191,6 +192,19 @@ def _integral_orbits(blocks: np.ndarray, p: int) -> tuple[bool, ...]:
     b its largest column sum (see `normal_set_survey`)."""
     bounds = blocks.sum(axis=1).max(axis=1).tolist()  # the entries are counts, at least 0
     return integral_spectra(blocks, charpoly_mod(blocks, p), bounds, p)
+
+
+def connected_components(graph: tuple[list[int], list[tuple[int, int]]]) -> list[list[int]]:
+    """The components of the undirected graph (vertices, edges), each ascending, in
+    the order of their least vertex: a quick-find union-find, which merges two lists."""
+    vertices, edges = graph
+    component = {v: [v] for v in vertices}
+    for a, b in edges:
+        if component[a] is not component[b]:
+            merged = sorted(component[a] + component[b])
+            for v in merged:
+                component[v] = merged
+    return sorted({c[0]: c for c in component.values()}.values())
 
 
 def normal_set_survey(part: ConjugacyPartition, table: CharacterTable) -> NormalSetSurvey:
@@ -645,17 +659,19 @@ def classify_group(
 ) -> ClassificationReport:
     """Every predicate and route on one group. The partition, with the
     unit power maps on its classes that every rationality route reads, the
-    character table (up to `chartable_cap`) and the normal-set survey
+    character table (up to `chartable_cap` and `CELL_CAP`) and the survey
     (wherever there is a table) are built once here, and the routes read
     only these three; every skip lands in `caps_notes`."""
     part = conjugacy_classes(g)
     table = survey = None
     caps_notes: list[str] = []
-    if g.n <= chartable_cap:
+    if g.n > chartable_cap:
+        caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
+    elif table_cells(part) > CELL_CAP:
+        caps_notes.append(f"character table skipped: {table_cells(part)} cells exceed cap {CELL_CAP}")
+    else:
         table = character_table(g, part, order_cap=chartable_cap)
         survey = normal_set_survey(part, table)
-    else:
-        caps_notes.append(f"character table skipped: |G|={g.n} exceeds cap {chartable_cap}")
 
     rat, rat_wit = is_rational(part)
     semi, r_map, semi_wit = is_semi_rational(g, part)

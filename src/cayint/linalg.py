@@ -26,8 +26,9 @@ integer range, are one Horner pass, `roots_mod`, for three screens: the
 character tables' eigenvalues in F_p; `integral_spectra`, which decides
 the survey's and the CI brute force's matrices by their roots and one
 exact product, with no integer charpoly; and `integer_spectrum`, which
-splits off the integer roots within a bound by synthetic division, sympy
-splitting the non-integral residual into squarefree parts.
+splits off the integer roots within a bound by synthetic division. sympy
+serves only `squarefree_factorization`, on the non-integral residual, and
+is imported on its first call.
 
 A cyclotomic integer of Z[zeta_e] is one integer vector of power-basis
 coordinates; the conductor's context (`_context`) holds the powers of
@@ -41,12 +42,12 @@ certificate. No floating point enters any code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, prod
 from operator import index as _index, mul as _mul
 from typing import Iterable, Sequence
 
 import numpy as np
-import sympy
 
 
 class NotAUnit(ValueError):
@@ -210,6 +211,31 @@ _PRIME_CAP = 2**26
 _STACK_CELLS = 2**16  # matrix cells per batched (k, n, n) stack; bounds the work arrays
 _PRIMES: dict[tuple[int, int], list[int]] = {}  # (limit, e) -> primes = 1 (mod e) below limit, descending
 _SCREEN_PRIME = 67108859  # the largest prime below 2^26, for `integer_spectrum`'s screen
+_COMPOSITE = np.zeros(2**13, dtype=bool)
+for _m in range(2, 91):  # every composite below 2^13 has a factor m below 91 and is at least 2m
+    _COMPOSITE[2 * _m :: _m] = True
+_SMALL_PRIMES = np.flatnonzero(~_COMPOSITE)[2:]  # every prime factor of n < 2^26 but one is below 2^13
+
+
+def is_prime(n: int) -> bool:
+    """Whether 0 <= n < 2^26 is prime: trial division by the primes below 2^13."""
+    if not 0 <= n < _PRIME_CAP:
+        raise ValueError(f"is_prime needs 0 <= n < 2^26, got {n}")
+    return n > 1 and bool((n % _SMALL_PRIMES[_SMALL_PRIMES < n]).all())
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of 0 < n < 2^26, ascending: those below 2^13,
+    then the rest of n, 1 or a prime, as no exponent in n reaches 26."""
+    small = _SMALL_PRIMES[n % _SMALL_PRIMES == 0].tolist()
+    rest = n // gcd(n, prod(small) ** 26)
+    return small + [rest] * (rest > 1)
+
+
+def primitive_root(p: int) -> int:
+    """The least primitive root modulo a prime p < 2^26 (1 for p = 2)."""
+    qs = _prime_factors(p - 1)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
 
 
 def _charpoly_stack(a: np.ndarray, p: int) -> np.ndarray:
@@ -291,7 +317,7 @@ def _primes_for(n: int, bound: int, e: int = 1) -> tuple[list[int], int]:
         if len(primes) == len(cached):
             below = cached[-1] if cached else limit
             p = below - 1 - (below - 2) % e  # the largest p = 1 (mod e) below it
-            while not sympy.isprime(p):
+            while not is_prime(p):
                 p -= e
             cached.append(p)
         primes.append(cached[len(primes)])
@@ -669,20 +695,21 @@ def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
 # Squarefree parts of integer polynomials (for the residual factors in reports)
 # ---------------------------------------------------------------------------
 
-_X = sympy.Symbol("x")
-
 
 def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
     """Squarefree decomposition of a monic integer polynomial.
 
     Returns (q_i, i) for every nonconstant part, ascending in i, so that p is
     the product of the q_i^i with each q_i squarefree and the q_i pairwise
-    coprime. sympy's squarefree decomposition over ZZ does the work; by
-    Gauss's lemma the parts of a monic integer polynomial are monic.
+    coprime. sympy's squarefree decomposition over ZZ does the work; it is
+    the one use of sympy, imported on the first call. By Gauss's lemma the
+    parts of a monic integer polynomial are monic.
     """
+    import sympy
+
     if not p.is_monic:
         raise ValueError("squarefree_factorization requires a monic polynomial")
-    _, parts = sympy.Poly(list(reversed(p.coeffs)), _X, domain="ZZ").sqf_list()
+    _, parts = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_list()
     return tuple(
         (IntPolynomial(tuple(int(c) for c in reversed(q.all_coeffs()))), m) for q, m in parts
     )
@@ -694,8 +721,19 @@ def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int
 
 
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the e-th cyclotomic polynomial."""
-    return tuple(int(c) for c in reversed(sympy.cyclotomic_poly(e, _X, polys=True).all_coeffs()))
+    """Coefficients (ascending) of the e-th cyclotomic polynomial, 0 < e < 2^26, in
+    Python ints: the product of (x^d - 1)^mu(e/d) over d | e, each numerator factor a
+    shift and a subtraction, each denominator one a running sum with stride d."""
+    primes = _prime_factors(e)
+    factors = [(e // prod(s), r % 2) for r in range(len(primes) + 1) for s in combinations(primes, r)]
+    f = np.ones(1, dtype=object)
+    for d, odd in sorted(factors, key=lambda t: t[1]):  # numerator first, so every division is exact
+        zeros = np.zeros(d, dtype=object)
+        if odd:
+            f = -np.cumsum(np.concatenate([f, zeros[: -len(f) % d]]).reshape(-1, d), axis=0).ravel()[: len(f) - d]
+        else:
+            f = np.concatenate([zeros, f]) - np.concatenate([f, zeros])
+    return tuple(f.tolist())
 
 
 class _CycloContext:

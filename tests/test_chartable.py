@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cayint import chartable
 from cayint.catalog import ParseError, catalog, resolve_group
 from cayint.chartable import (
+    CELL_CAP,
     PRIME_BOUND,
     VerificationFailed,
     _find_prime,
@@ -25,6 +26,7 @@ from cayint.chartable import (
     class_matrices,
     load_table,
     save_table,
+    table_cells,
 )
 from cayint.groups import conjugacy_classes
 from cayint.linalg import _context, exact_array
@@ -162,6 +164,21 @@ class TestCharacterTable:
     def test_order_cap(self, groups):
         with pytest.raises(ValueError):
             character_table(groups["S5"], order_cap=100)
+
+    def test_cell_cap(self, monkeypatch):
+        # Z720: 720^3 class-matrix cells (2.8 GiB), refused before any is built
+        def unreachable(*args):
+            raise AssertionError("class matrices built above the cell cap")
+
+        monkeypatch.setattr(chartable, "class_matrices", unreachable)
+        with pytest.raises(ValueError, match=f"needs {720**3} table cells, above the cap {CELL_CAP}"):
+            character_table(catalog("cyclic", 720))
+        # z2z4 3 3 (k = 512) sits exactly on the cap and stays allowed
+        assert table_cells(conjugacy_classes(catalog("z2z4", 3, 3))) == CELL_CAP == 512**3
+        assert table_cells(conjugacy_classes(catalog("cyclic", 513))) == 513**3 > CELL_CAP
+        # D997 (order 1994, k = 500): the k^2 phi(1994) table cells exceed the cap, k^3 does not
+        d997 = conjugacy_classes(catalog("dihedral", 997))
+        assert d997.k == 500 and table_cells(d997) == 500**2 * 996 > CELL_CAP > 500**3
 
     def test_integer_coefficient_array(self, tables):
         for t in tables.values():

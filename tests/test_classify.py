@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.utilities.iterables import connected_components as sympy_components
 
 from cayint.catalog import catalog
-from cayint.chartable import DEFAULT_ORDER_CAP, chi_plus_conj, class_matrices
+from cayint.chartable import CELL_CAP, DEFAULT_ORDER_CAP, chi_plus_conj, class_matrices
 from cayint.classify import (
     CI_SAMPLED_MAX_ORDER,
     NormalSetSurvey,
@@ -25,6 +26,7 @@ from cayint.classify import (
     cci_report,
     ci_report,
     classify_group,
+    connected_components,
     fcci_report,
     hierarchy_audit,
     is_hamiltonian_2_group,
@@ -251,6 +253,22 @@ def test_orbit_verdicts_on_permutation_groups(gens):
     g = load_perm_group(gens, len(perm_closure_table(gens)))
     part = conjugacy_classes(g)
     assert build_survey(g, part).integral == orbit_verdicts(g, part)
+
+
+@st.composite
+def graphs(draw) -> tuple[list[int], list[tuple[int, int]]]:
+    """An undirected graph on the vertices 0..n-1, n <= 30, with loops,
+    which the survey's edge sets have, and repeated edges."""
+    n = draw(st.integers(0, 30))
+    vertex = st.integers(0, max(n - 1, 0))
+    return list(range(n)), draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+
+
+@given(graphs())
+@settings(max_examples=300, deadline=None)
+def test_connected_components_match_sympy_in_order(graph):
+    # sympy lists each component in its walk's order; the survey reads them as sets
+    assert connected_components(graph) == [sorted(c) for c in sympy_components(graph)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -704,13 +722,14 @@ def test_route_disagreement_reaches_json_and_findings(predicate, monkeypatch, ca
     assert message in audit.findings and audit.exit_code == 3
 
 
-# One lowered cap per route on S3 (order 6), and one Eulerian/integrality
-# certificate left undecided: (names set in cayint.classify with their
-# stand-ins, the character-table cap, the predicate and route that are
-# skipped and what they then read, the note). The survey that NCI's
-# exhaustive and FCCI's spectral route read runs wherever the character
-# table does. A `connected_components` that joins both orbits of S3 into one
-# atom component leaves a kernel of dimension 2 against 1 component.
+# One lowered cap per route on S3 (order 6), the character table's cell cap
+# lowered below S3's 27 cells, and one Eulerian/integrality certificate left
+# undecided: (names set in cayint.classify with their stand-ins, the
+# character-table cap, the predicate and route that are skipped and what
+# they then read, the note). The survey that NCI's exhaustive and FCCI's
+# spectral route read runs wherever the character table does. A
+# `connected_components` that joins both orbits of S3 into one atom
+# component leaves a kernel of dimension 2 against 1 component.
 LOWERED_CAPS = {
     "nci": ({}, 5, ("nci", "exhaustive", None), "exhaustive route skipped: no character table"),
     "fcci": ({}, 5, ("fcci", "spectra_mode", "skipped"), "spectral route skipped: no character table"),
@@ -725,6 +744,12 @@ LOWERED_CAPS = {
         DEFAULT_ORDER_CAP,
         ("ci", "mode", "skipped"),
         "brute force skipped: |G|=6 exceeds cap 5",
+    ),
+    "table cells": (
+        {"CELL_CAP": 26},
+        DEFAULT_ORDER_CAP,
+        ("nci", "exhaustive", None),
+        "character table skipped: 27 cells exceed cap 26",
     ),
     "survey": (
         {"connected_components": lambda graph: [graph[0]]},
@@ -745,6 +770,27 @@ def test_route_skip_reaches_caps_notes(case, monkeypatch, capsys):
     assert note in doc["caps_notes"]
     audit = hierarchy_audit([catalog("s3")], chartable_cap=chartable_cap)
     assert note in audit.to_dict()["groups"][0]["caps_notes"]
+
+
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        # 720 class matrices of 720 x 720 int64 cells alone would take 2.8 GiB
+        (("cyclic", "720"), f"character table skipped: {720**3} cells exceed cap {CELL_CAP}"),
+        # above both caps: the order cap's note alone, as before the cell cap
+        (("cyclic", "1260", "--cap-chartable", "1000"), "character table skipped: |G|=1260 exceeds cap 1000"),
+    ],
+    ids=["Z720 cells", "Z1260 order"],
+)
+def test_a_table_above_a_cap_is_skipped_with_one_note(argv, note, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("character table built above a cap")
+
+    monkeypatch.setattr("cayint.classify.character_table", unreachable)
+    assert main(["classify", "--catalog", *argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [n for n in doc["caps_notes"] if n.startswith("character table")] == [note]
+    assert doc["routes"]["nci"]["exhaustive"] is None
 
 
 def _count_power_map_builds(monkeypatch) -> list[str]:

@@ -50,12 +50,20 @@ over integer ranges have one routine, `linalg.roots_mod`, which serves
 `_eigenspaces`; the per-point mask `vanishes_mod`, the screen `_screened`
 and the per-character rows (`gamma_chi_conj_check`, `CharColourRow`,
 `chi_plus_conj_integral`) are gone. No module of `cayint` imports a name
-it does not use."""
+it does not use. sympy is named only inside
+`linalg.squarefree_factorization`, which imports it on its first call:
+importing `cayint.cli`, and every run that factors no residual, leaves
+sympy unloaded."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import cayint
 
@@ -294,3 +302,63 @@ def test_chartable_has_one_verifier():
     verifiers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and "verif" in node.name}
     assert verifiers == {"_verify_table"}
     assert _referrers("_verify_table") == {"chartable.py:character_table", "chartable.py:load_table"}
+
+
+def _sympy_uses() -> set[str]:
+    """`module:function` for every import of sympy and every name `sympy`
+    in a `cayint` module, by innermost enclosing function."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, module: str, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        names = (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else [node.id] if isinstance(node, ast.Name)
+            else []
+        )
+        if any(name.split(".")[0] == "sympy" for name in names):
+            found.add(f"{module}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    return found
+
+
+def test_sympy_is_named_only_in_squarefree_factorization():
+    assert _sympy_uses() == {"linalg.py:squarefree_factorization"}
+
+
+def _loads_sympy(*argv: str) -> bool:
+    """Whether a fresh interpreter that imports `cayint.cli`, then runs
+    `main(argv)` if argv is given, ends with sympy imported."""
+    run = "cli.main(sys.argv[1:])\n" if argv else ""
+    code = f"import sys\nimport cayint.cli as cli\n{run}print('sympy' in sys.modules)"
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    return done.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("chartable", "--catalog", "symmetric", "6"),
+        ("classify", "--catalog", "cyclic", "1260", "--cap-chartable", "1000"),
+        ("spectrum", "--catalog", "cyclic", "6", "--set", "1,5"),  # integral: no residual to factor
+    ],
+    ids=["import", "chartable", "classify", "integral spectrum"],
+)
+def test_runs_that_factor_no_residual_leave_sympy_unloaded(argv):
+    assert not _loads_sympy(*argv)
+
+
+def test_a_non_integral_spectrum_loads_sympy():
+    # alpha on S3 leaves the residual x^2 + 2x - 12 to factor
+    assert _loads_sympy("spectrum", "--catalog", "s3", "--fixture", "alpha")

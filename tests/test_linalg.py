@@ -32,6 +32,8 @@ from cayint.linalg import (
     eliminate_mod,
     integer_spectrum,
     integral_spectra,
+    is_prime,
+    primitive_root,
     roots_mod,
     squarefree_factorization,
 )
@@ -652,6 +654,40 @@ class TestSquarefree:
         assert squarefree_factorization(p) == want
 
 
+class TestPrimeHelpers:
+    """`is_prime` and `primitive_root`, which serve every prime below 2^26,
+    against sympy."""
+
+    def test_is_prime_below_2_16(self):
+        assert [n for n in range(2**16) if is_prime(n)] == list(sympy.primerange(2**16))
+
+    def test_is_prime_at_random_below_2_26(self):
+        rng = random.Random(26)
+        for n in [rng.randrange(2**26) for _ in range(50_000)]:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_is_prime_on_squares_of_the_largest_trial_divisors(self):
+        # the composites below 2^26 whose least factor is largest
+        for q in sympy.primerange(8000, 2**13):
+            assert not is_prime(q * q), q
+        assert is_prime(_SCREEN_PRIME)
+
+    @pytest.mark.parametrize("n", [-1, 2**26, 2**26 + 1])
+    def test_is_prime_rejects_what_it_cannot_decide(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+    def test_primitive_root_below_3000(self):
+        for p in sympy.primerange(3000):
+            assert primitive_root(p) == sympy.primitive_root(p), p
+
+    def test_primitive_root_near_2_26(self):
+        p = 2**26
+        for _ in range(300):
+            p = sympy.prevprime(p)
+            assert primitive_root(p) == sympy.primitive_root(p), p
+
+
 class TestCyclotomic:
     def test_phi_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -660,6 +696,13 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    def test_against_sympy(self):
+        x = sympy.Symbol("x")
+        for e in [*range(1, 601), 2310, 5040]:
+            want = tuple(int(c) for c in reversed(sympy.cyclotomic_poly(e, x, polys=True).all_coeffs()))
+            got = cyclotomic_polynomial(e)
+            assert got == want and all(type(c) is int for c in got), e
 
     def test_zeta3_relation(self):
         z = Cyclotomic.zeta(3)
