@@ -26,9 +26,9 @@ integer range, are one Horner pass, `roots_mod`, for three screens: the
 character tables' eigenvalues in F_p; `integral_spectra`, which decides
 the survey's and the CI brute force's matrices by their roots and one
 exact product, with no integer charpoly; and `integer_spectrum`, which
-splits off the integer roots within a bound by synthetic division. sympy
-serves only `squarefree_factorization`, on the non-integral residual, and
-is imported on its first call.
+splits off the integer roots within a bound by synthetic division. The
+non-integral residual splits into its squarefree parts by heuristic gcds
+on polynomials packed into Python ints (`squarefree_factorization`).
 
 A cyclotomic integer of Z[zeta_e] is one integer vector of power-basis
 coordinates; the conductor's context (`_context`) holds the powers of
@@ -176,12 +176,6 @@ class IntPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        out = IntPolynomial((1,))
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -615,17 +609,6 @@ class SpectrumReport:
         if total != self.degree:
             raise ValueError(f"multiplicities {total} do not account for degree {self.degree}")
 
-    def eigenvalue_sum(self) -> int:
-        return sum(v * m for v, m in self.integer_eigenvalues) - (
-            self.residual.coeffs[-2] if self.residual.degree >= 1 else 0
-        )
-
-    def reconstruct(self) -> IntPolynomial:
-        out = self.residual
-        for v, m in self.integer_eigenvalues:
-            out = out * (IntPolynomial((-v, 1)) ** m)
-        return out
-
     def residual_factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
         if self.residual.degree <= 0:
             return ()
@@ -696,23 +679,90 @@ def integer_spectrum(p: IntPolynomial, bound: int) -> SpectrumReport:
 # ---------------------------------------------------------------------------
 
 
+def _width(m: int) -> int:
+    """The least multiple k of 8 with 2^k > m."""
+    return -(-m.bit_length() // 8) * 8
+
+
+def _pack(c: list[int], k: int) -> int:
+    """c(2^k) for ascending coefficients c, the Kronecker substitution: by
+    halves, as a sum of shifts within each short run of coefficients."""
+    if len(c) <= 32:
+        return sum(x << k * i for i, x in enumerate(c))
+    mid = len(c) // 2
+    return _pack(c[:mid], k) + (_pack(c[mid:], k) << k * mid)
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """The polynomial c with coefficients in [-2^(k-1), 2^(k-1)) and c(2^k) = v,
+    k a multiple of 8: v plus 2^(k-1) in every digit, read in bytes."""
+    n, w = v.bit_length() // k + 2, k // 8
+    raw = (v + int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")).to_bytes(w * n, "little")
+    c = [int.from_bytes(raw[i : i + w], "little") - (1 << k - 1) for i in range(0, w * n, w)]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _quotient(pa: int, pg: int, a: list[int], g: list[int], k: int) -> list[int] | None:
+    """a / g from pa = a(2^k) and pg = g(2^k), or None if g does not divide a:
+    q read off at 2^k, certified by g q = a in one product packed at a base above
+    twice every coefficient of both sides (injective): 2^k itself if wide enough."""
+    v, r = divmod(pa, pg)
+    q = _unpack(v, k)
+    w = _width(2 * max(max(map(abs, a)), min(len(g), len(q)) * max(map(abs, g)) * max(map(abs, q))))
+    if w <= k:
+        return None if r else q
+    return q if _pack(g, w) * _pack(q, w) == _pack(a, w) else None
+
+
+def _gcd_cofactors(a: list[int], b: list[int], k: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """(g, a / g, b / g) for the primitive gcd g of a and b with a positive
+    leading coefficient, heuristically at 2^k (see `squarefree_factorization`),
+    k by default the least multiple of 8 with 2^k >= 2 max(|a|, |b|) + 2."""
+    k = k or _width(2 * max(map(abs, a + b)) + 1)
+    pa, pb = _pack(a, k), _pack(b, k)
+    h = _unpack(gcd(pa, pb), k)
+    content = gcd(*h) if h[-1] > 0 else -gcd(*h)
+    g = [c // content for c in h]
+    if len(g) == 1:
+        return g, a, b
+    pg = _pack(g, k)
+    if (qa := _quotient(pa, pg, a, g, k)) is not None and (qb := _quotient(pb, pg, b, g, k)) is not None:
+        return g, qa, qb
+    return _gcd_cofactors(a, b, 2 * k)
+
+
 def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
     """Squarefree decomposition of a monic integer polynomial.
 
     Returns (q_i, i) for every nonconstant part, ascending in i, so that p is
     the product of the q_i^i with each q_i squarefree and the q_i pairwise
-    coprime. sympy's squarefree decomposition over ZZ does the work; it is
-    the one use of sympy, imported on the first call. By Gauss's lemma the
-    parts of a monic integer polynomial are monic.
-    """
-    import sympy
+    coprime; by Gauss's lemma the parts are monic. Musser's loop: g = gcd(p, p'),
+    w = p / g, then y = gcd(w, g), q_i = w / y, g = g / y and w = y until w = 1.
 
+    Each gcd of a and b is heuristic (Char, Geddes and Gonnet). At xi = 2^k
+    >= 2c + 2, c the largest |coefficient| of a or b, the candidate G' is the
+    primitive part of the H whose coefficients are the digits of
+    gcd(a(xi), b(xi)) in [-xi/2, xi/2); `_quotient` certifies a / G', b / G'.
+    Soundness: G' divides the gcd G = G' C, and G(xi) divides cont(H) G'(xi),
+    so C(xi) divides cont(H), at most xi/2. The roots of C are roots of a,
+    below 1 + c <= xi/2 in absolute value (Cauchy), so C = 1, as otherwise
+    |C(xi)| > xi/2. Termination: with a = G A and b = G B, gcd(a(xi), b(xi))
+    is G(xi) d, and the extra factor d = gcd(A(xi), B(xi)) of the cofactors
+    (2 for x(x+1) and x^2 + x + 2) divides their resultant s A + t B. Once xi
+    exceeds 2 d |G| the digits are those of d G, whose primitive part is G,
+    and once it exceeds twice every coefficient of A and B the quotients
+    unpack exactly. Each failed candidate doubles k.
+    """
     if not p.is_monic:
         raise ValueError("squarefree_factorization requires a monic polynomial")
-    _, parts = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_list()
-    return tuple(
-        (IntPolynomial(tuple(int(c) for c in reversed(q.all_coeffs()))), m) for q, m in parts
-    )
+    g, w, _ = _gcd_cofactors(list(p.coeffs), [i * c for i, c in enumerate(p.coeffs)][1:])
+    parts = []
+    while len(w) > 1:
+        w, part, g = _gcd_cofactors(w, g)
+        parts.append(part)
+    return tuple((IntPolynomial(tuple(q)), i) for i, q in enumerate(parts, 1) if len(q) > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ its `str` is the cell text that `CharacterTable.cell_strings` prints.
 `berkowitz` is the division-free Berkowitz recurrence on Python integers that
 `linalg.charpoly` used before the multi-modular kernel; `integer_roots_scan`
 is `integer_spectrum`'s candidate scan without the divisibility filter;
+`power`, `eigenvalue_sum` and `reconstruct` are the test-only
+`IntPolynomial.__pow__`, `SpectrumReport.eigenvalue_sum` and
+`SpectrumReport.reconstruct` that left `cayint`, and `squarefree_sympy` is
+`squarefree_factorization` as it ran on sympy's `sqf_list`;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
 it was read off the normal-set survey; `normal_set_survey_rows` is the
 survey as it ran before it was decided orbit by orbit, every one of the 2^r
@@ -85,6 +89,7 @@ from cayint.linalg import (
     IntMatrix,
     IntPolynomial,
     NotAUnit,
+    SpectrumReport,
     _context,
     _crt_lift,
     _hadamard_bound,
@@ -288,6 +293,44 @@ def shift_root(p: IntPolynomial, r: int) -> tuple[IntPolynomial, int]:
         q[k] = acc
         acc = c[k] + r * acc
     return IntPolynomial(tuple(q)), acc
+
+
+def power(p: IntPolynomial, k: int) -> IntPolynomial:
+    """p^k by k products; `IntPolynomial.__pow__` before it left `cayint`."""
+    out = IntPolynomial((1,))
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def eigenvalue_sum(rep: SpectrumReport) -> int:
+    """The sum of a report's eigenvalues with multiplicity, its integer
+    eigenvalues' plus the residual's root sum (minus its x^(d-1) coefficient)."""
+    return sum(v * m for v, m in rep.integer_eigenvalues) - (
+        rep.residual.coeffs[-2] if rep.residual.degree >= 1 else 0
+    )
+
+
+def reconstruct(rep: SpectrumReport) -> IntPolynomial:
+    """The polynomial a report splits: its residual times (x - v)^m for each
+    integer eigenvalue v of multiplicity m."""
+    out = rep.residual
+    for v, m in rep.integer_eigenvalues:
+        out = out * power(IntPolynomial((-v, 1)), m)
+    return out
+
+
+def squarefree_sympy(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
+    """`linalg.squarefree_factorization` as it ran on sympy's squarefree
+    decomposition over ZZ."""
+    import sympy
+
+    if not p.is_monic:
+        raise ValueError("squarefree_factorization requires a monic polynomial")
+    _, parts = sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"), domain="ZZ").sqf_list()
+    return tuple(
+        (IntPolynomial(tuple(int(c) for c in reversed(q.all_coeffs()))), m) for q, m in parts
+    )
 
 
 def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], ...]:

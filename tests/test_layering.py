@@ -50,10 +50,10 @@ over integer ranges have one routine, `linalg.roots_mod`, which serves
 `_eigenspaces`; the per-point mask `vanishes_mod`, the screen `_screened`
 and the per-character rows (`gamma_chi_conj_check`, `CharColourRow`,
 `chi_plus_conj_integral`) are gone. No module of `cayint` imports a name
-it does not use. sympy is named only inside
-`linalg.squarefree_factorization`, which imports it on its first call:
-importing `cayint.cli`, and every run that factors no residual, leaves
-sympy unloaded."""
+it does not use. No module of `cayint` names sympy: the non-integral
+residual splits into squarefree parts in Python ints
+(`linalg.squarefree_factorization`), so importing `cayint.cli` and every
+run, those that factor a residual too, leave sympy unloaded."""
 
 from __future__ import annotations
 
@@ -268,7 +268,16 @@ def test_roots_mod_serves_the_three_root_screens():
 
 
 def test_retired_names_are_gone():
-    retired = {"vanishes_mod", "_screened", "gamma_chi_conj_check", "CharColourRow", "chi_plus_conj_integral"}
+    retired = {
+        "vanishes_mod",
+        "_screened",
+        "gamma_chi_conj_check",
+        "CharColourRow",
+        "chi_plus_conj_integral",
+        "__pow__",
+        "eigenvalue_sum",
+        "reconstruct",
+    }
     defined = {
         node.name
         for path in sorted(SRC.glob("*.py"))
@@ -328,8 +337,8 @@ def _sympy_uses() -> set[str]:
     return found
 
 
-def test_sympy_is_named_only_in_squarefree_factorization():
-    assert _sympy_uses() == {"linalg.py:squarefree_factorization"}
+def test_no_module_names_sympy():
+    assert _sympy_uses() == set()
 
 
 def _loads_sympy(*argv: str) -> bool:
@@ -359,6 +368,14 @@ def test_runs_that_factor_no_residual_leave_sympy_unloaded(argv):
     assert not _loads_sympy(*argv)
 
 
-def test_a_non_integral_spectrum_loads_sympy():
-    # alpha on S3 leaves the residual x^2 + 2x - 12 to factor
-    assert _loads_sympy("spectrum", "--catalog", "s3", "--fixture", "alpha")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--catalog", "s3", "--fixture", "alpha"),  # the residual (x^2 + 2x - 12)^2
+        ("audit", "--seed", "0"),  # S5's CCI witness and the fixtures' residuals
+        ("classify", "--catalog", "symmetric", "5"),  # S5's CCI witness residual, of degree 118
+    ],
+    ids=["non-integral spectrum", "audit", "classify S5"],
+)
+def test_runs_that_factor_a_residual_leave_sympy_unloaded(argv):
+    assert not _loads_sympy(*argv)

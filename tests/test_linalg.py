@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
@@ -12,8 +13,20 @@ import sympy
 from conftest import FUNCTION_KINDS, SMALL_CATALOG, colour_function, small_products
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import Cyclotomic, NotRational, berkowitz, integer_roots_scan, kernel_mod, roots_mod_scan, rref_mod
+from oracle import (
+    Cyclotomic,
+    NotRational,
+    berkowitz,
+    integer_roots_scan,
+    kernel_mod,
+    power,
+    reconstruct,
+    roots_mod_scan,
+    rref_mod,
+    squarefree_sympy,
+)
 
+from cayint import linalg
 from cayint.chartable import _find_prime, class_matrices
 from cayint.groups import build_group, conjugacy_classes
 from cayint.linalg import (
@@ -60,7 +73,7 @@ class TestCharpoly:
         # frozen from expanding (x - 2)(x^2 + x - 1)^2 symbolically
         p = charpoly(circulant(5, {1, 4}))
         assert p == IntPolynomial((-2, 5, 0, -5, 0, 1))
-        expected = IntPolynomial((-2, 1)) * (IntPolynomial((-1, 1, 1)) ** 2)
+        expected = IntPolynomial((-2, 1)) * power(IntPolynomial((-1, 1, 1)), 2)
         assert p == expected
 
     def test_empty_and_one(self):
@@ -172,7 +185,7 @@ class TestCharpolyAgainstBerkowitz:
         # every coefficient of (x - d)^n reaches its Hadamard bound binom(n, k) d^k
         for s in (d, -d):
             m = IntMatrix.from_rows([[s if i == j else 0 for j in range(n)] for i in range(n)])
-            assert charpoly(m) == IntPolynomial((-s, 1)) ** n == berkowitz(m)
+            assert charpoly(m) == power(IntPolynomial((-s, 1)), n) == berkowitz(m)
 
     def test_colour_functions_on_small_catalog(self, groups):
         rng = random.Random(2024)
@@ -445,10 +458,10 @@ class TestIntegerSpectrum:
     def test_alpha_shaped_polynomial(self):
         # oracle: exact 6x6 charpoly of the S3 alpha adjacency matrix
         # (see test_spectra); expanded here from its known factors
-        p = IntPolynomial((-16, 1)) * IntPolynomial((12, 1)) * (IntPolynomial((-12, 2, 1)) ** 2)
+        p = IntPolynomial((-16, 1)) * IntPolynomial((12, 1)) * power(IntPolynomial((-12, 2, 1)), 2)
         rep = integer_spectrum(p, bound=16)
         assert rep.integer_eigenvalues == ((16, 1), (-12, 1))
-        assert rep.residual == IntPolynomial((-12, 2, 1)) ** 2
+        assert rep.residual == power(IntPolynomial((-12, 2, 1)), 2)
         assert not rep.is_integral
 
     def test_pure_power(self):
@@ -459,20 +472,20 @@ class TestIntegerSpectrum:
     def test_beta_shaped_polynomial(self):
         p = (
             IntPolynomial((-48, 1))
-            * (IntPolynomial((-4, 1)) ** 2)
+            * power(IntPolynomial((-4, 1)), 2)
             * IntPolynomial((0, 1))
-            * (IntPolynomial((14, 1)) ** 4)
-            * (IntPolynomial((-12, 0, 1)) ** 2)
+            * power(IntPolynomial((14, 1)), 4)
+            * power(IntPolynomial((-12, 0, 1)), 2)
         )
         rep = integer_spectrum(p, bound=48)
         assert rep.integer_eigenvalues == ((48, 1), (4, 2), (0, 1), (-14, 4))
-        assert rep.residual == IntPolynomial((-12, 0, 1)) ** 2
+        assert rep.residual == power(IntPolynomial((-12, 0, 1)), 2)
         assert not rep.is_integral
 
     def test_reconstruction_and_residual_has_no_integer_roots(self):
         p = IntPolynomial((-3, 1)) * IntPolynomial((5, 0, 1)) * IntPolynomial((-3, 1))
         rep = integer_spectrum(p, bound=10)
-        assert rep.reconstruct() == p
+        assert reconstruct(rep) == p
         assert rep.integer_eigenvalues == ((3, 2),)
         res = rep.residual
         for r in range(-10, 11):
@@ -508,7 +521,7 @@ class TestIntegerSpectrum:
                 mp.setattr("cayint.linalg._SCREEN_PRIME", screen)
                 rep = integer_spectrum(p, bound=bound)
             assert rep.integer_eigenvalues == integer_roots_scan(p, bound)
-            assert rep.reconstruct() == p
+            assert reconstruct(rep) == p
 
     def test_screen_prime_is_the_largest_below_the_cap(self):
         assert _SCREEN_PRIME == sympy.prevprime(2**26)
@@ -536,7 +549,7 @@ class TestIntegerSpectrum:
         p = (
             IntPolynomial((-360, 1))
             * IntPolynomial((360, 1))
-            * (IntPolynomial((-1, 1)) ** 3)
+            * power(IntPolynomial((-1, 1)), 3)
             * IntPolynomial((0, 1))
             * IntPolynomial((-7, 0, 1))
         )
@@ -620,15 +633,78 @@ class TestRootsMod:
         if p == _SCREEN_PRIME:
             assert got == [(0, r) for r in sorted(roots)] + [(1, 3)]
 
+MONIC = st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=6).map(lambda c: IntPolynomial((*c, 1)))
+
+
+@st.composite
+def powers_products(draw):
+    """Pairs (q, i) of random monic factors of degree 1-6 and multiplicities
+    1-5, some factors drawn twice, so that their parts merge."""
+    pairs = draw(st.lists(st.tuples(MONIC, st.integers(1, 5)), min_size=1, max_size=3))
+    repeats = draw(st.lists(st.sampled_from([q for q, _ in pairs]), max_size=2))
+    return pairs + [(q, draw(st.integers(1, 5))) for q in repeats]
+
+
+@contextmanager
+def counted_gcd():
+    """`linalg._gcd_cofactors` with the base of every round recorded (0 for
+    the default first base), and failing above 2^16 bits, so that a retry
+    loop that never certifies a candidate fails instead of hanging."""
+    bases: list[int] = []
+    inner = linalg._gcd_cofactors
+
+    def counted(a, b, k=0):
+        bases.append(k)
+        if k > 2**16:
+            raise AssertionError(f"no gcd certified below base 2^{k}")
+        return inner(a, b, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_gcd_cofactors", counted)
+        yield bases
+
+
+def rebuild(parts) -> IntPolynomial:
+    out = IntPolynomial((1,))
+    for q, i in parts:
+        out = out * power(q, i)
+    return out
+
+
 class TestSquarefree:
+    """Musser's loop over heuristic gcds against sympy's decomposition,
+    `oracle.squarefree_sympy`."""
+
+    def check(self, p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
+        with counted_gcd():
+            got = squarefree_factorization(p)
+        assert got == squarefree_sympy(p)
+        assert rebuild(got) == p
+        return got
+
     def test_structure(self):
-        p = (IntPolynomial((-12, 2, 1)) ** 2) * IntPolynomial((1, 1))
-        fac = squarefree_factorization(p)
+        p = power(IntPolynomial((-12, 2, 1)), 2) * IntPolynomial((1, 1))
+        fac = self.check(p)
         assert fac == ((IntPolynomial((1, 1)), 1), (IntPolynomial((-12, 2, 1)), 2))
 
     def test_squarefree_input(self):
         p = IntPolynomial((-12, 2, 1))
-        assert squarefree_factorization(p) == ((p, 1),)
+        assert self.check(p) == ((p, 1),)
+
+    @pytest.mark.parametrize("p", [IntPolynomial((5, 1)), IntPolynomial((0, 1)), IntPolynomial((-(2**70), 1))])
+    def test_degree_one(self, p):
+        assert self.check(p) == ((p, 1),)
+
+    @pytest.mark.parametrize(
+        "q, i", [(IntPolynomial((0, 1)), 5), (IntPolynomial((-12, 2, 1)), 4), (IntPolynomial((3, -(2**40), 0, 1)), 3)]
+    )
+    def test_perfect_power(self, q, i):
+        assert self.check(power(q, i)) == ((q, i),)
+
+    def test_constant_and_requires_monic(self):
+        assert squarefree_factorization(IntPolynomial((1,))) == ()
+        with pytest.raises(ValueError):
+            squarefree_factorization(IntPolynomial((1, 2)))
 
     @given(
         st.dictionaries(st.integers(-20, 20), st.integers(1, 3), max_size=4),
@@ -647,11 +723,47 @@ class TestSquarefree:
             parts[i] = parts[i] * IntPolynomial((-r, 1))
         for k, i in quads.items():
             parts[i] = parts[i] * IntPolynomial((-k, 0, 1))
-        p = IntPolynomial((1,))
-        for i, q in parts.items():
-            p = p * q**i
+        p = rebuild((q, i) for i, q in parts.items())
         want = tuple((q, i) for i, q in parts.items() if q.degree > 0)
-        assert squarefree_factorization(p) == want
+        assert self.check(p) == want
+
+    @given(powers_products())
+    @settings(max_examples=60, deadline=None)
+    def test_products_of_powers_match_sympy(self, pairs):
+        got = self.check(rebuild(pairs))
+        assert all(q.is_monic for q, _ in got)
+
+    def test_cofactors_even_at_every_integer(self):
+        # x(x+1) and x^2 + x + 2 are coprime but even at every integer: the
+        # primitive-part step drops the 2 at once
+        a, b = [0, 1, 1], [2, 1, 1]
+        with counted_gcd() as bases:
+            assert linalg._gcd_cofactors(a, b) == ([1], a, b)
+        assert bases == [0]
+        # times x + 100, from a first base 2^8 (still above twice the least
+        # height, 101): the digits of 2 (x + 100) overflow at 2^8, so the
+        # first candidate fails, and the round at 2^16 finds x + 100
+        g = IntPolynomial((100, 1))
+        ga, gb = (list((g * IntPolynomial(tuple(c))).coeffs) for c in (a, b))
+        with counted_gcd() as bases:
+            assert linalg._gcd_cofactors(ga, gb, 8) == ([100, 1], a, b)
+        assert bases == [8, 16]
+
+    def test_retry_from_the_default_base(self):
+        # x - 4 and x + 8 are both 0 mod 12 at 2^8, the first base for
+        # (x + 11)(x - 4) and (x + 11)(x + 8): 12 (x + 11) overflows there
+        ga, gb = [-44, 7, 1], [88, 19, 1]
+        with counted_gcd() as bases:
+            assert linalg._gcd_cofactors(ga, gb) == ([11, 1], [-4, 1], [8, 1])
+        assert bases == [0, 16]
+
+    def test_quotient_refuses_a_candidate_that_divides_neither(self):
+        # at 2^8 the digits of gcd((x + 11)(x - 4), (x + 11)(x + 8)) read
+        # 13x - 124, which divides neither; `_quotient` refuses it
+        pa, pb = (sum(c << 8 * i for i, c in enumerate(x)) for x in ([-44, 7, 1], [88, 19, 1]))
+        pg = 13 * 2**8 - 124
+        assert linalg._quotient(pa, pg, [-44, 7, 1], [-124, 13], 8) is None
+        assert linalg._quotient(pb, pg, [88, 19, 1], [-124, 13], 8) is None
 
 
 class TestPrimeHelpers:

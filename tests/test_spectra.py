@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from oracle import (
     Cyclotomic,
     berkowitz,
+    eigenvalue_sum,
     eulerian_check,
     expand_character_coeffs,
     expand_character_poly,
     is_normal_set,
     perm_closure_table,
+    power,
     routes_agree,
     save_function,
 )
@@ -102,13 +104,13 @@ class TestMatrixSpectra:
         rep = spectrum_matrix(groups["S3"], ConnectionFunction(groups["S3"], ALPHA))
         assert not rep.is_integral
         assert rep.integer_eigenvalues == ((16, 1), (-12, 1))
-        assert rep.residual == IntPolynomial((-12, 2, 1)) ** 2
+        assert rep.residual == power(IntPolynomial((-12, 2, 1)), 2)
 
     def test_gamma_beta(self, groups):
         rep = spectrum_matrix(groups["Dic12"], ConnectionFunction(groups["Dic12"], BETA))
         assert not rep.is_integral
         assert rep.integer_eigenvalues == ((48, 1), (4, 2), (0, 1), (-14, 4))
-        assert rep.residual == IntPolynomial((-12, 0, 1)) ** 2
+        assert rep.residual == power(IntPolynomial((-12, 0, 1)), 2)
 
     def test_zero_function(self, groups):
         q8 = groups["Q8"]
@@ -130,7 +132,7 @@ class TestMatrixSpectra:
             pair_value = {min(x, g.inv[x]): rng.randint(-5, 5) for x in g.elements()}
             f = ConnectionFunction(g, [pair_value[min(x, g.inv[x])] for x in g.elements()])
             rep = spectrum_matrix(g, f)
-            assert rep.eigenvalue_sum() == g.n * f.values[0]
+            assert eigenvalue_sum(rep) == g.n * f.values[0]
 
     def test_diagonal_shift(self, groups):
         g = groups["Q8"]
@@ -247,7 +249,7 @@ class TestCharacterRoute:
     def test_expand_character_poly(self):
         pairs = ((Cyclotomic.rational(2), 1), (Cyclotomic.rational(-1), 2))
         coeffs = expand_character_poly(pairs)
-        assert [c.to_rational() for c in coeffs] == [int(c) for c in (IntPolynomial((-2, 1)) * IntPolynomial((1, 1)) ** 2).coeffs]
+        assert [c.to_rational() for c in coeffs] == [int(c) for c in (IntPolynomial((-2, 1)) * power(IntPolynomial((1, 1)), 2)).coeffs]
 
     @pytest.mark.parametrize("label, count", [("S3", None), ("Q8xZ3", 16), ("Z5", None), ("Z12", None)])
     def test_integer_expansion_matches_cyclotomic(self, groups, tables, partitions, label, count):
