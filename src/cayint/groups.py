@@ -408,6 +408,14 @@ def conjugation_invariant(g: FiniteGroup, values: Sequence) -> bool:
     return all(values[y] == values[x] for row in conj.tolist() for x, y in enumerate(row))
 
 
+def class_count(g: FiniteGroup) -> int:
+    """The number of conjugacy classes, with no partition: by Burnside's
+    count, the commuting pairs (a, b) number k |G|. One all-pairs scan, in
+    blocks of rows."""
+    t = g.table
+    return sum(int(np.count_nonzero(t[rows] == t[:, rows].T)) for rows in _row_blocks(g.n, g.n)) // g.n
+
+
 def generator_classes(g: FiniteGroup, part: ConjugacyPartition) -> tuple[int, ...]:
     """The classes of the generating set `g.gens`, ascending, each once."""
     return tuple(sorted({part.class_of[x] for x in g.gens}))

@@ -14,21 +14,35 @@ by one of two engines:
   eigenvalues with it. `charpoly`, the test oracle of the other engine,
   runs it on a few primes and lifts the residues to the integers by one
   Chinese remainder step (`_crt_lift`) under Hadamard's bound;
-- the power-sum engine (`cayley_charpoly`) for the adjacency matrix of a
-  Cayley colour graph, which commutes with right translations: one Krylov
-  sequence on e_0 gives every power sum tr(A^m) = n (A^m)[0, 0], and
-  Newton's identities give the coefficients, in about n^3 / 2 multiply-adds
-  per prime against the kernel's several n^3, lifted like `charpoly`'s;
-  `cayley_charpoly_mod` runs it on one prime for a stack of matrices.
+- the power-sum engine for the adjacency matrix A of a Cayley colour
+  graph, which commutes with right translations, so that the diagonal
+  entry (A^t)[0, 0] = s_t gives every power sum tr(A^t) = n s_t. It runs
+  one Krylov sequence of e_0 (`_krylov`), v_t = e_0 A^t modulo each prime,
+  and s_(i+j) = <v_i, v_j> (`_diagonal`), and reads it out in one of two
+  ways. The Newton read-out (`cayley_charpoly`) takes ceil(n/2) steps on
+  the primes of Hadamard's bound and the charpoly's coefficients by
+  Newton's identities, in about n^3 / 2 multiply-adds per prime against
+  the kernel's several n^3, lifted like `charpoly`'s; `cayley_charpoly_mod`
+  runs it on one prime for a stack of matrices. The minimal-polynomial
+  read-out (`minpoly_spectrum`) runs on the inverse-pair quotient, where
+  the vectors A^t e_0 = f^(*t) need one coordinate per pair {x, x^-1}: it
+  finds d = deg mu_A by Berlekamp-Massey (`_massey`) on a first prime,
+  certified by e_0 mu(A) = 0 there, runs d steps on the primes of
+  2 (2 rho + 1)^d, rho = sum |f|, and lifts mu_A and s_0 .. s_(d-1), which
+  give the multiplicities; when d is far below n, as for most colour
+  functions on a non-abelian group, that is far fewer steps and primes.
+  `spectra.spectrum_matrix` picks the read-out by an a-priori bound on d.
 
 The roots mod a prime of such residue polynomials, each over its own
 integer range, are one Horner pass, `roots_mod`, for three screens: the
 character tables' eigenvalues in F_p; `integral_spectra`, which decides
 the survey's and the CI brute force's matrices by their roots and one
 exact product, with no integer charpoly; and `integer_spectrum`, which
-splits off the integer roots within a bound by synthetic division. The
-non-integral residual splits into its squarefree parts by heuristic gcds
-on polynomials packed into Python ints (`squarefree_factorization`).
+splits off the integer roots within a bound by synthetic division, from
+the charpoly or from mu_A. The non-integral residual of a charpoly splits
+into its squarefree parts by heuristic gcds on polynomials packed into
+Python ints (`squarefree_factorization`); the minimal-polynomial read-out
+reads them off mu_A and the power sums with the same gcds.
 
 A cyclotomic integer of Z[zeta_e] is one integer vector of power-basis
 coordinates; the conductor's context (`_context`) holds the powers of
@@ -41,11 +55,11 @@ certificate. No floating point enters any code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from operator import index as _index, mul as _mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -298,38 +312,47 @@ def _hadamard_bound(entries: np.ndarray) -> int:
     return bound
 
 
-def _primes_for(n: int, bound: int, e: int = 1) -> tuple[list[int], int]:
-    """The primes for integers at most `bound` in magnitude, such as the
-    charpoly coefficients of n x n matrices, and their product: the fewest
-    largest primes p = 1 (mod e) whose product exceeds 2 * bound, below a
-    limit that keeps n * p^2 < 2^63, cached per (limit, e)."""
+def _prime_stream(n: int, e: int = 1) -> Iterator[int]:
+    """The primes p = 1 (mod e) below a limit that keeps n * p^2 < 2^63,
+    largest first and without end, cached per (limit, e)."""
     limit = min(_PRIME_CAP, isqrt((_INT64 - 1) // n))
     cached = _PRIMES.setdefault((limit, e), [])
-    primes: list[int] = []
-    modulus = 1
-    while modulus <= 2 * bound:
-        if len(primes) == len(cached):
+    i = 0
+    while True:
+        if i == len(cached):
             below = cached[-1] if cached else limit
             p = below - 1 - (below - 2) % e  # the largest p = 1 (mod e) below it
             while not is_prime(p):
                 p -= e
             cached.append(p)
-        primes.append(cached[len(primes)])
+        yield cached[i]
+        i += 1
+
+
+def _primes_for(n: int, bound: int, e: int = 1) -> tuple[list[int], int]:
+    """The primes for integers at most `bound` in magnitude, such as the
+    charpoly coefficients of n x n matrices, and their product: the fewest
+    first primes of `_prime_stream(n, e)` whose product exceeds 2 * bound."""
+    primes: list[int] = []
+    modulus = 1
+    stream = _prime_stream(n, e)
+    while modulus <= 2 * bound:
+        primes.append(next(stream))
         modulus *= primes[-1]
     return primes, modulus
 
 
-def _crt_lift(residues: np.ndarray, primes: list[int], modulus: int) -> IntPolynomial:
-    """The integer polynomial whose ascending coefficients are residues[i]
-    modulo primes[i], lifted by the Chinese remainder theorem into the
-    symmetric range (-modulus/2, modulus/2]."""
+def _crt_lift(residues: np.ndarray, primes: list[int], modulus: int) -> list[int]:
+    """The integers whose residues modulo primes[i] are the columns of
+    residues[i], lifted by the Chinese remainder theorem into the symmetric
+    range (-modulus/2, modulus/2]."""
     basis = [(modulus // p) * pow(modulus // p, -1, p) for p in primes]
     half = modulus // 2
-    coeffs = []
+    lifted = []
     for column in residues.T.tolist():
         c = sum(map(_mul, column, basis)) % modulus
-        coeffs.append(c - modulus if c > half else c)
-    return IntPolynomial(tuple(coeffs))
+        lifted.append(c - modulus if c > half else c)
+    return lifted
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
@@ -346,7 +369,7 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
         return IntPolynomial((1,))
     primes, modulus = _primes_for(m.n, _hadamard_bound(m.entries))
     residues = np.concatenate([charpoly_mod(m.entries[None], p) for p in primes])
-    return _crt_lift(residues, primes, modulus)
+    return IntPolynomial(tuple(_crt_lift(residues, primes, modulus)))
 
 
 def charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
@@ -459,26 +482,98 @@ def _eliminate_chunk(a: np.ndarray, pivots: np.ndarray, p: int) -> None:
         rank[hit] += 1
 
 
-def _krylov_diagonal(a: np.ndarray, ps: np.ndarray, n: int) -> np.ndarray:
-    """(A^m)[0, 0] for m = 0..n modulo ps[i], as a (k, n+1) array, for a
-    symmetric A: `a` is A itself (n, n), with every |entry| below min(ps),
-    or A reduced modulo each prime (k, n, n).
-
-    With v_i = A^i e_0 mod p, (A^(i+j))[0, 0] = <v_i, v_j>, so the
-    h = ceil(n/2) matvecs that give v_1 .. v_h give every entry: <v_i, v_i>
-    at 2i and <v_i, v_(i+1)> at 2i + 1.
-    """
-    k, h = len(ps), (n + 1) // 2
+def _krylov(a: np.ndarray, ps: np.ndarray, steps: int) -> np.ndarray:
+    """The Krylov sequence of e_0: v[i, t] = e_0 a^t modulo ps[i] for t = 0 ..
+    `steps`, as a (k, steps + 1, m) array, for a row operator `a` of every
+    power-sum read-out. `a` is one exact (m, m) matrix for all k primes, used
+    as it is when every |entry| is below min(ps) and reduced modulo each
+    prime otherwise, in chunks of at most _STACK_CELLS cells; or a (k, m, m)
+    int64 stack, row i already reduced modulo ps[i]. Every product sum stays
+    below m p^2."""
+    k, m = len(ps), a.shape[-1]
+    if a.ndim == 2 and (a.dtype == object or int(np.abs(a).max()) >= ps.min()):
+        v = np.empty((k, steps + 1, m), dtype=np.int64)
+        chunk = max(1, _STACK_CELLS // (m * m))
+        for start in range(0, k, chunk):
+            sub = ps[start : start + chunk]
+            v[start : start + chunk] = _krylov(np.stack([(a % p).astype(np.int64) for p in sub.tolist()]), sub, steps)
+        return v
     pcol = ps.reshape(k, 1)
-    v = np.zeros((k, h + 1, n), dtype=np.int64)
+    v = np.zeros((k, steps + 1, m), dtype=np.int64)
     v[:, 0, 0] = 1
-    for i in range(h):
-        v[:, i + 1] = np.matmul(v[:, i : i + 1], a)[:, 0] % pcol  # a (n, n) broadcasts over the primes
+    for t in range(steps):
+        v[:, t + 1] = np.matmul(v[:, t : t + 1], a)[:, 0] % pcol  # a (m, m) broadcasts over the primes
+    return v
+
+
+def _diagonal(v: np.ndarray, ps: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """s_0 .. s_(2h) modulo ps[i], as a (k, 2h + 1) array, from the Krylov
+    vectors v_0 .. v_h of a symmetric operator (`_krylov`): s_(i+j) =
+    <v_i, v_j>, so <v_i, v_i> at 2i and <v_i, v_(i+1)> at 2i + 1. On a
+    quotient, the inner product weighs coordinate o by weights[o], the size
+    of its cell; the weights sum to n and n p^2 < 2^63."""
+    k, h = v.shape[0], v.shape[1] - 1
+    w = v if weights is None else v * weights
     diag = np.empty((k, 2 * h + 1), dtype=np.int64)
-    diag[:, 0::2] = np.einsum("kij,kij->ki", v, v)
-    diag[:, 1::2] = np.einsum("kij,kij->ki", v[:, :-1], v[:, 1:])
-    diag %= pcol
-    return diag[:, : n + 1]
+    diag[:, 0::2] = np.einsum("kij,kij->ki", w, v)
+    diag[:, 1::2] = np.einsum("kij,kij->ki", w[:, :-1], v[:, 1:])
+    diag %= ps.reshape(k, 1)
+    return diag
+
+
+def _massey(seq: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Massey on each row of the (k, T) residues `seq` modulo
+    ps[i], every row on its own branches in one pass: (c, length), c[i] the
+    ascending coefficients (padded to T + 1) of the least connection
+    polynomial 1 + c_1 z + ... + c_L z^L of row i, L = length[i], with
+    s_r + c_1 s_(r-1) + ... + c_L s_(r-L) = 0 mod ps[i] for L <= r < T.
+
+    `shifted` is Massey's z^m B(z): B the polynomial before the last change
+    of length, m the steps since, and `b_inv` the inverse of that change's
+    discrepancy. c has degree at most L, so a discrepancy sums at most
+    L + 1 <= T products below p^2.
+    """
+    k, width = seq.shape[0], seq.shape[1] + 1
+    pcol = ps.reshape(k, 1)
+    c = np.zeros((k, width), dtype=np.int64)
+    c[:, 0] = 1
+    shifted = np.zeros_like(c)
+    shifted[:, 1] = 1
+    length = np.zeros(k, dtype=np.int64)
+    b_inv = np.ones(k, dtype=np.int64)
+    for r in range(width - 1):
+        disc = np.einsum("kt,kt->k", c[:, : r + 1], seq[:, r::-1]) % ps
+        grow = (disc != 0) & (2 * length <= r)
+        update = c - (disc * b_inv % ps)[:, None] * shifted
+        update %= pcol
+        if grow.any():
+            shifted[grow] = c[grow]
+            for i in np.flatnonzero(grow).tolist():
+                b_inv[i] = pow(int(disc[i]), -1, int(ps[i]))
+            length[grow] = r + 1 - length[grow]
+        shifted[:, 1:] = shifted[:, :-1].copy()
+        shifted[:, 0] = 0
+        c = update
+    return c, length
+
+
+def _certified_minpolys(
+    quotient: np.ndarray, weights: np.ndarray, ps: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`steps` Krylov steps of e_0 on `quotient` modulo each prime of ps,
+    and Berlekamp-Massey on s_0 .. s_(2 steps - 1): (length, mu, s, certified),
+    mu[i] the ascending coefficients (padded to steps + 1) of the reversed
+    connection polynomial, monic of degree length[i], s[i] = s_0 .. s_(2 steps),
+    and certified[i] whether length[i] <= steps and e_0 mu(A) = sum_j mu_j v_j
+    vanishes mod ps[i], the annihilation certificate."""
+    k = len(ps)
+    v = _krylov(quotient, ps, steps)
+    s = _diagonal(v, ps, weights)
+    c, length = _massey(s[:, : 2 * steps], ps)
+    back = length[:, None] - np.arange(steps + 1)  # mu_j = c_(L - j)
+    mu = np.where(back >= 0, np.take_along_axis(c, back.clip(0), axis=1), 0)
+    residue = np.einsum("kj,kjm->km", mu, v) % ps.reshape(k, 1)
+    return length, mu, s, (length <= steps) & ~residue.any(axis=1)
 
 
 _INVERSES: dict[int, np.ndarray] = {}  # p -> j^-1 mod p for j = 0, 1, ... (0 at j = 0)
@@ -545,17 +640,8 @@ def cayley_charpoly(m: IntMatrix) -> IntPolynomial:
     primes, modulus = _primes_for(n, _hadamard_bound(m.entries))
     assert primes[-1] > n, "Newton's identities need every prime above n"
     ps = np.array(primes, dtype=np.int64)
-    if m.entries.dtype != object and int(np.abs(m.entries).max()) < primes[-1]:
-        diag = _krylov_diagonal(m.entries, ps, n)
-    else:
-        diag = np.empty((len(primes), n + 1), dtype=np.int64)
-        stack = max(1, _STACK_CELLS // (n * n))
-        for start in range(0, len(primes), stack):
-            chunk = ps[start : start + stack]
-            a = np.stack([(m.entries % p).astype(np.int64) for p in chunk.tolist()])
-            diag[start : start + stack] = _krylov_diagonal(a, chunk, n)
-    power_sums = diag * n % ps[:, None]
-    return _crt_lift(_newton_mod(power_sums, ps), primes, modulus)
+    power_sums = _diagonal(_krylov(m.entries, ps, (n + 1) // 2), ps)[:, : n + 1] * n % ps[:, None]
+    return IntPolynomial(tuple(_crt_lift(_newton_mod(power_sums, ps), primes, modulus)))
 
 
 def cayley_charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
@@ -567,7 +653,7 @@ def cayley_charpoly_mod(stack: np.ndarray, p: int) -> np.ndarray:
     if not (n < p < _PRIME_CAP and n * p * p < _INT64):
         raise ValueError(f"modulus {p} outside the power-sum engine's range for n={n}")
     ps = np.full(b, p, dtype=np.int64)
-    diag = _krylov_diagonal((stack % p).astype(np.int64), ps, n)
+    diag = _diagonal(_krylov((stack % p).astype(np.int64), ps, (n + 1) // 2), ps)[:, : n + 1]
     return _newton_mod(diag * n % p, ps)
 
 
@@ -603,6 +689,8 @@ class SpectrumReport:
     integer_eigenvalues: tuple[tuple[int, int], ...]  # (value, multiplicity), descending
     residual: IntPolynomial
     is_integral: bool
+    # the residual's squarefree parts, when the read-out that made the report already has them
+    squarefree_parts: tuple[tuple[IntPolynomial, int], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         total = sum(m for _, m in self.integer_eigenvalues) + max(self.residual.degree, 0)
@@ -612,7 +700,7 @@ class SpectrumReport:
     def residual_factors(self) -> tuple[tuple[IntPolynomial, int], ...]:
         if self.residual.degree <= 0:
             return ()
-        return squarefree_factorization(self.residual)
+        return self.squarefree_parts if self.squarefree_parts is not None else squarefree_factorization(self.residual)
 
     def factored_residual(self) -> str:
         """The residual as its space-joined squarefree parts, `(q)` or
@@ -763,6 +851,156 @@ def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int
         w, part, g = _gcd_cofactors(w, g)
         parts.append(part)
     return tuple((IntPolynomial(tuple(q)), i) for i, q in enumerate(parts, 1) if len(q) > 1)
+
+
+# ---------------------------------------------------------------------------
+# Cayley spectra from the minimal polynomial
+# ---------------------------------------------------------------------------
+
+
+def _minimal_polynomial(quotient: np.ndarray, weights: np.ndarray, rho: int, steps: int) -> tuple[list[int], list[int]]:
+    """mu_A, ascending, and s_0 .. s_(d-1), d = deg mu_A, for
+    `minpoly_spectrum`: the first prime's degree, the CRT primes' residues
+    and the lift, each prime replaced or the search restarted as that
+    function's docstring says. Every prime comes from `_prime_stream(2 n + 1)`,
+    so a sum of up to 2 n + 1 products of residues stays in int64."""
+    m = len(weights)
+    stream = _prime_stream(2 * int(weights.sum()) + 1)
+    while True:
+        first = np.array([next(stream)], dtype=np.int64)
+        t = steps
+        while True:
+            length, mu, s, certified = _certified_minpolys(quotient, weights, first, t)
+            if certified[0] or t == m:
+                break
+            t = min(2 * t, m)
+        if not certified[0]:
+            continue  # unlucky: even 2m terms leave the certificate unmet
+        d = int(length[0])
+        primes, rows = [int(first[0])], [np.concatenate([mu[0, : d + 1], s[0, :d]])]
+        modulus, bound = primes[0], (2 * rho + 1) ** d
+        while modulus <= 2 * bound:
+            batch, reach = [], modulus
+            while reach <= 2 * bound:
+                batch.append(next(stream))
+                reach *= batch[-1]
+            ps = np.array(batch, dtype=np.int64)
+            length, mu, s, certified = _certified_minpolys(quotient, weights, ps, d)
+            if not certified.all():
+                break  # deg mu_A > d: the first prime was unlucky
+            for i in np.flatnonzero(length == d).tolist():  # a shorter certified mu marks an unlucky prime
+                primes.append(batch[i])
+                rows.append(np.concatenate([mu[i, : d + 1], s[i, :d]]))
+                modulus *= batch[i]
+        else:
+            lifted = _crt_lift(np.array(rows), primes, modulus)
+            if all(abs(c) <= comb(d, j) * rho ** (d - j) for j, c in enumerate(lifted[: d + 1])):
+                return lifted[: d + 1], lifted[d + 1 :]
+
+
+def _power_product(parts: list[tuple[list[int], int]]) -> list[int]:
+    """The ascending coefficients of prod q^j over (q, j) in `parts`, by
+    Kronecker substitution at a base above twice prod |q|_1^j, a bound on
+    every coefficient of the product."""
+    k = _width(2 * prod(sum(map(abs, q)) ** j for q, j in parts))
+    return _unpack(prod(_pack(q, k) ** j for q, j in parts), k)
+
+
+def minpoly_spectrum(quotient: np.ndarray, weights: np.ndarray, rho: int, degree_bound: int) -> SpectrumReport:
+    """Exact spectrum of a Cayley colour graph's adjacency matrix A = [f(a b^-1)],
+    f symmetric on a group of order n, read from its minimal polynomial
+    mu = mu_A and its power sums: the power-sum engine's second read-out,
+    run on the inverse-pair quotient.
+
+    The Krylov vectors A^t e_0 = f^(*t) are constant on each pair {x, x^-1}
+    (f(x^-1) = f(x) gives f^(*t)(x^-1) = f^(*t)(x)), so they need one
+    coordinate per pair: `quotient` is the exact (m, m) row operator with
+    e_0 quotient^t = A^t e_0 on the pairs, coordinate 0 the identity's
+    (`spectra.pair_quotient`), and weights[o] the size of pair o, so that
+    s_t = (A^t)[0, 0] is the weighted <v_i, v_j>, i + j = t. rho = sum |f|
+    bounds every |eigenvalue| and every |(A^t e_0)[x]| by rho^t;
+    `degree_bound`, a bound on deg mu, sets the first prime's step count.
+
+    Soundness:
+    - Translation invariance: q(A) commutes with every right translation,
+      so its column q(A) e_0 determines it, and q(A) e_0 = 0 gives q(A) = 0.
+      So mu is the minimal polynomial of the vector sequence A^t e_0.
+    - BM minimality on the first prime p: Berlekamp-Massey on s_0 ..
+      s_(2t-1) mod p gives a monic mu_p of degree L at most the degree of
+      the scalar sequence's minimal polynomial mod p. The annihilation
+      certificate e_0 mu_p(A) = 0 mod p makes mu_p a multiple of the vector
+      sequence's minimal polynomial mod p, which the scalar one divides; so
+      mu_p is that polynomial, and it divides mu mod p: d = L <= deg mu.
+      For all but finitely many p, mu mod p is the scalar sequence's minimal
+      polynomial, and t >= deg mu meets the certificate. The step count t
+      starts at `degree_bound` and doubles up to m; a prime that fails at m
+      is replaced by the next.
+    - The other primes run d steps. A certified mu_q of degree d is the
+      vector sequence's minimal polynomial mod q. A certified one of lower
+      degree marks an unlucky q, which the next prime replaces. An
+      uncertified one shows deg mu > d (2d terms would have found a minimal
+      polynomial of degree at most d), so the first prime was unlucky and
+      the search restarts on a new one.
+    - The coefficient bound and the CRT step: the primes' product M exceeds
+      2 (2 rho + 1)^d, above twice every |s_k| <= rho^k, k < d, and twice
+      every C(d, k) rho^(d-k), which bounds |mu_k| since mu = prod (x - lambda)
+      over distinct eigenvalues. A lift that meets |mu_k| <= C(d, k) rho^(d-k)
+      has |(e_0 mu(A))[x]| <= sum_k C(d, k) rho^(d-k) rho^k = (2 rho)^d < M,
+      and e_0 mu(A) = 0 mod M, so e_0 mu(A) = 0 over Z: mu_A divides the
+      lift, of degree d <= deg mu_A, so the lift is mu_A. A lift that fails
+      the bound restarts the search on a new first prime. No prime is used
+      twice and only finitely many are unlucky, so the search ends.
+    - Multiplicities: A is symmetric, so chi_A = prod (x - lambda)^m_lambda
+      and chi_A'/chi_A = sum m_lambda/(x - lambda) = sum_k p_k x^(-k-1),
+      p_k = tr(A^k) = n s_k. N = mu chi_A'/chi_A = sum m_lambda mu/(x - lambda)
+      is a polynomial of degree d - 1, the polynomial part of
+      mu sum_(k<d) p_k x^(-k-1), and N(lambda) = m_lambda mu'(lambda), with
+      mu'(lambda) != 0 as mu is squarefree. So an integer root has
+      multiplicity N(lambda)/mu'(lambda), and the part of multiplicity j of
+      the residual is h_j = gcd(r, N - j mu'), r the product of the
+      non-integer linear factors of mu: for j = 1, 2, ... until the
+      multiplicities left equal j deg r, and then h_j = r.
+
+    The integer roots are screened on mu, of degree d, by `integer_spectrum`.
+    The report keeps the squarefree parts it found, and its residual is
+    their product prod h_j^j. No float is used.
+    """
+    n = int(weights.sum())
+    mu, s = _minimal_polynomial(quotient, weights, rho, min(degree_bound, len(weights)))
+    d = len(mu) - 1
+    sums = [n * x for x in s]
+    numer = [sum(mu[j + k + 1] * sums[k] for k in range(d - j)) for j in range(d)]
+    deriv = [i * c for i, c in enumerate(mu)][1:]
+    linear = integer_spectrum(IntPolynomial(tuple(mu)), bound=rho)
+    at_numer, at_deriv = IntPolynomial(tuple(numer)), IntPolynomial(tuple(deriv))
+    eigen = []
+    for lam, _ in linear.integer_eigenvalues:
+        mult, rem = divmod(at_numer(lam), at_deriv(lam))
+        if rem or mult < 1:
+            raise ArithmeticError(f"N({lam}) / mu'({lam}) is not a multiplicity")
+        eigen.append((lam, mult))
+    parts, rest, left, j = [], list(linear.residual.coeffs), n - sum(m for _, m in eigen), 0
+    while len(rest) > 1:
+        j += 1
+        if left <= j * (len(rest) - 1):
+            if left < j * (len(rest) - 1):
+                raise ArithmeticError(f"{left} multiplicities left for {len(rest) - 1} roots of multiplicity >= {j}")
+            parts.append((rest, j))
+            left = 0
+            break
+        h, cofactor, _ = _gcd_cofactors(rest, [a - j * b for a, b in zip(numer, deriv)])
+        if len(h) > 1:
+            parts.append((h, j))
+            rest, left = cofactor, left - j * (len(h) - 1)
+    if left:
+        raise ArithmeticError(f"{left} multiplicities left over")
+    return SpectrumReport(
+        degree=n,
+        integer_eigenvalues=tuple(eigen),
+        residual=IntPolynomial(tuple(_power_product(parts))),
+        is_integral=not parts,
+        squarefree_parts=tuple((IntPolynomial(tuple(q)), j) for q, j in parts),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 """Cayley and Cayley colour graph spectra, by two exact routes.
 
-Route one builds the integer adjacency matrix [f(g h^-1)] and factors its
-exact characteristic polynomial, which `linalg.cayley_charpoly` computes from
-power sums: the matrix commutes with right translations, so
+Route one reads the spectrum of the integer adjacency matrix A = [f(g h^-1)]
+from `linalg`'s power-sum engine: A commutes with right translations, so
 tr(A^m) = n f^(*m)(e), and one Krylov sequence on the identity's basis
-vector gives every power sum. Route two, available when the colour
+vector gives every power sum. It has two read-outs of that sequence,
+picked in `spectrum_matrix` by an a-priori bound D on the degree of A's
+minimal polynomial: D = k, the class count, for a class function, and
+min(m, isqrt(k n)) otherwise, m the number of inverse pairs. When
+4 D <= n, `linalg.minpoly_spectrum` reads the minimal polynomial and the
+first power sums off the sequence on the inverse-pair quotient
+(`pair_quotient`); otherwise `linalg.cayley_charpoly` reads the exact
+characteristic polynomial, which `integer_spectrum` splits. Both give the
+same report. Route two, available when the colour
 function is constant on conjugacy classes, evaluates the closed-form
 eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
 each with multiplicity chi(1)^2; each eigenvalue is an algebraic integer,
@@ -17,14 +24,15 @@ polynomial on those coordinates in Z[zeta_e][x], lives in the tests
 from __future__ import annotations
 
 from importlib import resources
+from math import isqrt
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chartable import CharacterTable, VerificationFailed
-from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, conjugation_invariant
-from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum
+from .groups import ConjugacyPartition, FiniteGroup, class_count, conjugacy_classes, conjugation_invariant
+from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum, minpoly_spectrum
 
 
 class NotSymmetricFunction(ValueError):
@@ -105,10 +113,48 @@ def adjacency(g: FiniteGroup, f: ConnectionFunction) -> IntMatrix:
     return IntMatrix(adjacency_stack(g, exact_array(f.values)[None])[0])
 
 
+def pair_quotient(g: FiniteGroup, f: ConnectionFunction) -> tuple[np.ndarray, np.ndarray]:
+    """A = [f(a b^-1)] on the inverse pairs, for `linalg.minpoly_spectrum`:
+    (quotient, weights), one coordinate per pair {x, x^-1} by its least
+    member x, the identity's first. quotient[o', o] sums A[y, x_o] over the
+    y of pair o', so that e_0 quotient^t is A^t e_0 read at each pair's
+    least member, since the vectors A^t e_0 = f^(*t) are constant on the
+    pairs; weights[o] is the size of pair o, 1 or 2."""
+    inv = np.asarray(g.inv)
+    firsts = np.flatnonzero(np.arange(g.n) <= inv)
+    seconds = inv[firsts]
+    cols = exact_array(f.values)[g.products(g.elements(), seconds)]  # A[y, x] = f(y x^-1), x a least member
+    pair = firsts != seconds
+    return exact_array(cols[firsts] + np.where(pair[:, None], cols[seconds], 0)), 1 + pair.astype(np.int64)
+
+
+# The minimal-polynomial read-out serves a colour function whose bound D on
+# deg mu_A satisfies _MINPOLY_SHARE * D <= |G|; the others take the
+# Newton read-out of `cayley_charpoly`.
+_MINPOLY_SHARE = 4
+
+
 def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
-    """Exact spectrum via the characteristic polynomial of the adjacency matrix."""
+    """Exact spectrum of the adjacency matrix A = [f(a b^-1)], by one of the
+    power-sum engine's two read-outs of the Krylov sequence of e_0, chosen
+    by an a-priori bound D on the degree of A's minimal polynomial.
+
+    D counts A's distinct eigenvalues. With k the class count (Burnside's,
+    `groups.class_count`), A acts as one scalar on each of the k isotypic
+    components when f is a class function, so D = k; otherwise A is the sum
+    of chi(1) copies of rho_chi(f) over the irreducible characters, whose
+    sum of chi(1) is at most sqrt(k n) by Cauchy-Schwarz, and the Krylov
+    vectors span at most the m inverse pairs, so D = min(m, isqrt(k n)).
+    The minimal polynomial (`linalg.minpoly_spectrum`, on `pair_quotient`)
+    serves 4 D <= n; the Newton read-out (`linalg.cayley_charpoly`, then
+    `integer_spectrum`) the rest. Both give the same report.
+    """
     if not f.symmetric:
         raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
+    k, pairs = class_count(g), sum(x <= y for x, y in enumerate(g.inv))
+    bound = k if f.class_function else min(pairs, isqrt(k * g.n))
+    if _MINPOLY_SHARE * bound <= g.n:
+        return minpoly_spectrum(*pair_quotient(g, f), sum(map(abs, f.values)), bound)
     m = adjacency(g, f)
     return integer_spectrum(cayley_charpoly(m), bound=m.gershgorin_bound())
 

@@ -13,6 +13,10 @@ is `integer_spectrum`'s candidate scan without the divisibility filter;
 `IntPolynomial.__pow__`, `SpectrumReport.eigenvalue_sum` and
 `SpectrumReport.reconstruct` that left `cayint`, and `squarefree_sympy` is
 `squarefree_factorization` as it ran on sympy's `sqf_list`;
+`massey_scalar` is Berlekamp-Massey on one prime in Python ints, the
+reference of the minimal-polynomial read-out's `linalg._massey`, and
+`newton_report` the Newton read-out that every colour function's spectrum
+took before that read-out, its oracle;
 `fcci_spectra_direct` is FCCI's exhaustive spectral route as it ran before
 it was read off the normal-set survey; `normal_set_survey_rows` is the
 survey as it ran before it was decided orbit by orbit, every one of the 2^r
@@ -94,6 +98,7 @@ from cayint.linalg import (
     _crt_lift,
     _hadamard_bound,
     _primes_for,
+    cayley_charpoly,
     charpoly,
     charpoly_mod,
     integer_spectrum,
@@ -331,6 +336,36 @@ def squarefree_sympy(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int], ...]:
     return tuple(
         (IntPolynomial(tuple(int(c) for c in reversed(q.all_coeffs()))), m) for q, m in parts
     )
+
+
+def massey_scalar(seq: Sequence[int], p: int) -> tuple[list[int], int]:
+    """Berlekamp-Massey on one sequence modulo p in Python ints, as Massey
+    (1969) states it: the least connection polynomial's ascending
+    coefficients, trailing zeros kept, and its length."""
+    c, b, length, shift, last = [1], [1], 0, 1, 1
+    for r, x in enumerate(seq):
+        disc = (x + sum(c[i] * seq[r - i] for i in range(1, min(len(c), r + 1)))) % p
+        if disc == 0:
+            shift += 1
+            continue
+        coef = disc * pow(last, -1, p) % p
+        new = c + [0] * max(0, len(b) + shift - len(c))
+        for i, y in enumerate(b):
+            new[i + shift] = (new[i + shift] - coef * y) % p
+        if 2 * length <= r:
+            b, length, last, shift = c, r + 1 - length, disc, 1
+        else:
+            shift += 1
+        c = new
+    return c, length
+
+
+def newton_report(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
+    """`spectrum_matrix`'s Newton read-out, which every colour function took
+    before the minimal-polynomial read-out: the exact charpoly from all n
+    power sums, then `integer_spectrum`."""
+    m = _adjacency(g, f)
+    return integer_spectrum(cayley_charpoly(m), bound=m.gershgorin_bound())
 
 
 def integer_roots_scan(p: IntPolynomial, bound: int) -> tuple[tuple[int, int], ...]:
@@ -645,7 +680,7 @@ def charpolys(stack: np.ndarray) -> list[IntPolynomial]:
     Hadamard bound, and one CRT lift per matrix."""
     primes, modulus = _primes_for(stack.shape[1], max(_hadamard_bound(m) for m in stack))
     residues = np.stack([charpoly_mod(stack, p) for p in primes], axis=1)
-    return [_crt_lift(r, primes, modulus) for r in residues]
+    return [IntPolynomial(tuple(_crt_lift(r, primes, modulus))) for r in residues]
 
 
 def _integral_unions(g: FiniteGroup, part: ConjugacyPartition, unions: list[tuple[int, ...]]) -> list[bool]:

@@ -399,10 +399,12 @@ class TestCci:
         assert not spectrum_matrix(groups["Dic12"], f).is_integral
 
     def test_witness_search_capped_above_order_120(self, monkeypatch):
-        def no_charpoly(m):
-            raise AssertionError(f"charpoly of a {m.n}x{m.n} matrix ran")
+        # both spectral read-outs, and the CI sweep's charpolys, start from
+        # the one Krylov routine: no spectrum of any colour function may run
+        def no_krylov(a, ps, steps):
+            raise AssertionError(f"{steps} Krylov steps on a {a.shape[-1]}-column operator ran")
 
-        monkeypatch.setattr("cayint.spectra.cayley_charpoly", no_charpoly)
+        monkeypatch.setattr("cayint.linalg._krylov", no_krylov)
         g = catalog("dihedral", 61)
         report = classify_group(g, chartable_cap=100)  # the table is slow and not needed here
         note = "CCI witness search skipped: |G|=122 exceeds cap 120"

@@ -8,8 +8,8 @@ file only when its change is intended, with the same command line and
 `--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
-`DIGESTS` pins the `--format json` output of two larger tables and four
-classify reports by its sha256 instead of a file.
+`DIGESTS` pins the `--format json` output of two larger tables, five
+classify reports and one spectrum by its sha256 instead of a file.
 """
 
 from __future__ import annotations
@@ -50,34 +50,54 @@ CASES = {
     "chartable_cyclic_48": (["chartable", "--catalog", "cyclic", "48"], 0),
 }
 
-# Character tables too large to keep as files, pinned by the sha256 of their
-# JSON: Z120 (k = 120, phi = 32) and Z2^3 x Z3^3 (k = 216, phi = 2); two
-# classify reports whose normal-set surveys decide 60 and 19 orbits; and two
-# whose sampled CI brute force finds all 1000 sets integral.
+# Outputs too large to keep as files, pinned by the sha256 of their JSON,
+# with the exit code: the character tables of Z120 (k = 120, phi = 32) and
+# Z2^3 x Z3^3 (k = 216, phi = 2); two classify reports whose normal-set
+# surveys decide 60 and 19 orbits; two whose sampled CI brute force finds
+# all 1000 sets integral; S5's, whose CCI witness and its residual come from
+# the minimal-polynomial read-out; and one Cayley graph on A6 (n = 360),
+# integer eigenvalues 9 and 3 and a residual of degree 354 in four
+# squarefree parts, of multiplicities 5, 8, 9 and 10.
 DIGESTS = {
     "chartable_cyclic_120": (
         ["chartable", "--catalog", "cyclic", "120"],
+        0,
         "a9715d3c0a786f426e4044c71731136efb34d3676f5bf979f73a34611b3d05df",
     ),
     "chartable_z2z3_3_3": (
         ["chartable", "--catalog", "z2z3", "3", "3"],
+        0,
         "b06633d16d6702473e9caafc399413a7715bc9b75251b1fd8ccaaf4b4abf7c2c",
     ),
     "classify_cyclic_120": (
         ["classify", "--catalog", "cyclic", "120"],
+        0,
         "271e10f0dfc30ff73780e62aec2e3c1e244d5f59a4204fcd0b6d6a66de215294",
     ),
     "classify_z2z3_2_2": (
         ["classify", "--catalog", "z2z3", "2", "2"],
+        0,
         "0d5821332e156c6acb438b31a6190d6fc4c0416a81b472c96e2ae3c4f7e80a60",
     ),
     "classify_z2z4_0_2": (
         ["classify", "--catalog", "z2z4", "0", "2"],
+        0,
         "bdc5539e4b99f1cd103887cf74b677b8754d6eb24c0d4397601cdad826662f2b",
     ),
     "classify_z2z3_3_1": (
         ["classify", "--catalog", "z2z3", "3", "1"],
+        0,
         "8d231049b4f2ce51c5cb0cc6f4fd01ab82cac0a9950e7ec54ecf101365d4b8a8",
+    ),
+    "classify_s5": (
+        ["classify", "--catalog", "s5"],
+        0,
+        "983127b8dd6a377c1b7592f0640598c125762136f7f55c902a3a7194013fad8a",
+    ),
+    "spectrum_alternating_6_set": (
+        ["spectrum", "--catalog", "alternating", "6", "--set", "110,111,131,184,236,319,334,341,354"],
+        1,
+        "844707f63bcabc31515b31fe14b8d7ec9a5bdc8799295bc393d128be4887daae",
     ),
 }
 
@@ -102,9 +122,9 @@ def test_json_output_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_json_output_matches_digest(name, tmp_path):
-    argv, digest = DIGESTS[name]
+    argv, want_code, digest = DIGESTS[name]
     out = tmp_path / f"{name}.json"
-    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(out)]) == want_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -12,12 +12,15 @@ point that the character tables, the normal-set survey and the exact
 `charpoly` (a test oracle) go through; the multi-modular batch
 `charpolys` lives on only in `tests/oracle.py`, and the survey decides
 its orbits without an integer charpoly or the scan of `integer_spectrum`.
-The power-sum engine, `linalg.cayley_charpoly`, is called only from
-`spectra.spectrum_matrix`, and serves every Cayley colour graph adjacency
-matrix: `spectra` no longer names `charpoly`. Its kernels,
-`_krylov_diagonal` and `_newton_mod`, serve only it and its one-prime
-stack form `cayley_charpoly_mod`, which only the CI brute force calls: the
-sweep reads no exact spectrum. One routine, `linalg.integral_spectra`,
+The power-sum engine serves every Cayley colour graph adjacency matrix,
+and `spectra` no longer names `charpoly`. It has one Krylov routine,
+`_krylov`, and two read-outs of its sequence, which only
+`spectra.spectrum_matrix` calls: the Newton read-out,
+`linalg.cayley_charpoly`, whose `_newton_mod` serves only it and its
+one-prime stack form `cayley_charpoly_mod`, which only the CI brute force
+calls (the sweep reads no exact spectrum); and the minimal-polynomial
+read-out, `linalg.minpoly_spectrum`, whose Berlekamp-Massey kernel
+`_massey` serves only its certified residues. One routine, `linalg.integral_spectra`,
 decides integrality from residues mod one prime and an exact product, for
 the survey's orbits and the CI sweep's sets alike. The one 2^r
 enumeration of subsets, `classify._subsets`, serves only the CI brute force
@@ -171,10 +174,15 @@ def test_ci_sweep_reads_no_exact_spectrum():
     assert _referrers("cayley_charpoly_mod") == {"classify.py:check_subsets"}
 
 
-def test_power_sum_kernels_serve_only_the_cayley_charpolys():
-    entries = {"linalg.py:cayley_charpoly", "linalg.py:cayley_charpoly_mod"}
-    assert _referrers("_krylov_diagonal") == entries
-    assert _referrers("_newton_mod") == entries
+def test_power_sum_engine_has_one_krylov_routine_and_two_read_outs():
+    newton = {"linalg.py:cayley_charpoly", "linalg.py:cayley_charpoly_mod"}
+    minpoly = {"linalg.py:_certified_minpolys"}
+    assert _referrers("_krylov") == newton | minpoly | {"linalg.py:_krylov"}  # and its per-prime chunks
+    assert _referrers("_diagonal") == newton | minpoly
+    assert _referrers("_newton_mod") == newton
+    assert _referrers("_massey") == minpoly
+    assert _referrers("minpoly_spectrum") == {"spectra.py:spectrum_matrix"}
+    assert _referrers("pair_quotient") == {"spectra.py:spectrum_matrix"}
 
 
 def test_integrality_decision_has_one_routine():
@@ -277,6 +285,7 @@ def test_retired_names_are_gone():
         "__pow__",
         "eigenvalue_sum",
         "reconstruct",
+        "_krylov_diagonal",
     }
     defined = {
         node.name

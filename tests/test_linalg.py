@@ -19,6 +19,7 @@ from oracle import (
     berkowitz,
     integer_roots_scan,
     kernel_mod,
+    massey_scalar,
     power,
     reconstruct,
     roots_mod_scan,
@@ -391,6 +392,54 @@ class TestIntegralSpectraOnCayleyStacks:
         stack = adjacency_stack(g, np.zeros((1, g.n), dtype=np.int64))
         with pytest.raises(ValueError, match="range"):
             cayley_charpoly_mod(stack, 11)
+
+
+@st.composite
+def massey_rows(draw):
+    """A (k, T) stack of sequences, row i modulo ps[i]: each from a random
+    recurrence of length 0 .. T on random initial terms, so that rows take
+    their own lengths and branches, zero discrepancies included."""
+    width, k = draw(st.integers(1, 14)), draw(st.integers(1, 4))
+    rows, ps = [], []
+    for _ in range(k):
+        p = draw(st.sampled_from([2, 3, 5, 7, 4093, _SCREEN_PRIME]))
+        order = draw(st.integers(0, width))
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=order, max_size=order))
+        seq = draw(st.lists(st.integers(0, p - 1), min_size=order, max_size=order))
+        while len(seq) < width:
+            seq.append(-sum(c * seq[-1 - i] for i, c in enumerate(coeffs)) % p)
+        rows.append(seq[:width])
+        ps.append(p)
+    return np.array(rows, dtype=np.int64), np.array(ps, dtype=np.int64)
+
+
+class TestMassey:
+    """`linalg._massey`, every row on its own branches in one pass, against
+    Massey's scalar loop on each row (`oracle.massey_scalar`)."""
+
+    @given(massey_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_loop(self, rows_ps):
+        seq, ps = rows_ps
+        c, length = linalg._massey(seq, ps)
+        width = seq.shape[1] + 1
+        for row, p, got, got_length in zip(seq.tolist(), ps.tolist(), c.tolist(), length.tolist()):
+            want, want_length = massey_scalar(row, p)
+            assert got_length == want_length
+            assert got == (want + [0] * width)[:width] and not any(want[width:])
+            for r in range(got_length, len(row)):
+                assert sum(got[i] * row[r - i] for i in range(got_length + 1)) % p == 0
+
+    def test_known_lengths(self):
+        # Fibonacci has length 2 (1 - z - z^2), a geometric sequence 1, a zero sequence 0
+        p = 4093
+        fib = [1, 1]
+        while len(fib) < 10:
+            fib.append((fib[-1] + fib[-2]) % p)
+        seq = np.array([fib, [3**i % p for i in range(10)], [0] * 10], dtype=np.int64)
+        c, length = linalg._massey(seq, np.full(3, p, dtype=np.int64))
+        assert length.tolist() == [2, 1, 0]
+        assert c[:, :3].tolist() == [[1, p - 1, p - 1], [1, p - 3, 0], [1, 0, 0]]
 
 
 class TestIntMatrixDtype:

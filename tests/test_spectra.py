@@ -5,10 +5,20 @@ permutation groups."""
 from __future__ import annotations
 
 import random
+from itertools import islice
 from math import gcd
 
+import numpy as np
 import pytest
-from conftest import FUNCTION_KINDS, colour_function, load_perm_group, perm_generators, small_products
+from conftest import (
+    FUNCTION_KINDS,
+    MEDIUM_EXTRA,
+    SMALL_CATALOG,
+    colour_function,
+    load_perm_group,
+    perm_generators,
+    small_products,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import (
@@ -19,16 +29,28 @@ from oracle import (
     expand_character_coeffs,
     expand_character_poly,
     is_normal_set,
+    newton_report,
     perm_closure_table,
     power,
     routes_agree,
     save_function,
 )
 
+from cayint import linalg
 from cayint.catalog import catalog
 from cayint.chartable import CharacterTable, VerificationFailed
-from cayint.groups import conjugacy_classes, conjugation_invariant
-from cayint.linalg import IntMatrix, IntPolynomial, cayley_charpoly, charpoly, integer_spectrum
+from cayint.classify import cci_report
+from cayint.groups import build_group, class_count, conjugacy_classes, conjugation_invariant
+from cayint.linalg import (
+    IntMatrix,
+    IntPolynomial,
+    SpectrumReport,
+    cayley_charpoly,
+    charpoly,
+    integer_spectrum,
+    minpoly_spectrum,
+    squarefree_factorization,
+)
 from cayint.spectra import (
     ConnectionFunction,
     ConnectionSet,
@@ -37,6 +59,7 @@ from cayint.spectra import (
     adjacency,
     integrality_by_criterion,
     load_function,
+    pair_quotient,
     parse_set_tokens,
     spectrum_characters,
     spectrum_matrix,
@@ -146,14 +169,34 @@ class TestMatrixSpectra:
         assert a.is_integral == b.is_integral
 
 
+def check_minpoly_read_out(g, f) -> SpectrumReport:
+    """The minimal-polynomial read-out, forced on f whatever its degree
+    bound, must give the Newton read-out's report (`oracle.newton_report`)
+    and the squarefree parts of that report's residual."""
+
+    def no_newton(m):
+        raise AssertionError("the Newton read-out ran")
+
+    want = newton_report(g, f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cayint.spectra._MINPOLY_SHARE", 0)
+        mp.setattr("cayint.spectra.cayley_charpoly", no_newton)
+        got = spectrum_matrix(g, f)
+    assert got == want
+    assert got.residual_factors() == (squarefree_factorization(want.residual) if want.residual.degree > 0 else ())
+    return got
+
+
 class TestMatrixSpectraAgainstHessenberg:
     """`spectrum_matrix` runs on the power-sum engine; its report must equal
-    the one the Hessenberg kernel's charpoly gives."""
+    the one the Hessenberg kernel's charpoly gives, and so must the
+    minimal-polynomial read-out's, forced."""
 
     @staticmethod
     def check(g, f) -> None:
         m = adjacency(g, f)
         assert spectrum_matrix(g, f) == integer_spectrum(charpoly(m), bound=m.gershgorin_bound())
+        check_minpoly_read_out(g, f)
 
     @given(small_products(), st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None)
@@ -181,17 +224,192 @@ class TestMatrixSpectraAgainstHessenberg:
 @settings(max_examples=25, deadline=None)
 def test_permutation_groups_spectra_match_oracles(gens, kind, class_kind, seed):
     # groups of order at most 48 read through the `perms` file form: the
-    # power-sum engine against Berkowitz on a symmetric colour function, and
-    # the matrix spectrum of a class function against the power-map criterion
+    # power-sum engine against Berkowitz on a symmetric colour function, the
+    # matrix spectrum of a class function against the power-map criterion,
+    # and the minimal-polynomial read-out, forced, against the Newton one on both
     n = len(perm_closure_table(gens))
     assume(n <= 48)
     g = load_perm_group(gens, n)
     part = conjugacy_classes(g)
     rng = random.Random(seed)
-    m = adjacency(g, ConnectionFunction(g, colour_function(kind, g, part, rng)))
+    colour = ConnectionFunction(g, colour_function(kind, g, part, rng))
+    m = adjacency(g, colour)
     assert cayley_charpoly(m) == berkowitz(m)
     f = ConnectionFunction(g, colour_function(class_kind, g, part, rng))
     assert spectrum_matrix(g, f).is_integral == integrality_by_criterion(g, f, part)[0]
+    for h in (colour, f):
+        check_minpoly_read_out(g, h)
+
+
+class TestMinpolyReadOut:
+    """The minimal-polynomial read-out of the Krylov sequence on the
+    inverse-pair quotient (`linalg.minpoly_spectrum`) against the Newton
+    read-out, its oracle, and the work it saves."""
+
+    @pytest.mark.parametrize("kind", FUNCTION_KINDS)
+    @pytest.mark.parametrize("label", [label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA])
+    def test_catalog_every_kind(self, groups, partitions, label, kind):
+        g = groups[label]
+        vals = colour_function(kind, g, partitions[label], random.Random(label + kind))
+        check_minpoly_read_out(g, ConnectionFunction(g, vals))
+
+    def test_zero_function_and_order_one(self, groups):
+        # rho = 0: mu = x from the first prime alone
+        for label, _ in SMALL_CATALOG + MEDIUM_EXTRA:
+            g = groups[label]
+            assert check_minpoly_read_out(g, ConnectionFunction(g, [0] * g.n)).integer_eigenvalues == ((0, g.n),)
+        trivial = build_group([[0]])
+        for v in (0, 7, -300):
+            assert check_minpoly_read_out(trivial, ConnectionFunction(trivial, [v])).integer_eigenvalues == ((v, 1),)
+
+    @pytest.mark.parametrize("label", ["S3", "Q8", "Dic12", "S4", "Q8xZ3", "A5"])
+    def test_eigenvalue_zero(self, groups, partitions, label):
+        # f(e) shifted so that an integer eigenvalue becomes 0, a root of mu at x = 0
+        g = groups[label]
+        rng = random.Random(label)
+        for kind in ("colour", "signed", "classint"):
+            vals = colour_function(kind, g, partitions[label], rng)
+            lam = newton_report(g, ConnectionFunction(g, vals)).integer_eigenvalues[-1][0]
+            vals[0] -= lam
+            got = check_minpoly_read_out(g, ConnectionFunction(g, vals))
+            assert 0 in dict(got.integer_eigenvalues)
+
+    @pytest.mark.parametrize("label, scale", [("S3", 2**70), ("Q8", 2**40), ("A4", 2**26)])
+    def test_minimal_polynomial_beyond_the_primes(self, groups, partitions, label, scale):
+        # entries from the smallest prime up, Python ints from 2^62, are
+        # reduced modulo each prime; mu is the charpoly's squarefree part and
+        # s_k = (A^k)[0, 0], both exact (no root screen, whose range is rho)
+        g = groups[label]
+        rng = random.Random(label)
+        vals = [v * scale + rng.randint(-9, 9) for v in colour_function("signed", g, partitions[label], rng)]
+        f = ConnectionFunction(g, [vals[min(x, g.inv[x])] for x in g.elements()])
+        a = adjacency(g, f)
+        mu, s = linalg._minimal_polynomial(*pair_quotient(g, f), sum(map(abs, f.values)), 2)
+        want = IntPolynomial((1,))
+        for q, _ in squarefree_factorization(cayley_charpoly(a)):
+            want = want * q
+        assert IntPolynomial(tuple(mu)) == want
+        rows = a.entries.astype(object)
+        column = np.eye(g.n, dtype=np.int64)[:, 0].astype(object)
+        for k, got in enumerate(s):
+            assert got == column[0]
+            column = rows @ column
+
+    @pytest.mark.parametrize(
+        "tokens, values, stages",
+        [
+            # Z2, f(1) = q0: the eigenvalues +-q0 meet mod the first prime q0,
+            # so mu_q0 = x; q1 fails its certificate, and q2 starts afresh
+            (("cyclic", 2), lambda q: [0, q[0]], [([0], 2), ([1], 1), ([2], 2), ([3, 4], 2)]),
+            # Z2, f(1) = q1: they meet mod q1, a CRT prime, whose certified mu
+            # has degree 1 < 2; q3 replaces it
+            (("cyclic", 2), lambda q: [0, q[1]], [([0], 2), ([1, 2], 2), ([3], 2)]),
+            # Z4, eigenvalues q0 + q1, 2, 2 and q1 - 3 q0: the first and last
+            # meet mod q0, the first two mod q1; q2 fails its certificate
+            (("cyclic", 4), lambda q: [0, q[0], q[1] - q[0], q[0]], [([0], 3), ([1, 2], 2), ([3], 3), ([4, 5, 6], 3)]),
+            # Z2^2, eigenvalues -77753, 36795 and 20479 twice, whose differences
+            # are 4 * 7 * 4091, 2^3 * 3 * 4093 and 4 * 4079: each of q0, q1, q2
+            # merges a different pair, so all three certify degree 2, and only
+            # the coefficient bound rejects their lift
+            (
+                ("z2z4", 2, 0),
+                lambda q: [0, -28637, -20479, -28637],
+                [([0], 4), ([1, 2], 2), ([3], 4), ([4, 5, 6, 7], 3)],
+            ),
+        ],
+    )
+    def test_unlucky_primes_are_replaced(self, tokens, values, stages):
+        # the primes are capped at 2^12, so that eigenvalues that meet modulo
+        # a prime keep the integer root screen short; each stage is one call
+        # of `_certified_minpolys`: its primes, by place in the stream, and steps
+        g = catalog(*tokens)
+        seen = []
+        real = linalg._certified_minpolys
+
+        def spy(quotient, weights, ps, steps):
+            seen.append((ps.tolist(), steps))
+            return real(quotient, weights, ps, steps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_PRIME_CAP", 2**12)
+            q = list(islice(linalg._prime_stream(2 * g.n + 1), 8))
+            assert q[:3] == [4093, 4091, 4079]
+            f = ConnectionFunction(g, values(q))
+            mp.setattr(linalg, "_certified_minpolys", spy)
+            got = minpoly_spectrum(*pair_quotient(g, f), sum(map(abs, f.values)), g.n)
+        want = newton_report(g, f)
+        assert got == want and got.residual_factors() == want.residual_factors()
+        assert seen == [([q[i] for i in places], steps) for places, steps in stages]
+
+    def test_s5_candidate_work(self, groups, partitions):
+        # CCI's first candidate on S5: mu has degree 26 = sum chi(1); the
+        # first prime runs D = isqrt(7 * 120) = 28 steps, then 13 primes 26,
+        # where the Newton read-out runs 60 steps on 41 primes
+        g = groups["S5"]
+        calls: list[tuple[int, int]] = []
+        real = linalg._krylov
+
+        def spy(a, ps, steps):
+            calls.append((len(ps), steps))
+            return real(a, ps, steps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_krylov", spy)
+            report = cci_report(g, partitions["S5"])
+            assert report.candidates_tried == 1 and report.witness_found
+            assert calls == [(1, 28), (13, 26)]
+            calls.clear()
+            cayley_charpoly(adjacency(g, ConnectionFunction(g, report.witness_values)))
+            assert calls == [(41, 60)]
+
+    def test_route_rule(self, groups, partitions):
+        # 4 D <= n takes the minimal polynomial: D = k for a class function,
+        # min(m, isqrt(k n)) otherwise
+        routes = []
+
+        def read_out(name, fn):
+            def spy(*args):
+                routes.append(name)
+                return fn(*args)
+
+            return spy
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cayint.spectra.minpoly_spectrum", read_out("minpoly", minpoly_spectrum))
+            mp.setattr("cayint.spectra.cayley_charpoly", read_out("newton", cayley_charpoly))
+            for label, kind, route in [
+                ("S5", "colour", "minpoly"),  # D = min(73, 28), 112 <= 120
+                ("S5", "classint", "minpoly"),  # D = k = 7
+                ("A5", "classint", "minpoly"),  # D = 5, 20 <= 60
+                ("A5", "colour", "newton"),  # D = min(38, 17), 68 > 60
+                ("S4", "classint", "minpoly"),  # D = 5, 20 <= 24
+                ("S4", "colour", "newton"),  # D = min(17, 10), 40 > 24
+                ("Z12", "classint", "newton"),  # abelian: D = k = n
+            ]:
+                g = groups[label]
+                routes.clear()
+                spectrum_matrix(g, ConnectionFunction(g, colour_function(kind, g, partitions[label], random.Random(1))))
+                assert routes == [route], (label, kind)
+
+
+class TestPairQuotient:
+    @pytest.mark.parametrize("label", ["S3", "Q8", "Dic12", "A4", "Q8xZ3"])
+    def test_krylov_vectors_read_at_the_least_members(self, groups, partitions, label):
+        g = groups[label]
+        f = ConnectionFunction(g, colour_function("signed", g, partitions[label], random.Random(label)))
+        quotient, weights = pair_quotient(g, f)
+        firsts = [x for x in g.elements() if x <= g.inv[x]]
+        assert weights.tolist() == [1 + (x != g.inv[x]) for x in firsts] and weights.sum() == g.n
+        a = adjacency(g, f).entries
+        full = np.eye(g.n, dtype=np.int64)[0]
+        v = np.eye(len(firsts), dtype=np.int64)[0]
+        for _ in range(4):
+            assert (full[firsts] == v).all() and (full[list(g.inv)] == full).all()
+            full, v = a @ full, v @ quotient
+
+    def test_class_count_is_burnside(self, groups, partitions):
+        for label, g in groups.items():
+            assert class_count(g) == partitions[label].k
 
 
 class TestCharacterRoute:
