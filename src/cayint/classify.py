@@ -489,7 +489,7 @@ def cci_report(g: FiniteGroup, part: ConjugacyPartition, seed: int = 0) -> CciRe
                     vals[x] = v
             f = ConnectionFunction(g, vals)
             report.candidates_tried += 1
-            rep = spectrum_matrix(g, f)
+            rep = spectrum_matrix(g, f, part)
             if not rep.is_integral:
                 report.witness_values = list(f.values)
                 report.witness_residual = rep.factored_residual()

@@ -31,7 +31,8 @@ by one of two engines:
   2 (2 rho + 1)^d, rho = sum |f|, and lifts mu_A and s_0 .. s_(d-1), which
   give the multiplicities; when d is far below n, as for most colour
   functions on a non-abelian group, that is far fewer steps and primes.
-  `spectra.spectrum_matrix` picks the read-out by an a-priori bound on d.
+  `spectra.spectrum_matrix` picks the read-out by n and an a-priori bound
+  on d.
 
 The roots mod a prime of such residue polynomials, each over its own
 integer range, are one Horner pass, `roots_mod`, for three screens: the
@@ -861,41 +862,48 @@ def squarefree_factorization(p: IntPolynomial) -> tuple[tuple[IntPolynomial, int
 def _minimal_polynomial(quotient: np.ndarray, weights: np.ndarray, rho: int, steps: int) -> tuple[list[int], list[int]]:
     """mu_A, ascending, and s_0 .. s_(d-1), d = deg mu_A, for
     `minpoly_spectrum`: the first prime's degree, the CRT primes' residues
-    and the lift, each prime replaced or the search restarted as that
+    and the lift, each prime dropped or the search restarted as that
     function's docstring says. Every prime comes from `_prime_stream(2 n + 1)`,
     so a sum of up to 2 n + 1 products of residues stays in int64."""
     m = len(weights)
     stream = _prime_stream(2 * int(weights.sum()) + 1)
+    # bits of m^(m/2) rho^(3m(m-1)/2), above the Hankel determinant that every unlucky prime divides
+    unlucky_bits = m * m.bit_length() // 2 + 3 * m * (m - 1) // 2 * max(rho, 1).bit_length()
+    restarts = 0
     while True:
-        first = np.array([next(stream)], dtype=np.int64)
+        low = next(stream)  # the last prime drawn, the smallest so far
+        first = np.array([low], dtype=np.int64)
         t = steps
         while True:
             length, mu, s, certified = _certified_minpolys(quotient, weights, first, t)
             if certified[0] or t == m:
                 break
             t = min(2 * t, m)
-        if not certified[0]:
-            continue  # unlucky: even 2m terms leave the certificate unmet
-        d = int(length[0])
-        primes, rows = [int(first[0])], [np.concatenate([mu[0, : d + 1], s[0, :d]])]
-        modulus, bound = primes[0], (2 * rho + 1) ** d
-        while modulus <= 2 * bound:
-            batch, reach = [], modulus
-            while reach <= 2 * bound:
-                batch.append(next(stream))
-                reach *= batch[-1]
-            ps = np.array(batch, dtype=np.int64)
-            length, mu, s, certified = _certified_minpolys(quotient, weights, ps, d)
-            if not certified.all():
-                break  # deg mu_A > d: the first prime was unlucky
-            for i in np.flatnonzero(length == d).tolist():  # a shorter certified mu marks an unlucky prime
-                primes.append(batch[i])
-                rows.append(np.concatenate([mu[i, : d + 1], s[i, :d]]))
-                modulus *= batch[i]
-        else:
-            lifted = _crt_lift(np.array(rows), primes, modulus)
-            if all(abs(c) <= comb(d, j) * rho ** (d - j) for j, c in enumerate(lifted[: d + 1])):
-                return lifted[: d + 1], lifted[d + 1 :]
+        if certified[0]:
+            d = int(length[0])
+            primes, rows = [low], [np.concatenate([mu[0, : d + 1], s[0, :d]])]
+            modulus, bound = low, (2 * rho + 1) ** d
+            while modulus <= 2 * bound:
+                batch, reach = [], modulus
+                while reach <= 2 * bound:
+                    batch.append(next(stream))
+                    reach *= batch[-1]
+                low = batch[-1]
+                length, mu, s, certified = _certified_minpolys(quotient, weights, np.array(batch, dtype=np.int64), d)
+                kept = np.flatnonzero(certified & (length == d)).tolist()
+                if not kept:
+                    break  # q or the first prime unlucky, for every q of the batch
+                for i in kept:
+                    primes.append(batch[i])
+                    rows.append(np.concatenate([mu[i, : d + 1], s[i, :d]]))
+                    modulus *= batch[i]
+            else:
+                lifted = _crt_lift(np.array(rows), primes, modulus)
+                if all(abs(c) <= comb(d, j) * rho ** (d - j) for j, c in enumerate(lifted[: d + 1])):
+                    return lifted[: d + 1], lifted[d + 1 :]
+        restarts += 1  # each restart spends a distinct unlucky prime, at least `low`
+        if restarts * (low.bit_length() - 1) > unlucky_bits:
+            raise ArithmeticError(f"{restarts} restarts: more unlucky primes than a Cayley colour graph has")
 
 
 def _power_product(parts: list[tuple[list[int], int]]) -> list[int]:
@@ -931,16 +939,22 @@ def minpoly_spectrum(quotient: np.ndarray, weights: np.ndarray, rho: int, degree
       certificate e_0 mu_p(A) = 0 mod p makes mu_p a multiple of the vector
       sequence's minimal polynomial mod p, which the scalar one divides; so
       mu_p is that polynomial, and it divides mu mod p: d = L <= deg mu.
-      For all but finitely many p, mu mod p is the scalar sequence's minimal
-      polynomial, and t >= deg mu meets the certificate. The step count t
-      starts at `degree_bound` and doubles up to m; a prime that fails at m
-      is replaced by the next.
+      The step count t starts at `degree_bound` and doubles up to m; a
+      prime that fails at m restarts the search on the next.
+    - Lucky primes: over Q the scalar sequence s_k = sum_lambda
+      |P_lambda e_0|^2 lambda^k has minimal polynomial mu, as its weights
+      are positive, so the Hankel determinant H = det [s_(i+j)], i, j <
+      deg mu, is not 0. A prime that does not divide H admits no shorter
+      recurrence, so there mu mod p is the scalar sequence's minimal
+      polynomial: a first prime meets the certificate with d = deg mu once
+      t >= deg mu, and a CRT prime certifies mu mod q of degree d. Every
+      unlucky prime divides H.
     - The other primes run d steps. A certified mu_q of degree d is the
-      vector sequence's minimal polynomial mod q. A certified one of lower
-      degree marks an unlucky q, which the next prime replaces. An
-      uncertified one shows deg mu > d (2d terms would have found a minimal
-      polynomial of degree at most d), so the first prime was unlucky and
-      the search restarts on a new one.
+      vector sequence's minimal polynomial mod q, so mu mod q when the
+      first prime is lucky. An uncertified mu_q, or a certified one of
+      lower degree, shows that q or the first prime is unlucky: q is
+      dropped, and a batch that keeps no prime restarts the search on a
+      new first prime.
     - The coefficient bound and the CRT step: the primes' product M exceeds
       2 (2 rho + 1)^d, above twice every |s_k| <= rho^k, k < d, and twice
       every C(d, k) rho^(d-k), which bounds |mu_k| since mu = prod (x - lambda)
@@ -948,8 +962,14 @@ def minpoly_spectrum(quotient: np.ndarray, weights: np.ndarray, rho: int, degree
       has |(e_0 mu(A))[x]| <= sum_k C(d, k) rho^(d-k) rho^k = (2 rho)^d < M,
       and e_0 mu(A) = 0 mod M, so e_0 mu(A) = 0 over Z: mu_A divides the
       lift, of degree d <= deg mu_A, so the lift is mu_A. A lift that fails
-      the bound restarts the search on a new first prime. No prime is used
-      twice and only finitely many are unlucky, so the search ends.
+      the bound restarts the search on a new first prime.
+    - Termination: each restart comes from an unlucky first prime or from
+      a batch of unlucky primes, so it spends a distinct prime that divides
+      H. By Hadamard's inequality with |s_k| <= rho^k, |H| is below
+      m^(m/2) rho^(3m(m-1)/2), so fewer than log of that over log p of them
+      lie above p. A search with more restarts than that, p the last prime
+      drawn, raises ArithmeticError: only an operator that is not a Cayley
+      colour graph's quotient can make one.
     - Multiplicities: A is symmetric, so chi_A = prod (x - lambda)^m_lambda
       and chi_A'/chi_A = sum m_lambda/(x - lambda) = sum_k p_k x^(-k-1),
       p_k = tr(A^k) = n s_k. N = mu chi_A'/chi_A = sum m_lambda mu/(x - lambda)

@@ -4,14 +4,14 @@ Route one reads the spectrum of the integer adjacency matrix A = [f(g h^-1)]
 from `linalg`'s power-sum engine: A commutes with right translations, so
 tr(A^m) = n f^(*m)(e), and one Krylov sequence on the identity's basis
 vector gives every power sum. It has two read-outs of that sequence,
-picked in `spectrum_matrix` by an a-priori bound D on the degree of A's
-minimal polynomial: D = k, the class count, for a class function, and
-min(m, isqrt(k n)) otherwise, m the number of inverse pairs. When
-4 D <= n, `linalg.minpoly_spectrum` reads the minimal polynomial and the
-first power sums off the sequence on the inverse-pair quotient
-(`pair_quotient`); otherwise `linalg.cayley_charpoly` reads the exact
-characteristic polynomial, which `integer_spectrum` splits. Both give the
-same report. Route two, available when the colour
+picked in `spectrum_matrix` by the order n and an a-priori bound D on the
+degree of A's minimal polynomial: D = k, the class count, for a class
+function, and min(m, isqrt(k n)) otherwise, m the number of inverse
+pairs. When 4 D <= n or n >= 96, `linalg.minpoly_spectrum` reads the
+minimal polynomial and the first power sums off the sequence on the
+inverse-pair quotient (`pair_quotient`); otherwise `linalg.cayley_charpoly`
+reads the exact characteristic polynomial, which `integer_spectrum`
+splits. Both give the same report. Route two, available when the colour
 function is constant on conjugacy classes, evaluates the closed-form
 eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
 each with multiplicity chi(1)^2; each eigenvalue is an algebraic integer,
@@ -128,32 +128,45 @@ def pair_quotient(g: FiniteGroup, f: ConnectionFunction) -> tuple[np.ndarray, np
     return exact_array(cols[firsts] + np.where(pair[:, None], cols[seconds], 0)), 1 + pair.astype(np.int64)
 
 
-# The minimal-polynomial read-out serves a colour function whose bound D on
-# deg mu_A satisfies _MINPOLY_SHARE * D <= |G|; the others take the
-# Newton read-out of `cayley_charpoly`.
+# The minimal-polynomial read-out serves a colour function on a group of
+# order n when _MINPOLY_SHARE * D <= n, D the bound on deg mu_A, or when
+# n >= _MINPOLY_ORDER; the others take the Newton read-out. Both are
+# measured break-evens, each read-out forced in turn on 496 random colour
+# functions over 47 groups of orders 6 to 240. Up to order 60 the minimal
+# polynomial's Berlekamp-Massey loop costs more than Newton's n/2 steps
+# unless D is small (slower on 192 of 200 draws with n/D < 3.25, faster on
+# 20 of 24 with n/D >= 4.5; the total is level within 1.2% for shares 3.5
+# to 6). Newton's work grows as about n^4, so from order 96 up the minimal
+# polynomial wins even at D = m (on 112 of 140 draws below 128, on all 44
+# from 128 up; cut-offs from 80 to 120 are within 2% of the best total).
 _MINPOLY_SHARE = 4
+_MINPOLY_ORDER = 96
 
 
-def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction) -> SpectrumReport:
+def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartition | None = None) -> SpectrumReport:
     """Exact spectrum of the adjacency matrix A = [f(a b^-1)], by one of the
     power-sum engine's two read-outs of the Krylov sequence of e_0, chosen
-    by an a-priori bound D on the degree of A's minimal polynomial.
+    by the order n and an a-priori bound D on the degree of A's minimal
+    polynomial.
 
-    D counts A's distinct eigenvalues. With k the class count (Burnside's,
-    `groups.class_count`), A acts as one scalar on each of the k isotypic
-    components when f is a class function, so D = k; otherwise A is the sum
-    of chi(1) copies of rho_chi(f) over the irreducible characters, whose
-    sum of chi(1) is at most sqrt(k n) by Cauchy-Schwarz, and the Krylov
-    vectors span at most the m inverse pairs, so D = min(m, isqrt(k n)).
-    The minimal polynomial (`linalg.minpoly_spectrum`, on `pair_quotient`)
-    serves 4 D <= n; the Newton read-out (`linalg.cayley_charpoly`, then
-    `integer_spectrum`) the rest. Both give the same report.
+    D counts A's distinct eigenvalues. With k the class count, A acts as
+    one scalar on each of the k isotypic components when f is a class
+    function, so D = k; otherwise A is the sum of chi(1) copies of
+    rho_chi(f) over the irreducible characters, whose sum of chi(1) is at
+    most sqrt(k n) by Cauchy-Schwarz, and the Krylov vectors span at most
+    the m inverse pairs, so D = min(m, isqrt(k n)). k comes from `part`,
+    the caller's partition of g, if it has one, and from Burnside's count
+    (`groups.class_count`, which builds no partition) otherwise. The
+    minimal polynomial (`linalg.minpoly_spectrum`, on `pair_quotient`)
+    serves 4 D <= n and n >= 96; the Newton read-out
+    (`linalg.cayley_charpoly`, then `integer_spectrum`) the rest. Both
+    give the same report.
     """
     if not f.symmetric:
         raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
-    k, pairs = class_count(g), sum(x <= y for x, y in enumerate(g.inv))
+    k, pairs = part.k if part else class_count(g), sum(x <= y for x, y in enumerate(g.inv))
     bound = k if f.class_function else min(pairs, isqrt(k * g.n))
-    if _MINPOLY_SHARE * bound <= g.n:
+    if _MINPOLY_SHARE * bound <= g.n or g.n >= _MINPOLY_ORDER:
         return minpoly_spectrum(*pair_quotient(g, f), sum(map(abs, f.values)), bound)
     m = adjacency(g, f)
     return integer_spectrum(cayley_charpoly(m), bound=m.gershgorin_bound())

@@ -305,8 +305,15 @@ class TestMinpolyReadOut:
             # has degree 1 < 2; q3 replaces it
             (("cyclic", 2), lambda q: [0, q[1]], [([0], 2), ([1, 2], 2), ([3], 2)]),
             # Z4, eigenvalues q0 + q1, 2, 2 and q1 - 3 q0: the first and last
-            # meet mod q0, the first two mod q1; q2 fails its certificate
-            (("cyclic", 4), lambda q: [0, q[0], q[1] - q[0], q[0]], [([0], 3), ([1, 2], 2), ([3], 3), ([4, 5, 6], 3)]),
+            # meet mod q0, so the first prime finds degree 2; the first two
+            # meet mod q1, which certifies degree 2 and is kept; q2 and then
+            # q3 fail their certificates, and q3's batch, which keeps no
+            # prime, restarts the search on q4
+            (
+                ("cyclic", 4),
+                lambda q: [0, q[0], q[1] - q[0], q[0]],
+                [([0], 3), ([1, 2], 2), ([3], 2), ([4], 3), ([5, 6, 7], 3)],
+            ),
             # Z2^2, eigenvalues -77753, 36795 and 20479 twice, whose differences
             # are 4 * 7 * 4091, 2^3 * 3 * 4093 and 4 * 4079: each of q0, q1, q2
             # merges a different pair, so all three certify degree 2, and only
@@ -341,6 +348,48 @@ class TestMinpolyReadOut:
         assert got == want and got.residual_factors() == want.residual_factors()
         assert seen == [([q[i] for i in places], steps) for places, steps in stages]
 
+    def test_uncertified_crt_prime_is_dropped(self):
+        # S3 with f = 72 and 23 on two transpositions, 0 on the third, 2 on
+        # the 3-cycles and 5 at e: the 2-dimensional block is 3 I + B with
+        # B traceless and det B = -(72^2 - 72 * 23 + 23^2) = -4057, so mod
+        # q1 = 4057 B is nilpotent and A has a Jordan block. There the
+        # scalar sequence's minimal polynomial has degree 3 and the vector
+        # sequence's 4 = deg mu_A: q1 fails its certificate though the first
+        # prime is lucky, and is dropped, with no restart
+        g = catalog("s3")
+        transpositions = [x for x in g.elements() if g.ord[x] == 2]
+        values = [5 if x == 0 else 2 for x in g.elements()]
+        for x, v in zip(transpositions, (72, 23, 0)):
+            values[x] = v
+        f = ConnectionFunction(g, values)
+        seen = []
+        real = linalg._certified_minpolys
+
+        def spy(quotient, weights, ps, steps):
+            seen.append((ps.tolist(), steps))
+            return real(quotient, weights, ps, steps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_PRIME_CAP", 4074)
+            q = list(islice(linalg._prime_stream(2 * g.n + 1), 4))
+            assert q == [4073, 4057, 4051, 4049]
+            mp.setattr(linalg, "_certified_minpolys", spy)
+            got = minpoly_spectrum(*pair_quotient(g, f), sum(map(abs, f.values)), 4)
+        want = newton_report(g, f)
+        assert got == want and got.residual_factors() == want.residual_factors()
+        assert seen == [([4073], 4), ([4057, 4051], 4), ([4049], 4)]
+
+    @pytest.mark.parametrize("label", ["S3", "S4"])
+    def test_search_ends_on_an_operator_of_no_cayley_graph(self, groups, partitions, label):
+        # the weights of the pairs replaced by 1: no prime certifies, and the
+        # restarts stop once they outnumber the unlucky primes a Cayley
+        # colour graph's Hankel determinant can have
+        g = groups[label]
+        f = ConnectionFunction(g, colour_function("colour", g, partitions[label], random.Random(label)))
+        quotient, weights = pair_quotient(g, f)
+        with pytest.raises(ArithmeticError, match="restarts"):
+            minpoly_spectrum(quotient, np.ones_like(weights), sum(f.values), len(weights))
+
     def test_s5_candidate_work(self, groups, partitions):
         # CCI's first candidate on S5: mu has degree 26 = sum chi(1); the
         # first prime runs D = isqrt(7 * 120) = 28 steps, then 13 primes 26,
@@ -353,8 +402,12 @@ class TestMinpolyReadOut:
             calls.append((len(ps), steps))
             return real(a, ps, steps)
 
+        def no_count(g):
+            raise AssertionError("k counted again; cci_report holds the partition")
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_krylov", spy)
+            mp.setattr("cayint.spectra.class_count", no_count)
             report = cci_report(g, partitions["S5"])
             assert report.candidates_tried == 1 and report.witness_found
             assert calls == [(1, 28), (13, 26)]
@@ -363,9 +416,10 @@ class TestMinpolyReadOut:
             assert calls == [(41, 60)]
 
     def test_route_rule(self, groups, partitions):
-        # 4 D <= n takes the minimal polynomial: D = k for a class function,
-        # min(m, isqrt(k n)) otherwise
+        # 4 D <= n or n >= 96 takes the minimal polynomial: D = k for a
+        # class function, min(m, isqrt(k n)) otherwise
         routes = []
+        larger = {"Z95": ("cyclic", 95), "Z96": ("cyclic", 96), "D48": ("dihedral", 48)}
 
         def read_out(name, fn):
             def spy(*args):
@@ -385,10 +439,14 @@ class TestMinpolyReadOut:
                 ("S4", "classint", "minpoly"),  # D = 5, 20 <= 24
                 ("S4", "colour", "newton"),  # D = min(17, 10), 40 > 24
                 ("Z12", "classint", "newton"),  # abelian: D = k = n
+                ("Z96", "classint", "minpoly"),  # D = n, but n >= 96
+                ("D48", "set01", "minpoly"),  # D = min(73, isqrt(27 * 96)) = 50, but n >= 96
+                ("Z95", "classint", "newton"),
             ]:
-                g = groups[label]
+                g = groups[label] if label in groups else catalog(*larger[label])
                 routes.clear()
-                spectrum_matrix(g, ConnectionFunction(g, colour_function(kind, g, partitions[label], random.Random(1))))
+                part = partitions[label] if label in partitions else conjugacy_classes(g)
+                spectrum_matrix(g, ConnectionFunction(g, colour_function(kind, g, part, random.Random(1))))
                 assert routes == [route], (label, kind)
 
 
