@@ -158,7 +158,7 @@ def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartit
     the caller's partition of g, if it has one, and from Burnside's count
     (`groups.class_count`, which builds no partition) otherwise. The
     minimal polynomial (`linalg.minpoly_spectrum`, on `pair_quotient`)
-    serves 4 D <= n and n >= 96; the Newton read-out
+    serves f when 4 D <= n, and every f when n >= 96; the Newton read-out
     (`linalg.cayley_charpoly`, then `integer_spectrum`) the rest. Both
     give the same report.
     """
