@@ -28,17 +28,24 @@ are also the generating set `build_group` runs Light's test over, as are
 the generators' rows are ranked by binary search; every other row is a
 gather of rows already built, row(s c) = row(s)[row(c)], taken in layers
 out from the identity, so S7 needs 2 searched rows instead of 5,040.
+
+Every constructor writes row blocks into the one (n, n) int32 table it
+hands `build_group`: the dihedral and dicyclic tables are filled a block
+of rows at a time (`groups.table_by_blocks`), a layer of `_perm_table`
+gathers its rows a block at a time, and a `table` file is parsed row by
+row straight into the table. So building holds the table and one block of
+rows of temporaries, as the axiom scans do.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, build_group, direct_product
+from .groups import FiniteGroup, NotAGroup, _row_blocks, build_group, check_row, direct_product, table_by_blocks
 
 DEFAULT_ELEMENT_CAP = 5040
 
@@ -59,12 +66,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _rotation_parts(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For x = i + m*j (j in {0, 1}) in 0..n-1, x down and y = k + m*l
-    across: the int32 arrays i ± k (+ when j = 0) and j + l."""
-    x = np.arange(n, dtype=np.int32)
-    i, j = x % m, x // m
-    return i[:, None] + (1 - 2 * j)[:, None] * i, j[:, None] + j
+def _rotation_parts(x: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows x = i + m*j (j in {0, 1}) of a table of order n, x down
+    and y = k + m*l across: the arrays i ± k (+ when j = 0) and j + l."""
+    y = np.arange(n, dtype=np.int32)
+    i, j, k, l = x % m, x // m, y % m, y // m
+    return i[:, None] + (1 - 2 * j)[:, None] * k, j[:, None] + l
 
 
 def cyclic_group(m: int) -> FiniteGroup:
@@ -76,18 +83,33 @@ def cyclic_group(m: int) -> FiniteGroup:
 
 def dihedral_group(m: int) -> FiniteGroup:
     """<a, b | a^m = b^2 = 1, b a b = a^-1>, order 2m; index = i + m*j for a^i b^j."""
-    i2, j2 = _rotation_parts(2 * m, m)
-    return build_group(i2 % m + m * (j2 % 2), name=f"D{m}", gens=[1 % m, m])
+
+    def rows_of(x: np.ndarray) -> np.ndarray:  # a^(i2 mod m) b^(j2 mod 2), in place
+        i2, j2 = _rotation_parts(x, 2 * m, m)
+        i2 %= m
+        j2 %= 2
+        j2 *= m
+        i2 += j2
+        return i2
+
+    return build_group(table_by_blocks(2 * m, rows_of), name=f"D{m}", gens=[1 % m, m])
 
 
 def dicyclic_group(m: int) -> FiniteGroup:
     """<a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>, order 4m; index = i + 2m*j."""
     mm = 2 * m
-    i2, j2 = _rotation_parts(2 * mm, mm)
-    i2 %= mm
-    table = np.where(j2 == 2, (i2 + m) % mm, i2 + mm * j2)
+
+    def rows_of(x: np.ndarray) -> np.ndarray:  # a^i2 b^j2 with b^2 = a^m, in place
+        i2, j2 = _rotation_parts(x, 2 * mm, mm)
+        i2[j2 == 2] += m
+        i2 %= mm
+        j2 %= 2
+        j2 *= mm
+        i2 += j2
+        return i2
+
     name = "Q8" if m == 2 else f"Dic{4 * m}"
-    return build_group(table, name=name, gens=[1, mm])
+    return build_group(table_by_blocks(2 * mm, rows_of), name=name, gens=[1, mm])
 
 
 def _perm_table(perms: np.ndarray, gens: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[int]]:
@@ -133,9 +155,9 @@ def _perm_table(perms: np.ndarray, gens: Sequence[Sequence[int]]) -> tuple[np.nd
                     reached[x] = True
                     targets.append(x)
                     sources.append(c)
-            if targets:
-                table[targets] = row_s[table[sources]]
-                fresh += targets
+            for rows in _row_blocks(len(targets), n):
+                table[targets[rows]] = row_s[table[sources[rows]]]
+            fresh += targets
         layer = fresh
     assert all(reached), "the generators do not generate every row"
     return table, gen_rows.tolist()
@@ -302,20 +324,64 @@ def resolve_group(tokens: list[str], *, cap: int = DEFAULT_ELEMENT_CAP) -> Finit
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((i, line))
-    return out
+def _content_lines(f: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The stripped lines of a text file `f` that are neither blank nor
+    comments, read one at a time, with their 1-based numbers as
+    `str.splitlines` counts the lines of the whole text."""
+    number = 0
+    for physical in f:
+        for raw in physical.splitlines():
+            number += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield number, line
+
+
+def _table_rows(body: Iterator[tuple[int, str]], n: int, ln: int) -> np.ndarray:
+    """The (n, n) int32 table of a `table` section, each row parsed
+    straight into it. The errors are those of parsing every row first and
+    then validating the rows as `build_group` does: a row count other than
+    n, named at the section line `ln`, then the first malformed row, then
+    the first row with an entry out of range."""
+    table = np.empty((max(n, 0),) * 2, dtype=np.int32)
+    count, malformed, out_of_range = 0, None, None
+    for ln3, line in body:
+        count += 1
+        if malformed is not None or count > n:
+            continue
+        try:
+            row = [int(x) for x in line.split()]
+        except ValueError:
+            malformed = ParseError(ln3, f"non-integer table entry in {line!r}")
+            continue
+        if len(row) != n:
+            malformed = ParseError(ln3, f"row has {len(row)} entries, expected {n}")
+            continue
+        try:
+            check_row(count - 1, row, n)
+        except NotAGroup as err:
+            out_of_range = out_of_range or err
+            continue
+        table[count - 1] = row
+    if count != n:
+        raise ParseError(ln, f"expected {n} table rows, found {count}")
+    if malformed is not None:
+        raise malformed
+    if out_of_range is not None:
+        raise out_of_range
+    return table
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    lines = _content_lines(Path(path).read_text(encoding="utf-8"))
-    if not lines:
+    with open(path, encoding="utf-8") as f:
+        return _read_group(_content_lines(f))
+
+
+def _read_group(lines: Iterator[tuple[int, str]]) -> FiniteGroup:
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, "empty file")
-    ln, header = lines[0]
+    ln, header = first
     fields = header.split()
     if len(fields) != 3 or fields[0] != "group":
         raise ParseError(ln, f"expected 'group <name> <n>', got {header!r}")
@@ -326,30 +392,19 @@ def load_group(path: str | Path) -> FiniteGroup:
         raise ParseError(ln, f"order must be an integer, got {fields[2]!r}") from None
     if n > DEFAULT_ELEMENT_CAP:
         raise ParseError(ln, f"order {n} exceeds the element cap {DEFAULT_ELEMENT_CAP}")
-    if len(lines) < 2:
+    second = next(lines, None)
+    if second is None:
         raise ParseError(ln, "missing 'table' or 'perms' section")
-    ln2, kind = lines[1]
-    body = lines[2:]
+    ln2, kind = second
     if kind == "table":
-        if len(body) != n:
-            raise ParseError(ln2, f"expected {n} table rows, found {len(body)}")
-        rows = []
-        for ln3, line in body:
-            try:
-                row = [int(x) for x in line.split()]
-            except ValueError:
-                raise ParseError(ln3, f"non-integer table entry in {line!r}") from None
-            if len(row) != n:
-                raise ParseError(ln3, f"row has {len(row)} entries, expected {n}")
-            rows.append(row)
-        return build_group(rows, name=name)
+        return build_group(_table_rows(lines, n, ln2), name=name)
     if kind.startswith("perms"):
         fields = kind.split()
         d = int(fields[1]) if len(fields) == 2 and fields[1].isdecimal() else 0
         if d < 1:
             raise ParseError(ln2, f"expected 'perms <d>', got {kind!r}")
         gens = []
-        for ln3, line in body:
+        for ln3, line in lines:
             try:
                 p = tuple(int(x) for x in line.split())
             except ValueError:
@@ -367,6 +422,8 @@ def load_group(path: str | Path) -> FiniteGroup:
 
 
 def save_group(g: FiniteGroup, path: str | Path) -> None:
-    out = [f"group {g.name.replace(' ', '_')} {g.n}", "table"]
-    out.extend(" ".join(map(str, row)) for row in g.table.tolist())
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    """Write g in the `table` form, one row at a time."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"group {g.name.replace(' ', '_')} {g.n}\ntable\n")
+        for row in g.table:
+            f.write(" ".join(map(str, row.tolist())) + "\n")

@@ -548,7 +548,8 @@ def load_table(path: str | Path, g: FiniteGroup) -> CharacterTable:
     overflow rule, and are reduced mod each prime in Python ints when they
     are, so a huge coefficient is checked exactly.
     """
-    lines = _content_lines(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        lines = list(_content_lines(f))
     part = conjugacy_classes(g)
     ln, degrees, cells = 1, [], []
     try:

@@ -514,10 +514,11 @@ def _diagonal(v: np.ndarray, ps: np.ndarray, weights: np.ndarray | None = None) 
     quotient, the inner product weighs coordinate o by weights[o], the size
     of its cell; the weights sum to n and n p^2 < 2^63."""
     k, h = v.shape[0], v.shape[1] - 1
-    w = v if weights is None else v * weights
+    # the weights enter the contraction, so no weighted copy of v is made
+    spec, extra = ("kij,kij->ki", ()) if weights is None else ("kij,kij,j->ki", (weights,))
     diag = np.empty((k, 2 * h + 1), dtype=np.int64)
-    diag[:, 0::2] = np.einsum("kij,kij->ki", w, v)
-    diag[:, 1::2] = np.einsum("kij,kij->ki", w[:, :-1], v[:, 1:])
+    diag[:, 0::2] = np.einsum(spec, v, v, *extra)
+    diag[:, 1::2] = np.einsum(spec, v[:, :-1], v[:, 1:], *extra)
     diag %= ps.reshape(k, 1)
     return diag
 

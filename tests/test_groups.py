@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,14 @@ from cayint.groups import (
     atom,
     build_group,
     center,
+    class_count,
     conjugacy_classes,
     direct_product,
     generated_subgroup,
     is_nilpotent,
     quotient,
 )
-from oracle import power_map
+from oracle import element_orders, power_map
 
 
 class TestBuildGroup:
@@ -302,3 +304,114 @@ class TestSubgroupsQuotientsProducts:
             assert g.power(x, o) == 0
             assert all(g.power(x, k) != 0 for k in range(1, o))
             assert m % o == 0
+
+
+def _scan_failure(t: list[list[int]]) -> tuple[str, tuple | None] | None:
+    """The reason and witness of the first failing axiom among range,
+    identity and inverses, by a plain scan of every cell in index order;
+    None when all three hold."""
+    n = len(t)
+    for g, row in enumerate(t):
+        if len(row) != n:
+            return "table is not square", (g, len(row), n)
+        for h, v in enumerate(row):
+            if not 0 <= v < n:
+                return "entry out of range", (g, h, v)
+    idents = [e for e in range(n) if all(t[e][x] == x and t[x][e] == x for x in range(n))]
+    if not idents:
+        return "no two-sided identity", None
+    perm = list(range(n))
+    perm[0], perm[idents[0]] = idents[0], 0
+    u = [[perm[t[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
+    for g in range(n):
+        right = [h for h in range(n) if u[g][h] == 0]
+        if not right or u[right[0]][g] != 0:
+            return "missing two-sided inverse", (g,)
+    return None
+
+
+def _moved(m: int, ident: int) -> list[list[int]]:
+    """Z_m's table with its identity at index `ident`: labels 0 and ident swapped."""
+    perm = list(range(m))
+    perm[0], perm[ident] = ident, 0
+    return [[perm[(perm[a] + perm[b]) % m] for b in range(m)] for a in range(m)]
+
+
+class TestBlockedScans:
+    """The scans that run in blocks of rows, or without (n, n) temporaries,
+    give the witness of a plain scan in index order."""
+
+    @staticmethod
+    def _rejection(table) -> tuple[str, tuple | None]:
+        with pytest.raises(NotAGroup) as err:
+            build_group(table)
+        return err.value.reason, err.value.witness
+
+    def test_identity_elsewhere_with_several_zeros_in_column_0(self):
+        t = _moved(7, 4)
+        t[1] = list(range(7))  # a left identity, not a right one: 1 * 0 = 0
+        t[2][0] = 0
+        assert [e for e in range(7) if t[e][0] == 0] == [1, 2, 4]
+        want = _scan_failure(t)
+        assert want is not None and self._rejection(t) == want
+
+    def test_least_two_sided_identity_is_taken(self):
+        g = build_group(_moved(9, 5))
+        assert g.table[0].tolist() == list(range(9)) and g.table[:, 0].tolist() == list(range(9))
+        assert g.ord == tuple(element_orders(g.table))
+
+    def test_row_without_identity(self):
+        t = _moved(6, 0)
+        t[3] = [3, 4, 5, 1, 2, 1]  # 3 is its own inverse in Z6, so no other row's check fails first
+        assert self._rejection(t) == _scan_failure(t) == ("missing two-sided inverse", (3,))
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [
+            (dtype, value)
+            for dtype in (None, np.int64, np.int32)
+            for value in (-1, 6, 2**31, -(2**40), 10**30)
+            if dtype is None or np.iinfo(dtype).min <= value <= np.iinfo(dtype).max
+        ],
+    )
+    def test_out_of_range(self, dtype, value):
+        t = _moved(6, 0)
+        t[4][2], t[5][0] = value, -1
+        table = t if dtype is None else np.array(t, dtype=dtype)
+        assert self._rejection(table) == _scan_failure(t) == ("entry out of range", (4, 2, value))
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1, 2], [1, 2, 0], [2, 0]],
+            [[0, 1, 2], [1, 2, 0, 1], [2, 0, 1]],
+            [[0, 1], [1, 0], [0, 1]],
+            [[0, 1, 2], [1, 2, 9], [2, 0]],
+        ],
+    )
+    def test_ragged(self, table):
+        assert self._rejection(table) == _scan_failure(table)
+
+    def test_associativity_witness_in_a_later_block(self, monkeypatch):
+        # Z240 with one intercalate swapped: a loop with two-sided inverses
+        # whose first violation of Light's test lies past the first rows
+        n, r, c = 240, 200, 5
+        t = np.add.outer(np.arange(n), np.arange(n)).astype(np.int32) % n
+        for row in (r, (r + n // 2) % n):
+            t[row, [c, c + n // 2]] = t[row, [c + n // 2, c]]
+        whole = self._rejection(t.copy())
+        monkeypatch.setattr("cayint.groups._BLOCK_CELLS", 2 * n)
+        blocked = self._rejection(t.copy())
+        assert blocked == whole and whole[0] == "associativity fails"
+        x, a, y = whole[1]
+        assert x >= 2 and t[t[x, a], y] != t[x, t[a, y]]
+
+    @pytest.mark.parametrize("label", ["S4", "D8", "Q8xZ3"])
+    def test_blocked_scans_match_one_block(self, groups, monkeypatch, label):
+        g = groups[label]
+        part = conjugacy_classes(g)
+        normal = set(center(g))
+        whole = (class_count(g), g.commutators(), quotient(g, normal).table.tolist())
+        monkeypatch.setattr("cayint.groups._BLOCK_CELLS", 7)
+        assert (class_count(g), g.commutators(), quotient(g, normal).table.tolist()) == whole
+        assert whole[0] == part.k
