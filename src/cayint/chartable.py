@@ -1,14 +1,49 @@
 """Exact irreducible character tables via class matrices over a prime field.
 
-The method is the classical Dixon-Burnside one: the structure constants of
-the class-sum algebra give k commuting integer matrices whose simultaneous
-eigenvectors over a suitable prime field F_p are the central characters
-omega(K_j) = |C_j| chi(g_j) / chi(1) mod p. Degrees are recovered from the
-second orthogonality relation (d^2 mod p, looked up among the squares of
-1..sqrt(|G|), which p^2 > 4|G| keeps distinct mod p), character
-values mod p follow, and each value is lifted to its exact cyclotomic form
-by a discrete Fourier inversion over F_p of the root-of-unity multiplicity
-vector. The finished table is verified before it is returned.
+The method is Dixon's (1967): the structure constants of the class-sum
+algebra give k commuting integer matrices, and their common eigenvectors
+over F_p, for a prime p = 1 (mod e) with p^2 > 4|G|, are the central
+characters omega_chi(K_j) = |C_j| chi(g_j) / chi(1) mod p, as vectors over
+the classes j. Degrees are recovered from the row orthogonality relation
+(d^2 mod p, looked up among the squares of 1..sqrt(|G|), which p^2 > 4|G|
+keeps distinct mod p), character values mod p follow, and each value is
+lifted to its exact cyclotomic form by a discrete Fourier inversion over
+F_p of the root-of-unity multiplicity vector. The finished table is
+verified before it is returned.
+
+Splitting the identity. The central characters come from splitting one
+vector, not subspaces (`_central_characters`), and each class matrix is
+built only when the split reaches it, the classes of a generating set
+first. A component is a vector w = sum_(chi in S) c_chi omega_chi, for a
+set S of characters and units c_chi mod p. Soundness:
+
+- e_0 is cyclic. By the column orthogonality relation the identity
+  class's vector is e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, a component
+  with S every character: p cannot divide |G|, since an element of order
+  p would make p divide e, and p = 1 (mod e).
+- Each mu is squarefree with its roots in F_p. A class matrix M acts on
+  omega_chi as the scalar omega_chi(K_M), an algebraic integer of
+  Q(zeta_e) whose residue lies in F_p because p = 1 (mod e). So the
+  minimal polynomial mu of w under M is the product of x - lambda over
+  the distinct residues lambda of omega_chi(K_M), chi in S.
+- A projection is nonzero exactly on its eigenvalue's characters. With
+  q_lambda = mu / (x - lambda), q_lambda(M) w = sum_(chi in S) c_chi
+  q_lambda(omega_chi(K_M)) omega_chi, and q_lambda vanishes at every root
+  of mu but lambda. So it is a component whose S holds the characters of
+  residue lambda, and the projections of w partition its S.
+- k components mean every character is separated. The row orthogonality
+  relation, sum_t omega_chi(K_t) omega_psi(K_t^-1) / |C_t| = delta_(chi
+  psi) |G| / chi(1)^2, makes the omega_chi independent mod p, so
+  components of disjoint sets are independent and there are at most k;
+  k of them are k single characters, each c_chi omega_chi, which scaled
+  to 1 at the identity class is omega_chi mod p. Two distinct characters
+  differ at some class, so the split reaches k components before the
+  classes run out.
+
+A root count short of deg mu, a minimal polynomial of degree above the
+characters a component can hold, classes that run out and a component
+that is 0 at the identity class would each contradict this; they raise
+VerificationFailed as bugs.
 
 Integer format: a character value is an algebraic integer of Q(zeta_e), e
 the group exponent, and the power basis 1, zeta_e, ..., zeta_e^(phi-1) is a
@@ -50,12 +85,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .catalog import ParseError, _content_lines
 from .groups import ConjugacyPartition, FiniteGroup, conjugacy_classes, generator_classes
-from .linalg import _STACK_CELLS, _context, _primes_for, _summable, charpoly_mod, eliminate_mod, exact_array
+from .linalg import _context, _primes_for, _summable, eliminate_mod, exact_array
 from .linalg import is_prime, primitive_root, roots_mod
 
 
@@ -73,6 +109,7 @@ class VerificationFailed(RuntimeError):
 DEFAULT_ORDER_CAP = 2000
 CELL_CAP = 2**27
 PRIME_BOUND = 1_000_000  # the prime search gives up above this
+_KRYLOV_START = 4  # the first Krylov length tried for a component's minimal polynomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +157,8 @@ class CharacterTable:
 
 
 def table_cells(part: ConjugacyPartition) -> int:
-    """max(k^3, k^2 phi(e)): the cells of the k class matrices and of the table."""
+    """max(k^3, k^2 phi(e)): the cells of the table, and of up to k class
+    matrices, which the normal-set survey builds beside it."""
     return part.k**2 * max(part.k, len(part.units))
 
 
@@ -137,13 +175,13 @@ def class_matrices(
     elements of U. All constants are nonnegative integers, and the matrices
     of two unions add to the matrix of their sum.
     """
-    k = part.k
-    # cell (class of x^-1 rep_t, t) for x down and t across
-    cells = np.array(part.class_of)[g.products(g.inv, part.reps())] * k + np.arange(k)
-    return [
-        np.bincount(cells[[x for j in union for x in part.classes[j]]].ravel(), minlength=k * k).reshape(k, k)
-        for union in (unions if unions is not None else [(j,) for j in range(k)])
-    ]
+    k, class_of, reps = part.k, np.array(part.class_of), part.reps()
+    out = []
+    for union in unions if unions is not None else [(j,) for j in range(k)]:
+        # cell (class of x^-1 rep_t, t) for x in U down and t across
+        cells = class_of[g.products([g.inv[x] for j in union for x in part.classes[j]], reps)] * k + np.arange(k)
+        out.append(np.bincount(cells.ravel(), minlength=k * k).reshape(k, k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,136 +204,83 @@ def _primitive_root_of_unity(p: int, e: int) -> int:
     return pow(primitive_root(p), (p - 1) // e, p)
 
 
-def _split_eigenspaces(mats: list[np.ndarray], k: int, p: int) -> list[list[int]]:
-    """Common eigenvectors of commuting matrices over F_p, by splitting F_p^k
-    with each matrix in turn; the matrices are int64 arrays reduced mod p,
-    and the first is the identity.
+def _central_characters(mats: Iterable[np.ndarray], k: int, p: int) -> np.ndarray:
+    """The k central characters mod p, as the rows of a (k, k) int64 array,
+    each 1 at the identity class, from commuting (k, k) class matrices
+    reduced mod p. `mats` is read only as far as the split needs it.
 
-    The subspaces are blocks of consecutive rows of one (k, k) basis array,
-    with a pivot column per row: a block's rows are the identity on its
-    pivot columns, so the coordinates of a vector of its span are its
-    entries there, and the restriction of a matrix to a block is read off
-    the pivot columns of its images (`_restrictions`). A block of one row
-    is a common eigenvector already.
-
-    A block on which a matrix is scalar, lambda I, is one eigenspace of that
-    matrix, so there is nothing to split; it stays whole on every later
-    refinement too. The matrices are therefore screened in stacks of at
-    most _STACK_CELLS image cells, each checked to stabilise every block,
-    and only the first one that is not scalar on some block splits those
-    blocks (`_eigenspaces`); the screen resumes after it.
+    The components, the rows of one array, start as e_0 alone (module
+    docstring). A matrix M moves a component w unless M w is a multiple of
+    w, compared at w's first nonzero coordinate; each w that M moves is
+    replaced by its projections (`_split_components`). The split stops at k
+    components.
 
     Overflow: entries stay in int64. Residues are below p <= PRIME_BOUND =
-    10^6, each elimination update is below p + p^2, and every dot product
-    has at most k terms, each below p^2: k * p^2 <= 5040 * 10^12 < 2^63 for
-    any group under the element cap.
+    10^6, and every dot product has at most k terms, each below p^2:
+    k * p^2 <= 5040 * 10^12 < 2^63 for any group under the element cap.
     """
-    basis = np.eye(k, dtype=np.int64)
-    pivots = np.arange(k)
-    block = np.zeros(k, dtype=np.intp)  # block index of each row; a block's rows are consecutive
-    stack = max(1, _STACK_CELLS // (k * k))
-    i = 1  # matrix of the identity class is the identity
-    while i < len(mats):
-        size = np.bincount(block)[block]
-        if size.max() == 1:
-            break
-        screened = np.stack(mats[i : i + stack])
-        first = len(screened)  # the first screened matrix that is not scalar on some block
-        groups = []
-        for d in np.unique(size[size > 1]).tolist():
-            rows = np.flatnonzero(size == d).reshape(-1, d)  # one block per line
-            coords, ragged = _restrictions(basis[rows], pivots[rows], screened, p)
-            hit = np.flatnonzero(ragged.any(axis=1))
-            if hit.size:
-                first = min(first, int(hit[0]))
-            groups.append((rows, coords, ragged))
-        if first == len(screened):
-            i += first
-            continue
-        i += first + 1
-        kept = np.ones(k, dtype=bool)
-        new_rows, new_piv, new_ids = [], [], []
-        last = block[-1]
-        for rows, coords, ragged in groups:
-            which = np.flatnonzero(ragged[first])
-            if which.size:
-                split = rows[which]
-                fresh, piv, pair = _eigenspaces(coords[first, which], basis[split], pivots[split], p)
-                kept[split] = False
-                new_rows.append(fresh)
-                new_piv.append(piv)
-                new_ids.append(last + 1 + pair)
-                last = new_ids[-1][-1]
-        basis = np.concatenate([basis[kept], *new_rows])
-        pivots = np.concatenate([pivots[kept], *new_piv])
-        block = np.unique(np.concatenate([block[kept], *new_ids]), return_inverse=True)[1]
-    if np.bincount(block).max() != 1:
-        raise VerificationFailed("class matrices failed to separate all characters")
-    return basis.tolist()
+    comps = np.eye(1, k, dtype=np.int64)
+    mats = iter(mats)
+    while len(comps) < k:
+        mat = next(mats, None)
+        if mat is None:
+            raise VerificationFailed("class matrices failed to separate all characters")
+        imgs = comps @ mat.T % p
+        at = np.arange(len(comps)), (comps != 0).argmax(axis=1)
+        moved = (imgs * comps[at][:, None] % p != comps * imgs[at][:, None] % p).any(axis=1)
+        if moved.any():
+            fresh = _split_components(comps[moved], imgs[moved], mat, p, k - len(comps) + 1)
+            comps = np.concatenate([comps[~moved], fresh])
+    if not comps[:, 0].all():
+        raise VerificationFailed("eigenvector vanishes at the identity class")
+    return comps * np.array([pow(v, -1, p) for v in comps[:, 0].tolist()], dtype=np.int64)[:, None] % p
 
 
-def _restrictions(
-    vecs: np.ndarray, piv: np.ndarray, mats: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The restrictions of a (b, k, k) stack of matrices to blocks of d basis
-    rows each, `vecs` (nb, d, k) with pivot columns `piv` (nb, d), as the
-    (b, nb, d, d) coordinates of the images of the rows, and the (b, nb)
-    mask of the restrictions that are not scalar. One product gives the
-    images and one checks that each block is stabilised."""
-    d = vecs.shape[1]
-    imgs = vecs @ mats.transpose(0, 2, 1)[:, None] % p  # row j: the matrix applied to basis row j
-    coords = np.take_along_axis(imgs, piv[None, :, None, :], axis=3)
-    if not np.array_equal(coords @ vecs % p, imgs):
-        raise VerificationFailed("class matrix does not stabilize a split subspace")
-    return coords, (coords != coords[..., :1, :1] * np.eye(d, dtype=np.int64)).any(axis=(2, 3))
+def _split_components(comps: np.ndarray, imgs: np.ndarray, mat: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Replace each row w of `comps` (m, k), whose images under `mat` are
+    `imgs`, by its projections q_lambda(M) w, one per root lambda of w's
+    minimal polynomial mu under M, q_lambda = mu / (x - lambda).
 
+    - mu, exactly: the Krylov rows w, M w, ..., M^L w of every w, with
+      the Krylov columns eliminated in one `eliminate_mod`. The first
+      column that depends on those before it, column d = rank, gives the
+      monic mu of degree d. L starts at _KRYLOV_START and doubles up to
+      `cap`, the k - c + 1 characters that w can hold beside the c - 1
+      other components, which bounds deg mu.
+    - The roots: one `roots_mod` per degree over every lambda in F_p. A
+      root count short of deg mu means M is not diagonalizable on w.
+    - The projections: q_lambda by synthetic division, then one product
+      of the (d, d) coefficients with the first d Krylov rows.
 
-def _eigenspaces(
-    coords: np.ndarray, vecs: np.ndarray, piv: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split m blocks of d basis rows, `vecs` (m, d, k) with pivot columns
-    `piv` (m, d), into the eigenspaces of a matrix whose restrictions to
-    them, none scalar, have the image coordinates `coords` (m, d, d).
-
-    - The eigenvalues: the roots of each restriction's charpoly, from one
-      stack of charpolys and one `roots_mod` over every lambda in F_p. Every
-      central character lies in F_p, because p = 1 (mod e), so a
-      restriction whose eigenspaces do not fill its block is not
-      diagonalizable, a bug.
-    - `eliminate_mod` on the stack of R - lambda I over every (block,
-      root) pair gives the eigenspaces. A kernel basis is the identity
-      on its free columns, so each new block is the identity on the old
-      pivot columns there and is reduced with no further step.
-
-    Returns the new rows, block after block and eigenvalue after
-    eigenvalue, their pivot columns, and the index of each row's (block,
-    eigenvalue) pair.
+    Returns the projections, component after component.
     """
-    m, d, k = vecs.shape
-    restr = coords.transpose(0, 2, 1)  # R[a, b]: coordinate a of the image of row b
-    owner, root = roots_mod(charpoly_mod(restr, p), [0] * m, [p - 1] * m, p)
-
-    # kernel rows of R - lambda I, pair by pair, in coordinates over the block's rows
-    eigen, place, pair = [coords[:0, 0]], [owner[:0]], [owner[:0]]
-    eye = np.eye(d, dtype=np.int64)
-    step = max(1, _STACK_CELLS // (d * d))
-    for start in range(0, len(owner), step):
-        blk = owner[start : start + step]
-        reduced, pivot = eliminate_mod((restr[blk] - root[start : start + step, None, None] * eye) % p, p)
-        # placed[c]: the reduced row whose leading 1 is in column c, zero for a free c
-        placed = np.zeros_like(reduced)
-        placed[np.arange(len(blk))[:, None], np.argsort(~pivot, axis=1, kind="stable")] = reduced
-        j, f = np.nonzero(~pivot)
-        kernel = -placed[j, :, f] % p  # e_f minus column f of the placed rows
-        kernel[np.arange(len(j)), f] = 1
-        eigen.append(kernel)
-        place.append(f)
-        pair.append(start + j)
-    pair = np.concatenate(pair)
-    if (np.bincount(owner[pair], minlength=m) != d).any():
-        raise VerificationFailed("restricted class matrix is not diagonalizable")
-    fresh = np.concatenate(eigen).reshape(m, d, d) @ vecs % p
-    return fresh.reshape(m * d, k), piv.ravel()[owner[pair] * d + np.concatenate(place)], pair
+    k = comps.shape[1]
+    kry = np.stack([comps, imgs], axis=1)  # kry[i, t] = M^t w_i
+    out, steps = [], _KRYLOV_START
+    while len(kry):
+        steps, filled = min(steps, cap), kry.shape[1]
+        kry = np.concatenate([kry, np.empty((len(kry), max(0, steps + 1 - filled), k), dtype=np.int64)], axis=1)
+        for t in range(filled, steps + 1):
+            kry[:, t] = kry[:, t - 1] @ mat.T % p
+        reduced, pivots = eliminate_mod(kry.transpose(0, 2, 1), p)
+        degree = pivots.sum(axis=1)
+        for d in np.unique(degree[degree <= steps]).tolist():
+            sel = np.flatnonzero(degree == d)
+            # M^d w = sum_t reduced[t, d] M^t w
+            mu = np.concatenate([-reduced[sel, :d, d] % p, np.ones((len(sel), 1), dtype=np.int64)], axis=1)
+            owner, root = roots_mod(mu, [0] * len(sel), [p - 1] * len(sel), p)
+            if (np.bincount(owner, minlength=len(sel)) != d).any():
+                raise VerificationFailed("class matrix is not diagonalizable on a component")
+            root = root.reshape(len(sel), d, 1)
+            q = np.ones((len(sel), d, d), dtype=np.int64)  # q[i, r, t]: coefficient of x^t in q_lambda
+            for t in range(d - 1, 0, -1):
+                q[:, :, t - 1 : t] = (mu[:, t, None, None] + root * q[:, :, t : t + 1]) % p
+            out.append((q @ kry[sel, :d] % p).reshape(-1, k))
+        kry = kry[degree > steps]
+        if len(kry) and steps == cap:
+            raise VerificationFailed(f"a component's minimal polynomial exceeds degree {cap}, the characters left to it")
+        steps *= 2
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +425,14 @@ def character_table(
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> CharacterTable:
-    """Exact character table; deterministic for a given group."""
+    """Exact character table; deterministic for a given group.
+
+    The central characters come from `_central_characters`, fed the class
+    matrices of a generating set, then of the other classes ascending,
+    each built by `class_matrices` only when the split reaches it; the
+    degrees, the values mod p and their exact lifts follow as the module
+    docstring says, and `_verify_table` checks the table.
+    """
     if g.n > order_cap:
         raise ValueError(f"|G| = {g.n} exceeds the character-table cap {order_cap}")
     part = part or conjugacy_classes(g)
@@ -450,36 +442,23 @@ def character_table(
     e = g.exponent()
     p = _find_prime(e, g.n, PRIME_BOUND)
     theta = _primitive_root_of_unity(p, e)
-    mats = class_matrices(g, part)
-    # The common eigenvectors do not depend on the order of the matrices. The
+    # The central characters do not depend on the order of the classes. The
     # classes of a generating set go first: on an abelian group their class
     # sums generate the group algebra, so they alone separate every character.
     lead = generator_classes(g, part)
-    order = [0, *lead, *sorted(set(range(1, k)) - set(lead))]
-    vecs = _split_eigenspaces([mats[j] % p for j in order], k, p)
+    order = [*lead, *sorted(set(range(1, k)) - set(lead))]
+    omega = _central_characters((class_matrices(g, part, [(j,)])[0] % p for j in order), k, p)
 
-    sizes = part.sizes()
-    inv_cls = part.inverse_class
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    n_mod = g.n % p
-    c_rows: list[list[int]] = []
-    degrees: list[int] = []
-    # p^2 > 4|G|, so d -> d^2 mod p is one-to-one on the possible degrees 1..sqrt(|G|)
+    inv_sizes = np.array([pow(s, p - 2, p) for s in part.sizes()], dtype=np.int64)
+    # sum_t omega(K_t) omega(K_t^-1) / |C_t| = |G| / chi(1)^2 mod p, and p^2 > 4|G|,
+    # so d -> d^2 mod p is one-to-one on the possible degrees 1..sqrt(|G|)
+    sums = (omega * omega[:, part.inverse_class] % p * inv_sizes % p).sum(axis=1) % p
     degree_of = {d * d % p: d for d in range(1, isqrt(g.n) + 1)}
-    for v in vecs:
-        if v[0] % p == 0:
-            raise VerificationFailed("eigenvector vanishes at the identity class")
-        norm = pow(v[0], p - 2, p)
-        u = [x * norm % p for x in v]
-        s = sum(u[t] * u[inv_cls[t]] % p * inv_sizes[t] for t in range(k)) % p
-        d = degree_of.get(n_mod * pow(s, p - 2, p) % p)  # s = 0 gives 0, which no d^2 is
-        if d is None:
-            raise VerificationFailed(f"recovered squared degree is not d^2 mod {p} for any d in 1..sqrt(|G|)")
-        c_rows.append([d * u[t] % p * inv_sizes[t] % p for t in range(k)])
-        degrees.append(d)
-    x = _lift_values(
-        np.array(c_rows, dtype=np.int64), np.array(degrees, dtype=np.int64), g, part, e, p, theta
-    )
+    degrees = [degree_of.get(g.n * pow(s, p - 2, p) % p) for s in sums.tolist()]  # s = 0 gives 0, no d^2
+    if None in degrees:
+        raise VerificationFailed(f"recovered squared degree is not d^2 mod {p} for any d in 1..sqrt(|G|)")
+    d = np.array(degrees, dtype=np.int64)
+    x = _lift_values(omega * inv_sizes % p * d[:, None] % p, d, g, part, e, p, theta)
 
     order = sorted(range(k), key=lambda r: (degrees[r], x[r].ravel().tolist()))
     degrees = [degrees[r] for r in order]

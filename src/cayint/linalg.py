@@ -9,11 +9,11 @@ by one of two engines:
 
 - the Hessenberg kernel, reduction by similarity modulo one prime
   (`_charpoly_stack`), for any square matrix, behind one entry point,
-  `charpoly_mod`, on a stack of matrices: the character tables split
-  their eigenspaces and the normal-set survey finds its candidate
-  eigenvalues with it. `charpoly`, the test oracle of the other engine,
-  runs it on a few primes and lifts the residues to the integers by one
-  Chinese remainder step (`_crt_lift`) under Hadamard's bound;
+  `charpoly_mod`, on a stack of matrices: the normal-set survey finds
+  its candidate eigenvalues with it. `charpoly`, the test oracle of the
+  other engine, runs it on a few primes and lifts the residues to the
+  integers by one Chinese remainder step (`_crt_lift`) under Hadamard's
+  bound;
 - the power-sum engine for the adjacency matrix A of a Cayley colour
   graph, which commutes with right translations, so that the diagonal
   entry (A^t)[0, 0] = s_t gives every power sum tr(A^t) = n s_t. It runs
@@ -36,7 +36,8 @@ by one of two engines:
 
 The roots mod a prime of such residue polynomials, each over its own
 integer range, are one Horner pass, `roots_mod`, for three screens: the
-character tables' eigenvalues in F_p; `integral_spectra`, which decides
+character tables' eigenvalues in F_p, roots of minimal polynomials of
+Krylov vectors; `integral_spectra`, which decides
 the survey's and the CI brute force's matrices by their roots and one
 exact product, with no integer charpoly; and `integer_spectrum`, which
 splits off the integer roots within a bound by synthetic division, from

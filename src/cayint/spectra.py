@@ -1,6 +1,6 @@
-"""Cayley and Cayley colour graph spectra, by two exact routes.
+"""Cayley and Cayley colour graph spectra.
 
-Route one reads the spectrum of the integer adjacency matrix A = [f(g h^-1)]
+The spectrum of the integer adjacency matrix A = [f(g h^-1)] comes
 from `linalg`'s power-sum engine: A commutes with right translations, so
 tr(A^m) = n f^(*m)(e), and one Krylov sequence on the identity's basis
 vector gives every power sum. It has two read-outs of that sequence,
@@ -11,14 +11,10 @@ pairs. When 4 D <= n or n >= 96, `linalg.minpoly_spectrum` reads the
 minimal polynomial and the first power sums off the sequence on the
 inverse-pair quotient (`pair_quotient`); otherwise `linalg.cayley_charpoly`
 reads the exact characteristic polynomial, which `integer_spectrum`
-splits. Both give the same report. Route two, available when the colour
-function is constant on conjugacy classes, evaluates the closed-form
-eigenvalues (1/chi(1)) sum_g f(g) chi(g) over the irreducible characters,
-each with multiplicity chi(1)^2; each eigenvalue is an algebraic integer,
-returned as its integer power-basis coordinates in Z[zeta_e]. The
-comparison of the two routes, by expanding the character-route product
-polynomial on those coordinates in Z[zeta_e][x], lives in the tests
-(`tests/oracle.py`), since no verdict reads it.
+splits. Both give the same report. The character route of a class
+function's spectrum, the closed-form eigenvalues (1/chi(1)) sum_g f(g)
+chi(g), and its comparison with this one live in the tests
+(`tests/oracle.py`), since no verdict reads them.
 """
 
 from __future__ import annotations
@@ -30,17 +26,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chartable import CharacterTable, VerificationFailed
-from .groups import ConjugacyPartition, FiniteGroup, class_count, conjugacy_classes, conjugation_invariant
+from .groups import ConjugacyPartition, FiniteGroup, class_count, conjugation_invariant
 from .linalg import IntMatrix, SpectrumReport, cayley_charpoly, exact_array, integer_spectrum, minpoly_spectrum
 
 
 class NotSymmetricFunction(ValueError):
     """Colour function has f(g) != f(g^-1) somewhere."""
-
-
-class NotAClassFunction(ValueError):
-    """Colour function is not constant on conjugacy classes."""
 
 
 class ConnectionFunction:
@@ -67,12 +58,6 @@ class ConnectionFunction:
         for s in subset:
             marks[s] = 1
         return cls(group, marks)
-
-    @classmethod
-    def from_class_values(
-        cls, group: FiniteGroup, part: ConjugacyPartition, class_values: Sequence[int]
-    ) -> "ConnectionFunction":
-        return cls(group, [class_values[j] for j in part.class_of])
 
     def __repr__(self) -> str:
         return f"ConnectionFunction({self.group.name}, {list(self.values)})"
@@ -174,52 +159,6 @@ def spectrum_matrix(g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartit
 
 def _asym_witness(f: ConnectionFunction) -> int:
     return next(g for g in f.group.elements() if f.values[g] != f.values[f.group.inv[g]])
-
-
-def spectrum_characters(
-    g: FiniteGroup, f: ConnectionFunction, table: CharacterTable
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Closed-form eigenvalues for a class function: one per irreducible
-    character chi, the power-basis coordinates in Z[zeta_conductor] of
-    omega_chi(f) = (1/chi(1)) sum_g f(g) chi(g), with multiplicity chi(1)^2.
-
-    The division by chi(1) is exact: omega_chi(f) is a sum of central
-    characters, so an algebraic integer, and the power basis is a Z-basis of
-    Z[zeta_e]. A remainder means a wrong table and raises VerificationFailed.
-    """
-    if not f.class_function:
-        raise NotAClassFunction("character-route spectrum needs a class function")
-    if table.group is not g and not g.same_table(table.group):
-        raise ValueError("character table does not belong to this group")
-    part = table.partition
-    weights = exact_array([f.values[rep] * size for rep, size in zip(part.reps(), part.sizes())])
-    # power-basis coordinates of sum_j w_j chi(g_j), in Python ints, one row per character
-    sums = (table.coeffs.astype(object).transpose(0, 2, 1) @ weights).tolist()
-    out = []
-    for r, (d, row) in enumerate(zip(table.degrees, sums)):
-        if any(c % d for c in row):
-            raise VerificationFailed(f"character {r}: weighted sum {row} is not divisible by its degree {d}")
-        out.append((tuple(c // d for c in row), d * d))
-    return tuple(out)
-
-
-def integrality_by_criterion(
-    g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartition | None = None
-) -> tuple[bool, tuple[int, int] | None]:
-    """Power-map fixedness test: the colour graph of an integer symmetric
-    class function is integral iff f(g^h) = f(g) for every unit h mod |G|.
-    Returns (verdict, witness (g, h)) with the first failing pair, h first;
-    g is the least member of the first failing class, since classes are
-    ordered by least member (`part.units` gives h)."""
-    if not f.class_function:
-        raise NotAClassFunction("criterion applies to class functions")
-    if not f.symmetric:
-        raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
-    part = part or conjugacy_classes(g)
-    vals = exact_array(f.values)[list(part.reps())]
-    moved = vals[part.powers] != vals
-    first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
-    return (True, None) if not moved.any() else (False, (part.reps()[j], part.units[first]))
 
 
 # ---------------------------------------------------------------------------

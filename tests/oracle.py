@@ -11,7 +11,11 @@ its `str` is the cell text that `CharacterTable.cell_strings` prints.
 is `integer_spectrum`'s candidate scan without the divisibility filter;
 `power`, `eigenvalue_sum` and `reconstruct` are the test-only
 `IntPolynomial.__pow__`, `SpectrumReport.eigenvalue_sum` and
-`SpectrumReport.reconstruct` that left `cayint`, and `squarefree_sympy` is
+`SpectrumReport.reconstruct` that left `cayint`, as did
+`spectrum_characters` (the character route of a class function's
+spectrum), `integrality_by_criterion` (the power-map criterion on one
+colour function, with its `NotAClassFunction`) and `from_class_values`,
+which only the tests read; `squarefree_sympy` is
 `squarefree_factorization` as it ran on sympy's `sqf_list`;
 `massey_scalar` is Berlekamp-Massey on one prime in Python ints, the
 reference of the minimal-polynomial read-out's `linalg._massey`, and
@@ -49,7 +53,8 @@ verifier's equivariance step now covers for every unit; `eulerian_check`
 reference code that no verdict reads.
 `rref_mod` and `kernel_mod` are the pure-Python eliminations over F_p that
 `linalg.eliminate_mod` replaced, and `split_eigenspaces` is the character
-tables' eigenspace splitting as it ran on them: every subspace reduced
+tables' eigenspace splitting as it ran on them before they split vectors
+by Krylov projections: every subspace reduced
 again before every class matrix, and every restriction, scalar or not,
 split by its charpoly's roots, found by a scan of F_p.
 
@@ -87,7 +92,7 @@ from cayint.classify import (
     _lift_unit,
     _subsets,
 )
-from cayint.groups import Atom, ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group
+from cayint.groups import Atom, ConjugacyPartition, FiniteGroup, NotAGroup, NotNormal, atom, build_group, conjugacy_classes
 from cayint.linalg import (
     _INT64,
     IntMatrix,
@@ -101,12 +106,14 @@ from cayint.linalg import (
     cayley_charpoly,
     charpoly,
     charpoly_mod,
+    exact_array,
     integer_spectrum,
 )
 from cayint.spectra import (
     ConnectionFunction,
+    NotSymmetricFunction,
+    _asym_witness,
     adjacency as _adjacency,
-    spectrum_characters,
     spectrum_matrix,
 )
 
@@ -622,7 +629,7 @@ def fcci_spectra_direct(
             if take >> i & 1:
                 for j in orbit:
                     class_values[j] = 1
-        f = ConnectionFunction.from_class_values(g, part, class_values)
+        f = from_class_values(g, part, class_values)
         if not spectrum_matrix(g, f).is_integral:
             return False, take + 1, list(f.values)
     return True, 1 << len(orbits), None
@@ -756,12 +763,67 @@ def ci_brute_scan(g: FiniteGroup, seed: int = 0) -> tuple[str, bool | None, int,
     return mode, True, tried, None
 
 
+class NotAClassFunction(ValueError):
+    """Colour function is not constant on conjugacy classes."""
+
+
+def from_class_values(g: FiniteGroup, part: ConjugacyPartition, class_values: Sequence[int]) -> ConnectionFunction:
+    """The colour function that takes the value class_values[j] on class j."""
+    return ConnectionFunction(g, [class_values[j] for j in part.class_of])
+
+
+def spectrum_characters(
+    g: FiniteGroup, f: ConnectionFunction, table: CharacterTable
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Closed-form eigenvalues for a class function: one per irreducible
+    character chi, the power-basis coordinates in Z[zeta_conductor] of
+    omega_chi(f) = (1/chi(1)) sum_g f(g) chi(g), with multiplicity chi(1)^2.
+
+    The division by chi(1) is exact: omega_chi(f) is a sum of central
+    characters, so an algebraic integer, and the power basis is a Z-basis of
+    Z[zeta_e]. A remainder means a wrong table and raises VerificationFailed.
+    """
+    if not f.class_function:
+        raise NotAClassFunction("character-route spectrum needs a class function")
+    if table.group is not g and not g.same_table(table.group):
+        raise ValueError("character table does not belong to this group")
+    part = table.partition
+    weights = exact_array([f.values[rep] * size for rep, size in zip(part.reps(), part.sizes())])
+    # power-basis coordinates of sum_j w_j chi(g_j), in Python ints, one row per character
+    sums = (table.coeffs.astype(object).transpose(0, 2, 1) @ weights).tolist()
+    out = []
+    for r, (d, row) in enumerate(zip(table.degrees, sums)):
+        if any(c % d for c in row):
+            raise VerificationFailed(f"character {r}: weighted sum {row} is not divisible by its degree {d}")
+        out.append((tuple(c // d for c in row), d * d))
+    return tuple(out)
+
+
+def integrality_by_criterion(
+    g: FiniteGroup, f: ConnectionFunction, part: ConjugacyPartition | None = None
+) -> tuple[bool, tuple[int, int] | None]:
+    """Power-map fixedness test: the colour graph of an integer symmetric
+    class function is integral iff f(g^h) = f(g) for every unit h mod |G|.
+    Returns (verdict, witness (g, h)) with the first failing pair, h first;
+    g is the least member of the first failing class, since classes are
+    ordered by least member (`part.units` gives h)."""
+    if not f.class_function:
+        raise NotAClassFunction("criterion applies to class functions")
+    if not f.symmetric:
+        raise NotSymmetricFunction(f"f({_asym_witness(f)}) differs on an inverse pair")
+    part = part or conjugacy_classes(g)
+    vals = exact_array(f.values)[list(part.reps())]
+    moved = vals[part.powers] != vals
+    first, j = divmod(int(moved.argmax()), part.k)  # row-major: the first unit, then the first class
+    return (True, None) if not moved.any() else (False, (part.reps()[j], part.units[first]))
+
+
 def _units(n: int) -> list[int]:
     return [h for h in range(2, n) if gcd(h, n) == 1]
 
 
 def criterion_scan(g: FiniteGroup, f: ConnectionFunction) -> tuple[bool, tuple[int, int] | None]:
-    """`spectra.integrality_by_criterion`'s verdict and witness: every unit
+    """`integrality_by_criterion`'s verdict and witness: every unit
     h in [2, |G|), then every element x, until f(x^h) != f(x)."""
     for h in _units(g.n):
         for x in g.elements():

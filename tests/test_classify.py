@@ -38,7 +38,7 @@ from cayint.classify import (
 from cayint.cli import main
 from cayint.linalg import _STACK_CELLS, cayley_charpoly_mod
 from cayint.groups import build_group, conjugacy_classes, direct_product
-from cayint.spectra import ConnectionFunction, integrality_by_criterion, spectrum_matrix
+from cayint.spectra import ConnectionFunction, spectrum_matrix
 
 from conftest import MEDIUM_EXTRA, SMALL_CATALOG, build_survey, load_perm_group, perm_generators
 from oracle import (
@@ -47,6 +47,8 @@ from oracle import (
     criterion_scan,
     fcci_criterion_scan,
     fcci_spectra_direct,
+    from_class_values,
+    integrality_by_criterion,
     inverse_semi_rational_scan,
     normal_set_survey_matrix,
     normal_set_survey_rows,
@@ -332,7 +334,7 @@ def test_power_map_routes_match_element_scans(tokens):
         values = [rng.randint(0, 2) for _ in range(part.k)]
         for j, inv in enumerate(part.inverse_class):
             values[inv] = values[j] = max(values[j], values[inv])
-        f = ConnectionFunction.from_class_values(g, part, values)
+        f = from_class_values(g, part, values)
         assert integrality_by_criterion(g, f) == criterion_scan(g, f)
 
 
@@ -556,7 +558,7 @@ class TestGammaChiConj:
         for sums in chi_plus_conj(table):
             if not sums[:, 1:].any():
                 rational += 1
-                f = ConnectionFunction.from_class_values(g, table.partition, sums[:, 0].tolist())
+                f = from_class_values(g, table.partition, sums[:, 0].tolist())
                 assert f.in_f and criterion_scan(g, f)[0]
         assert rational >= 1  # the trivial character at least
 

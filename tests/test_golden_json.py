@@ -8,7 +8,7 @@ file only when its change is intended, with the same command line and
 `--out tests/golden/<name>.json` (or `.txt`).
 `audit_seed_0.json` is `cayint audit --seed 0 --format json`; it is compared
 in `tests/test_classify.py::TestAudit`, which already holds that audit.
-`DIGESTS` pins the `--format json` output of two larger tables, five
+`DIGESTS` pins the `--format json` output of four larger tables, five
 classify reports and one spectrum by its sha256 instead of a file.
 """
 
@@ -68,6 +68,17 @@ DIGESTS = {
         ["chartable", "--catalog", "z2z3", "3", "3"],
         0,
         "b06633d16d6702473e9caafc399413a7715bc9b75251b1fd8ccaaf4b4abf7c2c",
+    ),
+    # the nonabelian tables above k = 60, each split with two class matrices
+    "chartable_dihedral_200": (
+        ["chartable", "--catalog", "dihedral", "200"],
+        0,
+        "81ad65ca9416bc57f82030998700d2bb21da816b36215583bec9708c7528f7e3",
+    ),
+    "chartable_dicyclic_60": (
+        ["chartable", "--catalog", "dicyclic", "60"],
+        0,
+        "d5a44d61f24825309702f3b52fee406b6845c462d1dc9edff5e1d18d0292b821",
     ),
     "classify_cyclic_120": (
         ["classify", "--catalog", "cyclic", "120"],

@@ -8,8 +8,9 @@ module of `cayint` names `Fraction` or `Cyclotomic`, the rational
 arithmetic that lives on in `tests/oracle.py` as the reference. There are
 two charpoly engines. The Hessenberg kernel, `linalg._charpoly_stack`, runs
 modulo one prime and is called only from `charpoly_mod`, the one entry
-point that the character tables, the normal-set survey and the exact
-`charpoly` (a test oracle) go through; the multi-modular batch
+point that the normal-set survey's `_integral_orbits` and the exact
+`charpoly` (a test oracle) go through: the character tables split their
+components by minimal polynomials, with no charpoly; the multi-modular batch
 `charpolys` lives on only in `tests/oracle.py`, and the survey decides
 its orbits without an integer charpoly or the scan of `integer_spectrum`.
 The power-sum engine serves every Cayley colour graph adjacency matrix,
@@ -50,7 +51,7 @@ survey. chi + conj(chi) is decided once, as NCI's character route: in
 colour function on all of G. The roots of residue polynomials mod a prime
 over integer ranges have one routine, `linalg.roots_mod`, which serves
 `integral_spectra`, `integer_spectrum` and the character tables'
-`_eigenspaces`; the per-point mask `vanishes_mod`, the screen `_screened`
+`_split_components`; the per-point mask `vanishes_mod`, the screen `_screened`
 and the per-character rows (`gamma_chi_conj_check`, `CharColourRow`,
 `chi_plus_conj_integral`) are gone. No module of `cayint` imports a name
 it does not use. No module of `cayint` names sympy: the non-integral
@@ -167,6 +168,12 @@ def test_survey_decides_orbits_without_integer_charpolys():
     assert _referrers("charpoly_mod") & survey == {"classify.py:_integral_orbits"}
 
 
+def test_survey_is_the_only_production_reader_of_charpoly_mod():
+    # no module of `cayint` calls `linalg.charpoly`, the exact charpoly: it serves the tests
+    assert _referrers("charpoly") == set()
+    assert _referrers("charpoly_mod") == {"classify.py:_integral_orbits", "linalg.py:charpoly"}
+
+
 def test_ci_sweep_reads_no_exact_spectrum():
     sweep = {"classify.py:ci_report", "classify.py:check_subsets"}
     for name in ("spectrum_matrix", "ConnectionFunction", "cayley_charpoly", "integer_spectrum", "_crt_lift"):
@@ -271,7 +278,7 @@ def test_roots_mod_serves_the_three_root_screens():
     assert _referrers("roots_mod") == {
         "linalg.py:integral_spectra",
         "linalg.py:integer_spectrum",
-        "chartable.py:_eigenspaces",
+        "chartable.py:_split_components",
     }
 
 
@@ -286,6 +293,13 @@ def test_retired_names_are_gone():
         "eigenvalue_sum",
         "reconstruct",
         "_krylov_diagonal",
+        "_split_eigenspaces",
+        "_restrictions",
+        "_eigenspaces",
+        "spectrum_characters",
+        "integrality_by_criterion",
+        "from_class_values",
+        "NotAClassFunction",
     }
     defined = {
         node.name

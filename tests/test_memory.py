@@ -1,9 +1,10 @@
-"""Peak memory of building groups, loading tables and reading a spectrum
-from the minimal polynomial. tracemalloc traces numpy's buffers, so the
-peak of a call over what it retains is its largest set of live
-temporaries: a block of rows beside the one table for a group, and one
-Krylov array for a spectrum, never a second (n, n) table or a weighted
-copy of the Krylov vectors."""
+"""Peak memory of building groups, loading tables, reading a spectrum
+from the minimal polynomial and building a character table. tracemalloc
+traces numpy's buffers, so the peak of a call over what it retains is its
+largest set of live temporaries: a block of rows beside the one table for
+a group, one Krylov array for a spectrum, never a second (n, n) table or a
+weighted copy of the Krylov vectors, and a few (k, k) arrays for a
+character table, never the stack of its k class matrices."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 from cayint import linalg
 from cayint.catalog import (
     alternating_group,
+    catalog,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -22,6 +24,7 @@ from cayint.catalog import (
     save_group,
     symmetric_group,
 )
+from cayint.chartable import character_table
 from cayint.groups import center, direct_product, quotient
 from cayint.spectra import ConnectionFunction, spectrum_matrix
 
@@ -94,3 +97,10 @@ def test_minpoly_read_out_holds_one_krylov_array(monkeypatch):
     assert report.degree == g.n
     assert max(sizes) > 8 * ALLOWANCE  # the Krylov array is what a spectrum of Z300 holds
     assert extra <= max(sizes) + 2 * ALLOWANCE  # beside it: the per-prime reduction of the quotient
+
+
+def test_character_table_builds_no_stack_of_class_matrices():
+    # k = 216: the k class matrices would be k^3 int64 cells, 80 MiB, and 32 MiB
+    # is about 90 (k, k) int64 arrays
+    table, extra = _peak_over_retained(lambda: character_table(catalog("z2z3", 3, 3)))
+    assert table.k == 216 and extra <= 32 << 20

@@ -23,17 +23,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracle import (
     Cyclotomic,
+    NotAClassFunction,
     berkowitz,
     eigenvalue_sum,
     eulerian_check,
     expand_character_coeffs,
     expand_character_poly,
+    from_class_values,
+    integrality_by_criterion,
     is_normal_set,
     newton_report,
     perm_closure_table,
     power,
     routes_agree,
     save_function,
+    spectrum_characters,
 )
 
 from cayint import linalg
@@ -54,14 +58,11 @@ from cayint.linalg import (
 from cayint.spectra import (
     ConnectionFunction,
     ConnectionSet,
-    NotAClassFunction,
     NotSymmetricFunction,
     adjacency,
-    integrality_by_criterion,
     load_function,
     pair_quotient,
     parse_set_tokens,
-    spectrum_characters,
     spectrum_matrix,
 )
 
@@ -75,7 +76,7 @@ class TestConnectionFunction:
         f = ConnectionFunction(s3, ALPHA)
         assert f.symmetric and not f.class_function
         assert not f.in_f
-        g = ConnectionFunction.from_class_values(s3, partitions["S3"], [0, 2, -3])
+        g = from_class_values(s3, partitions["S3"], [0, 2, -3])
         assert g.symmetric and g.class_function and g.in_f
 
     def test_delta(self, groups):
@@ -540,7 +541,7 @@ class TestCharacterRoute:
                 if take >> i & 1:
                     for j in orbit:
                         class_values[j] = 1
-            pairs = spectrum_characters(g, ConnectionFunction.from_class_values(g, part, class_values), t)
+            pairs = spectrum_characters(g, from_class_values(g, part, class_values), t)
             cyclotomic = [(Cyclotomic(t.conductor, lam), m) for lam, m in pairs]
             want = [c.lift(t.conductor).coeffs for c in expand_character_poly(cyclotomic)]
             assert expand_character_coeffs(pairs, t.conductor).tolist() == [list(c) for c in want]
@@ -555,7 +556,7 @@ class TestCharacterRoute:
                     if take >> i & 1:
                         for j in orbit:
                             class_values[j] = 1
-                f = ConnectionFunction.from_class_values(g, part, class_values)
+                f = from_class_values(g, part, class_values)
                 assert routes_agree(g, f, t)
 
 
@@ -596,7 +597,7 @@ class TestCriterion:
                     v = rng.randint(-9, 9)
                     for j in orbit:
                         class_values[j] = v
-                f = ConnectionFunction.from_class_values(g, part, class_values)
+                f = from_class_values(g, part, class_values)
                 ok, _ = integrality_by_criterion(g, f)
                 assert ok == spectrum_matrix(g, f).is_integral
 
